@@ -9,20 +9,18 @@ Conventions used everywhere in this package:
   Every moment or KS reference in this package uses the 1/(2*pi) scaling.
 * mod_1 maps exactly onto [0, 1) with mod_1(1.0) == 0.0; negative inputs
   wrap via floor.
-* Discrete sampling is done by explicit weight tables plus inverse CDF.
-  Support windows are tiny at the scales we run, so exactness beats speed.
+* Discrete sampling is exact: a weight table plus inverse CDF for one
+  shared 1-D lattice, rejection from a discrete-Laplace envelope (no
+  window, cost flat in sigma) for per-row shifts and scales.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 TWO_PI = 2.0 * math.pi
-
-# rows per block in the vectorized row sampler, keeps the weight matrix
-# comfortably inside cache-friendly territory (~40 MB at window 41)
-_ROW_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -140,29 +138,51 @@ def sample_lattice_rows(shifts, sigma, trunc=DEFAULT_TRUNCATION, rng=None):
     """One draw per row from the discrete Gaussian on Z + shifts[i].
 
     Workhorse for the batch pipelines: shifts is a flat array and sigma is
-    a scalar or a per-row array.  All rows share one truncation window of
-    half-width based on the largest sigma, so smaller-sigma rows keep a few
-    extra (weightless) tail points; that only shrinks the truncation error.
+    a scalar or a per-row array.  Row i keeps the points within
+    trunc.radius_multiplier * sigma[i] of the origin, or the nearest one(s)
+    when that window is empty.  Each round proposes a point from _envelope
+    for every pending row and accepts it with probability
+    exp(-(|x| - a)^2 / 2s^2); over sigma in [1e-3, 200] more than half the
+    proposals are accepted (pinned by the tests), so the expected work per
+    row is O(1) and memory is O(rows) at any sigma.
     """
     rng = np.random.default_rng() if rng is None else rng
     shifts = np.asarray(shifts, dtype=float)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), shifts.shape)
+    # a NaN or infinite parameter would keep a row rejected forever
+    if not np.all(np.isfinite(shifts)):
+        raise ValueError("shifts must be finite")
+    if not np.all(np.isfinite(sig) & (sig > 0)):
+        raise ValueError("sigma must be finite and positive")
     frac = shifts - np.floor(shifts)  # Z + shift == Z + frac(shift)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float), frac.shape)
-    if not np.all(sig > 0):
-        raise ValueError("sigma must be positive")
-    h = int(math.ceil(trunc.radius_multiplier * float(np.max(sig)))) + 1
-    offs = np.arange(-h, h + 1, dtype=float)
     out = np.empty_like(frac)
-    for lo in range(0, frac.size, _ROW_CHUNK):
-        sl = slice(lo, min(lo + _ROW_CHUNK, frac.size))
-        pts = frac[sl, None] + offs[None, :]
-        sq = (pts / sig[sl, None]) ** 2
-        w = np.exp(-math.pi * (sq - sq.min(axis=1, keepdims=True)))  # stabilized
-        cdf = np.cumsum(w, axis=1)
-        u = rng.uniform(size=cdf.shape[0]) * cdf[:, -1]
-        idx = np.minimum((cdf < u[:, None]).sum(axis=1), pts.shape[1] - 1)
-        out[sl] = pts[np.arange(pts.shape[0]), idx]
+    todo = np.arange(frac.size)
+    while todo.size:
+        f, sg = frac[todo], sig[todo]
+        s, a, lam = _envelope(f, sg)
+        # the envelope's mass is exp(-lam*f) / (1 - e^-lam) on the points
+        # f + j, j >= 0, and exp(-lam*(1 - f)) / (1 - e^-lam) on f - 1 - j
+        j = rng.geometric(-np.expm1(-lam)) - 1.0
+        x = f + np.where(rng.uniform(size=f.size) < expit(lam * (1.0 - 2.0 * f)), j, -1.0 - j)
+        ax = np.abs(x)
+        radius = np.maximum(trunc.radius_multiplier * sg, np.minimum(f, 1.0 - f))
+        keep = (rng.uniform(size=f.size) < np.exp(-0.5 * ((ax - a) / s) ** 2)) & (ax <= radius)
+        out[todo[keep]] = x[keep]
+        todo = todo[~keep]
     return out
+
+
+def _envelope(frac, sigma):
+    """Discrete-Laplace envelope of rho_sigma on Z + frac, per row: (s, a, lam).
+
+    With s = sigma / sqrt(2 pi), the tangent bound x^2 >= 2a|x| - a^2 gives
+    exp(-x^2 / 2s^2) <= exp(a^2 / 2s^2 - lam |x|), lam = a / s^2, for any
+    a > 0.  a = s suits large sigma; for sigma small against the spacing,
+    a = distance to the nearest point accepts that point with probability 1.
+    """
+    s = sigma / math.sqrt(TWO_PI)
+    a = np.maximum(s, np.minimum(frac, 1.0 - frac))
+    return s, a, a / s / s
 
 
 def sample_continuous(n, sigma, rng=None, size=None):

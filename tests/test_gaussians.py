@@ -6,16 +6,19 @@ Expected constants are frozen from direct evaluation of the formulas.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import logsumexp
 
 from lwemassart.gaussians import (
     DEFAULT_TRUNCATION,
     ShiftedLattice1D,
     TruncationPolicy,
+    _envelope,
     collapsed_density,
     mod_1,
     mod_q,
@@ -37,7 +40,8 @@ def brute_pmf(spacing, offset, sigma, radius=12.0):
     jlo = math.ceil((-radius * sigma - offset) / spacing)
     jhi = math.floor((radius * sigma - offset) / spacing)
     pts = [offset + spacing * j for j in range(jlo, jhi + 1)]
-    w = [math.exp(-math.pi * (p / sigma) ** 2) for p in pts]
+    top = min((p / sigma) ** 2 for p in pts)  # stabilized for tiny sigma; ratios unchanged
+    w = [math.exp(-math.pi * ((p / sigma) ** 2 - top)) for p in pts]
     total = sum(w)
     return {round(p, 9): wi / total for p, wi in zip(pts, w)}
 
@@ -203,6 +207,105 @@ def test_row_sampler_per_row_sigma():
     draws = sample_lattice_rows(shifts, sig, rng=rng)
     assert pmf_linf(empirical_pmf(draws[:50_000]), brute_pmf(1.0, 0.0, 1.0)) < 0.012
     assert pmf_linf(empirical_pmf(draws[50_000:]), brute_pmf(1.0, 0.0, 3.0)) < 0.012
+
+
+def windowed_pmf(offset, sigma):
+    """brute_pmf on Z + offset; an empty 12-sigma window keeps the nearest point(s)."""
+    # widened by 1e-6 so that rounding cannot drop the nearest point itself
+    near = min(offset, 1.0 - offset)
+    return brute_pmf(1.0, offset, sigma, radius=max(12.0, (1.0 + 1e-6) * near / sigma))
+
+
+def chi2_pvalue(draws, pmf):
+    """Pearson chi-square p-value of draws against pmf.
+
+    The least likely points are pooled into one bin until it expects at
+    least 5 draws; a pmf that leaves a single bin has nothing to test.
+    """
+    vals, counts = np.unique(np.round(draws, 9), return_counts=True)
+    assert set(vals.tolist()) <= set(pmf), "draw off the truncated lattice window"
+    seen = dict(zip(vals.tolist(), counts.tolist()))
+    expected = np.array(list(pmf.values())) * draws.size
+    observed = np.array([seen.get(k, 0) for k in pmf], dtype=float)
+    order = np.argsort(expected)
+    expected, observed = expected[order], observed[order]
+    cut = int(np.searchsorted(np.cumsum(expected), 5.0)) + 1
+    f_exp = np.append(expected[:cut].sum(), expected[cut:])
+    f_obs = np.append(observed[:cut].sum(), observed[cut:])
+    if f_exp.size < 2:
+        return 1.0
+    return stats.chisquare(f_obs, f_exp * draws.size / f_exp.sum()).pvalue
+
+
+LAW_SIGMAS = (0.01, 0.5, 1.8, 10.0, 50.0)
+LAW_OFFSETS = (0.0, 0.3, 0.5, 0.93)
+
+
+def test_row_sampler_law_chi_square():
+    # 1e6 draws per (sigma, offset) cell, then one call that mixes every
+    # cell row by row, 50k draws each
+    rng = np.random.default_rng(20)
+    for sigma in LAW_SIGMAS:
+        for off in LAW_OFFSETS:
+            shifts = np.full(1_000_000, off)
+            draws = sample_lattice_rows(shifts, sigma, DEFAULT_TRUNCATION, rng)
+            p = chi2_pvalue(draws, windowed_pmf(off, sigma))
+            assert p > 1e-4, (sigma, off, p)
+    cells = [(sig, off) for sig in LAW_SIGMAS for off in LAW_OFFSETS]
+    rows = rng.permutation(np.repeat(np.arange(len(cells)), 50_000))
+    sig, off = np.array(cells).T
+    draws = sample_lattice_rows(off[rows], sig[rows], DEFAULT_TRUNCATION, rng)
+    for c, (sigma, offset) in enumerate(cells):
+        p = chi2_pvalue(draws[rows == c], windowed_pmf(offset, sigma))
+        assert p > 1e-4, ("mixed", sigma, offset, p)
+
+
+def test_row_sampler_envelope_acceptance():
+    # exact acceptance sum(target) / sum(M * envelope) of every proposal,
+    # from the envelope the sampler uses: expected work stays O(1) per row
+    sigmas = np.geomspace(1e-3, 200.0, 60)
+    offsets = np.linspace(0.0, 1.0, 21)[:-1]
+    worst = 1.0
+    for sigma in sigmas:
+        for f in offsets:
+            s, a, lam = (float(v) for v in _envelope(np.array(f), np.array(sigma)))
+            radius = max(12.0 * sigma, min(f, 1.0 - f))
+            k = np.arange(-math.ceil(radius) - 1, math.ceil(radius) + 2)
+            x = f + k[np.abs(f + k) <= radius]
+            log_target = logsumexp(-(x**2) / (2 * s * s))
+            log_bound = (a * a / (2 * s * s) + np.logaddexp(-lam * f, -lam * (1 - f))
+                         - math.log(-math.expm1(-lam)))
+            worst = min(worst, math.exp(log_target - log_bound))
+    assert worst >= 0.5
+
+
+def test_row_sampler_memory_flat_in_sigma():
+    # no sigma-wide window: 100k rows at sigma 50 cost what they cost at 2
+    shifts = np.random.default_rng(21).uniform(size=100_000)
+    peaks = []
+    for sigma in (2.0, 50.0):
+        tracemalloc.start()
+        try:
+            sample_lattice_rows(shifts, sigma, DEFAULT_TRUNCATION, np.random.default_rng(22))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+@pytest.mark.parametrize("shifts, sigma", [
+    ([0.2, float("nan")], 1.0),
+    ([0.2, float("inf")], 1.0),
+    ([0.2, 0.4], float("inf")),
+    ([0.2, 0.4], float("nan")),
+    ([0.2, 0.4], [1.0, float("inf")]),
+    ([0.2, 0.4], 0.0),
+    ([0.2, 0.4], [1.0, -1.0]),
+])
+def test_row_sampler_rejects_non_finite_input(shifts, sigma):
+    with pytest.raises(ValueError):
+        sample_lattice_rows(np.array(shifts), np.array(sigma), DEFAULT_TRUNCATION,
+                            np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- continuous
