@@ -59,11 +59,15 @@ DEFAULT_TRUNCATION = TruncationPolicy()
 def mod_q(v, q):
     """Reduce v into [0, q); mod_q(q) == 0 and negative inputs wrap via floor."""
     v = np.asarray(v, dtype=float)
-    r = v - q * np.floor(v / q)
+    # r = v - q * floor(v / q), computed in one buffer
+    r = np.atleast_1d(v / q)
+    np.floor(r, out=r)
+    r *= q
+    np.subtract(v, r, out=r)
     # float edges: v within one ulp below 0 can leave r == q (or, for
     # subnormal v/q, a negative residue); both mean "wrapped to 0"
-    r = np.where((r >= q) | (r < 0.0), 0.0, r)
-    return float(r) if r.ndim == 0 else r
+    r[(r >= q) | (r < 0.0)] = 0.0
+    return float(r[0]) if v.ndim == 0 else r
 
 
 def mod_1(v):

@@ -13,15 +13,16 @@ The map g below sends an ambient location to the spot in the base
 interval from which the -1 branch would populate it, so removing
 g-images of the +1 danger zones keeps the two supports apart.
 
-The builder consumes one stream position at a time (the FAIL contract
-depends on consumption order), but acceptance and the lattice transform
-are vectorized.
+The builder decides acceptance for every stream position at once, then
+walks the label sequence run by run: a run of equal labels takes the next
+accepted positions of its branch in one slice, so consumption order (and
+with it the FAIL contract) is that of a draw-by-draw scan.  The lattice
+transform is vectorized per label group.
 """
 
 import hashlib
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,9 +35,8 @@ from .gaussians import DEFAULT_TRUNCATION
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .rejection import (
     ReductionParams,
+    accept_steps,
     b_plus,
-    invert_y,
-    keep_probability,
     params_for_branch,
     transform_accepted,
     validate_condition,
@@ -52,10 +52,6 @@ DEFAULT_LIFT_CAP = 200_000
 
 
 # --------------------------------------------------------------------- g map
-
-
-def _band_index(u, t):
-    return math.floor((u - t / 2) / t)
 
 
 def g_map(u, t):
@@ -332,7 +328,12 @@ def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
     else +1 (psi = 0, B_plus); stream positions are consumed in order
     until the branch accepts.  A position rejected by one draw is spent
     and never revisited.  If a draw needs a position past the end of the
-    batch the result is FAIL with the full batch consumed.
+    batch the result is FAIL with the full batch consumed and draws the
+    number of labeled samples completed before it.
+
+    The walk goes run by run over maximal runs of equal labels: a run of
+    L draws takes the first L accepted positions of its branch at or past
+    the current position, which is exactly what L single draws would take.
 
     Randomness order is fixed (labels, per-position keep uniforms, +1
     group transform, -1 group transform) so one seed reproduces the
@@ -354,26 +355,23 @@ def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
     labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
     u_keep = rng.random(batch.m)
 
-    k_plus = invert_y(batch.y, p_plus.t, p_plus.psi)
-    k_minus = invert_y(batch.y, p_minus.t, p_minus.psi)
-    ok_plus = p_plus.B.contains(k_plus) & (u_keep < keep_probability(k_plus, p_plus))
-    ok_minus = p_minus.B.contains(k_minus) & (
-        u_keep < keep_probability(k_minus, p_minus)
-    )
-    idx_plus = np.flatnonzero(ok_plus).tolist()
-    idx_minus = np.flatnonzero(ok_minus).tolist()
+    k_plus, ok_plus = accept_steps(batch.y, u_keep, p_plus)
+    k_minus, ok_minus = accept_steps(batch.y, u_keep, p_minus)
+    accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
 
     hits = np.empty(m_prime, dtype=np.int64)
     pos = 0
-    for r in range(m_prime):
-        idx = idx_plus if labels[r] > 0 else idx_minus
-        j = bisect_left(idx, pos)
-        if j >= len(idx):
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [m_prime]):
+        idx = accepted[int(labels[a])]
+        j = int(idx.searchsorted(pos))
+        if j + (b - a) > len(idx):
             return InstanceResult(
-                ok=False, x=None, labels=None, consumed=batch.m, draws=r
+                ok=False, x=None, labels=None, consumed=batch.m,
+                draws=a + len(idx) - j,
             )
-        hits[r] = idx[j]
-        pos = idx[j] + 1
+        hits[a:b] = idx[j : j + (b - a)]
+        pos = int(hits[b - 1]) + 1
 
     x = np.empty((m_prime, batch.n))
     for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
@@ -383,7 +381,7 @@ def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
         take = hits[rows]
         x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng, trunc)
     return InstanceResult(
-        ok=True, x=x, labels=labels, consumed=int(pos), draws=m_prime
+        ok=True, x=x, labels=labels, consumed=pos, draws=m_prime
     )
 
 

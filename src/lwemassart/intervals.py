@@ -1,6 +1,6 @@
 """Half-open interval sets on the real line.
 
-Endpoints are kepts as floats for the hot membership path; the set algebra
+Endpoints are kept as floats for the hot membership path; the set algebra
 helpers (merge/subtract) work on plain (lo, hi) pairs of any ordered
 numeric type, so carving code can run them on exact Fractions and convert
 at the end.
@@ -69,6 +69,7 @@ class IntervalSet:
             if prev_hi is not None and a < prev_hi:
                 raise ValueError("intervals must be sorted and disjoint")
             prev_hi = b
+        object.__setattr__(self, "_flat", np.array(ivs, dtype=float).ravel())
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -94,13 +95,17 @@ class IntervalSet:
     def contains(self, u):
         """Half-open membership; scalar in, bool out; array in, bool array out.
 
-        Uses parity of the insertion index into the flattened endpoint list:
-        odd index means inside some [a, b).
+        Points outside the bounding box [lo, hi) are out (NaN included).
+        With more than one interval, the in-box points are then decided by
+        the parity of their insertion index into the flattened endpoint
+        list: odd index means inside some [a, b).
         """
-        flat = np.array(self.intervals, dtype=float).ravel()
-        idx = np.searchsorted(flat, u, side="right")
-        inside = (idx % 2) == 1
-        return bool(inside) if np.ndim(u) == 0 else inside
+        flat = self._flat
+        v = np.atleast_1d(np.asarray(u, dtype=float))
+        inside = (v >= flat[0]) & (v < flat[-1]) if flat.size else np.zeros(v.shape, bool)
+        if flat.size > 2:
+            inside[inside] = np.searchsorted(flat, v[inside], side="right") % 2 == 1
+        return bool(inside[0]) if np.ndim(u) == 0 else inside
 
     def subtract(self, other):
         return IntervalSet(tuple(subtract_pairs(self.intervals, other.intervals)))

@@ -205,6 +205,21 @@ def keep_probability(k, params):
     return float(p) if p.ndim == 0 else p
 
 
+def accept_steps(y, u, params):
+    """Steps 1-2 over stream positions: (k, accepted) boolean per position.
+
+    u holds one keep uniform per position, drawn by the caller so each
+    caller keeps its own randomness order.  The keep probability is
+    evaluated only where k is in B; elsewhere the position is rejected
+    whatever its uniform.
+    """
+    k = invert_y(y, params.t, params.psi)
+    accepted = params.B.contains(k)
+    inb = np.flatnonzero(accepted)
+    accepted[inb] = u[inb] < keep_probability(k[inb], params)
+    return k, accepted
+
+
 def derived_scales(k, params):
     """Step-3 scales at offset k (k anywhere in the closed [psi, psi+eps])."""
     if not params.psi - 1e-12 <= k <= params.psi + params.eps + 1e-12:
@@ -288,10 +303,8 @@ def reduce_batch(batch, params, rng=None, max_accepts=None, want_outputs=True,
     if batch.n != params.n:
         raise ValueError("batch dimension %d != params.n %d" % (batch.n, params.n))
     rng = np.random.default_rng() if rng is None else rng
-    k_all = invert_y(batch.y, params.t, params.psi)
-    accept = params.B.contains(k_all)
     u = rng.uniform(size=batch.m)
-    accept &= u < keep_probability(k_all, params)
+    k_all, accept = accept_steps(batch.y, u, params)
     idx = np.flatnonzero(accept)
     consumed = batch.m
     if max_accepts is not None and len(idx) > max_accepts:

@@ -101,7 +101,8 @@ class DensityOracle1D:
 
     The continuous part is normalized together with the atoms on the
     stated grid at construction; afterwards the grid integral of the pdf
-    plus the atom masses is 1 to float precision (asserted).
+    plus the atom masses is 1 to float precision (ValueError otherwise,
+    which also catches NaN values).
     """
 
     def __init__(self, evaluator: Callable, grid, atoms=()):
@@ -125,7 +126,8 @@ class DensityOracle1D:
         cdf = integrate.cumulative_trapezoid(self._vals, self.xs, initial=0.0)
         self._cdf = cdf
         check = cdf[-1] + sum(m for _, m in self.atoms)
-        assert abs(check - 1.0) <= 1e-6
+        if not abs(check - 1.0) <= 1e-6:
+            raise ValueError(f"oracle mass {check} is not 1 after normalization")
 
     @property
     def grid(self):

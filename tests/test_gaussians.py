@@ -109,6 +109,36 @@ def test_mod_q_range_and_periodicity(v, q):
     assert mod_q(v + q, q) == pytest.approx(r, abs=1e-6 * max(1.0, abs(v)))
 
 
+def reference_mod_q(v, q):
+    v = np.asarray(v, dtype=float)
+    r = v - q * np.floor(v / q)
+    r = np.where((r >= q) | (r < 0.0), 0.0, r)
+    return float(r) if r.ndim == 0 else r
+
+
+@pytest.mark.parametrize("q", [1.0, 257, 0.3])
+def test_mod_q_matches_reference_on_float_edges(q):
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, -1e-300, -tiny, tiny, np.nextafter(0.0, -1.0),
+             np.nextafter(float(q), 0.0), float(q), np.nextafter(float(q), np.inf),
+             -float(q), 3.0 * q, -7.0 * q, 1e16, -1e16, 0.5, -2.25, np.nan]
+    for v in edges:
+        got = mod_q(v, q)
+        assert type(got) is float
+        assert np.array_equal(np.array(got), reference_mod_q(v, q), equal_nan=True)
+        assert np.signbit(got) == np.signbit(reference_mod_q(v, q))
+        assert type(mod_q(np.array(v), q)) is float
+    arr = np.array(edges)
+    got = mod_q(arr, q)
+    assert got.tobytes() == reference_mod_q(arr, q).tobytes()
+    assert np.array_equal(arr, np.array(edges), equal_nan=True)  # input untouched
+    grid = np.random.default_rng(6).normal(scale=50.0, size=(30, 7))
+    assert mod_q(grid, q).tobytes() == reference_mod_q(grid, q).tobytes()
+    if q == 1.0:
+        assert mod_1(arr).tobytes() == reference_mod_q(arr, 1.0).tobytes()
+        assert type(mod_1(-1e-300)) is float
+
+
 # ---------------------------------------------------------------- thresholds
 
 

@@ -7,6 +7,7 @@ per-position python walk over the stream.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from lwemassart.rejection import (
     b_plus,
     invert_y,
     keep_probability,
+    transform_accepted,
 )
 
 T, EPS, CP = 0.2, 0.025, 0.04
@@ -338,24 +340,23 @@ def test_fail_on_starved_stream():
         res.samples()
 
 
-def test_walk_matches_naive_oracle():
-    cfg = desk_config(250, eta=0.2, n=4)
-    seed = 14
-    batch = gen_continuous_lwe(4, 30_000, SIGMA, "null", rng=np.random.default_rng(99))
-    res = generate_instance(batch, cfg, rng=np.random.default_rng(seed))
-    assert res.ok
+def naive_walk(batch, cfg, seed):
+    """Per-draw, per-position replay of the documented rng order.
 
-    # replay the documented rng order: labels first, then keep uniforms
+    Labels first, then one keep uniform per stream position, then the +1
+    and -1 group transforms.  Returns an InstanceResult built the slow way.
+    """
     rng = np.random.default_rng(seed)
-    labels = np.where(rng.random(250) < 0.2, -1, 1)
+    labels = np.where(rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
     u_keep = rng.random(batch.m)
-    assert np.array_equal(res.labels, labels)
     pos = 0
     hits = []
-    for lab in labels:
+    for r, lab in enumerate(labels):
         params = cfg.params_plus if lab > 0 else cfg.params_minus
         while True:
-            assert pos < batch.m
+            if pos >= batch.m:
+                return InstanceResult(ok=False, x=None, labels=None,
+                                      consumed=batch.m, draws=r)
             k = float(invert_y(batch.y[pos], params.t, params.psi))
             ok = bool(params.B.contains(np.array([k]))[0])
             ok = ok and u_keep[pos] < keep_probability(k, params)
@@ -363,7 +364,62 @@ def test_walk_matches_naive_oracle():
             if ok:
                 hits.append(pos - 1)
                 break
-    assert res.consumed == pos
+    hits = np.array(hits)
+    x = np.empty((cfg.m_prime, batch.n))
+    for params, sign in ((cfg.params_plus, 1), (cfg.params_minus, -1)):
+        rows = np.flatnonzero(labels == sign)
+        if rows.size:
+            take = hits[rows]
+            k = invert_y(batch.y[take], params.t, params.psi)
+            x[rows] = transform_accepted(batch.x[take], k, params, rng)
+    return InstanceResult(ok=True, x=x, labels=labels, consumed=pos, draws=cfg.m_prime)
+
+
+def assert_same_outcome(res, ref):
+    assert (res.ok, res.consumed, res.draws) == (ref.ok, ref.consumed, ref.draws)
+    if ref.ok:
+        assert np.array_equal(res.labels, ref.labels)
+        assert np.array_equal(res.x, ref.x)
+
+
+def test_walk_matches_naive_oracle():
+    cfg = desk_config(250, eta=0.2, n=4)
+    seed = 14
+    batch = gen_continuous_lwe(4, 30_000, SIGMA, "null", rng=np.random.default_rng(99))
+    res = generate_instance(batch, cfg, rng=np.random.default_rng(seed))
+    assert res.ok
+    assert_same_outcome(res, naive_walk(batch, cfg, seed))
+
+
+def truncated(batch, m):
+    return replace(batch, x=batch.x[:m], y=batch.y[:m],
+                   noise=None if batch.noise is None else batch.noise[:m])
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.2, 0.49])
+def test_run_walk_matches_naive_oracle_at_stream_edges(eta):
+    cfg = desk_config(300, eta=eta, n=4)
+    seed = 21
+    full = gen_continuous_lwe(4, 40_000, SIGMA, "alternative",
+                              rng=np.random.default_rng(22))
+    res = generate_instance(full, cfg, rng=np.random.default_rng(seed))
+    assert res.ok and res.consumed < full.m
+    assert_same_outcome(res, naive_walk(full, cfg, seed))
+    # the stream ends exactly at the last needed accepted position: still ok,
+    # and the labels and keep uniforms, hence the walk, are a prefix replay
+    exact = truncated(full, res.consumed)
+    res_exact = generate_instance(exact, cfg, rng=np.random.default_rng(seed))
+    assert res_exact.ok and res_exact.consumed == res.consumed
+    assert_same_outcome(res_exact, naive_walk(exact, cfg, seed))
+    # one position short, and far short: FAIL with the same draws as the oracle
+    for m in (res.consumed - 1, res.consumed // 3, 1):
+        short = truncated(full, m)
+        res_short = generate_instance(short, cfg, rng=np.random.default_rng(seed))
+        ref = naive_walk(short, cfg, seed)
+        assert not ref.ok
+        assert_same_outcome(res_short, ref)
+    assert generate_instance(truncated(full, res.consumed - 1), cfg,
+                             rng=np.random.default_rng(seed)).draws == 299
 
 
 def test_builder_deterministic():

@@ -89,3 +89,35 @@ def test_membership_matches_bruteforce(a, u):
         return
     brute = any(lo <= u < hi for lo, hi in s.intervals)
     assert s.contains(float(u)) == brute
+
+
+def reference_contains(s, u):
+    """Membership as a plain parity test over every point (no bounding box)."""
+    flat = np.array(s.intervals, dtype=float).ravel()
+    inside = (np.searchsorted(flat, u, side="right") % 2) == 1
+    return bool(inside) if np.ndim(u) == 0 else inside
+
+
+@pytest.mark.parametrize(
+    "ivs",
+    [(), ((0.0, 1.0),), ((-2.0, -0.5), (0.0, 1.0), (1.0 + 1e-12, 3.0), (7.0, 8.0))],
+    ids=["empty", "one", "many"],
+)
+def test_contains_matches_reference(ivs):
+    s = IntervalSet(ivs)
+    ends = [e for iv in ivs for e in iv]
+    near = [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)]
+    points = ends + near + [-1e300, -9.0, 0.5, 2.0, 5.0, 1e300, np.inf, -np.inf, np.nan]
+    for p in points:
+        got = s.contains(p)
+        assert type(got) is bool
+        assert got == reference_contains(s, p)
+        got0 = s.contains(np.array(p))
+        assert type(got0) is bool
+        assert got0 == reference_contains(s, np.array(p))
+    got_list = s.contains(points)
+    assert isinstance(got_list, np.ndarray) and got_list.dtype == bool
+    assert got_list.tolist() == reference_contains(s, points).tolist()
+    grid = np.random.default_rng(5).uniform(-3.0, 9.0, size=(40, 25))
+    assert np.array_equal(s.contains(grid), reference_contains(s, grid))
+    assert s.contains(np.array([])).shape == (0,)

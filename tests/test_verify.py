@@ -93,6 +93,14 @@ class TestDensityOracle:
         with pytest.raises(ValueError, match="nonnegative"):
             DensityOracle1D(np.sin, (-4.0, 4.0, 0.01))
 
+    def test_nan_density_rejected(self):
+        # a ValueError, not an assert, so the check survives python -O
+        def evaluator(u):
+            return np.where(np.abs(u) < 0.1, np.nan, 1.0)
+
+        with pytest.raises(ValueError, match="mass"):
+            DensityOracle1D(evaluator, (-1.0, 1.0, 0.01))
+
     def test_pure_atom_binning(self):
         o = DensityOracle1D(np.zeros_like, (-1.0, 1.0, 0.01), atoms=((0.3, 2.0),))
         assert o.atoms == ((0.3, 1.0),)
@@ -412,6 +420,48 @@ class TestLabelNoise:
         clean = massart_condition_estimate(x, y, s, edges, eta=0.1,
                                            target=region)
         assert clean.violating_mass == 0.0
+
+    @staticmethod
+    def predicted_ptf_disagreement(t, eps, c_prime, eta, sigma):
+        """(-1 labels in the +1 region, +1 labels in the -1 region), expected.
+
+        The -1 term is eta times the -1 branch's projected mass inside the
+        +1 region: past |u| ~ t^2/eps the +1 intervals merge into rays and
+        whatever -1 mass lands there counts against the region.  The +1
+        branch's support lies inside the +1 region except through the
+        sigma_noise blur, which matters only at its atom at -t: the i = -1
+        island keeps just c'eps either side of it.
+        """
+        base = ReductionParams(n=4, t=t, eps=eps, psi=0.0, B=b_plus(eps),
+                               delta=0.01, sigma=sigma, c_prime=c_prime)
+        pm = MassartConfig(base, eta=eta, c_prime=c_prime, m_prime=1).params_minus
+        ss = math.sqrt(base.signal_ratio)
+        oracle = dprime_oracle(t, eps, pm.psi, pm.B, ss, step=eps / 32.0)
+        lo, hi, _ = oracle.grid
+        edges = region_aligned_edges(t, eps, c_prime, (lo, hi))
+        masses = oracle.bin_masses(edges)
+        plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), t, eps, c_prime) == 1
+        noise_sd = math.sqrt((1.0 - base.signal_ratio) / (2.0 * math.pi))
+        escape = 2.0 * stats.norm.sf(c_prime * eps / noise_sd)
+        atom = dprime_atom_mass(t, eps, 0.0, base.B, ss)
+        return eta * float(masses[plus].sum()), (1.0 - eta) * atom * escape
+
+    def test_ptf_gate_fails_at_small_t_by_model(self):
+        # oracle-only: at t = 0.02 about 3/4 of the -1 branch's projected
+        # mass lies past the region horizon (t^2/eps = 0.16), and the noise
+        # (sd ~1e-5) blurs a third of the +1 atom out of its c'eps = 1e-5
+        # island, so even a correct instance disagrees with the region on
+        # ~4.4% of its labels (0.043 measured at m' = 100k), above the
+        # verify gate; at the preset the model is ~4e-4 (0.0005 measured)
+        from lwemassart.cli import TOL_PTF_ERROR
+
+        minus, plus = self.predicted_ptf_disagreement(0.02, 0.0025, 0.004, 0.05,
+                                                      5.5556e-4)
+        assert minus > TOL_PTF_ERROR
+        assert 0.035 <= minus <= 0.04 and 0.005 <= plus <= 0.0075
+        minus, plus = self.predicted_ptf_disagreement(0.2, 0.025, 0.04, 0.05,
+                                                      5.5556e-4)
+        assert minus + plus < 0.002 and plus < 1e-12
 
     def test_noiseless_labels_degenerate(self):
         rng = np.random.default_rng(22)
