@@ -14,6 +14,7 @@ which is the module's master property and is tested as such.
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,9 +113,13 @@ class LweBatch:
         return self.x.shape[0]
 
     # ------------------------------------------------------------- file io
+    #
+    # Layout: MAGIC, the header length as a little-endian u32, the JSON
+    # header, then secret (n values, when has_secret), noise (m, when
+    # has_noise), x (m*n, row-major) and y (m), all little-endian f8.
 
-    def to_bytes(self):
-        """Little-endian binary serialization; round-trips bit-exactly."""
+    def _layout(self):
+        """The file as a list of buffers: prefix plus header, then the arrays."""
         header = {
             "magic": MAGIC.decode(),
             "version": FORMAT_VERSION,
@@ -129,55 +134,124 @@ class LweBatch:
             "history": [[s.kind, s.sigma_add] for s in self.history],
         }
         hb = json.dumps(header, sort_keys=True).encode()
-        parts = [MAGIC, np.uint32(len(hb)).tobytes(), hb]
-        if self.secret is not None:
-            parts.append(np.ascontiguousarray(self.secret, dtype="<f8").tobytes())
-        if self.noise is not None:
-            parts.append(np.ascontiguousarray(self.noise, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(self.x, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(self.y, dtype="<f8").tobytes())
-        return b"".join(parts)
+        parts = [MAGIC + len(hb).to_bytes(4, "little") + hb]
+        for a in (self.secret, self.noise, self.x, self.y):
+            if a is not None:
+                parts.append(np.ascontiguousarray(a, dtype="<f8"))
+        return parts
 
     @classmethod
-    def from_bytes(cls, buf):
-        if buf[:4] != MAGIC:
-            raise ValueError("not an LWE batch file (bad magic)")
-        hlen = int(np.frombuffer(buf[4:8], dtype=np.uint32)[0])
-        header = json.loads(buf[8 : 8 + hlen].decode())
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError("unsupported batch format version")
+    def _from_buffer(cls, buf):
+        """Parse a whole file held in buf, a writable uint8 array.
+
+        The arrays of the result are views into buf.  Raises ValueError on
+        a bad prefix or header and on any payload length other than the
+        one the header implies.
+        """
+        start = _PREFIX + _header_length(buf[:_PREFIX])
+        if len(buf) < start:
+            raise ValueError("LWE batch file is shorter than its header")
+        header = json.loads(buf[_PREFIX:start].tobytes().decode())
+        _check_header(header)
         n, m = header["n"], header["m"]
-        off = 8 + hlen
-        secret = noise = None
-        if header["has_secret"]:
-            secret = np.frombuffer(buf, dtype="<f8", count=n, offset=off).copy()
-            off += 8 * n
-        if header["has_noise"]:
-            noise = np.frombuffer(buf, dtype="<f8", count=m, offset=off).copy()
-            off += 8 * m
-        x = np.frombuffer(buf, dtype="<f8", count=m * n, offset=off).reshape(m, n).copy()
-        off += 8 * m * n
-        y = np.frombuffer(buf, dtype="<f8", count=m, offset=off).copy()
+        counts = [n * header["has_secret"], m * header["has_noise"], m * n, m]
+        if len(buf) - start != 8 * sum(counts):
+            raise ValueError(
+                "LWE batch payload holds %d bytes; its header implies %d"
+                % (len(buf) - start, 8 * sum(counts))
+            )
+        secret, noise, x, y = np.split(buf[start:].view("<f8"), np.cumsum(counts[:-1]))
         return cls(
-            x=x,
+            x=x.reshape(m, n),
             y=y,
             domain=header["domain"],
             tag=header["tag"],
             sigma=header["sigma"],
             q=header["q"],
-            secret=secret,
-            noise=noise,
+            secret=secret if header["has_secret"] else None,
+            noise=noise if header["has_noise"] else None,
             history=tuple(ContinuizationStep(k, s) for k, s in header["history"]),
         )
 
+    def to_bytes(self):
+        """Little-endian binary serialization; round-trips bit-exactly."""
+        return b"".join(self._layout())
+
+    @classmethod
+    def from_bytes(cls, data):
+        """Parse a file image; data is copied once, so the arrays are writable."""
+        src = np.frombuffer(data, dtype=np.uint8)
+        buf = _file_buffer(len(src), _header_length(src[:_PREFIX]))
+        buf[:] = src
+        return cls._from_buffer(buf)
+
     def save(self, path):
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            for part in self._layout():
+                fh.write(part)
 
     @classmethod
     def load(cls, path):
+        """Read the file once into one buffer; the arrays are views into it."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            size = os.fstat(fh.fileno()).st_size
+            buf = _file_buffer(size, _header_length(fh.read(_PREFIX)))
+            fh.seek(0)
+            if fh.readinto(buf) != size:
+                raise ValueError("LWE batch file changed size while being read")
+        return cls._from_buffer(buf)
+
+
+_PREFIX = 8  # MAGIC plus the u32 header length
+_HEADER_KEYS = frozenset(
+    ("magic", "version", "n", "m", "domain", "q", "tag", "sigma",
+     "has_secret", "has_noise", "history")
+)
+
+
+def _header_length(prefix):
+    """JSON header length from a file's first 8 bytes."""
+    prefix = bytes(prefix)
+    if len(prefix) < _PREFIX or prefix[:4] != MAGIC:
+        raise ValueError("not an LWE batch file (bad magic)")
+    return int.from_bytes(prefix[4:], "little")
+
+
+def _file_buffer(size, hlen):
+    """Writable uint8 buffer of size bytes whose payload starts 8-byte aligned.
+
+    The payload begins after the prefix and an hlen-byte header; shifting
+    the buffer start keeps the f8 views into it aligned.
+    """
+    pad = -(_PREFIX + hlen) % 8
+    return np.empty((pad + size + 7) // 8, dtype="<f8").view(np.uint8)[pad : pad + size]
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_header(header):
+    """ValueError unless header has every key, each of a usable type."""
+    if not isinstance(header, dict):
+        raise ValueError("LWE batch header is not a JSON object")
+    missing = _HEADER_KEYS - header.keys()
+    if missing:
+        raise ValueError("LWE batch header lacks %s" % ", ".join(sorted(missing)))
+    if header["version"] != FORMAT_VERSION:
+        raise ValueError("unsupported batch format version")
+    for key in ("n", "m"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValueError("header %s must be a positive int, got %r" % (key, header[key]))
+    if not all(type(header[k]) is bool for k in ("has_secret", "has_noise")):
+        raise ValueError("header has_secret and has_noise must be booleans")
+    if not _is_real(header["sigma"]):
+        raise ValueError("header sigma must be a number")
+    history = header["history"]
+    if not isinstance(history, list) or not all(
+        isinstance(s, list) and len(s) == 2 and _is_real(s[1]) for s in history
+    ):
+        raise ValueError("header history must be a list of [kind, sigma_add] pairs")
 
 
 # ------------------------------------------------------------- generators

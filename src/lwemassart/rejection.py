@@ -194,8 +194,13 @@ def invert_y(y, t, psi):
     y = np.asarray(y, dtype=float)
     if np.any((y < 0.0) | (y >= 1.0)):
         raise ValueError("y must lie in [0, 1)")
-    k = y * (t - psi) / (1.0 - y)
+    k = _k_of_y(y, t, psi)
     return float(k) if k.ndim == 0 else k
+
+
+def _k_of_y(y, t, psi):
+    """invert_y without its range check, for y already known to be in [0, 1)."""
+    return y * (t - psi) / (1.0 - y)
 
 
 def keep_probability(k, params):
@@ -211,9 +216,10 @@ def accept_steps(y, u, params):
     u holds one keep uniform per position, drawn by the caller so each
     caller keeps its own randomness order.  The keep probability is
     evaluated only where k is in B; elsewhere the position is rejected
-    whatever its uniform.
+    whatever its uniform.  y is an LweBatch's y, which the batch has
+    already checked to lie in [0, 1), so it is not checked again here.
     """
-    k = invert_y(y, params.t, params.psi)
+    k = _k_of_y(y, params.t, params.psi)
     accepted = params.B.contains(k)
     inb = np.flatnonzero(accepted)
     accepted[inb] = u[inb] < keep_probability(k[inb], params)

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, signal, stats
+from scipy import integrate, stats
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import null_space
 
 from .gaussians import DEFAULT_TRUNCATION, sample_lattice_rows
@@ -248,6 +249,18 @@ def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted",
     )
 
 
+def _convolve_same(a, kern):
+    """Linear convolution of 1-D a and kern cut to a's length, centred.
+
+    An rfft product at the next fast real length: the computation behind
+    scipy.signal.fftconvolve(a, kern, mode="same") for lengths >= 2.
+    """
+    full = a.size + kern.size - 1
+    nfft = next_fast_len(full, real=True)
+    lo = (full - a.size) // 2
+    return irfft(rfft(a, nfft) * rfft(kern, nfft), nfft)[lo : lo + a.size]
+
+
 def convolve_with_gaussian(oracle, sigma_noise):
     """Oracle for (law + independent width-sigma_noise Gaussian noise).
 
@@ -271,7 +284,7 @@ def convolve_with_gaussian(oracle, sigma_noise):
     raw = oracle.pdf(np.clip(xs, lo, hi)) * inside
     kern = np.exp(-math.pi * (np.arange(-r, r + 1) * step / sigma_noise) ** 2)
     kern /= kern.sum()
-    conv = signal.fftconvolve(raw, kern, mode="same")
+    conv = _convolve_same(raw, kern)
     for loc, m in oracle.atoms:
         bump = np.exp(-math.pi * ((xs - loc) / sigma_noise) ** 2)
         conv = conv + m * bump / (bump.sum() * step)

@@ -109,6 +109,55 @@ class TestReduceLwe:
         assert "unit torus" in res.output
 
 
+def damaged_batch(src, damage):
+    """src's bytes spoiled in one of the ways a strict LWEB parser rejects."""
+    data = src.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    header, payload = json.loads(data[8 : 8 + hlen]), data[8 + hlen :]
+    if damage == "trailing-zeros":
+        return data + b"\x00" * 16
+    if damage == "truncated":
+        return data[:-5]
+    if damage == "no-has-noise":
+        del header["has_noise"]
+    elif damage == "zero-m":
+        header["m"] = 0
+    hb = json.dumps(header, sort_keys=True).encode()
+    return b"LWEB" + len(hb).to_bytes(4, "little") + hb + payload
+
+
+BATCH_DAMAGE = ["trailing-zeros", "truncated", "no-has-noise", "zero-m"]
+
+
+class TestDamagedBatch:
+    @pytest.mark.parametrize("damage", BATCH_DAMAGE)
+    def test_reduce_lwe_exits_2(self, tmp_path, damage):
+        src = tmp_path / "cls.lwe"
+        invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative",
+                "--n", "4", "--m", "200", "--q", "257", "--sigma", "2.0",
+                "--seed", "5", "--out", str(src)])
+        bad = tmp_path / "bad.lwe"
+        bad.write_bytes(damaged_batch(src, damage))
+        res = CliRunner().invoke(main, ["reduce-lwe", str(bad), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("damage", BATCH_DAMAGE)
+    def test_gen_instance_batch_exits_2(self, tmp_path, damage):
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative",
+                "--n", "4", "--m", "200", "--sigma", repr(TINY_SIGMA),
+                "--seed", "8", "--out", str(src)])
+        bad = tmp_path / "bad.lwe"
+        bad.write_bytes(damaged_batch(src, damage))
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(bad), *BASE_ARGS,
+                                        "--m-prime", "10", "--out", str(tmp_path / "i")])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output and not (tmp_path / "i").exists()
+
+
 class TestGenInstance:
     def test_records_and_consumption(self, tmp_path):
         out = tmp_path / "i.inst"

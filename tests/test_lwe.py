@@ -5,10 +5,13 @@ generation) gets a light version here; the full-scale run lives in the
 acceptance suite.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from lwemassart.gaussians import mod_1, mod_q
@@ -244,6 +247,167 @@ def test_roundtrip_file(tmp_path):
 def test_from_bytes_rejects_garbage():
     with pytest.raises(ValueError):
         LweBatch.from_bytes(b"NOPE" + b"\x00" * 64)
+
+
+# A small alternative batch (n = 2, so <x', s> in the chain is one exact
+# addition on every BLAS), its chain output and a null batch.  The digests
+# pin the LWEB layout; they were taken from the earlier writer, which
+# serialized each array with tobytes() and joined the parts.
+PINNED = gen_classic_lwe(2, 64, 257, 2.0, "alternative", rng=np.random.default_rng(2024))
+PINNED_BYTES = PINNED.to_bytes()
+HEADER_KEYS = ("magic", "version", "n", "m", "domain", "q", "tag", "sigma",
+               "has_secret", "has_noise", "history")
+
+
+def split_file(data):
+    hlen = int.from_bytes(data[4:8], "little")
+    return json.loads(data[8 : 8 + hlen]), data[8 + hlen :]
+
+
+def join_file(header, payload):
+    hb = json.dumps(header, sort_keys=True).encode()
+    return b"LWEB" + len(hb).to_bytes(4, "little") + hb + payload
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: PINNED,
+     "067b3b2253fe883871ee0bdb8f9228d6aff93ebb0a03228e6323c1e638bef490"),
+    (lambda: run_chain(PINNED, rng=np.random.default_rng(2025)),
+     "eddfc32c521ad0cf28098a36bbb8b6e26011a75977163bf567d6bdccf0dd2322"),
+    (lambda: gen_classic_lwe(2, 64, 257, 2.0, "null", rng=np.random.default_rng(2026)),
+     "ba4be32efe958d5edd486130dcf3ad4fa8a4cafe9133779f3b2f054698e7779b"),
+], ids=["classic", "chained", "null"])
+def test_saved_bytes_pinned(tmp_path, make, digest):
+    p = tmp_path / "b.lwe"
+    batch = make()
+    batch.save(p)
+    data = p.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert batch.to_bytes() == data
+    assert LweBatch.load(p).to_bytes() == data
+
+
+def test_load_returns_independent_writable_views(tmp_path):
+    p = tmp_path / "b.lwe"
+    batch = continuize_noise(PINNED, 3.0, rng=np.random.default_rng(5))
+    batch.save(p)
+    loaded = LweBatch.load(p)
+    arrays = {"secret": loaded.secret, "noise": loaded.noise, "x": loaded.x, "y": loaded.y}
+    for name, a in arrays.items():
+        assert a.flags.writeable and a.flags.aligned and a.dtype == np.float64, name
+    before = {name: a.copy() for name, a in arrays.items()}
+    for name, a in arrays.items():
+        a[...] = -7.0
+        for other, b in arrays.items():
+            if other != name:
+                assert np.array_equal(b, before[other]), (name, other)
+        a[...] = before[name]
+    assert loaded.to_bytes() == p.read_bytes()
+
+
+def test_from_bytes_copies_into_writable_arrays():
+    other = LweBatch.from_bytes(PINNED_BYTES)
+    for a in (other.secret, other.noise, other.x, other.y):
+        assert a.flags.writeable
+    source = bytearray(PINNED_BYTES)
+    other = LweBatch.from_bytes(source)
+    other.x[0, 0] = 1.5
+    assert source == PINNED_BYTES
+
+
+def _offset_classes(data, n, m):
+    """(lo, hi) byte ranges: prefix, header, secret, noise, x, y."""
+    bounds = [0, 8, 8 + int.from_bytes(data[4:8], "little")]
+    for count in (n, m, m * n, m):
+        bounds.append(bounds[-1] + 8 * count)
+    assert bounds[-1] == len(data)
+    return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_offset_classes(PINNED_BYTES, 2, 64)).flatmap(
+    lambda r: st.integers(*r)))
+def test_truncation_rejected(cut):
+    with pytest.raises(ValueError):
+        LweBatch.from_bytes(PINNED_BYTES[:cut])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(min_size=1, max_size=40))
+def test_trailing_bytes_rejected(pad):
+    with pytest.raises(ValueError, match="payload"):
+        LweBatch.from_bytes(PINNED_BYTES + pad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7))
+def test_flipped_prefix_byte_rejected(pos, bit):
+    data = bytearray(PINNED_BYTES)
+    data[pos] ^= 1 << bit
+    with pytest.raises(ValueError):
+        LweBatch.from_bytes(bytes(data))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(b"023456789"))
+def test_flipped_version_byte_rejected(digit):
+    pos = PINNED_BYTES.index(b'"version": 1') + len(b'"version": ')
+    data = bytearray(PINNED_BYTES)
+    data[pos] = digit
+    with pytest.raises(ValueError, match="version"):
+        LweBatch.from_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_dropped_header_key_rejected(key):
+    header, payload = split_file(PINNED_BYTES)
+    assert LweBatch.from_bytes(join_file(header, payload)).to_bytes() == PINNED_BYTES
+    del header[key]
+    with pytest.raises(ValueError, match=key):
+        LweBatch.from_bytes(join_file(header, payload))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["n", "m"]), st.integers(max_value=0))
+def test_nonpositive_dimension_rejected(key, value):
+    header, payload = split_file(PINNED_BYTES)
+    header[key] = value
+    with pytest.raises(ValueError, match="positive int"):
+        LweBatch.from_bytes(join_file(header, payload))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.0), ("n", True), ("m", "64"), ("m", None),
+    ("m", 10**12),  # a huge claim against a small payload allocates nothing
+    ("has_secret", 1), ("has_noise", "yes"), ("sigma", "2.0"),
+    ("history", [["noise-add"]]), ("history", [["noise-add", None]]), ("history", "rescale"),
+])
+def test_ill_typed_header_rejected(key, value):
+    header, payload = split_file(PINNED_BYTES)
+    header[key] = value
+    with pytest.raises(ValueError):
+        LweBatch.from_bytes(join_file(header, payload))
+
+
+def test_non_object_header_rejected():
+    with pytest.raises(ValueError, match="JSON object"):
+        LweBatch.from_bytes(b"LWEB" + (2).to_bytes(4, "little") + b"[]")
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x00" * 16])
+@pytest.mark.parametrize("cut", [0, 3, 8, 40, len(PINNED_BYTES) - 1])
+def test_load_rejects_damaged_file(tmp_path, cut, tail):
+    p = tmp_path / "bad.lwe"
+    p.write_bytes(PINNED_BYTES[:cut] + tail)
+    with pytest.raises(ValueError):
+        LweBatch.load(p)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "padded.lwe"
+    p.write_bytes(PINNED_BYTES + b"\x00" * 16)
+    with pytest.raises(ValueError, match="payload"):
+        LweBatch.load(p)
 
 
 # ------------------------------------------------------------- determinism

@@ -21,6 +21,7 @@ from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import (
     DerivedScales,
     ReductionParams,
+    accept_steps,
     acceptance_probability,
     accepted_k_pdf,
     b_plus,
@@ -254,6 +255,21 @@ def test_reject_sample_deterministic():
         assert b is None
     else:
         assert np.array_equal(a, b)
+
+
+def test_accept_steps_matches_checked_inversion():
+    # accept_steps skips invert_y's range check (the batch did it) but must
+    # produce the same k, and so the same decisions, bit for bit
+    p = desk_params(n=4)
+    rng = np.random.default_rng(46)
+    batch = gen_continuous_lwe(p.n, 200_000, p.sigma, "null", rng=rng)
+    u = rng.uniform(size=batch.m)
+    k, accepted = accept_steps(batch.y, u, p)
+    want_k = batch.y * (p.t - p.psi) / (1.0 - batch.y)
+    assert np.array_equal(k, want_k)
+    assert np.array_equal(invert_y(batch.y, p.t, p.psi), want_k)
+    assert np.array_equal(accepted, p.B.contains(want_k) & (u < keep_probability(want_k, p)))
+    assert 0 < accepted.sum() < batch.m
 
 
 def test_reduce_batch_prefix_stability():

@@ -11,6 +11,9 @@ samplers: the rejection pipeline and the direct mixture generator.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,7 @@ from lwemassart.verify import (
     write_histogram_csv,
     write_reports_json,
 )
+from lwemassart.verify import _convolve_same
 
 T, EPS, PSI = 0.2, 0.025, 0.0
 SIGMA = 1.0 / (8.0 * (T + EPS))  # (t+eps)*sigma = 1/8, SR = 15/16
@@ -202,6 +206,30 @@ class TestConvolution:
         # rho-convention widths add in squares; variance is width^2/(2 pi)
         want = (1.0 + 0.2**2) / (2.0 * math.pi)
         assert second_moment(c) == pytest.approx(want, abs=2e-4)
+
+    @pytest.mark.parametrize("size, r", [(2, 1), (41, 20), (200, 20), (1001, 37), (6001, 121)])
+    def test_rfft_product_matches_fftconvolve(self, size, r):
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(size)
+        a = rng.uniform(size=size) * np.hanning(size)
+        kern = np.exp(-math.pi * (np.arange(-r, r + 1) / (r / 3.0)) ** 2)
+        kern /= kern.sum()
+        got = _convolve_same(a, kern)
+        want = fftconvolve(a, kern, mode="same")
+        assert got.shape == want.shape
+        # the same rfft computation, so equal in practice; allow one rounding
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_cli_import_skips_scipy_signal(self):
+        import lwemassart
+
+        src = os.path.dirname(os.path.dirname(lwemassart.__file__))
+        code = ("import sys; sys.path.insert(0, %r); import lwemassart.cli; "
+                "print('scipy.signal' in sys.modules)" % src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_coarse_grid_rejected(self):
         o = gaussian_oracle(1.0, step=0.05)
