@@ -4,123 +4,8 @@ Samplers for lattice Gaussians, LWE batch generation with the
 discrete-to-continuous massaging chain, the rejection-sampling core that
 maps torus LWE to labeled halfspace/PTF learning instances, and the
 statistical verifiers that check every distributional claim at desk scale.
+The API lives in the submodules (gaussians, intervals, lwe, rejection,
+instances, verify, cli); the package itself re-exports nothing.
 """
 
-from .gaussians import (
-    DEFAULT_TRUNCATION,
-    ShiftedLattice1D,
-    TruncationPolicy,
-    collapsed_density,
-    mod_1,
-    mod_q,
-    rho_weight,
-    sample_collapsed,
-    sample_continuous,
-    sample_discrete_gaussian_1d,
-    sample_expanded,
-    sample_shifted_lattice_gaussian_nd,
-    smoothing_threshold,
-)
-from .instances import (
-    InstanceResult,
-    MassartConfig,
-    build_b_minus,
-    generate_instance,
-    ptf_region,
-    read_labeled_file,
-    read_sidecar,
-    region_aligned_edges,
-    secret_digest,
-    veronese_lift,
-    write_labeled_file,
-    write_sidecar,
-)
-from .intervals import IntervalSet
-from .lwe import (
-    LweBatch,
-    default_chain_scales,
-    gen_classic_lwe,
-    gen_continuous_lwe,
-    run_chain,
-)
-from .rejection import (
-    ReductionParams,
-    ReductionResult,
-    acceptance_probability,
-    b_plus,
-    reduce_batch,
-    validate_condition,
-)
-from .verify import (
-    ConstantLearner,
-    DensityOracle1D,
-    PlantedRegionLearner,
-    SgdHalfspaceLearner,
-    TestReport,
-    convolve_with_gaussian,
-    distinguish,
-    dprime_oracle,
-    gaussian_oracle,
-    hidden_direction_test,
-    isotropic_gaussianity_test,
-    massart_condition_estimate,
-    orthogonal_gaussianity_test,
-    ptf_error_estimate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_TRUNCATION",
-    "ShiftedLattice1D",
-    "TruncationPolicy",
-    "collapsed_density",
-    "mod_1",
-    "mod_q",
-    "rho_weight",
-    "sample_collapsed",
-    "sample_continuous",
-    "sample_discrete_gaussian_1d",
-    "sample_expanded",
-    "sample_shifted_lattice_gaussian_nd",
-    "smoothing_threshold",
-    "InstanceResult",
-    "MassartConfig",
-    "build_b_minus",
-    "generate_instance",
-    "ptf_region",
-    "read_labeled_file",
-    "read_sidecar",
-    "region_aligned_edges",
-    "secret_digest",
-    "veronese_lift",
-    "write_labeled_file",
-    "write_sidecar",
-    "IntervalSet",
-    "LweBatch",
-    "default_chain_scales",
-    "gen_classic_lwe",
-    "gen_continuous_lwe",
-    "run_chain",
-    "ReductionParams",
-    "ReductionResult",
-    "acceptance_probability",
-    "b_plus",
-    "reduce_batch",
-    "validate_condition",
-    "ConstantLearner",
-    "DensityOracle1D",
-    "PlantedRegionLearner",
-    "SgdHalfspaceLearner",
-    "TestReport",
-    "convolve_with_gaussian",
-    "distinguish",
-    "dprime_oracle",
-    "gaussian_oracle",
-    "hidden_direction_test",
-    "isotropic_gaussianity_test",
-    "massart_condition_estimate",
-    "orthogonal_gaussianity_test",
-    "ptf_error_estimate",
-    "__version__",
-]

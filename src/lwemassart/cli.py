@@ -69,6 +69,10 @@ MASSART_WINDOW = (-1.3, 1.3)
 BALANCE_MIN_COUNT = 2000
 
 
+# JSON types a RunConfig field of each annotated type admits (bool never)
+_ADMITS = {str: (str,), int: (int,), float: (int, float), Optional[int]: (int, type(None))}
+
+
 @dataclass
 class RunConfig:
     """One flat bag of pipeline parameters; flags override file values."""
@@ -99,10 +103,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        extra = set(data) - set(types)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, _ADMITS[types[key]]):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
     def save(self, path):
@@ -140,7 +149,8 @@ class StreamExhausted(click.ClickException):
     exit_code = 3
 
 
-_CONFIG_OPT = click.option("--config", "config_path", type=click.Path(exists=True),
+_CONFIG_OPT = click.option("--config", "config_path",
+                           type=click.Path(exists=True, dir_okay=False),
                            default=None, help="RunConfig JSON; flags override it.")
 _SEED_OPT = click.option("--seed", type=int, default=None,
                          envvar="LWEMASSART_SEED", help="Generator seed.")
@@ -193,7 +203,7 @@ def cmd_gen_lwe(config_path, kind, tag, n, m, q, sigma, seed, out):
 
 
 @main.command("reduce-lwe")
-@click.argument("batch_path", type=click.Path(exists=True))
+@click.argument("batch_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--sigma-target", type=float, default=None,
               help="Label-noise target scale (default: reference choice).")
 @click.option("--sigma-coord", type=float, default=None,
@@ -231,7 +241,8 @@ def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
 
 @main.command("gen-instance")
 @_CONFIG_OPT
-@click.option("--batch", "batch_path", type=click.Path(exists=True), default=None,
+@click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
+              default=None,
               help="Unit-torus batch file; omitted: generate inline from config.")
 @click.option("--tag", type=click.Choice(["alternative", "null"]), default=None)
 @click.option("--n", type=int, default=None)
@@ -284,6 +295,7 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
         "t": cfg.t,
         "eps": cfg.eps,
         "c_prime": cfg.c_prime,
+        "c_dprime": cfg.c_dprime,
         "eta": cfg.eta,
         "delta": cfg.delta,
         "mode": cfg.mode,
@@ -328,20 +340,41 @@ def mixture_oracle(config, window=None):
     return oracle
 
 
-def _massart_config(meta, n):
-    params = ReductionParams(n=n, t=meta["t"], eps=meta["eps"], psi=0.0,
-                             B=b_plus(meta["eps"]), delta=meta["delta"],
-                             sigma=meta["sigma"], mode=meta["mode"],
-                             c_prime=meta["c_prime"])
-    return MassartConfig(params=params, eta=meta["eta"],
-                         c_prime=meta["c_prime"], m_prime=meta["m_prime"],
-                         d=meta["d"])
+# the sidecar keys that are RunConfig fields; verify rebuilds its parameters from them
+_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
+                        "c_dprime", "eta", "delta", "mode")
 
 
-def _alternative_reports(coords, labels, meta, bins, tol_l1):
-    secret = np.asarray(meta["secret"], dtype=float)
-    t, eps, c_prime, eta = meta["t"], meta["eps"], meta["c_prime"], meta["eta"]
-    config = _massart_config(meta, coords.shape[1])
+def _instance_config(meta, header):
+    """(RunConfig, secret or None) from a gen-instance sidecar.
+
+    ValueError when a key is missing or ill-typed, or when the sidecar and
+    the file header disagree on n, m_prime, d or lifted.
+    """
+    if not isinstance(meta, dict):
+        raise ValueError("sidecar is not a JSON object")
+    missing = {*_SIDECAR_CONFIG_KEYS, "lifted", "secret"} - meta.keys()
+    if missing:
+        raise ValueError(f"sidecar lacks {', '.join(sorted(missing))}")
+    cfg = RunConfig.from_dict({k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
+    if cfg.tag not in ("alternative", "null") or type(meta["lifted"]) is not bool:
+        raise ValueError("sidecar tag or lifted is invalid")
+    width = math.comb(cfg.n + cfg.d, cfg.d) if meta["lifted"] else cfg.n
+    for key, want in (("lifted", meta["lifted"]), ("d", cfg.d),
+                      ("m_prime", cfg.m_prime), ("n", width)):
+        if header[key] != want:
+            raise ValueError(f"sidecar and file header disagree on {key}")
+    secret = meta["secret"]
+    if secret is None:
+        return cfg, None
+    if not (isinstance(secret, list) and len(secret) == cfg.n
+            and all(type(v) in (int, float) for v in secret)):
+        raise ValueError("sidecar secret must be a list of n numbers")
+    return cfg, np.asarray(secret, dtype=float)
+
+
+def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
+    t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
     oracle = mixture_oracle(config)
     atom_locs = [config.params_plus.psi - t, config.params_minus.psi - t]
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
@@ -376,10 +409,10 @@ def _alternative_reports(coords, labels, meta, bins, tol_l1):
     return reports, hist
 
 
-def _null_reports(coords, labels, meta, bins, tol_l1):
+def _null_reports(coords, labels, cfg, bins, tol_l1):
     n = coords.shape[1]
     direction = np.ones(n)
-    t, eps, c_prime, eta = meta["t"], meta["eps"], meta["c_prime"], meta["eta"]
+    t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
     oracle = gaussian_oracle(1.0)
     reports = [
         isotropic_gaussianity_test(coords, level=KS_LEVEL),
@@ -415,7 +448,7 @@ def _null_reports(coords, labels, meta, bins, tol_l1):
 
 
 @main.command("verify")
-@click.argument("instance_path", type=click.Path(exists=True))
+@click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the JSON report array here (default: stdout only).")
 @click.option("--hist", "hist_path", type=click.Path(), default=None,
@@ -427,20 +460,24 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
     """Run the distributional test battery for a labeled instance file."""
     try:
         x, labels, header = read_labeled_file(instance_path)
+        try:
+            meta = read_sidecar(instance_path)
+        except OSError as err:
+            raise ValueError(f"cannot read the metadata sidecar: {err.strerror}")
+        cfg, secret = _instance_config(meta, header)
+        if cfg.tag == "alternative" and secret is None:
+            raise ValueError("alternative instance without planted secret")
+        config = MassartConfig(params=_reduction_params(cfg, cfg.n, cfg.sigma),
+                               eta=cfg.eta, c_prime=cfg.c_prime,
+                               m_prime=cfg.m_prime, d=cfg.d)
     except ValueError as err:
         raise click.UsageError(str(err))
-    try:
-        meta = read_sidecar(instance_path)
-    except FileNotFoundError:
-        raise click.UsageError("missing metadata sidecar; cannot verify")
-    n = header["n"] if not header["lifted"] else meta["n"]
-    coords = x[:, 1 : n + 1] if header["lifted"] else x
-    if meta["tag"] == "alternative":
-        if not meta.get("secret"):
-            raise click.UsageError("alternative instance without planted secret")
-        reports, hist = _alternative_reports(coords, labels, meta, bins, tol_l1)
+    coords = x[:, 1 : cfg.n + 1] if header["lifted"] else x
+    if cfg.tag == "alternative":
+        reports, hist = _alternative_reports(coords, labels, secret, cfg, config,
+                                             bins, tol_l1)
     else:
-        reports, hist = _null_reports(coords, labels, meta, bins, tol_l1)
+        reports, hist = _null_reports(coords, labels, cfg, bins, tol_l1)
     run_seed = 0 if seed is None else seed
     reports = [dataclasses.replace(r, seed=run_seed) for r in reports]
     if report_path:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -251,11 +251,6 @@ def veronese_lift(x, d, max_dim=DEFAULT_LIFT_CAP):
 # ------------------------------------------------------------- the builder
 
 
-class LabeledSample(NamedTuple):
-    x: np.ndarray
-    y: int
-
-
 @dataclass(frozen=True)
 class MassartConfig:
     """Inputs of the labeled-instance builder.
@@ -314,11 +309,6 @@ class InstanceResult:
     labels: Optional[np.ndarray]
     consumed: int
     draws: int
-
-    def samples(self):
-        if not self.ok:
-            raise ValueError("FAIL outcome has no samples")
-        return [LabeledSample(xi, int(yi)) for xi, yi in zip(self.x, self.labels)]
 
 
 def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
@@ -430,19 +420,37 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
 
 
 def read_labeled_file(path):
+    """(x, labels, header) of a labeled-sample file; ValueError if damaged.
+
+    The header must hold version, n, m_prime, d and lifted with the types
+    write_labeled_file gives them, the records must fill the rest of the
+    file exactly, and every label must be +1/-1.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != LABELED_MAGIC:
+    if len(blob) < 8 or blob[:4] != LABELED_MAGIC:
         raise ValueError("not a labeled-sample file")
-    hlen = int(np.frombuffer(blob[4:8], dtype=np.uint32)[0])
-    header = json.loads(blob[8 : 8 + hlen].decode())
-    if header.get("version") != LABELED_VERSION:
-        raise ValueError(f"unsupported version {header.get('version')}")
-    rec = np.frombuffer(blob[8 + hlen :], dtype=_record_dtype(header["n"]))
-    if rec.shape[0] != header["m_prime"]:
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8 : 8 + hlen])
+    if not isinstance(header, dict):
+        raise ValueError("labeled-file header is not a JSON object")
+    missing = {"version", "n", "m_prime", "d", "lifted"} - header.keys()
+    if missing:
+        raise ValueError(f"labeled-file header lacks {', '.join(sorted(missing))}")
+    if header["version"] != LABELED_VERSION:
+        raise ValueError(f"unsupported version {header['version']}")
+    if not all(type(header[k]) is int and header[k] >= 1 for k in ("n", "m_prime", "d")):
+        raise ValueError("header n, m_prime and d must be positive ints")
+    if type(header["lifted"]) is not bool:
+        raise ValueError("header lifted must be a boolean")
+    dtype = _record_dtype(header["n"])
+    if len(blob) - 8 - hlen != header["m_prime"] * dtype.itemsize:
         raise ValueError("record count does not match header")
+    rec = np.frombuffer(blob, dtype=dtype, offset=8 + hlen)
     x = rec["x"].astype(float).reshape(header["m_prime"], header["n"])
     labels = rec["label"].astype(np.int8)
+    if not np.all(np.abs(labels) == 1):
+        raise ValueError("labels must be +1/-1")
     return x, labels, header
 
 

@@ -422,11 +422,3 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, rng=None):
     out = continuize_samples(out, sc, rng=rng)
     return rescale_to_unit(out)
 
-
-def chunk_rngs(seed, n_chunks):
-    """Independent child generators derived from (seed, chunk index).
-
-    Chunk k of any parallel split always sees the same stream regardless of
-    how many workers run, which keeps (config, seed) -> output deterministic.
-    """
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chunks)]

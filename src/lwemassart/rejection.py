@@ -23,12 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate
 
-from .gaussians import (
-    DEFAULT_TRUNCATION,
-    mod_1,
-    sample_continuous,
-    sample_lattice_rows,
-)
+from .gaussians import DEFAULT_TRUNCATION, mod_1, sample_lattice_rows
 from .intervals import IntervalSet
 
 # "sufficiently large even integer": the smallest ratio we accept as such
@@ -87,9 +82,7 @@ class ReductionParams:
                 "signal ratio %.4f < 1/2: (t+eps)*sigma = %.4f is too large for Step 3"
                 % (sr, (self.t + self.eps) * self.sigma)
             )
-        worst = _sigma_add_radicand(self.psi + self.eps, self)
-        if worst < 0:
-            raise ValueError("sigma_add radicand negative at k = psi+eps (infeasible scales)")
+        step3_scales(self.psi + self.eps, self)  # the worst k; raises if infeasible
         if self.mode == "strict":
             report = validate_condition(self)
             bad = [c for c in report["clauses"] if c["ok"] is False]
@@ -107,18 +100,6 @@ class ReductionParams:
     def ratio(self):
         """t/eps, the island count scale."""
         return self.t / self.eps
-
-
-@dataclass(frozen=True)
-class DerivedScales:
-    """Step-3 scales at a given recovered offset k."""
-
-    sr: float
-    sigma_scale: float
-    sigma_add: float
-    sigma_signal: float
-    sigma_noise: float
-    k: float
 
 
 def validate_condition(params, m_prime=None):
@@ -226,49 +207,21 @@ def accept_steps(y, u, params):
     return k, accepted
 
 
-def derived_scales(k, params):
-    """Step-3 scales at offset k (k anywhere in the closed [psi, psi+eps])."""
-    if not params.psi - 1e-12 <= k <= params.psi + params.eps + 1e-12:
-        raise ValueError("k outside [psi, psi+eps]")
+def step3_scales(k, params):
+    """Step-3 scales (sigma_scale, sigma_add) at recovered offsets k.
+
+    sigma_scale = SR/((t+k-psi) sqrt(n)) and sigma_add is what makes
+    SR = sigma_scale^2 / (sigma_scale^2 + sigma_add^2 + sigma^2/n) hold at
+    every k.  A radicand below -1e-15 (more than rounding) means the scales
+    are infeasible and raises ValueError.  Accepts arrays.
+    """
     sr = params.signal_ratio
-    sigma_scale = sr / ((params.t + k - params.psi) * math.sqrt(params.n))
-    rad = _sigma_add_radicand(k, params)
-    if rad < 0:
-        raise ValueError("negative sigma_add radicand at k = %g" % k)
-    return DerivedScales(
-        sr=sr,
-        sigma_scale=sigma_scale,
-        sigma_add=math.sqrt(rad),
-        sigma_signal=math.sqrt(sr),
-        sigma_noise=math.sqrt(1.0 - sr),
-        k=float(k),
-    )
-
-
-def _sigma_add_radicand(k, params):
-    sr = params.signal_ratio
-    sigma_scale = sr / ((params.t + k - params.psi) * math.sqrt(params.n))
-    return ((1.0 - sr) * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
-
-
-def reject_sample(sample, params, rng=None, trunc=DEFAULT_TRUNCATION):
-    """Run Steps 1-3 on one torus sample (x, y); None means rejected."""
-    x, y = sample
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng() if rng is None else rng
-    k = invert_y(float(y), params.t, params.psi)
-    if not params.B.contains(k):
-        return None
-    if rng.uniform() >= keep_probability(k, params):
-        return None
-    sc = derived_scales(k, params)
-    if sc.sigma_add > 0.0:
-        x_add = sample_continuous(params.n, sc.sigma_add, rng=rng)
-    else:
-        x_add = np.zeros(params.n)
-    shift = mod_1(x + x_add)
-    w = sample_lattice_rows(shift, sc.sigma_scale, trunc, rng)
-    return w / sc.sigma_scale
+    sigma_scale = sr / ((params.t + np.asarray(k, dtype=float) - params.psi)
+                        * math.sqrt(params.n))
+    rad = ((1.0 - sr) * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
+    if np.any(rad < -1e-15):
+        raise ValueError("negative sigma_add radicand: infeasible Step-3 scales")
+    return sigma_scale, np.sqrt(np.maximum(rad, 0.0))
 
 
 @dataclass(frozen=True)
@@ -289,10 +242,6 @@ class ReductionResult:
     @property
     def n_accepted(self):
         return len(self.indices)
-
-    @property
-    def acceptance_rate(self):
-        return self.n_accepted / self.consumed if self.consumed else 0.0
 
 
 def reduce_batch(batch, params, rng=None, max_accepts=None, want_outputs=True,
@@ -338,12 +287,7 @@ def transform_accepted(x, k, params, rng, trunc=DEFAULT_TRUNCATION):
     m, n = x.shape
     if m == 0:
         return np.empty((0, n))
-    sr = params.signal_ratio
-    sigma_scale = sr / ((params.t + k - params.psi) * math.sqrt(n))
-    rad = ((1.0 - sr) * sigma_scale**2 - sr * (params.sigma**2 / n)) / sr
-    if np.any(rad < -1e-15):
-        raise ValueError("negative sigma_add radicand in batch")
-    sigma_add = np.sqrt(np.maximum(rad, 0.0))
+    sigma_scale, sigma_add = step3_scales(k, params)
     x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
     shift = mod_1(x + x_add)
     sig_rows = np.repeat(sigma_scale, n)

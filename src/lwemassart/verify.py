@@ -138,9 +138,6 @@ class DensityOracle1D:
         """Normalized continuous part (atoms are not smeared into this)."""
         return np.asarray(self._evaluator(u), dtype=float) / self.normalization
 
-    def continuous_mass(self):
-        return float(self._cdf[-1])
-
     def bin_masses(self, edges, lump_tails=True):
         """Probability mass per bin, optionally folding tails and atoms in."""
         edges = np.asarray(edges, dtype=float)

@@ -19,6 +19,7 @@ from lwemassart.instances import (
     read_sidecar,
     secret_digest,
     write_labeled_file,
+    write_sidecar,
 )
 from lwemassart.lwe import LweBatch
 
@@ -244,8 +245,6 @@ class TestVerify:
         shutil.copyfile(work / "alt.inst", bad)
         meta = dict(read_sidecar(work / "alt.inst"))
         meta["secret"] = [-meta["secret"][0]] + meta["secret"][1:]
-        from lwemassart.instances import write_sidecar
-
         write_sidecar(bad, meta)
         res = CliRunner().invoke(main, ["verify", str(bad), "--bins", "32"])
         assert res.exit_code == 4
@@ -263,6 +262,110 @@ class TestVerify:
         junk.write_bytes(b"not a labeled file at all")
         res = CliRunner().invoke(main, ["verify", str(junk)])
         assert res.exit_code == 2
+
+    def test_strict_instance_verifies(self, tmp_path):
+        # verify rebuilds the strict-mode parameter check with the sidecar's
+        # c_dprime, not the default under which clause (iv) fails
+        cfg = tmp_path / "strict.json"
+        cfg.write_text(json.dumps({"n": 1, "mode": "strict", "sigma": 0.0004,
+                                   "c_dprime": 2.0, "delta": 0.0001,
+                                   "m_prime": 1000, "seed": 1}))
+        inst = tmp_path / "s.inst"
+        res = invoke(["gen-instance", "--config", str(cfg), "--tag", "alternative",
+                      "--out", str(inst)])
+        assert res.exit_code == 0, res.output
+        assert read_sidecar(inst)["c_dprime"] == 2.0
+        res = CliRunner().invoke(main, ["verify", str(inst)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code in (0, 4), res.output
+        for name in ("hidden-direction-l1", "orthogonal-gaussianity",
+                     "massart-violating-mass", "ptf-disagreement"):
+            assert f" {name}: " in res.output
+        # a sidecar whose parameters fail the strict check is an input error
+        meta = read_sidecar(inst)
+        meta["c_dprime"] = 4.0
+        write_sidecar(inst, meta)
+        res = CliRunner().invoke(main, ["verify", str(inst)])
+        assert res.exit_code == 2, res.output
+        assert "strict mode" in res.output
+
+
+SIDECAR_KEYS = ["tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
+                "c_dprime", "eta", "delta", "mode", "lifted", "secret"]
+HEADER_KEYS = ["version", "n", "m_prime", "d", "lifted"]
+
+
+def verify_exits_2(path):
+    res = CliRunner().invoke(main, ["verify", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    return res.output
+
+
+class TestDamagedInstance:
+    """verify exits 2, with no traceback, on a damaged sidecar or header."""
+
+    @pytest.fixture
+    def inst(self, work, tmp_path):
+        path = tmp_path / "copy.inst"
+        shutil.copyfile(work / "alt.inst", path)
+        shutil.copyfile(str(work / "alt.inst") + ".meta.json", str(path) + ".meta.json")
+        return path
+
+    def test_invalid_sidecar_json(self, inst):
+        (inst.parent / (inst.name + ".meta.json")).write_text('{"tag": "alternative",')
+        verify_exits_2(inst)
+
+    def test_sidecar_not_an_object(self, inst):
+        (inst.parent / (inst.name + ".meta.json")).write_text("[1, 2]")
+        verify_exits_2(inst)
+
+    @pytest.mark.parametrize("key", SIDECAR_KEYS)
+    def test_dropped_sidecar_key(self, inst, key):
+        meta = read_sidecar(inst)
+        del meta[key]
+        write_sidecar(inst, meta)
+        assert key in verify_exits_2(inst)
+
+    @pytest.mark.parametrize("key,value", [("t", "0.2"), ("n", 4.0), ("m_prime", True),
+                                           ("lifted", 1), ("tag", "alt"),
+                                           ("secret", "1111"), ("secret", [1, 1, 1])])
+    def test_ill_typed_sidecar_value(self, inst, key, value):
+        meta = read_sidecar(inst)
+        meta[key] = value
+        write_sidecar(inst, meta)
+        verify_exits_2(inst)
+
+    @pytest.mark.parametrize("key", HEADER_KEYS)
+    def test_dropped_header_key(self, inst, key):
+        data = inst.read_bytes()
+        hlen = int.from_bytes(data[4:8], "little")
+        header = json.loads(data[8 : 8 + hlen])
+        del header[key]
+        hb = json.dumps(header, sort_keys=True).encode()
+        inst.write_bytes(b"MLAB" + len(hb).to_bytes(4, "little") + hb + data[8 + hlen :])
+        assert key in verify_exits_2(inst)
+
+    @pytest.mark.parametrize("key,value", [("n", 5), ("m_prime", 39999), ("d", 2),
+                                           ("lifted", True)])
+    def test_sidecar_disagrees_with_header(self, inst, key, value):
+        meta = read_sidecar(inst)
+        meta[key] = value
+        write_sidecar(inst, meta)
+        assert f"disagree on {key}" in verify_exits_2(inst)
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce-lwe", "{dir}", "--out", "{dir}/o.lwe"],
+    ["gen-instance", "--batch", "{dir}", "--out", "{dir}/o.inst"],
+    ["gen-instance", "--config", "{dir}", "--out", "{dir}/o.inst"],
+    ["verify", "{dir}"],
+], ids=["reduce-lwe", "gen-instance-batch", "config", "verify"])
+def test_directory_input_exits_2(tmp_path, args):
+    res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output
 
 
 class TestDistinguish:
@@ -304,6 +407,18 @@ class TestConfig:
             main, ["gen-instance", "--config", str(path),
                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", ['{"n": "4"}', '{"sigma": true}', '{"seed": 1.5}',
+                                      '{"tag": 1}', "[4]", '{"n": 4'])
+    def test_ill_typed_config_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            RunConfig.load(path)
+        res = CliRunner().invoke(
+            main, ["gen-instance", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
     def test_flags_override_config(self, tmp_path):
         cfg = RunConfig(n=4, sigma=TINY_SIGMA, m_prime=300, seed=6)

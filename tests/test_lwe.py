@@ -18,7 +18,6 @@ from lwemassart.gaussians import mod_1, mod_q
 from lwemassart.lwe import (
     ContinuizationStep,
     LweBatch,
-    chunk_rngs,
     continuize_noise,
     continuize_samples,
     default_chain_scales,
@@ -417,16 +416,6 @@ def test_same_seed_same_bytes():
     a = gen_classic_lwe(4, 200, 257, 3.0, "alternative", rng=np.random.default_rng(77))
     b = gen_classic_lwe(4, 200, 257, 3.0, "alternative", rng=np.random.default_rng(77))
     assert a.to_bytes() == b.to_bytes()
-
-
-def test_chunk_rngs_stable_and_independent():
-    r1 = chunk_rngs(123, 3)
-    r2 = chunk_rngs(123, 3)
-    for a, b in zip(r1, r2):
-        assert np.array_equal(a.uniform(size=5), b.uniform(size=5))
-    # different chunks see different streams
-    r3 = chunk_rngs(123, 2)
-    assert not np.array_equal(r3[0].uniform(size=5), r3[1].uniform(size=5))
 
 
 def test_batch_validation():

@@ -10,27 +10,28 @@ evaluated per interval of B.  Expected numbers are frozen from direct
 evaluation.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lwemassart.instances import MassartConfig
 from lwemassart.intervals import IntervalSet
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import (
-    DerivedScales,
     ReductionParams,
     accept_steps,
     acceptance_probability,
     accepted_k_pdf,
     b_plus,
-    derived_scales,
     invert_y,
     keep_probability,
     params_for_branch,
     reduce_batch,
-    reject_sample,
+    step3_scales,
+    transform_accepted,
     validate_condition,
 )
 
@@ -137,30 +138,46 @@ def test_strict_mode_enforces():
 # ------------------------------------------------------------- scales
 
 
-def test_derived_scales_frozen():
+def test_step3_scales_frozen():
     p = desk_params()
-    sc = derived_scales(p.psi, p)
-    assert sc.sr == pytest.approx(15.0 / 16.0, rel=1e-12)
-    assert sc.sigma_scale == pytest.approx((15.0 / 16.0) / (0.2 * math.sqrt(8)), rel=1e-12)
-    assert sc.sigma_signal == pytest.approx(math.sqrt(15.0 / 16.0), rel=1e-12)
-    # sigma_noise = 2(t+eps)sigma exactly, independent of k
-    for k in (p.psi, p.psi + p.eps / 2, p.psi + p.eps):
-        sck = derived_scales(k, p)
-        assert sck.sigma_noise == pytest.approx(2 * (p.t + p.eps) * p.sigma, rel=1e-12)
-        assert sck.sigma_noise == pytest.approx(0.25, rel=1e-12)
+    sr = p.signal_ratio
+    assert sr == pytest.approx(15.0 / 16.0, rel=1e-12)
+    k = np.array([p.psi, p.psi + p.eps / 2, p.psi + p.eps])
+    sigma_scale, sigma_add = step3_scales(k, p)
+    assert sigma_scale.shape == sigma_add.shape == k.shape
+    assert sigma_scale[0] == pytest.approx((15.0 / 16.0) / (0.2 * math.sqrt(8)), rel=1e-12)
+    assert sigma_scale == pytest.approx(sr / ((p.t + k - p.psi) * math.sqrt(p.n)), rel=1e-15)
+    # signal and noise parts of the projection: sqrt(SR) and 2(t+eps)sigma,
+    # which SR fixes independently of k
+    assert math.sqrt(sr) == pytest.approx(math.sqrt(15.0 / 16.0), rel=1e-12)
+    assert math.sqrt(1.0 - sr) == pytest.approx(2 * (p.t + p.eps) * p.sigma, rel=1e-12)
+    assert math.sqrt(1.0 - sr) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_derived_scales_identity_and_bounds():
+def test_step3_scales_identity_and_bounds():
     p = desk_params()
-    for k in np.linspace(p.psi, p.psi + p.eps, 7):
-        sc = derived_scales(k, p)
-        # SR = sigma_scale^2 / (sigma_scale^2 + sigma_add^2 + sigma^2/n)
-        recon = sc.sigma_scale**2 / (sc.sigma_scale**2 + sc.sigma_add**2 + p.sigma**2 / p.n)
-        assert recon == pytest.approx(sc.sr, rel=1e-12)
-        # lower bound on sigma_scale
-        assert sc.sigma_scale >= 1.0 / (2.0 * (p.t + k - p.psi) * math.sqrt(p.n))
-        # feasibility of the additive scale
-        assert (1.0 - sc.sr) * sc.sigma_scale**2 >= sc.sr * (p.sigma / math.sqrt(p.n)) ** 2
+    k = np.linspace(p.psi, p.psi + p.eps, 7)
+    sigma_scale, sigma_add = step3_scales(k, p)
+    sr = p.signal_ratio
+    # SR = sigma_scale^2 / (sigma_scale^2 + sigma_add^2 + sigma^2/n) at every k
+    recon = sigma_scale**2 / (sigma_scale**2 + sigma_add**2 + p.sigma**2 / p.n)
+    assert recon == pytest.approx(np.full(7, sr), rel=1e-12)
+    # lower bound on sigma_scale
+    assert np.all(sigma_scale >= 1.0 / (2.0 * (p.t + k - p.psi) * math.sqrt(p.n)))
+    # feasibility of the additive scale
+    assert np.all((1.0 - sr) * sigma_scale**2 >= sr * (p.sigma / math.sqrt(p.n)) ** 2)
+
+
+def test_step3_scales_one_radicand_tolerance():
+    # the radicand falls as k grows: ReductionParams checks its worst point
+    # k = psi+eps, and transform_accepted refuses the same infeasible k
+    p = desk_params()
+    _, sigma_add = step3_scales(np.array([p.psi + p.eps]), p)
+    assert sigma_add[0] > 0
+    with pytest.raises(ValueError, match="radicand"):
+        step3_scales(np.array([p.psi + p.eps, 1.0]), p)
+    with pytest.raises(ValueError, match="radicand"):
+        transform_accepted(np.zeros((1, p.n)), np.array([1.0]), p, np.random.default_rng(0))
 
 
 def test_keep_probability_frozen():
@@ -233,28 +250,43 @@ def test_accepted_k_pdf_zero_outside_b():
     assert accepted_k_pdf(p.psi - 0.01, p) == 0.0 if p.psi > 0 else True
 
 
-# ------------------------------------------------------------- reject_sample
+# ------------------------------------------------------------- steps 1-3
 
 
-def test_reject_sample_paths():
+def test_accept_steps_paths():
     p = desk_params()
-    rng = np.random.default_rng(43)
-    # y far outside the image of B: k = invert_y(0.9) = 1.8 >> eps
-    assert reject_sample((np.full(8, 0.3), 0.9), p, rng=rng) is None
-    # y = 0 maps to k = 0 = psi: keep probability 1, always accepted
-    out = reject_sample((np.full(8, 0.3), 0.0), p, rng=rng)
-    assert out is not None and out.shape == (8,)
+    # y far outside the image of B: k = invert_y(0.9) = 1.8 >> eps, rejected
+    # whatever the uniform; y = 0 maps to k = 0 = psi: keep probability 1
+    k, accepted = accept_steps(np.array([0.9, 0.9, 0.0, 0.0]),
+                               np.array([0.0, 0.999, 0.0, 0.999]), p)
+    assert k == pytest.approx([1.8, 1.8, 0.0, 0.0], rel=1e-12)
+    assert accepted.tolist() == [False, False, True, True]
+    out = transform_accepted(np.full((2, 8), 0.3), k[accepted], p, np.random.default_rng(43))
+    assert out.shape == (2, 8) and np.all(np.isfinite(out))
 
 
-def test_reject_sample_deterministic():
-    p = desk_params()
-    sample = (np.linspace(0.1, 0.8, 8), 0.05)
-    a = reject_sample(sample, p, rng=np.random.default_rng(7))
-    b = reject_sample(sample, p, rng=np.random.default_rng(7))
-    if a is None:
-        assert b is None
-    else:
-        assert np.array_equal(a, b)
+# SHA-256 of the f8 bytes of transform_accepted on 256 seeded rows per
+# branch of the desk-scale MassartConfig at n = 4, pinned from the scalar
+# scale arithmetic that step3_scales replaced
+TRANSFORM_SHA256 = {
+    1: "0f42b093f36ebcdcf1280dac4ee12fe1cbd5d742a0eb3b571df2ed11b9250a72",
+    -1: "757ddd2a28ea323e1c0bccfa231d10f837e2e94fc9acbebd7112cf83f2b0b7fb",
+}
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_transform_accepted_pinned(branch):
+    cfg = MassartConfig(params=desk_params(n=4), eta=0.05, c_prime=0.04, m_prime=10)
+    params = cfg.params_plus if branch == 1 else cfg.params_minus
+    digests = []
+    for _ in range(2):
+        rng = np.random.default_rng(2024)
+        x = rng.random((256, 4))
+        k = params.psi + params.eps * rng.random(256)
+        k = k[params.B.contains(k)]
+        out = transform_accepted(x[: len(k)], k, params, rng)
+        digests.append(hashlib.sha256(out.astype("<f8").tobytes()).hexdigest())
+    assert digests == [TRANSFORM_SHA256[branch]] * 2
 
 
 def test_accept_steps_matches_checked_inversion():
