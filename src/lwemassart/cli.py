@@ -45,6 +45,7 @@ from .verify import (
     distinguish,
     dprime_atom_mass,
     dprime_pdf,
+    folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
@@ -265,6 +266,8 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
         cfg = _load_config(config_path, tag=tag, n=n, m=m, sigma=sigma, t=t,
                            eps=eps, c_prime=c_prime, eta=eta, m_prime=m_prime,
                            d=d, seed=seed)
+        if cfg.d < 1:
+            raise ValueError("d must be >= 1")
         rng = np.random.default_rng(_resolve_seed(cfg))
         if batch_path is not None:
             batch = LweBatch.load(batch_path)
@@ -272,8 +275,7 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
             batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma,
                                        cfg.tag, rng=rng)
         params = _reduction_params(cfg, batch.n, batch.sigma)
-        mconfig = MassartConfig(params=params, eta=cfg.eta, c_prime=cfg.c_prime,
-                                m_prime=cfg.m_prime, d=cfg.d)
+        mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
         inst = generate_instance(batch, mconfig, rng=rng)
     except ValueError as err:
         raise click.UsageError(str(err))
@@ -309,7 +311,7 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
                f"(consumed {inst.consumed} of {batch.m})")
 
 
-def mixture_oracle(config, window=None):
+def mixture_oracle(config):
     """Label-marginal model of the projection onto the hidden direction.
 
     The instance builder draws the -1 branch with probability eta, so the
@@ -330,11 +332,9 @@ def mixture_oracle(config, window=None):
         (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, eps, pp.psi, pp.B, ss)),
         (pm.psi - t, eta * dprime_atom_mass(t, eps, pm.psi, pm.B, ss)),
     ]
-    if window is None:
-        half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
-        window = (-half, half)
+    half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
     step = min(eps, max(sigma_noise, 1e-3)) / 8.0
-    oracle = DensityOracle1D(pdf, grid=(window[0], window[1], step), atoms=atoms)
+    oracle = DensityOracle1D(pdf, grid=(-half, half, step), atoms=atoms)
     if sigma_noise >= 1e-3:
         oracle = convolve_with_gaussian(oracle, sigma_noise)
     return oracle
@@ -468,8 +468,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
         if cfg.tag == "alternative" and secret is None:
             raise ValueError("alternative instance without planted secret")
         config = MassartConfig(params=_reduction_params(cfg, cfg.n, cfg.sigma),
-                               eta=cfg.eta, c_prime=cfg.c_prime,
-                               m_prime=cfg.m_prime, d=cfg.d)
+                               eta=cfg.eta, m_prime=cfg.m_prime)
     except ValueError as err:
         raise click.UsageError(str(err))
     coords = x[:, 1 : cfg.n + 1] if header["lifted"] else x
@@ -484,10 +483,8 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
         write_reports_json(report_path, reports)
     if hist_path:
         proj, oracle, edges = hist
-        counts, _ = np.histogram(np.clip(proj, edges[0], edges[-1] - 1e-12),
-                                 bins=edges)
         write_histogram_csv(hist_path, edges, {
-            "empirical": counts / len(proj),
+            "empirical": folded_histogram(proj, edges) / len(proj),
             "model": oracle.bin_masses(edges),
         })
     for rep in reports:
@@ -526,8 +523,7 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
         rng = np.random.default_rng(_resolve_seed(cfg))
         secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
         params = _reduction_params(cfg, cfg.n, cfg.sigma)
-        mconfig = MassartConfig(params=params, eta=cfg.eta, c_prime=cfg.c_prime,
-                                m_prime=cfg.m_prime)
+        mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
         budget = _stream_budget(cfg)
     except ValueError as err:
         raise click.UsageError(str(err))
@@ -569,27 +565,27 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
         sys.exit(4)
 
 
-def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01,
-                       c_prime=0.04, c_dprime=4.0):
+def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):
     """Parameter bindings of the dimension-d hardness regime.
 
     t = n^(-0.5 - 0.2 zeta) and eps proportional to n^(-1.5), with the
     ratio rounded to an even integer, eta = 1/3, and the noise scale the
-    smaller of n^-5 and the clause-(iv) bound.  The lift degree grows
-    like 4 t/eps, so materializing the lift quickly exceeds any sane
-    feature budget; the bindings are still useful for driving the
-    unlifted pipeline and for validating the parameter condition.
+    smaller of n^-5 and the clause-(iv) bound at RunConfig's c' and c''.
+    The lift degree grows like 4 t/eps, so materializing the lift quickly
+    exceeds any sane feature budget; the bindings are still useful for
+    driving the unlifted pipeline and for validating the parameter
+    condition.
     """
     t = n ** (-0.5 - 0.2 * zeta)
     eps0 = n ** -1.5
     ratio = max(2, 2 * round(t / eps0 / 2.0))
     eps = t / ratio
-    sigma = min(n ** -5.0,
-                c_prime * eps / (c_dprime * t * math.sqrt(math.log(m_prime / delta))))
+    sigma = min(n ** -5.0, RunConfig.c_prime * eps
+                / (RunConfig.c_dprime * t * math.sqrt(math.log(m_prime / delta))))
     return RunConfig(
         kind="continuous", tag="alternative", n=n, m=2 * ratio * m_prime,
-        sigma=sigma, t=t, eps=eps, c_prime=c_prime, c_dprime=c_dprime,
-        eta=1.0 / 3.0, m_prime=m_prime, d=4 * ratio, delta=delta, zeta=zeta,
+        sigma=sigma, t=t, eps=eps, eta=1.0 / 3.0, m_prime=m_prime, d=4 * ratio,
+        delta=delta, zeta=zeta,
     )
 
 

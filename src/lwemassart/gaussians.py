@@ -103,7 +103,7 @@ def smoothing_threshold(n, eps):
     return math.sqrt(math.log(2.0 * n * (1.0 + 1.0 / eps)) / math.pi)
 
 
-def sample_discrete_gaussian_1d(lat, sigma, trunc=DEFAULT_TRUNCATION, rng=None, size=None):
+def sample_discrete_gaussian_1d(lat, sigma, rng, size=None):
     """Draw from the discrete Gaussian on a shifted 1-D lattice.
 
     The pmf is proportional to rho_sigma restricted to the truncated window
@@ -111,8 +111,7 @@ def sample_discrete_gaussian_1d(lat, sigma, trunc=DEFAULT_TRUNCATION, rng=None, 
     independent draws from the same table.
     """
     _check_sigma(sigma)
-    rng = np.random.default_rng() if rng is None else rng
-    pts = _support_points(lat, sigma, trunc)
+    pts = _support_points(lat, sigma)
     sq = (pts / sigma) ** 2
     w = np.exp(-math.pi * (sq - sq.min()))  # stabilized; ratios unchanged
     cdf = np.cumsum(w)
@@ -122,7 +121,7 @@ def sample_discrete_gaussian_1d(lat, sigma, trunc=DEFAULT_TRUNCATION, rng=None, 
     return float(out) if size is None else out
 
 
-def sample_shifted_lattice_gaussian_nd(shift, sigma, trunc=DEFAULT_TRUNCATION, rng=None, size=None):
+def sample_shifted_lattice_gaussian_nd(shift, sigma, rng, size=None):
     """Draw from the discrete Gaussian on Z^n + shift at scale sigma.
 
     rho factorizes over coordinates, so each coordinate is an independent
@@ -130,27 +129,25 @@ def sample_shifted_lattice_gaussian_nd(shift, sigma, trunc=DEFAULT_TRUNCATION, r
     an array (size, n).
     """
     _check_sigma(sigma)
-    rng = np.random.default_rng() if rng is None else rng
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     if size is None:
-        return sample_lattice_rows(shift, sigma, trunc, rng)
+        return sample_lattice_rows(shift, sigma, rng=rng)
     reps = np.broadcast_to(shift, (size, shift.size)).ravel()
-    return sample_lattice_rows(reps, sigma, trunc, rng).reshape(size, shift.size)
+    return sample_lattice_rows(reps, sigma, rng=rng).reshape(size, shift.size)
 
 
-def sample_lattice_rows(shifts, sigma, trunc=DEFAULT_TRUNCATION, rng=None):
+def sample_lattice_rows(shifts, sigma, *, rng):
     """One draw per row from the discrete Gaussian on Z + shifts[i].
 
     Workhorse for the batch pipelines: shifts is a flat array and sigma is
     a scalar or a per-row array.  Row i keeps the points within
-    trunc.radius_multiplier * sigma[i] of the origin, or the nearest one(s)
-    when that window is empty.  Each round proposes a point from _envelope
-    for every pending row and accepts it with probability
+    DEFAULT_TRUNCATION.radius_multiplier * sigma[i] of the origin, or the
+    nearest one(s) when that window is empty.  Each round proposes a point
+    from _envelope for every pending row and accepts it with probability
     exp(-(|x| - a)^2 / 2s^2); over sigma in [1e-3, 200] more than half the
     proposals are accepted (pinned by the tests), so the expected work per
     row is O(1) and memory is O(rows) at any sigma.
     """
-    rng = np.random.default_rng() if rng is None else rng
     shifts = np.asarray(shifts, dtype=float)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), shifts.shape)
     # a NaN or infinite parameter would keep a row rejected forever
@@ -169,7 +166,7 @@ def sample_lattice_rows(shifts, sigma, trunc=DEFAULT_TRUNCATION, rng=None):
         j = rng.geometric(-np.expm1(-lam)) - 1.0
         x = f + np.where(rng.uniform(size=f.size) < expit(lam * (1.0 - 2.0 * f)), j, -1.0 - j)
         ax = np.abs(x)
-        radius = np.maximum(trunc.radius_multiplier * sg, np.minimum(f, 1.0 - f))
+        radius = np.maximum(DEFAULT_TRUNCATION.radius_multiplier * sg, np.minimum(f, 1.0 - f))
         keep = (rng.uniform(size=f.size) < np.exp(-0.5 * ((ax - a) / s) ** 2)) & (ax <= radius)
         out[todo[keep]] = x[keep]
         todo = todo[~keep]
@@ -189,19 +186,18 @@ def _envelope(frac, sigma):
     return s, a, a / s / s
 
 
-def sample_continuous(n, sigma, rng=None, size=None):
+def sample_continuous(n, sigma, rng, size=None):
     """Continuous rho-convention Gaussian on R^n.
 
     Per-coordinate variance is sigma^2 / (2*pi).  size=None returns one
     vector (n,), otherwise (size, n).
     """
     _check_sigma(sigma)
-    rng = np.random.default_rng() if rng is None else rng
     shape = (n,) if size is None else (size, n)
     return rng.normal(0.0, sigma / math.sqrt(TWO_PI), size=shape)
 
 
-def sample_expanded(n, sigma, trunc=DEFAULT_TRUNCATION, rng=None, size=None):
+def sample_expanded(n, sigma, rng, size=None):
     """Expanded Gaussian: x ~ U([0,1)^n), then a draw from Z^n + x at scale sigma.
 
     mod_1 of the output is uniform by construction; for sigma above the
@@ -209,18 +205,17 @@ def sample_expanded(n, sigma, trunc=DEFAULT_TRUNCATION, rng=None, size=None):
     Gaussian of the same scale.
     """
     _check_sigma(sigma)
-    rng = np.random.default_rng() if rng is None else rng
     shape = (n,) if size is None else (size, n)
     x = rng.uniform(size=shape)
-    return sample_lattice_rows(x.ravel(), sigma, trunc, rng).reshape(shape)
+    return sample_lattice_rows(x.ravel(), sigma, rng=rng).reshape(shape)
 
 
-def sample_collapsed(n, sigma, rng=None, size=None):
+def sample_collapsed(n, sigma, rng, size=None):
     """Collapsed Gaussian: mod_1 of a continuous scale-sigma draw, in [0,1)^n."""
     return mod_1(sample_continuous(n, sigma, rng=rng, size=size))
 
 
-def collapsed_density(u, sigma, trunc=DEFAULT_TRUNCATION):
+def collapsed_density(u, sigma):
     """Density at u in [0,1)^n of the collapsed Gaussian.
 
     Computed as the product over coordinates of the truncated shift sum
@@ -231,15 +226,15 @@ def collapsed_density(u, sigma, trunc=DEFAULT_TRUNCATION):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any((u < 0.0) | (u >= 1.0)):
         raise ValueError("u must lie in [0,1)^n")
-    h = int(math.ceil(trunc.radius_multiplier * sigma)) + 1
+    h = int(math.ceil(DEFAULT_TRUNCATION.radius_multiplier * sigma)) + 1
     k = np.arange(-h, h + 1, dtype=float)
     per = np.exp(-math.pi * ((u[:, None] + k[None, :]) / sigma) ** 2).sum(axis=1) / sigma
     return float(np.prod(per))
 
 
-def _support_points(lat, sigma, trunc):
+def _support_points(lat, sigma):
     """Lattice points of lat within the truncation window around the origin."""
-    radius = trunc.radius_multiplier * sigma
+    radius = DEFAULT_TRUNCATION.radius_multiplier * sigma
     lo = math.ceil((-radius - lat.offset) / lat.spacing)
     hi = math.floor((radius - lat.offset) / lat.spacing)
     if lo > hi:

@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussians import DEFAULT_TRUNCATION
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .rejection import (
     ReductionParams,
@@ -219,7 +218,7 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
 # ------------------------------------------------------------ Veronese lift
 
 
-def veronese_lift(x, d, max_dim=DEFAULT_LIFT_CAP):
+def veronese_lift(x, d):
     """All monomials of total degree <= d, graded-lex, constant first.
 
     Output width is C(n+d, d).  Within each degree the monomial index
@@ -236,9 +235,9 @@ def veronese_lift(x, d, max_dim=DEFAULT_LIFT_CAP):
         arr = arr[None, :]
     m, n = arr.shape
     width = math.comb(n + d, d)
-    if width > max_dim:
+    if width > DEFAULT_LIFT_CAP:
         raise ValueError(
-            f"lifted width C({n}+{d},{d}) = {width} exceeds cap {max_dim}"
+            f"lifted width C({n}+{d},{d}) = {width} exceeds cap {DEFAULT_LIFT_CAP}"
         )
     cols = [np.ones(m)]
     for k in range(1, d + 1):
@@ -256,16 +255,13 @@ class MassartConfig:
     """Inputs of the labeled-instance builder.
 
     params must be the +1 branch (psi = 0, B = [0, eps)); the -1 branch
-    is derived here.  eta is the -1 mixing weight, c_prime the carving
-    constant, m_prime the number of labeled samples, d the lift degree
-    kept for bookkeeping (the builder itself emits ambient vectors).
+    is derived here, carved with params.c_prime.  eta is the -1 mixing
+    weight and m_prime the number of labeled samples.
     """
 
     params: ReductionParams
     eta: float
-    c_prime: float
     m_prime: int
-    d: int = 1
 
     def __post_init__(self):
         p = self.params
@@ -273,8 +269,6 @@ class MassartConfig:
             raise ValueError("eta must lie in [0, 1/2)")
         if self.m_prime < 1:
             raise ValueError("m_prime must be positive")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
         if p.psi != 0.0:
             raise ValueError("base params must use psi = 0")
         ref = b_plus(p.eps)
@@ -289,7 +283,7 @@ class MassartConfig:
 
     @cached_property
     def b_minus(self):
-        return build_b_minus(self.params.t, self.params.eps, self.c_prime)
+        return build_b_minus(self.params.t, self.params.eps, self.params.c_prime)
 
     @property
     def params_plus(self):
@@ -311,7 +305,7 @@ class InstanceResult:
     draws: int
 
 
-def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
+def generate_instance(batch, config, rng):
     """Emit m' labeled samples from a torus batch, or FAIL if it runs dry.
 
     Per draw: label -1 with probability eta (branch psi = t/2, B_minus),
@@ -329,7 +323,6 @@ def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
     group transform, -1 group transform) so one seed reproduces the
     instance bit for bit.
     """
-    rng = np.random.default_rng() if rng is None else rng
     p_plus = config.params_plus
     p_minus = config.params_minus
     if batch.domain != "unit_torus":
@@ -369,7 +362,7 @@ def generate_instance(batch, config, rng=None, trunc=DEFAULT_TRUNCATION):
         if rows.size == 0:
             continue
         take = hits[rows]
-        x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng, trunc)
+        x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng)
     return InstanceResult(
         ok=True, x=x, labels=labels, consumed=pos, draws=m_prime
     )
@@ -412,7 +405,7 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
     rec = np.zeros(m, dtype=_record_dtype(width))
     rec["x"] = x
     rec["label"] = labels.astype(np.int8)
-    blob = LABELED_MAGIC + np.uint32(len(head)).tobytes() + head + rec.tobytes()
+    blob = LABELED_MAGIC + len(head).to_bytes(4, "little") + head + rec.tobytes()
     with open(path, "wb") as fh:
         fh.write(blob)
     if sidecar is not None:
@@ -422,9 +415,9 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
 def read_labeled_file(path):
     """(x, labels, header) of a labeled-sample file; ValueError if damaged.
 
-    The header must hold version, n, m_prime, d and lifted with the types
-    write_labeled_file gives them, the records must fill the rest of the
-    file exactly, and every label must be +1/-1.
+    The header must hold magic, version, n, m_prime, d and lifted, the
+    last four with the types write_labeled_file gives them, the records
+    must fill the rest of the file exactly, and every label must be +1/-1.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -434,9 +427,11 @@ def read_labeled_file(path):
     header = json.loads(blob[8 : 8 + hlen])
     if not isinstance(header, dict):
         raise ValueError("labeled-file header is not a JSON object")
-    missing = {"version", "n", "m_prime", "d", "lifted"} - header.keys()
+    missing = {"magic", "version", "n", "m_prime", "d", "lifted"} - header.keys()
     if missing:
         raise ValueError(f"labeled-file header lacks {', '.join(sorted(missing))}")
+    if header["magic"] != LABELED_MAGIC.decode():
+        raise ValueError("labeled-file header magic does not match")
     if header["version"] != LABELED_VERSION:
         raise ValueError(f"unsupported version {header['version']}")
     if not all(type(header[k]) is int and header[k] >= 1 for k in ("n", "m_prime", "d")):

@@ -257,7 +257,7 @@ def _check_header(header):
 # ------------------------------------------------------------- generators
 
 
-def gen_classic_lwe(n, m, q, sigma, tag, secret_kind="binary", rng=None):
+def gen_classic_lwe(n, m, q, sigma, tag, secret_kind="binary", *, rng):
     """Classic modular LWE batch.
 
     Alternative: x ~ U(Z_q^n), z discrete Gaussian on Z at scale sigma,
@@ -272,7 +272,6 @@ def gen_classic_lwe(n, m, q, sigma, tag, secret_kind="binary", rng=None):
         raise ValueError("m must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    rng = np.random.default_rng() if rng is None else rng
     x = rng.integers(0, q, size=(m, n)).astype(float)
     if tag == "alternative":
         if secret_kind == "binary":
@@ -290,7 +289,7 @@ def gen_classic_lwe(n, m, q, sigma, tag, secret_kind="binary", rng=None):
     return LweBatch(x, y, "mod_q", tag, sigma, q=q)
 
 
-def gen_continuous_lwe(n, m, sigma, tag, rng=None, secret=None):
+def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
     """Continuous unit-torus LWE batch.
 
     Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
@@ -301,7 +300,6 @@ def gen_continuous_lwe(n, m, sigma, tag, rng=None, secret=None):
         raise ValueError("sigma must be positive")
     if m < 1:
         raise ValueError("m must be >= 1")
-    rng = np.random.default_rng() if rng is None else rng
     x = rng.uniform(size=(m, n))
     if tag == "alternative":
         if secret is None:
@@ -322,14 +320,13 @@ def gen_continuous_lwe(n, m, sigma, tag, rng=None, secret=None):
 # ------------------------------------------------------------- chain steps
 
 
-def continuize_noise(batch, sigma_target, rng=None):
+def continuize_noise(batch, sigma_target, rng):
     """Blur the label: y <- mod_q(y + e), e continuous with the scale that
     lifts the batch noise from sigma to sigma_target."""
     if batch.domain != "mod_q":
         raise ValueError("continuize_noise expects a mod_q batch")
     if not sigma_target > batch.sigma:
         raise ValueError("sigma_target must exceed the batch noise scale")
-    rng = np.random.default_rng() if rng is None else rng
     sigma_add = math.sqrt(sigma_target**2 - batch.sigma**2)
     e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
     noise = None if batch.noise is None else batch.noise + e
@@ -346,7 +343,7 @@ def continuize_noise(batch, sigma_target, rng=None):
     )
 
 
-def continuize_samples(batch, sigma_coord, rng=None):
+def continuize_samples(batch, sigma_coord, rng):
     """Blur the sample: x <- mod_q(x + x'), x' per-coordinate Gaussian at
     scale sigma_coord.
 
@@ -360,7 +357,6 @@ def continuize_samples(batch, sigma_coord, rng=None):
         raise ValueError("continuize_samples expects integer sample support")
     if sigma_coord <= 0:
         raise ValueError("sigma_coord must be positive")
-    rng = np.random.default_rng() if rng is None else rng
     xp = sample_continuous(batch.n, sigma_coord, rng=rng, size=batch.m)
     noise = batch.noise
     if noise is not None and batch.secret is not None:
@@ -400,22 +396,22 @@ def rescale_to_unit(batch):
     )
 
 
-def default_chain_scales(n, q, sigma, m, delta=0.01):
+def default_chain_scales(sigma, m):
     """Reference scales for the two continuization steps.
 
-    Noise target sqrt(sigma^2 + log(m/delta)) and per-coordinate sample
-    scale just above the 1-D smoothing threshold (integer units), matching
-    the chain lemmas' "sufficiently large constant" at desk scale.
+    Noise target sqrt(sigma^2 + log(m/delta)) at delta = 0.01 and
+    per-coordinate sample scale just above the 1-D smoothing threshold
+    (integer units), matching the chain lemmas' "sufficiently large
+    constant" at desk scale.
     """
-    sigma_target = math.sqrt(sigma**2 + math.log(m / delta))
+    sigma_target = math.sqrt(sigma**2 + math.log(m / 0.01))
     sigma_coord = 1.7 * smoothing_threshold(1, 1e-6)
     return sigma_target, sigma_coord
 
 
-def run_chain(batch, sigma_target=None, sigma_coord=None, rng=None):
+def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
     """classic -> continuize_noise -> continuize_samples -> rescale_to_unit."""
-    rng = np.random.default_rng() if rng is None else rng
-    ref_t, ref_c = default_chain_scales(batch.n, batch.q, batch.sigma, batch.m)
+    ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
     st = ref_t if sigma_target is None else sigma_target
     sc = ref_c if sigma_coord is None else sigma_coord
     out = continuize_noise(batch, st, rng=rng)

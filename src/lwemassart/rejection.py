@@ -21,23 +21,24 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
-from .gaussians import DEFAULT_TRUNCATION, mod_1, sample_lattice_rows
+from .gaussians import mod_1, sample_lattice_rows
 from .intervals import IntervalSet
 
 # "sufficiently large even integer": the smallest ratio we accept as such
 # in strict mode; below it the carving geometry degenerates
 MIN_STRICT_RATIO = 4
+# the universal constant c of clause (iii)
+C_CLAUSE_III = 2.0
 
 
 @dataclass(frozen=True)
 class ReductionParams:
     """Inputs of the rejection core plus the validation-mode switch.
 
-    c, c_prime, c_dprime are the universal constants of the parameter
-    condition's clauses (iii) and (iv); they only matter for strict-mode
-    validation and for carving widths (c_prime).  mode "strict" enforces
+    c_prime, c_dprime are the universal constants of the parameter
+    condition's clause (iv); they matter for strict-mode validation and
+    for carving widths (c_prime).  mode "strict" enforces
     the asymptotic parameter condition; "desk-scale" permits small-n runs
     and enforces only what Step 3 needs to be well defined.
     """
@@ -50,7 +51,6 @@ class ReductionParams:
     delta: float
     sigma: float
     mode: str = "desk-scale"
-    c: float = 2.0
     c_prime: float = 0.04
     c_dprime: float = 4.0
 
@@ -96,11 +96,6 @@ class ReductionParams:
     def signal_ratio(self):
         return 1.0 - 4.0 * ((self.t + self.eps) * self.sigma) ** 2
 
-    @property
-    def ratio(self):
-        """t/eps, the island count scale."""
-        return self.t / self.eps
-
 
 def validate_condition(params, m_prime=None):
     """Report on the four parameter-condition clauses.
@@ -134,7 +129,7 @@ def validate_condition(params, m_prime=None):
     )
 
     lhs = 1.0 / (t * math.sqrt(n))
-    rhs = math.sqrt(params.c * math.log(n / delta)) if n / delta > 1 else 0.0
+    rhs = math.sqrt(C_CLAUSE_III * math.log(n / delta)) if n / delta > 1 else 0.0
     clauses.append(
         {
             "clause": "(iii) 1/(t sqrt(n)) >= sqrt(c log(n/delta))",
@@ -244,8 +239,7 @@ class ReductionResult:
         return len(self.indices)
 
 
-def reduce_batch(batch, params, rng=None, max_accepts=None, want_outputs=True,
-                 trunc=DEFAULT_TRUNCATION):
+def reduce_batch(batch, params, rng, max_accepts=None, want_outputs=True):
     """Vectorized Steps 1-3 over a unit-torus batch.
 
     Decisions for every stream position are drawn positionally (one keep
@@ -257,7 +251,6 @@ def reduce_batch(batch, params, rng=None, max_accepts=None, want_outputs=True,
         raise ValueError("reduce_batch expects a unit-torus batch")
     if batch.n != params.n:
         raise ValueError("batch dimension %d != params.n %d" % (batch.n, params.n))
-    rng = np.random.default_rng() if rng is None else rng
     u = rng.uniform(size=batch.m)
     k_all, accept = accept_steps(batch.y, u, params)
     idx = np.flatnonzero(accept)
@@ -274,11 +267,11 @@ def reduce_batch(batch, params, rng=None, max_accepts=None, want_outputs=True,
             consumed=consumed,
             n_in=batch.m,
         )
-    x_prime = transform_accepted(batch.x[idx], k_acc, params, rng, trunc)
+    x_prime = transform_accepted(batch.x[idx], k_acc, params, rng)
     return ReductionResult(x_prime=x_prime, k=k_acc, indices=idx, consumed=consumed, n_in=batch.m)
 
 
-def transform_accepted(x, k, params, rng, trunc=DEFAULT_TRUNCATION):
+def transform_accepted(x, k, params, rng):
     """Step 3 applied to already-accepted samples with per-sample offsets k.
 
     Used directly by the instance builder, which runs its own accept walk
@@ -291,46 +284,45 @@ def transform_accepted(x, k, params, rng, trunc=DEFAULT_TRUNCATION):
     x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
     shift = mod_1(x + x_add)
     sig_rows = np.repeat(sigma_scale, n)
-    w = sample_lattice_rows(shift.ravel(), sig_rows, trunc, rng).reshape(m, n)
+    w = sample_lattice_rows(shift.ravel(), sig_rows, rng=rng).reshape(m, n)
     return w / sigma_scale[:, None]
+
+
+def branch_acceptance(t, psi, B):
+    """Exact acceptance of Steps 1-2 for the branch (psi, B).
+
+    The recovered k of a uniform y has density (t-psi)/(t+k-psi)^2 (the
+    inverse-map Jacobian), so the acceptance is the integral over B of
+    (t-psi) t^2/(t+k-psi)^4, whose antiderivative is
+    -(t-psi) t^2/(3 (t+k-psi)^3).
+    """
+    anti = lambda k: -(t - psi) * t**2 / (3.0 * (t + k - psi) ** 3)
+    return sum(anti(b) - anti(a) for a, b in B)
 
 
 def acceptance_probability(params):
     """(lower_bound, exact) overall acceptance probability of Steps 1-2.
 
-    The recovered k of a uniform y has density (t-psi)/(t+k-psi)^2 (the
-    inverse-map Jacobian), so the exact acceptance is the quadrature
-        integral over B of (t-psi)/(t+k-psi)^2 * t^2/(t+k-psi)^2 dk,
-    and the quick lower bound replaces both factors by their minima over
-    [psi, psi+eps]: lambda(B) * (t-psi)/(t+eps)^2 * t^2/(t+eps)^2.
+    exact is branch_acceptance; the quick lower bound replaces both
+    factors of the integrand by their minima over [psi, psi+eps]:
+    lambda(B) * (t-psi)/(t+eps)^2 * t^2/(t+eps)^2.
     """
     t, psi, eps = params.t, params.psi, params.eps
-
-    def integrand(k):
-        return (t - psi) * t**2 / (t + k - psi) ** 4
-
-    exact = 0.0
-    for a, b in params.B:
-        val, _ = integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10)
-        exact += val
     lower = params.B.measure * (t - psi) * t**2 / (t + eps) ** 4
-    return lower, exact
+    return lower, branch_acceptance(t, psi, params.B)
 
 
-def accepted_k_pdf(k, params, normalized=True):
+def accepted_k_pdf(k, params):
     """Density of the recovered offset among accepted samples.
 
-    Proportional to (t-psi)*t^2/(t+k-psi)^4 restricted to B.  The paper's
-    analysis idealizes this as uniform on B, which it approaches only as
-    eps/t -> 0; this is the exact law.  Accepts arrays.
+    (t-psi)*t^2/(t+k-psi)^4 restricted to B, over the branch acceptance.
+    The paper's analysis idealizes this as uniform on B, which it
+    approaches only as eps/t -> 0; this is the exact law.  Accepts arrays.
     """
     k = np.asarray(k, dtype=float)
     t, psi = params.t, params.psi
     val = (t - psi) * t**2 / (t + k - psi) ** 4
-    val = np.where(params.B.contains(k), val, 0.0)
-    if normalized:
-        _, total = acceptance_probability(params)
-        val = val / total
+    val = np.where(params.B.contains(k), val, 0.0) / branch_acceptance(t, psi, params.B)
     return float(val) if val.ndim == 0 else val
 
 

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import null_space
 
-from .gaussians import DEFAULT_TRUNCATION, sample_lattice_rows
+from .gaussians import sample_lattice_rows
 from .instances import ptf_region, veronese_lift
 from .lwe import gen_continuous_lwe
-from .rejection import acceptance_probability, reduce_batch
+from .rejection import acceptance_probability, branch_acceptance, reduce_batch
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_LEVEL = 0.01
@@ -123,10 +123,10 @@ class DensityOracle1D:
         self._evaluator = evaluator
         self.normalization = total
         self.atoms = tuple((float(loc), float(m) / total) for loc, m in atoms)
-        self._vals = raw / total
-        cdf = integrate.cumulative_trapezoid(self._vals, self.xs, initial=0.0)
-        self._cdf = cdf
-        check = cdf[-1] + sum(m for _, m in self.atoms)
+        v = self._vals = raw / total
+        # cumulative trapezoid rule, starting at 0
+        self._cdf = np.concatenate(([0.0], np.cumsum(np.diff(self.xs) * (v[1:] + v[:-1]) / 2.0)))
+        check = self._cdf[-1] + sum(m for _, m in self.atoms)
         if not abs(check - 1.0) <= 1e-6:
             raise ValueError(f"oracle mass {check} is not 1 after normalization")
 
@@ -158,25 +158,18 @@ class DensityOracle1D:
         return masses
 
 
-def gaussian_oracle(sigma=1.0, window=None, step=None):
-    """Oracle for the centered width-sigma Gaussian (the null projection law)."""
-    if window is None:
-        window = (-4.5 * sigma, 4.5 * sigma)
+def gaussian_oracle(sigma=1.0, step=None):
+    """Oracle on +-4.5 sigma for the centered width-sigma Gaussian (the null law)."""
     if step is None:
         step = sigma / 256.0
-    return DensityOracle1D(lambda u: _rho1(u, sigma), (window[0], window[1], step))
-
-
-def _branch_acceptance(t, psi, B):
-    anti = lambda k: -(t - psi) * t**2 / (3.0 * (t + k - psi) ** 3)
-    return sum(anti(b) - anti(a) for a, b in B)
+    return DensityOracle1D(lambda u: _rho1(u, sigma), (-4.5 * sigma, 4.5 * sigma, step))
 
 
 def _k_density(k, t, psi, B, k_law):
     if k_law == "uniform":
         return np.full(np.shape(k), 1.0 / B.measure)
     if k_law == "accepted":
-        acc = _branch_acceptance(t, psi, B)
+        acc = branch_acceptance(t, psi, B)
         return (t - psi) * t**2 / (t + np.asarray(k) - psi) ** 4 / acc
     raise ValueError("k_law must be 'uniform' or 'accepted'")
 
@@ -218,7 +211,7 @@ def dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law="accepted"):
             2.0 * B.measure
         )
     elif k_law == "accepted":
-        acc = _branch_acceptance(t, psi, B)
+        acc = branch_acceptance(t, psi, B)
         mean = (
             (t - psi)
             * t**2
@@ -230,18 +223,15 @@ def dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law="accepted"):
     return float(_rho1(psi - t, sigma_signal) * mean)
 
 
-def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted",
-                  window=None, step=None):
+def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted", step=None):
     """Raw (unconvolved) oracle for the projected law, atom included."""
-    if window is None:
-        w = 4.5 * sigma_signal + t + abs(psi)
-        window = (-w, w)
+    w = 4.5 * sigma_signal + t + abs(psi)
     if step is None:
         step = min(min(b - a for a, b in B), eps) / 8.0
     atom = (psi - t, dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law))
     return DensityOracle1D(
         lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law),
-        (window[0], window[1], step),
+        (-w, w, step),
         atoms=(atom,),
     )
 
@@ -303,23 +293,31 @@ def _unit(s):
     return s / np.linalg.norm(s)
 
 
-def atom_safe_edges(lo, hi, bins, atom_locs, guard=None):
+def atom_safe_edges(lo, hi, bins, atom_locs):
     """Uniform bin edges with edges too close to a point mass removed.
 
     A point mass on (or within blur reach of) an edge makes the sample
     histogram split what the model books wholly on one side.  Dropping
     the offending edge merges the two bins so the mass stays together.
-    The outermost edges are kept regardless.
+    An edge is too close within a quarter bin width; the outermost edges
+    are kept regardless.
     """
     edges = np.linspace(lo, hi, bins + 1)
     locs = np.asarray(atom_locs, dtype=float)
     if locs.size == 0:
         return edges
-    if guard is None:
-        guard = (hi - lo) / bins / 4.0
-    near = np.min(np.abs(edges[:, None] - locs[None, :]), axis=1) < guard
+    near = np.min(np.abs(edges[:, None] - locs[None, :]), axis=1) < (hi - lo) / bins / 4.0
     near[0] = near[-1] = False
     return edges[~near]
+
+
+def folded_histogram(proj, edges):
+    """Counts per bin with the tail mass on both sides in the edge bins.
+
+    np.histogram already counts proj == edges[-1] in the last bin, so
+    clipping into [edges[0], edges[-1]] folds every point in exactly once.
+    """
+    return np.histogram(np.clip(proj, edges[0], edges[-1]), bins=edges)[0]
 
 
 def hidden_direction_test(samples, s, oracle, bins=64, window=None, tol_l1=0.05):
@@ -338,11 +336,7 @@ def hidden_direction_test(samples, s, oracle, bins=64, window=None, tol_l1=0.05)
             window = (lo, hi)
         edges = np.linspace(window[0], window[1], bins + 1)
     n_bins = len(edges) - 1
-    counts, _ = np.histogram(proj, bins=edges)
-    emp = counts.astype(float)
-    emp[0] += np.sum(proj < edges[0])
-    emp[-1] += np.sum(proj >= edges[-1])
-    emp /= len(proj)
+    emp = folded_histogram(proj, edges) / len(proj)
     model = oracle.bin_masses(edges, lump_tails=True)
     l1 = float(np.abs(emp - model).sum())
     note = "" if len(proj) >= 20 * n_bins else "underpowered: fewer than 20 samples/bin; "
@@ -439,10 +433,9 @@ class MassartEstimate:
     n_samples: int
 
 
-def massart_condition_estimate(samples, labels, s, bins, eta,
-                               threshold_mult=2.0, min_count=50, window=None,
-                               target=None):
-    """Per-bin flip-rate audit of the label noise along direction s.
+def massart_condition_estimate(samples, labels, s, bins, eta, min_count=50,
+                               window=None, target=None):
+    """Per-bin flip-rate audit of the label noise along s, at threshold 2 eta.
 
     Without a target the flip rate of a bin is its minority-label rate,
     which certifies the Massart condition for whatever sign pattern the
@@ -461,7 +454,7 @@ def massart_condition_estimate(samples, labels, s, bins, eta,
     plus, _ = np.histogram(proj[labels > 0], bins=edges)
     minus, _ = np.histogram(proj[labels < 0], bins=edges)
     total = plus + minus
-    thresh = threshold_mult * eta
+    thresh = 2.0 * eta
     rows = []
     violating = 0
     for j in range(len(total)):
@@ -522,26 +515,27 @@ class PlantedRegionLearner:
 
 
 class ConstantLearner:
-    def __init__(self, label=1):
-        self.label = int(label)
+    """Predicts +1 everywhere."""
 
     def fit(self, x, y):
         return self
 
     def predict(self, x):
-        return np.full(len(x), self.label, dtype=np.int8)
+        return np.ones(len(x), dtype=np.int8)
 
 
 class SgdHalfspaceLearner:
     """Averaged hinge-loss SGD on degree-d lifted features.
 
     A plain exploratory baseline: feature standardization from the
-    training split, one pass per epoch in a seeded shuffle, averaged
-    iterate for prediction.
+    training split, EPOCHS passes in a seeded shuffle at step size LR,
+    averaged iterate for prediction.
     """
 
-    def __init__(self, d=2, epochs=5, lr=0.05, seed=0):
-        self.d, self.epochs, self.lr, self.seed = d, epochs, lr, seed
+    EPOCHS, LR = 5, 0.05
+
+    def __init__(self, d=2, seed=0):
+        self.d, self.seed = d, seed
         self.w = None
 
     def _features(self, x):
@@ -560,10 +554,10 @@ class SgdHalfspaceLearner:
         w = np.zeros(v.shape[1])
         acc = np.zeros_like(w)
         steps = 0
-        for _ in range(self.epochs):
+        for _ in range(self.EPOCHS):
             for i in rng.permutation(len(y)):
                 if y[i] * (w @ v[i]) < 1.0:
-                    w += self.lr * y[i] * v[i]
+                    w += self.LR * y[i] * v[i]
                 acc += w
                 steps += 1
         self.w = acc / steps
@@ -598,11 +592,11 @@ class DistinguishReport:
         }
 
 
-def distinguish(make_instance, learner_factory, tau, trials, rng, train_frac=0.5):
+def distinguish(make_instance, learner_factory, tau, trials, rng):
     """Repeated-trial decision harness.
 
     make_instance(tag, rng) must return (x, labels) for a fresh instance;
-    each trial fits a fresh learner on the training split of each pair
+    each trial fits a fresh learner on the first half of each pair
     member and decides "alternative" when the held-out error is below
     tau.  The advantage is the alternative-decision rate gap.  Learners
     that output a constant on some test split are counted, not rejected.
@@ -613,7 +607,7 @@ def distinguish(make_instance, learner_factory, tau, trials, rng, train_frac=0.5
     for _ in range(trials):
         for tag in ("alternative", "null"):
             x, y = make_instance(tag, rng)
-            cut = max(1, int(len(y) * train_frac))
+            cut = max(1, len(y) // 2)
             learner = learner_factory()
             learner.fit(x[:cut], y[:cut])
             pred = np.asarray(learner.predict(x[cut:]))
@@ -640,7 +634,7 @@ def distinguish(make_instance, learner_factory, tau, trials, rng, train_frac=0.5
 
 
 def acceptance_rate_test(params, n_trials, rng):
-    """Empirical acceptance vs the quadrature value and the closed bound."""
+    """Empirical acceptance vs the exact value and the closed bound."""
     batch = gen_continuous_lwe(params.n, n_trials, params.sigma, "null", rng=rng)
     res = reduce_batch(batch, params, rng=rng, want_outputs=False)
     lower, exact = acceptance_probability(params)
@@ -659,7 +653,7 @@ def acceptance_rate_test(params, n_trials, rng):
     )
 
 
-def dk21_reference_sample(t, eps, size, rng, trunc=DEFAULT_TRUNCATION):
+def dk21_reference_sample(t, eps, size, rng):
     """Direct sampler for the uniform-offset mixture of lattice Gaussians.
 
     Draws u uniform on [0, eps) and then a width-1 discrete Gaussian on
@@ -667,5 +661,5 @@ def dk21_reference_sample(t, eps, size, rng, trunc=DEFAULT_TRUNCATION):
     """
     u = rng.uniform(0.0, eps, size=size)
     spacing = t + u
-    w = sample_lattice_rows(u / spacing, 1.0 / spacing, trunc, rng)
+    w = sample_lattice_rows(u / spacing, 1.0 / spacing, rng=rng)
     return w * spacing

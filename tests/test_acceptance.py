@@ -96,8 +96,7 @@ def desk_null_run():
 
 @pytest.fixture(scope="module")
 def tiny_config():
-    return MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA,
-                         c_prime=C_PRIME, m_prime=100_000)
+    return MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=100_000)
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +243,7 @@ def test_criterion_07_null_label_independence(null_instance):
 
 def test_criterion_08_distinguisher_advantage(tiny_config):
     t0 = time.perf_counter()
-    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA,
-                        c_prime=C_PRIME, m_prime=10_000)
+    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=10_000)
     secret = np.asarray([1.0, -1.0, 1.0, 1.0])
     budget = 2 * round(T / EPS) * cfg.m_prime
 
@@ -298,8 +296,7 @@ def test_criterion_09_continuization_chain():
 
 def test_criterion_10_budget_failure_semantics(tiny_config):
     m_prime = 500
-    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA,
-                        c_prime=C_PRIME, m_prime=m_prime)
+    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=m_prime)
     budget = 2 * round(T / EPS) * m_prime
     successes = 0
     for run in range(100):

@@ -180,6 +180,14 @@ class TestGenInstance:
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
 
+    @pytest.mark.parametrize("lifted", [[], ["--lifted"]])
+    def test_lift_degree_below_one_exits_2(self, tmp_path, lifted):
+        res = CliRunner().invoke(
+            main, ["gen-instance", *BASE_ARGS, "--m-prime", "100", "--d", "0", *lifted,
+                   "--seed", "1", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
     def test_lifted_record_width(self, tmp_path):
         out = tmp_path / "l.inst"
         res = invoke(["gen-instance", "--n", "3", "--sigma", repr(TINY_SIGMA),
@@ -292,7 +300,7 @@ class TestVerify:
 
 SIDECAR_KEYS = ["tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
                 "c_dprime", "eta", "delta", "mode", "lifted", "secret"]
-HEADER_KEYS = ["version", "n", "m_prime", "d", "lifted"]
+HEADER_KEYS = ["magic", "version", "n", "m_prime", "d", "lifted"]
 
 
 def verify_exits_2(path):
@@ -337,15 +345,24 @@ class TestDamagedInstance:
         write_sidecar(inst, meta)
         verify_exits_2(inst)
 
-    @pytest.mark.parametrize("key", HEADER_KEYS)
-    def test_dropped_header_key(self, inst, key):
+    @staticmethod
+    def edit_header(inst, edit):
         data = inst.read_bytes()
         hlen = int.from_bytes(data[4:8], "little")
         header = json.loads(data[8 : 8 + hlen])
-        del header[key]
+        edit(header)
         hb = json.dumps(header, sort_keys=True).encode()
         inst.write_bytes(b"MLAB" + len(hb).to_bytes(4, "little") + hb + data[8 + hlen :])
+
+    @pytest.mark.parametrize("key", HEADER_KEYS)
+    def test_dropped_header_key(self, inst, key):
+        self.edit_header(inst, lambda h: h.pop(key))
         assert key in verify_exits_2(inst)
+
+    @pytest.mark.parametrize("value", ["junk", 0])
+    def test_wrong_header_magic(self, inst, value):
+        self.edit_header(inst, lambda h: h.update(magic=value))
+        assert "magic" in verify_exits_2(inst)
 
     @pytest.mark.parametrize("key,value", [("n", 5), ("m_prime", 39999), ("d", 2),
                                            ("lifted", True)])

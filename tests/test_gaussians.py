@@ -15,7 +15,6 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from lwemassart.gaussians import (
-    DEFAULT_TRUNCATION,
     ShiftedLattice1D,
     TruncationPolicy,
     _envelope,
@@ -278,13 +277,13 @@ def test_row_sampler_law_chi_square():
     for sigma in LAW_SIGMAS:
         for off in LAW_OFFSETS:
             shifts = np.full(1_000_000, off)
-            draws = sample_lattice_rows(shifts, sigma, DEFAULT_TRUNCATION, rng)
+            draws = sample_lattice_rows(shifts, sigma, rng=rng)
             p = chi2_pvalue(draws, windowed_pmf(off, sigma))
             assert p > 1e-4, (sigma, off, p)
     cells = [(sig, off) for sig in LAW_SIGMAS for off in LAW_OFFSETS]
     rows = rng.permutation(np.repeat(np.arange(len(cells)), 50_000))
     sig, off = np.array(cells).T
-    draws = sample_lattice_rows(off[rows], sig[rows], DEFAULT_TRUNCATION, rng)
+    draws = sample_lattice_rows(off[rows], sig[rows], rng=rng)
     for c, (sigma, offset) in enumerate(cells):
         p = chi2_pvalue(draws[rows == c], windowed_pmf(offset, sigma))
         assert p > 1e-4, ("mixed", sigma, offset, p)
@@ -316,7 +315,7 @@ def test_row_sampler_memory_flat_in_sigma():
     for sigma in (2.0, 50.0):
         tracemalloc.start()
         try:
-            sample_lattice_rows(shifts, sigma, DEFAULT_TRUNCATION, np.random.default_rng(22))
+            sample_lattice_rows(shifts, sigma, rng=np.random.default_rng(22))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -334,8 +333,7 @@ def test_row_sampler_memory_flat_in_sigma():
 ])
 def test_row_sampler_rejects_non_finite_input(shifts, sigma):
     with pytest.raises(ValueError):
-        sample_lattice_rows(np.array(shifts), np.array(sigma), DEFAULT_TRUNCATION,
-                            np.random.default_rng(0))
+        sample_lattice_rows(np.array(shifts), np.array(sigma), rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- continuous

@@ -6,6 +6,7 @@ one of the four slot families.  The consumption oracle is a plain
 per-position python walk over the stream.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -52,7 +53,7 @@ def desk_params(n=8, sigma=SIGMA):
 
 def desk_config(m_prime, eta=0.05, n=8, sigma=SIGMA):
     return MassartConfig(
-        params=desk_params(n, sigma), eta=eta, c_prime=CP, m_prime=m_prime
+        params=desk_params(n, sigma), eta=eta, m_prime=m_prime
     )
 
 
@@ -297,13 +298,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         desk_config(100, eta=0.5)
     with pytest.raises(ValueError):
-        MassartConfig(params=desk_params(), eta=0.1, c_prime=CP, m_prime=0)
+        MassartConfig(params=desk_params(), eta=0.1, m_prime=0)
     p = ReductionParams(
         n=8, t=T, eps=EPS, psi=0.05, B=IntervalSet.single(0.05, 0.05 + EPS),
         delta=0.01, sigma=SIGMA,
     )
     with pytest.raises(ValueError, match="psi"):
-        MassartConfig(params=p, eta=0.1, c_prime=CP, m_prime=10)
+        MassartConfig(params=p, eta=0.1, m_prime=10)
     cfg = desk_config(10)
     assert cfg.params_minus.psi == pytest.approx(T / 2)
     assert cfg.params_minus.B.measure == pytest.approx(cfg.b_minus.measure)
@@ -419,6 +420,27 @@ def test_run_walk_matches_naive_oracle_at_stream_edges(eta):
         assert_same_outcome(res_short, ref)
     assert generate_instance(truncated(full, res.consumed - 1), cfg,
                              rng=np.random.default_rng(seed)).draws == 299
+
+
+# SHA-256 of (x, labels) from a seeded n = 2, m' = 2,000 instance; at n = 2
+# <x, s> is one exact addition, so the bytes do not depend on the BLAS
+INSTANCE_SHA256 = {
+    "alternative": ("405106069198f8eee299f0ea4c6ec272e104b3ccee335b7555b17b9981cdb008",
+                    "52ff19157c0be0e2d5db42a55db1b11a17e33d8b3d0041824c3e2c1da4c3a010"),
+    "null": ("27328caa692102fc6dd8a121194891453e4b3965e355ae2e451f211ce851df00",
+             "6636b7eb693cee74bd01b6f438aec096b485aa0758bc96c8e05cafe0d26792d9"),
+}
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+def test_generate_instance_pinned(tag):
+    rng = np.random.default_rng(2027)
+    batch = gen_continuous_lwe(2, 32_000, SIGMA, tag, rng=rng)
+    res = generate_instance(batch, desk_config(2000, n=2), rng=rng)
+    assert res.ok
+    digests = (hashlib.sha256(res.x.astype("<f8").tobytes()).hexdigest(),
+               hashlib.sha256(res.labels.astype("i1").tobytes()).hexdigest())
+    assert digests == INSTANCE_SHA256[tag]
 
 
 def test_builder_deterministic():

@@ -205,7 +205,7 @@ def test_chain_master_property_light():
     rng = np.random.default_rng(33)
     n, q, m = 4, 257, 20_000
     sigma0 = 2.0
-    st, sc = default_chain_scales(n, q, sigma0, m)
+    st, sc = default_chain_scales(sigma0, m)
     b = gen_classic_lwe(n, m, q, sigma0, "alternative", rng=rng)
     chained = run_chain(b, sigma_target=st, sigma_coord=sc, rng=rng)
     total = math.sqrt(st**2 + n * sc**2)

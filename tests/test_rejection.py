@@ -1,13 +1,9 @@
 """Rejection-core checks: inversion, scales, acceptance, accepted-k law.
 
-The acceptance oracle here is a hand-derived antiderivative, independent
-of the library's quadrature route:
-
-    integral of (t-psi) t^2 / (t+k-psi)^4 dk
-        = -(t-psi) t^2 / (3 (t+k-psi)^3) + const
-
-evaluated per interval of B.  Expected numbers are frozen from direct
-evaluation.
+The acceptance oracle here is adaptive quadrature (scipy.integrate.quad)
+of (t-psi) t^2 / (t+k-psi)^4 over each interval of B, independent of the
+library's closed-form antiderivative.  Expected numbers are frozen from
+direct evaluation.
 """
 
 import hashlib
@@ -16,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from lwemassart.instances import MassartConfig
 from lwemassart.intervals import IntervalSet
@@ -38,10 +35,11 @@ from lwemassart.rejection import (
 TWO_PI = 2.0 * math.pi
 
 
-def closed_form_acceptance(t, psi, pairs):
-    """Antiderivative oracle for the Steps-1-2 acceptance probability."""
-    anti = lambda k: -(t - psi) * t**2 / (3.0 * (t + k - psi) ** 3)
-    return sum(anti(b) - anti(a) for a, b in pairs)
+def quad_acceptance(t, psi, pairs):
+    """Quadrature oracle for the Steps-1-2 acceptance probability."""
+    integrand = lambda k: (t - psi) * t**2 / (t + k - psi) ** 4
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12)[0]
+               for a, b in pairs)
 
 
 def desk_params(n=8, t=0.2, eps=0.025, sigma=None):
@@ -131,7 +129,7 @@ def test_strict_mode_enforces():
     eps = t / 4
     ReductionParams(
         n=n, t=t, eps=eps, psi=0.0, B=b_plus(eps), delta=0.5, sigma=1.0,
-        mode="strict", c=2.0,
+        mode="strict",
     )
 
 
@@ -195,7 +193,7 @@ def test_acceptance_probability_vs_closed_form():
     assert exact == pytest.approx(0.09922267946959307, rel=1e-9)
     assert lower == pytest.approx(0.07803688462124679, rel=1e-12)
     assert exact >= lower
-    assert exact == pytest.approx(closed_form_acceptance(p.t, p.psi, p.B), rel=1e-9)
+    assert abs(exact - quad_acceptance(p.t, p.psi, p.B)) <= 1e-10
     # first-order approximation eps/t for eps << t
     p2 = desk_params(t=0.2, eps=0.0005)
     _, exact2 = acceptance_probability(p2)
@@ -203,13 +201,16 @@ def test_acceptance_probability_vs_closed_form():
 
 
 def test_acceptance_on_carved_set():
-    # a multi-interval B: closed form must match quadrature interval by interval
-    t = 0.2
+    # multi-interval B sets, a hand-made one and the builder's carved B_minus:
+    # the closed form must match quadrature interval by interval
     B = IntervalSet(((0.1, 0.105), (0.11, 0.118), (0.12, 0.125)))
-    p = ReductionParams(n=8, t=t, eps=0.025, psi=0.1, B=B, delta=0.01, sigma=0.5)
-    lower, exact = acceptance_probability(p)
-    assert exact == pytest.approx(closed_form_acceptance(t, 0.1, B.intervals), rel=1e-9)
-    assert exact >= lower
+    hand = ReductionParams(n=8, t=0.2, eps=0.025, psi=0.1, B=B, delta=0.01, sigma=0.5)
+    carved = MassartConfig(params=desk_params(n=4), eta=0.05, m_prime=10).params_minus
+    assert len(carved.B) > 1
+    for p in (hand, carved):
+        lower, exact = acceptance_probability(p)
+        assert abs(exact - quad_acceptance(p.t, p.psi, p.B)) <= 1e-10
+        assert exact >= lower
 
 
 def test_empirical_acceptance_within_3_sigma():
@@ -276,7 +277,7 @@ TRANSFORM_SHA256 = {
 
 @pytest.mark.parametrize("branch", [1, -1])
 def test_transform_accepted_pinned(branch):
-    cfg = MassartConfig(params=desk_params(n=4), eta=0.05, c_prime=0.04, m_prime=10)
+    cfg = MassartConfig(params=desk_params(n=4), eta=0.05, m_prime=10)
     params = cfg.params_plus if branch == 1 else cfg.params_minus
     digests = []
     for _ in range(2):

@@ -39,6 +39,7 @@ from lwemassart.verify import (
     dprime_atom_mass,
     dprime_oracle,
     dprime_pdf,
+    folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
@@ -84,6 +85,9 @@ class TestDensityOracle:
         assert abs(o.normalization - 1.0) <= 1e-6
         edges = np.linspace(-5.0, 5.0, 33)
         assert abs(o.bin_masses(edges).sum() - 1.0) <= 1e-12
+        # the oracle's CDF is scipy's cumulative trapezoid, bit for bit
+        want = integrate.cumulative_trapezoid(o.pdf(o.xs), o.xs, initial=0.0)
+        assert np.array_equal(o.bin_masses(o.xs, lump_tails=False), np.diff(want))
 
     def test_bin_masses_match_gaussian_cdf(self):
         o = gaussian_oracle(1.0)
@@ -335,6 +339,17 @@ class TestReductionLaw:
                                     window=(-0.8, 0.8))
         assert rep.statistic > 0.3
 
+    def test_right_edge_sample_counted_once(self):
+        # np.histogram already books x == edges[-1] in the last bin; adding
+        # the right tail on top would count that sample twice
+        edges = np.linspace(-0.8, 0.8, 5)
+        reps = [hidden_direction_test(np.array([[top], [0.0], [-0.3], [0.1]]), [1.0],
+                                      gaussian_oracle(1.0), bins=edges)
+                for top in (0.8, 0.8 - 1e-9)]
+        assert reps[0].statistic == reps[1].statistic
+        proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
+        assert folded_histogram(proj, edges).tolist() == [2, 1, 2, 2]
+
     def test_null_projection_is_gaussian(self, null_run):
         rep = hidden_direction_test(null_run, np.ones(4), gaussian_oracle(1.0),
                                     bins=48, window=(-1.2, 1.2), tol_l1=0.08)
@@ -403,8 +418,7 @@ SIGMA_TINY = 2.5e-4 / (2.0 * (T + EPS))  # sigma_noise = 2.5e-4 = c' eps / 4
 @pytest.fixture(scope="module")
 def tiny_noise_instance():
     rng = np.random.default_rng(987654321)
-    cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1, c_prime=0.04,
-                        m_prime=5_000)
+    cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1, m_prime=5_000)
     batch = gen_continuous_lwe(4, 120_000, SIGMA_TINY, "alternative", rng=rng)
     inst = generate_instance(batch, cfg, rng=rng)
     assert inst.ok
@@ -462,7 +476,7 @@ class TestLabelNoise:
         """
         base = ReductionParams(n=4, t=t, eps=eps, psi=0.0, B=b_plus(eps),
                                delta=0.01, sigma=sigma, c_prime=c_prime)
-        pm = MassartConfig(base, eta=eta, c_prime=c_prime, m_prime=1).params_minus
+        pm = MassartConfig(base, eta=eta, m_prime=1).params_minus
         ss = math.sqrt(base.signal_ratio)
         oracle = dprime_oracle(t, eps, pm.psi, pm.B, ss, step=eps / 32.0)
         lo, hi, _ = oracle.grid
@@ -493,8 +507,7 @@ class TestLabelNoise:
 
     def test_noiseless_labels_degenerate(self):
         rng = np.random.default_rng(22)
-        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.0,
-                            c_prime=0.04, m_prime=400)
+        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.0, m_prime=400)
         batch = gen_continuous_lwe(4, 12_000, SIGMA_TINY, "alternative", rng=rng)
         inst = generate_instance(batch, cfg, rng=rng)
         est = massart_condition_estimate(
@@ -515,8 +528,7 @@ class TestLabelNoise:
 
 class TestDistinguish:
     def _make_instance(self, s_fixed):
-        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1,
-                            c_prime=0.04, m_prime=600)
+        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1, m_prime=600)
 
         def make(tag, rng):
             if tag == "alternative":
@@ -555,8 +567,7 @@ class TestDistinguish:
         s = np.array([1.0, 1.0, -1.0, 1.0])
         advantages = []
         for j, m_prime in enumerate((40, 400, 1600)):
-            cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.2,
-                                c_prime=0.04, m_prime=m_prime)
+            cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.2, m_prime=m_prime)
 
             def make(tag, rng, cfg=cfg, m_prime=m_prime):
                 if tag == "alternative":
@@ -582,7 +593,7 @@ class TestDistinguish:
         n = 800
         y = np.where(rng.random(n) < 0.5, 1, -1)
         x = rng.normal(0.0, 0.3, size=(n, 2)) + 0.8 * y[:, None]
-        learner = SgdHalfspaceLearner(d=1, epochs=5, seed=1)
+        learner = SgdHalfspaceLearner(d=1, seed=1)
         learner.fit(x[:400], y[:400])
         err = np.mean(learner.predict(x[400:]) != y[400:])
         assert err <= 0.1
