@@ -20,6 +20,7 @@ from typing import Optional
 import click
 import numpy as np
 
+from .frames import check_fields
 from .instances import (
     MassartConfig,
     generate_instance,
@@ -70,10 +71,6 @@ MASSART_WINDOW = (-1.3, 1.3)
 BALANCE_MIN_COUNT = 2000
 
 
-# JSON types a RunConfig field of each annotated type admits (bool never)
-_ADMITS = {str: (str,), int: (int,), float: (int, float), Optional[int]: (int, type(None))}
-
-
 @dataclass
 class RunConfig:
     """One flat bag of pipeline parameters; flags override file values."""
@@ -104,15 +101,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        extra = set(data) - set(types)
+        check_fields(data, {}, "config")  # a JSON object
+        extra = data.keys() - _CONFIG_KINDS.keys()
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        for key, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, _ADMITS[types[key]]):
-                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+        check_fields(data, {k: _CONFIG_KINDS[k] for k in data}, "config")
         return cls(**data)
 
     def save(self, path):
@@ -126,6 +119,10 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
 
+# each field's annotated type is its JSON kind for frames.check_fields
+_CONFIG_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
 def _load_config(path, **overrides):
     cfg = RunConfig() if path is None else RunConfig.load(path)
     live = {k: v for k, v in overrides.items() if v is not None}
@@ -136,9 +133,9 @@ def _resolve_seed(cfg):
     return 0 if cfg.seed is None else int(cfg.seed)
 
 
-def _reduction_params(cfg, n, sigma):
-    return ReductionParams(n=n, t=cfg.t, eps=cfg.eps, psi=0.0, B=b_plus(cfg.eps),
-                           delta=cfg.delta, sigma=sigma, mode=cfg.mode,
+def _reduction_params(cfg):
+    return ReductionParams(n=cfg.n, t=cfg.t, eps=cfg.eps, psi=0.0, B=b_plus(cfg.eps),
+                           delta=cfg.delta, sigma=cfg.sigma, mode=cfg.mode,
                            c_prime=cfg.c_prime, c_dprime=cfg.c_dprime)
 
 
@@ -177,8 +174,6 @@ def cmd_gen_lwe(config_path, kind, tag, n, m, q, sigma, seed, out):
     try:
         cfg = _load_config(config_path, kind=kind, tag=tag, n=n, m=m, q=q,
                            sigma=sigma, seed=seed)
-        if cfg.m <= 0:
-            raise ValueError("gen-lwe needs m > 0")
         rng = np.random.default_rng(_resolve_seed(cfg))
         if cfg.kind == "classic":
             batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
@@ -240,6 +235,11 @@ def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
     click.echo(f"continuized {reduced.m} samples to {out} (sigma={reduced.sigma:.6g})")
 
 
+# the RunConfig fields gen-instance writes to its sidecar and verify reads back
+_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
+                        "c_dprime", "eta", "delta", "mode")
+
+
 @main.command("gen-instance")
 @_CONFIG_OPT
 @click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
@@ -274,8 +274,9 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
         else:
             batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma,
                                        cfg.tag, rng=rng)
-        params = _reduction_params(cfg, batch.n, batch.sigma)
-        mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
+        cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
+        mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta,
+                                m_prime=cfg.m_prime)
         inst = generate_instance(batch, mconfig, rng=rng)
     except ValueError as err:
         raise click.UsageError(str(err))
@@ -287,20 +288,9 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
     x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
     meta = {
         "command": "gen-instance",
-        "tag": batch.tag,
-        "n": batch.n,
+        **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
         "m": batch.m,
-        "m_prime": cfg.m_prime,
-        "d": cfg.d,
         "lifted": bool(lifted),
-        "sigma": batch.sigma,
-        "t": cfg.t,
-        "eps": cfg.eps,
-        "c_prime": cfg.c_prime,
-        "c_dprime": cfg.c_dprime,
-        "eta": cfg.eta,
-        "delta": cfg.delta,
-        "mode": cfg.mode,
         "seed": _resolve_seed(cfg),
         "consumed": inst.consumed,
         "secret": None if batch.secret is None else [int(v) for v in batch.secret],
@@ -340,37 +330,26 @@ def mixture_oracle(config):
     return oracle
 
 
-# the sidecar keys that are RunConfig fields; verify rebuilds its parameters from them
-_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
-                        "c_dprime", "eta", "delta", "mode")
-
-
 def _instance_config(meta, header):
     """(RunConfig, secret or None) from a gen-instance sidecar.
 
     ValueError when a key is missing or ill-typed, or when the sidecar and
     the file header disagree on n, m_prime, d or lifted.
     """
-    if not isinstance(meta, dict):
-        raise ValueError("sidecar is not a JSON object")
-    missing = {*_SIDECAR_CONFIG_KEYS, "lifted", "secret"} - meta.keys()
-    if missing:
-        raise ValueError(f"sidecar lacks {', '.join(sorted(missing))}")
-    cfg = RunConfig.from_dict({k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
-    if cfg.tag not in ("alternative", "null") or type(meta["lifted"]) is not bool:
-        raise ValueError("sidecar tag or lifted is invalid")
+    check_fields(meta, {**{k: _CONFIG_KINDS[k] for k in _SIDECAR_CONFIG_KEYS},
+                        "lifted": bool, "secret": Optional[list]}, "sidecar")
+    cfg = RunConfig(**{k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
+    if cfg.tag not in ("alternative", "null"):
+        raise ValueError(f"sidecar tag {cfg.tag!r} is neither alternative nor null")
     width = math.comb(cfg.n + cfg.d, cfg.d) if meta["lifted"] else cfg.n
     for key, want in (("lifted", meta["lifted"]), ("d", cfg.d),
                       ("m_prime", cfg.m_prime), ("n", width)):
         if header[key] != want:
             raise ValueError(f"sidecar and file header disagree on {key}")
     secret = meta["secret"]
-    if secret is None:
-        return cfg, None
-    if not (isinstance(secret, list) and len(secret) == cfg.n
-            and all(type(v) in (int, float) for v in secret)):
+    if secret is not None and len(secret) != cfg.n:
         raise ValueError("sidecar secret must be a list of n numbers")
-    return cfg, np.asarray(secret, dtype=float)
+    return cfg, None if secret is None else np.asarray(secret, dtype=float)
 
 
 def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
@@ -467,7 +446,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
         cfg, secret = _instance_config(meta, header)
         if cfg.tag == "alternative" and secret is None:
             raise ValueError("alternative instance without planted secret")
-        config = MassartConfig(params=_reduction_params(cfg, cfg.n, cfg.sigma),
+        config = MassartConfig(params=_reduction_params(cfg),
                                eta=cfg.eta, m_prime=cfg.m_prime)
     except ValueError as err:
         raise click.UsageError(str(err))
@@ -520,9 +499,14 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
         cfg = _load_config(config_path, n=n, m=m, sigma=sigma, t=t, eps=eps,
                            c_prime=c_prime, eta=eta, m_prime=m_prime, tau=tau,
                            trials=trials, learner=learner, seed=seed)
+        if cfg.trials < 1:
+            raise ValueError("distinguish needs trials >= 1")
+        if cfg.m_prime < 2:
+            raise ValueError("distinguish needs m_prime >= 2: each instance is "
+                             "split into a training and a held-out half")
         rng = np.random.default_rng(_resolve_seed(cfg))
         secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
-        params = _reduction_params(cfg, cfg.n, cfg.sigma)
+        params = _reduction_params(cfg)
         mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
         budget = _stream_budget(cfg)
     except ValueError as err:
@@ -621,7 +605,7 @@ def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
         cfg = theorem_d_bindings(n, zeta=zeta, m_prime=m_prime, delta=delta)
     cfg.save(out)
     try:
-        params = _reduction_params(cfg, cfg.n, cfg.sigma)
+        params = _reduction_params(cfg)
         report = validate_condition(params, m_prime=cfg.m_prime)
         for clause in report["clauses"]:
             state = {True: "ok", False: "VIOLATED", None: "unevaluated"}[clause["ok"]]

@@ -1,0 +1,106 @@
+"""Framed binary files and the one JSON type rule every reader applies.
+
+A framed file (LWEB batches, MLAB instances) is a 4-byte magic, the
+header length as a little-endian u32, the header as sort-keyed JSON with
+at least "magic" and "version", then a little-endian payload.  File
+headers, sidecars and --config files all pass check_fields, so a damaged
+input is a ValueError, never a TypeError or OverflowError further on.
+"""
+
+import json
+import os
+import sys
+from typing import Optional
+
+import numpy as np
+
+_PREFIX = 8  # magic plus the u32 header length
+
+
+def _is_number(v):
+    """An int or a float, never a bool, within the range of finite floats."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+# kind -> (what a value of that kind must be, the test)
+_KINDS = {
+    int: ("an int", lambda v: type(v) is int),
+    "count": ("a positive int", lambda v: type(v) is int and v >= 1),
+    float: ("a finite number", _is_number),
+    bool: ("a boolean", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    Optional[int]: ("an int or null", lambda v: v is None or type(v) is int),
+    Optional[list]: ("a list of finite numbers or null",
+                     lambda v: v is None or type(v) is list and all(map(_is_number, v))),
+    "steps": ("a list of [kind, number] pairs",
+              lambda v: type(v) is list and all(
+                  type(s) is list and len(s) == 2 and _is_number(s[1]) for s in v)),
+}
+
+
+def check_fields(obj, fields, what):
+    """ValueError unless obj is a dict holding every key of fields, each of its kind.
+
+    fields maps a key to a kind: int, float (a finite number), bool, str,
+    Optional[int], Optional[list] (of finite numbers), "count" (an int
+    >= 1) or "steps" (a list of [kind, number] pairs).  Keys not in
+    fields are left alone; what names obj in the messages.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = fields.keys() - obj.keys()
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(sorted(missing))}")
+    for key, kind in fields.items():
+        desc, ok = _KINDS[kind]
+        if not ok(obj[key]):
+            raise ValueError(f"{what} {key} must be {desc}, got {obj[key]!r}")
+
+
+def pack(magic, header):
+    """The bytes of a framed file that precede its payload."""
+    hb = json.dumps(header, sort_keys=True).encode()
+    return magic + len(hb).to_bytes(4, "little") + hb
+
+
+def _payload_start(prefix, magic):
+    """Payload offset of a framed file from its first 8 bytes."""
+    prefix = bytes(prefix)
+    if len(prefix) < _PREFIX or prefix[:4] != magic:
+        raise ValueError(f"not a {magic.decode()} file (bad magic)")
+    return _PREFIX + int.from_bytes(prefix[4:], "little")
+
+
+def read(path, magic):
+    """The whole file, read once into a writable uint8 buffer.
+
+    The buffer start is shifted so that the payload is 8-byte aligned
+    and f8 views into it need no copy.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        pad = -_payload_start(fh.read(_PREFIX), magic) % 8
+        buf = np.empty((pad + size + 7) // 8, dtype="<f8").view(np.uint8)[pad : pad + size]
+        fh.seek(0)
+        if fh.readinto(buf) != size:
+            raise ValueError(f"{magic.decode()} file changed size while being read")
+    return buf
+
+
+def unpack(buf, magic, version, fields):
+    """(header, payload view) of the framed file held in buf.
+
+    The header must carry this magic and version and pass check_fields
+    with fields; the caller checks the payload length.
+    """
+    name = magic.decode()
+    start = _payload_start(buf[:_PREFIX], magic)
+    if len(buf) < start:
+        raise ValueError(f"{name} file is shorter than its header")
+    header = json.loads(buf[_PREFIX:start].tobytes())
+    check_fields(header, {"magic": str, "version": int, **fields}, f"{name} header")
+    if header["magic"] != name:
+        raise ValueError(f"{name} header magic is {header['magic']!r}")
+    if header["version"] != version:
+        raise ValueError(f"unsupported {name} version {header['version']}")
+    return header, buf[start:]

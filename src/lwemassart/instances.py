@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .rejection import (
     ReductionParams,
@@ -382,9 +383,9 @@ def secret_digest(secret):
 def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
     """Binary labeled-sample file plus optional JSON sidecar.
 
-    Layout: magic, little-endian u32 header length, JSON header
-    {magic, version, n, m_prime, d, lifted}, then m_prime packed records
-    of n little-endian f8 followed by one signed label byte.
+    A framed file (see frames.py) with header {magic, version, n, m_prime,
+    d, lifted} whose payload is m_prime packed records of n little-endian
+    f8 followed by one signed label byte.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -401,13 +402,12 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
         "d": int(d),
         "lifted": bool(lifted),
     }
-    head = json.dumps(header, sort_keys=True).encode()
     rec = np.zeros(m, dtype=_record_dtype(width))
     rec["x"] = x
     rec["label"] = labels.astype(np.int8)
-    blob = LABELED_MAGIC + len(head).to_bytes(4, "little") + head + rec.tobytes()
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(frames.pack(LABELED_MAGIC, header))
+        fh.write(rec)
     if sidecar is not None:
         write_sidecar(path, sidecar)
 
@@ -416,33 +416,19 @@ def read_labeled_file(path):
     """(x, labels, header) of a labeled-sample file; ValueError if damaged.
 
     The header must hold magic, version, n, m_prime, d and lifted, the
-    last four with the types write_labeled_file gives them, the records
+    last four with the kinds write_labeled_file gives them, the records
     must fill the rest of the file exactly, and every label must be +1/-1.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != LABELED_MAGIC:
-        raise ValueError("not a labeled-sample file")
-    hlen = int.from_bytes(blob[4:8], "little")
-    header = json.loads(blob[8 : 8 + hlen])
-    if not isinstance(header, dict):
-        raise ValueError("labeled-file header is not a JSON object")
-    missing = {"magic", "version", "n", "m_prime", "d", "lifted"} - header.keys()
-    if missing:
-        raise ValueError(f"labeled-file header lacks {', '.join(sorted(missing))}")
-    if header["magic"] != LABELED_MAGIC.decode():
-        raise ValueError("labeled-file header magic does not match")
-    if header["version"] != LABELED_VERSION:
-        raise ValueError(f"unsupported version {header['version']}")
-    if not all(type(header[k]) is int and header[k] >= 1 for k in ("n", "m_prime", "d")):
-        raise ValueError("header n, m_prime and d must be positive ints")
-    if type(header["lifted"]) is not bool:
-        raise ValueError("header lifted must be a boolean")
+    header, payload = frames.unpack(
+        frames.read(path, LABELED_MAGIC), LABELED_MAGIC, LABELED_VERSION,
+        {"n": "count", "m_prime": "count", "d": "count", "lifted": bool})
     dtype = _record_dtype(header["n"])
-    if len(blob) - 8 - hlen != header["m_prime"] * dtype.itemsize:
-        raise ValueError("record count does not match header")
-    rec = np.frombuffer(blob, dtype=dtype, offset=8 + hlen)
-    x = rec["x"].astype(float).reshape(header["m_prime"], header["n"])
+    if len(payload) != header["m_prime"] * dtype.itemsize:
+        raise ValueError(
+            f"MLAB payload holds {len(payload)} bytes; its header implies "
+            f"{header['m_prime'] * dtype.itemsize}")
+    rec = payload.view(dtype)
+    x = rec["x"].astype(float)
     labels = rec["label"].astype(np.int8)
     if not np.all(np.abs(labels) == 1):
         raise ValueError("labels must be +1/-1")

@@ -72,11 +72,6 @@ class IntervalSet:
         object.__setattr__(self, "_flat", np.array(ivs, dtype=float).ravel())
 
     @classmethod
-    def from_pairs(cls, pairs):
-        """Build from arbitrary pairs, merging overlaps."""
-        return cls(tuple(merge_pairs([(float(a), float(b)) for a, b in pairs])))
-
-    @classmethod
     def single(cls, lo, hi):
         return cls(((float(lo), float(hi)),))
 
@@ -106,15 +101,6 @@ class IntervalSet:
         if flat.size > 2:
             inside[inside] = np.searchsorted(flat, v[inside], side="right") % 2 == 1
         return bool(inside[0]) if np.ndim(u) == 0 else inside
-
-    def subtract(self, other):
-        return IntervalSet(tuple(subtract_pairs(self.intervals, other.intervals)))
-
-    def union(self, other):
-        return IntervalSet.from_pairs(list(self.intervals) + list(other.intervals))
-
-    def intersect(self, other):
-        return IntervalSet(tuple(intersect_pairs(self.intervals, other.intervals)))
 
     def issubset(self, other, tol=0.0):
         left = subtract_pairs(self.intervals, other.intervals)

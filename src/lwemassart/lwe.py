@@ -12,13 +12,13 @@ indistinguishable from direct continuous generation at the matched scale,
 which is the module's master property and is tested as such.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from . import frames
 from .gaussians import (
     ShiftedLattice1D,
     mod_1,
@@ -30,8 +30,6 @@ from .gaussians import (
 
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class LweBatch:
         if self.tag not in ("null", "alternative"):
             raise ValueError("tag must be 'null' or 'alternative'")
         if self.domain == "mod_q":
-            if not (isinstance(self.q, (int, np.integer)) and self.q >= 2):
-                raise ValueError("mod_q domain needs an integer q >= 2")
+            if not (isinstance(self.q, (int, np.integer)) and 2 <= self.q < 2**63):
+                raise ValueError("mod_q domain needs an integer q in [2, 2**63)")
             hi = float(self.q)
         elif self.domain == "unit_torus":
             if self.q is not None:
@@ -114,12 +112,11 @@ class LweBatch:
 
     # ------------------------------------------------------------- file io
     #
-    # Layout: MAGIC, the header length as a little-endian u32, the JSON
-    # header, then secret (n values, when has_secret), noise (m, when
-    # has_noise), x (m*n, row-major) and y (m), all little-endian f8.
+    # A framed file (see frames.py) whose payload is secret (n values, when
+    # has_secret), noise (m, when has_noise), x (m*n, row-major) and y (m),
+    # all little-endian f8.
 
-    def _layout(self):
-        """The file as a list of buffers: prefix plus header, then the arrays."""
+    def save(self, path):
         header = {
             "magic": MAGIC.decode(),
             "version": FORMAT_VERSION,
@@ -133,34 +130,30 @@ class LweBatch:
             "has_noise": self.noise is not None,
             "history": [[s.kind, s.sigma_add] for s in self.history],
         }
-        hb = json.dumps(header, sort_keys=True).encode()
-        parts = [MAGIC + len(hb).to_bytes(4, "little") + hb]
-        for a in (self.secret, self.noise, self.x, self.y):
-            if a is not None:
-                parts.append(np.ascontiguousarray(a, dtype="<f8"))
-        return parts
+        with open(path, "wb") as fh:
+            fh.write(frames.pack(MAGIC, header))
+            for a in (self.secret, self.noise, self.x, self.y):
+                if a is not None:
+                    fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
     @classmethod
-    def _from_buffer(cls, buf):
-        """Parse a whole file held in buf, a writable uint8 array.
+    def load(cls, path):
+        """Read the file once into one buffer; the arrays are views into it.
 
-        The arrays of the result are views into buf.  Raises ValueError on
-        a bad prefix or header and on any payload length other than the
-        one the header implies.
+        Raises ValueError on a bad prefix or header and on any payload
+        length other than the one the header implies.
         """
-        start = _PREFIX + _header_length(buf[:_PREFIX])
-        if len(buf) < start:
-            raise ValueError("LWE batch file is shorter than its header")
-        header = json.loads(buf[_PREFIX:start].tobytes().decode())
-        _check_header(header)
+        header, payload = frames.unpack(frames.read(path, MAGIC), MAGIC, FORMAT_VERSION, {
+            "n": "count", "m": "count", "domain": str, "q": Optional[int], "tag": str,
+            "sigma": float, "has_secret": bool, "has_noise": bool, "history": "steps"})
         n, m = header["n"], header["m"]
         counts = [n * header["has_secret"], m * header["has_noise"], m * n, m]
-        if len(buf) - start != 8 * sum(counts):
+        if len(payload) != 8 * sum(counts):
             raise ValueError(
                 "LWE batch payload holds %d bytes; its header implies %d"
-                % (len(buf) - start, 8 * sum(counts))
+                % (len(payload), 8 * sum(counts))
             )
-        secret, noise, x, y = np.split(buf[start:].view("<f8"), np.cumsum(counts[:-1]))
+        secret, noise, x, y = np.split(payload.view("<f8"), np.cumsum(counts[:-1]))
         return cls(
             x=x.reshape(m, n),
             y=y,
@@ -173,113 +166,27 @@ class LweBatch:
             history=tuple(ContinuizationStep(k, s) for k, s in header["history"]),
         )
 
-    def to_bytes(self):
-        """Little-endian binary serialization; round-trips bit-exactly."""
-        return b"".join(self._layout())
-
-    @classmethod
-    def from_bytes(cls, data):
-        """Parse a file image; data is copied once, so the arrays are writable."""
-        src = np.frombuffer(data, dtype=np.uint8)
-        buf = _file_buffer(len(src), _header_length(src[:_PREFIX]))
-        buf[:] = src
-        return cls._from_buffer(buf)
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            for part in self._layout():
-                fh.write(part)
-
-    @classmethod
-    def load(cls, path):
-        """Read the file once into one buffer; the arrays are views into it."""
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            buf = _file_buffer(size, _header_length(fh.read(_PREFIX)))
-            fh.seek(0)
-            if fh.readinto(buf) != size:
-                raise ValueError("LWE batch file changed size while being read")
-        return cls._from_buffer(buf)
-
-
-_PREFIX = 8  # MAGIC plus the u32 header length
-_HEADER_KEYS = frozenset(
-    ("magic", "version", "n", "m", "domain", "q", "tag", "sigma",
-     "has_secret", "has_noise", "history")
-)
-
-
-def _header_length(prefix):
-    """JSON header length from a file's first 8 bytes."""
-    prefix = bytes(prefix)
-    if len(prefix) < _PREFIX or prefix[:4] != MAGIC:
-        raise ValueError("not an LWE batch file (bad magic)")
-    return int.from_bytes(prefix[4:], "little")
-
-
-def _file_buffer(size, hlen):
-    """Writable uint8 buffer of size bytes whose payload starts 8-byte aligned.
-
-    The payload begins after the prefix and an hlen-byte header; shifting
-    the buffer start keeps the f8 views into it aligned.
-    """
-    pad = -(_PREFIX + hlen) % 8
-    return np.empty((pad + size + 7) // 8, dtype="<f8").view(np.uint8)[pad : pad + size]
-
-
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_header(header):
-    """ValueError unless header has every key, each of a usable type."""
-    if not isinstance(header, dict):
-        raise ValueError("LWE batch header is not a JSON object")
-    missing = _HEADER_KEYS - header.keys()
-    if missing:
-        raise ValueError("LWE batch header lacks %s" % ", ".join(sorted(missing)))
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError("unsupported batch format version")
-    for key in ("n", "m"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise ValueError("header %s must be a positive int, got %r" % (key, header[key]))
-    if not all(type(header[k]) is bool for k in ("has_secret", "has_noise")):
-        raise ValueError("header has_secret and has_noise must be booleans")
-    if not _is_real(header["sigma"]):
-        raise ValueError("header sigma must be a number")
-    history = header["history"]
-    if not isinstance(history, list) or not all(
-        isinstance(s, list) and len(s) == 2 and _is_real(s[1]) for s in history
-    ):
-        raise ValueError("header history must be a list of [kind, sigma_add] pairs")
-
 
 # ------------------------------------------------------------- generators
 
 
-def gen_classic_lwe(n, m, q, sigma, tag, secret_kind="binary", *, rng):
+def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
     """Classic modular LWE batch.
 
-    Alternative: x ~ U(Z_q^n), z discrete Gaussian on Z at scale sigma,
-    y = mod_q(<x, s> + z).  Null: x ~ U(Z_q^n) and y ~ U(Z_q) independent.
-    secret_kind "binary" draws s from {±1}^n (the post-secret-reduction
-    form consumed by the continuization chain); "uniform-zq" draws
-    s ~ U(Z_q^n).
+    Alternative: x ~ U(Z_q^n), s ~ U({±1}^n) (the post-secret-reduction
+    form the continuization chain's noise accounting assumes), z discrete
+    Gaussian on Z at scale sigma, y = mod_q(<x, s> + z).
+    Null: x ~ U(Z_q^n) and y ~ U(Z_q) independent.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = rng.integers(0, q, size=(m, n)).astype(float)
     if tag == "alternative":
-        if secret_kind == "binary":
-            s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
-        elif secret_kind == "uniform-zq":
-            s = rng.integers(0, q, size=n).astype(float)
-        else:
-            raise ValueError("secret_kind must be 'binary' or 'uniform-zq'")
+        s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
         z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
         y = mod_q(x @ s + z, q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
@@ -298,8 +205,8 @@ def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     x = rng.uniform(size=(m, n))
     if tag == "alternative":
         if secret is None:

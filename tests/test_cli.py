@@ -84,6 +84,13 @@ class TestGenLwe:
                       "--out", str(tmp_path / "z")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("kind", ["classic", "continuous"])
+    def test_zero_n_is_usage_error(self, tmp_path, kind):
+        res = CliRunner().invoke(main, ["gen-lwe", "--kind", kind, "--n", "0", "--m", "10",
+                                        "--out", str(tmp_path / "z")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "z").exists()
+
 
 class TestReduceLwe:
     def test_chain_lands_on_unit_torus(self, tmp_path):
@@ -338,7 +345,10 @@ class TestDamagedInstance:
 
     @pytest.mark.parametrize("key,value", [("t", "0.2"), ("n", 4.0), ("m_prime", True),
                                            ("lifted", 1), ("tag", "alt"),
-                                           ("secret", "1111"), ("secret", [1, 1, 1])])
+                                           ("secret", "1111"), ("secret", [1, 1, 1]),
+                                           pytest.param("sigma", 10**400, id="sigma-huge"),
+                                           pytest.param("secret", [10**400, 1, 1, 1],
+                                                        id="secret-huge")])
     def test_ill_typed_sidecar_value(self, inst, key, value):
         meta = read_sidecar(inst)
         meta[key] = value
@@ -406,6 +416,16 @@ class TestDistinguish:
         assert res.exit_code == 4
         assert json.loads(res.output.splitlines()[-1])["advantage"] == 0.0
 
+    @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-1"],
+                                      ["--m-prime", "1", "--m", "20000"]],
+                             ids=["no-trials", "negative-trials", "one-sample"])
+    def test_unscorable_run_exits_2(self, args):
+        res = CliRunner().invoke(main, ["distinguish", *BASE_ARGS, "--m-prime", "200",
+                                        "--trials", "2", *args])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
 
 class TestConfig:
     def test_roundtrip_is_lossless(self, tmp_path):
@@ -426,7 +446,9 @@ class TestConfig:
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("text", ['{"n": "4"}', '{"sigma": true}', '{"seed": 1.5}',
-                                      '{"tag": 1}', "[4]", '{"n": 4'])
+                                      '{"tag": 1}', "[4]", '{"n": 4',
+                                      pytest.param('{"sigma": 1%s}' % ("0" * 400),
+                                                   id="sigma-huge")])
     def test_ill_typed_config_rejected(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

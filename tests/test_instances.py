@@ -31,7 +31,7 @@ from lwemassart.instances import (
     veronese_lift,
     write_labeled_file,
 )
-from lwemassart.intervals import IntervalSet, intersect_pairs, subtract_pairs
+from lwemassart.intervals import IntervalSet, intersect_pairs, merge_pairs, subtract_pairs
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import (
     ReductionParams,
@@ -137,7 +137,8 @@ def test_g_image_matches_pointwise_map():
     pieces = _g_image_exact(lo, hi, t)
     grid = np.linspace(float(lo) + 1e-9, float(hi) - 1e-9, 500)
     vals = g_map(grid, float(t))
-    cover = IntervalSet.from_pairs([(float(a) - 1e-9, float(b) + 1e-9) for a, b in pieces])
+    cover = IntervalSet(tuple(merge_pairs([(float(a) - 1e-9, float(b) + 1e-9)
+                                           for a, b in pieces])))
     assert cover.contains(vals).all()
 
 
