@@ -20,7 +20,7 @@ from typing import Optional
 import click
 import numpy as np
 
-from .frames import check_fields
+from .frames import check_fields, decode_json
 from .instances import (
     MassartConfig,
     generate_instance,
@@ -116,7 +116,7 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(decode_json(fh.read()))
 
 
 # each field's annotated type is its JSON kind for frames.check_fields

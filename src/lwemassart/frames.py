@@ -57,6 +57,14 @@ def check_fields(obj, fields, what):
             raise ValueError(f"{what} {key} must be {desc}, got {obj[key]!r}")
 
 
+def decode_json(text):
+    """json.loads, with input nested too deeply to parse as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def pack(magic, header):
     """The bytes of a framed file that precede its payload."""
     hb = json.dumps(header, sort_keys=True).encode()
@@ -97,7 +105,7 @@ def unpack(buf, magic, version, fields):
     start = _payload_start(buf[:_PREFIX], magic)
     if len(buf) < start:
         raise ValueError(f"{name} file is shorter than its header")
-    header = json.loads(buf[_PREFIX:start].tobytes())
+    header = decode_json(buf[_PREFIX:start].tobytes())
     check_fields(header, {"magic": str, "version": int, **fields}, f"{name} header")
     if header["magic"] != name:
         raise ValueError(f"{name} header magic is {header['magic']!r}")

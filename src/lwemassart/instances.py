@@ -416,8 +416,8 @@ def read_labeled_file(path):
     """(x, labels, header) of a labeled-sample file; ValueError if damaged.
 
     The header must hold magic, version, n, m_prime, d and lifted, the
-    last four with the kinds write_labeled_file gives them, the records
-    must fill the rest of the file exactly, and every label must be +1/-1.
+    last four with the kinds write_labeled_file gives them; the records
+    must fill the rest of the file exactly, with finite x and +1/-1 labels.
     """
     header, payload = frames.unpack(
         frames.read(path, LABELED_MAGIC), LABELED_MAGIC, LABELED_VERSION,
@@ -430,6 +430,8 @@ def read_labeled_file(path):
     rec = payload.view(dtype)
     x = rec["x"].astype(float)
     labels = rec["label"].astype(np.int8)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("MLAB samples must be finite")
     if not np.all(np.abs(labels) == 1):
         raise ValueError("labels must be +1/-1")
     return x, labels, header
@@ -447,4 +449,4 @@ def write_sidecar(path, meta):
 
 def read_sidecar(path):
     with open(sidecar_path(path)) as fh:
-        return json.load(fh)
+        return frames.decode_json(fh.read())

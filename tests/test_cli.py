@@ -117,6 +117,9 @@ class TestReduceLwe:
         assert "unit torus" in res.output
 
 
+DEEP = b"[" * 100_000  # JSON nested past the parser's recursion limit
+
+
 def damaged_batch(src, damage):
     """src's bytes spoiled in one of the ways a strict LWEB parser rejects."""
     data = src.read_bytes()
@@ -126,6 +129,8 @@ def damaged_batch(src, damage):
         return data + b"\x00" * 16
     if damage == "truncated":
         return data[:-5]
+    if damage == "deeply-nested":
+        return b"LWEB" + len(DEEP).to_bytes(4, "little") + DEEP + payload
     if damage == "no-has-noise":
         del header["has_noise"]
     elif damage == "zero-m":
@@ -134,7 +139,7 @@ def damaged_batch(src, damage):
     return b"LWEB" + len(hb).to_bytes(4, "little") + hb + payload
 
 
-BATCH_DAMAGE = ["trailing-zeros", "truncated", "no-has-noise", "zero-m"]
+BATCH_DAMAGE = ["trailing-zeros", "truncated", "no-has-noise", "zero-m", "deeply-nested"]
 
 
 class TestDamagedBatch:
@@ -336,6 +341,19 @@ class TestDamagedInstance:
         (inst.parent / (inst.name + ".meta.json")).write_text("[1, 2]")
         verify_exits_2(inst)
 
+    def test_deeply_nested_sidecar(self, inst):
+        (inst.parent / (inst.name + ".meta.json")).write_bytes(DEEP)
+        verify_exits_2(inst)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample(self, work, tmp_path, value):
+        inst = tmp_path / "null.inst"
+        x, labels, _ = read_labeled_file(work / "null.inst")
+        x[5, 1] = value
+        write_labeled_file(inst, x, labels)
+        shutil.copyfile(str(work / "null.inst") + ".meta.json", str(inst) + ".meta.json")
+        assert "finite" in verify_exits_2(inst)
+
     @pytest.mark.parametrize("key", SIDECAR_KEYS)
     def test_dropped_sidecar_key(self, inst, key):
         meta = read_sidecar(inst)
@@ -447,6 +465,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", ['{"n": "4"}', '{"sigma": true}', '{"seed": 1.5}',
                                       '{"tag": 1}', "[4]", '{"n": 4',
+                                      pytest.param(DEEP.decode(), id="deeply-nested"),
                                       pytest.param('{"sigma": 1%s}' % ("0" * 400),
                                                    id="sigma-huge")])
     def test_ill_typed_config_rejected(self, tmp_path, text):

@@ -43,6 +43,7 @@ from lwemassart.verify import (
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
+    ks_norm_pvalue,
     massart_condition_estimate,
     max_label_deviation,
     orthogonal_gaussianity_test,
@@ -225,16 +226,6 @@ class TestConvolution:
         # the same rfft computation, so equal in practice; allow one rounding
         assert np.max(np.abs(got - want)) <= 1e-15
 
-    def test_cli_import_skips_scipy_signal(self):
-        import lwemassart
-
-        src = os.path.dirname(os.path.dirname(lwemassart.__file__))
-        code = ("import sys; sys.path.insert(0, %r); import lwemassart.cli; "
-                "print('scipy.signal' in sys.modules)" % src)
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
-
     def test_coarse_grid_rejected(self):
         o = gaussian_oracle(1.0, step=0.05)
         with pytest.raises(ValueError, match="too coarse"):
@@ -358,6 +349,13 @@ class TestReductionLaw:
     def test_null_isotropic(self, null_run):
         assert isotropic_gaussianity_test(null_run).passed
 
+    def test_nan_coordinate_fails_isotropic(self, null_run):
+        # min() over a list skips a NaN that is not first; the gate must not
+        x = null_run.copy()
+        x[5, 1] = np.nan
+        rep = isotropic_gaussianity_test(x)
+        assert math.isnan(rep.statistic) and not rep.passed
+
     def test_alternative_orthogonal_complement_gaussian(self, alt_run):
         x, s = alt_run
         rep = orthogonal_gaussianity_test(x, s)
@@ -385,6 +383,51 @@ class TestReductionLaw:
         rep = hidden_direction_test(rng.normal(size=(100, 4)), np.ones(4),
                                     conv_oracle, bins=64, window=(-0.8, 0.8))
         assert rep.description.startswith("underpowered")
+
+
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.stats"])
+def test_cli_import_skips(module):
+    import lwemassart
+
+    src = os.path.dirname(os.path.dirname(lwemassart.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import lwemassart.cli; "
+            "print(%r in sys.modules)" % (src, module))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+class TestKsPvalue:
+    """ks_norm_pvalue against scipy.stats.kstest, the independent oracle."""
+
+    STD = 1.0 / math.sqrt(2.0 * math.pi)
+
+    @pytest.mark.parametrize("n", [141, 2_500, 25_000, 100_000])
+    def test_matches_kstest(self, n):
+        rng = np.random.default_rng(n)
+        far = near = 0
+        # a shift of c std / sqrt(n) puts n D^2 near c^2 / (2 pi), so the
+        # shifts span both sides of z = 2.2
+        for c in [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0, 12.0, 20.0]:
+            x = rng.normal(c * self.STD / math.sqrt(n), self.STD, size=n)
+            p = ks_norm_pvalue(x, self.STD)
+            exact = stats.kstest(x, "norm", args=(0.0, self.STD), method="exact")
+            if n * exact.statistic * exact.statistic >= 2.2:
+                assert p == exact.pvalue
+                far += 1
+            else:
+                asymp = stats.kstest(x, "norm", args=(0.0, self.STD), method="asymp")
+                assert p == asymp.pvalue
+                assert p > 0.024 and exact.pvalue > 0.024
+                near += 1
+        assert far >= 4 and near >= 3
+
+    def test_far_shift_is_zero(self):
+        # n D^2 >= 370: scipy's exact p underflows to 0 there as well
+        x = np.random.default_rng(7).normal(2.0 * self.STD, self.STD, size=2_500)
+        exact = stats.kstest(x, "norm", args=(0.0, self.STD), method="exact")
+        assert 2_500 * exact.statistic**2 >= 370.0
+        assert ks_norm_pvalue(x, self.STD) == exact.pvalue == 0.0
 
 
 class TestReferenceMixture:
