@@ -37,22 +37,20 @@ from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
 from .rejection import ReductionParams, b_plus, validate_condition
 from .verify import (
     ConstantLearner,
-    DensityOracle1D,
     PlantedRegionLearner,
     SgdHalfspaceLearner,
     TestReport,
     atom_safe_edges,
-    convolve_with_gaussian,
     distinguish,
-    dprime_atom_mass,
-    dprime_pdf,
-    folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
     massart_condition_estimate,
     max_label_deviation,
+    mixture_oracle,
     orthogonal_gaussianity_test,
+    project,
+    projected_histogram,
     ptf_error_estimate,
     write_histogram_csv,
     write_reports_json,
@@ -64,7 +62,6 @@ TOL_VIOLATING_MASS = 0.01
 TOL_PTF_ERROR = 0.02
 TOL_LABEL_BALANCE = 0.05
 NULL_ERROR_FACTOR = 0.8
-KS_LEVEL = 0.01
 HIDDEN_WINDOW = (-0.8, 0.8)
 NULL_WINDOW = (-1.2, 1.2)
 MASSART_WINDOW = (-1.3, 1.3)
@@ -106,6 +103,7 @@ class RunConfig:
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         check_fields(data, {k: _CONFIG_KINDS[k] for k in data}, "config")
+        _check_choices(data, "config")
         return cls(**data)
 
     def save(self, path):
@@ -121,6 +119,20 @@ class RunConfig:
 
 # each field's annotated type is its JSON kind for frames.check_fields
 _CONFIG_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# admitted values of the string fields, for the click options and the JSON checks
+_CHOICES = {
+    "kind": ("classic", "continuous"),
+    "tag": ("alternative", "null"),
+    "mode": ("strict", "desk-scale"),
+    "learner": ("planted", "constant", "sgd"),
+}
+
+
+def _check_choices(data, where):
+    for key, admitted in _CHOICES.items():
+        if key in data and data[key] not in admitted:
+            raise ValueError(f"{where} {key} {data[key]!r} is not one of "
+                             f"{', '.join(admitted)}")
 
 
 def _load_config(path, **overrides):
@@ -140,6 +152,8 @@ def _reduction_params(cfg):
 
 
 def _stream_budget(cfg):
+    if cfg.m < 0:
+        raise ValueError("m must be >= 0 (0 derives the stream budget)")
     return cfg.m if cfg.m > 0 else math.ceil(2.0 * (cfg.t / cfg.eps) * cfg.m_prime)
 
 
@@ -161,8 +175,8 @@ def main():
 
 @main.command("gen-lwe")
 @_CONFIG_OPT
-@click.option("--kind", type=click.Choice(["classic", "continuous"]), default=None)
-@click.option("--tag", type=click.Choice(["alternative", "null"]), default=None)
+@click.option("--kind", type=click.Choice(_CHOICES["kind"]), default=None)
+@click.option("--tag", type=click.Choice(_CHOICES["tag"]), default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
 @click.option("--q", type=int, default=None)
@@ -245,7 +259,7 @@ _SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prim
 @click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
               default=None,
               help="Unit-torus batch file; omitted: generate inline from config.")
-@click.option("--tag", type=click.Choice(["alternative", "null"]), default=None)
+@click.option("--tag", type=click.Choice(_CHOICES["tag"]), default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
 @click.option("--sigma", type=float, default=None)
@@ -301,35 +315,6 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
                f"(consumed {inst.consumed} of {batch.m})")
 
 
-def mixture_oracle(config):
-    """Label-marginal model of the projection onto the hidden direction.
-
-    The instance builder draws the -1 branch with probability eta, so the
-    unconditional projected law is the eta-weighted mixture of the two
-    branch laws, atoms included.  Blur smaller than 1e-3 is invisible at
-    any reasonable bin width and the convolution is skipped.
-    """
-    pp, pm, eta = config.params_plus, config.params_minus, config.eta
-    t, eps = pp.t, pp.eps
-    ss = math.sqrt(pp.signal_ratio)
-    sigma_noise = math.sqrt(1.0 - pp.signal_ratio)
-
-    def pdf(u):
-        return (1.0 - eta) * dprime_pdf(u, t, eps, pp.psi, pp.B, ss) \
-            + eta * dprime_pdf(u, t, eps, pm.psi, pm.B, ss)
-
-    atoms = [
-        (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, eps, pp.psi, pp.B, ss)),
-        (pm.psi - t, eta * dprime_atom_mass(t, eps, pm.psi, pm.B, ss)),
-    ]
-    half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
-    step = min(eps, max(sigma_noise, 1e-3)) / 8.0
-    oracle = DensityOracle1D(pdf, grid=(-half, half, step), atoms=atoms)
-    if sigma_noise >= 1e-3:
-        oracle = convolve_with_gaussian(oracle, sigma_noise)
-    return oracle
-
-
 def _instance_config(meta, header):
     """(RunConfig, secret or None) from a gen-instance sidecar.
 
@@ -338,9 +323,8 @@ def _instance_config(meta, header):
     """
     check_fields(meta, {**{k: _CONFIG_KINDS[k] for k in _SIDECAR_CONFIG_KEYS},
                         "lifted": bool, "secret": Optional[list]}, "sidecar")
+    _check_choices(meta, "sidecar")
     cfg = RunConfig(**{k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
-    if cfg.tag not in ("alternative", "null"):
-        raise ValueError(f"sidecar tag {cfg.tag!r} is neither alternative nor null")
     width = math.comb(cfg.n + cfg.d, cfg.d) if meta["lifted"] else cfg.n
     for key, want in (("lifted", meta["lifted"]), ("d", cfg.d),
                       ("m_prime", cfg.m_prime), ("n", width)):
@@ -357,13 +341,14 @@ def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
     oracle = mixture_oracle(config)
     atom_locs = [config.params_plus.psi - t, config.params_minus.psi - t]
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
+    proj = project(coords, secret)
     reports = [
-        hidden_direction_test(coords, secret, oracle, bins=edges, tol_l1=tol_l1),
-        orthogonal_gaussianity_test(coords, secret, level=KS_LEVEL),
+        hidden_direction_test(proj, oracle, edges, tol_l1),
+        orthogonal_gaussianity_test(coords, secret),
     ]
     medges = region_aligned_edges(t, eps, c_prime, MASSART_WINDOW, max_width=0.05)
     est = massart_condition_estimate(
-        coords, labels, secret, medges, eta=eta,
+        proj, labels, medges, eta=eta,
         target=lambda u: ptf_region(u, t, eps, c_prime))
     reports.append(TestReport(
         name="massart-violating-mass",
@@ -374,7 +359,7 @@ def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
         description=f"mass in bins with minority rate > {est.threshold:.3g}",
         params={"eta": eta, "min_count": est.min_count},
     ))
-    err = ptf_error_estimate(coords, labels, secret, t, eps, c_prime)
+    err = ptf_error_estimate(proj, labels, t, eps, c_prime)
     reports.append(TestReport(
         name="ptf-disagreement",
         statistic=err,
@@ -384,23 +369,20 @@ def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
         description="labels vs the planted threshold-polynomial region",
         params={"eta": eta},
     ))
-    hist = (coords @ secret / np.linalg.norm(secret), oracle, edges)
-    return reports, hist
+    return reports, (proj, oracle, edges)
 
 
 def _null_reports(coords, labels, cfg, bins, tol_l1):
-    n = coords.shape[1]
-    direction = np.ones(n)
     t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
     oracle = gaussian_oracle(1.0)
+    edges = np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1)
+    proj = project(coords, np.ones(coords.shape[1]))
     reports = [
-        isotropic_gaussianity_test(coords, level=KS_LEVEL),
-        hidden_direction_test(coords, direction, oracle, bins=bins,
-                              window=NULL_WINDOW, tol_l1=tol_l1),
+        isotropic_gaussianity_test(coords),
+        hidden_direction_test(proj, oracle, edges, tol_l1),
     ]
-    est = massart_condition_estimate(coords, labels, direction, bins, eta=eta,
-                                     min_count=BALANCE_MIN_COUNT,
-                                     window=NULL_WINDOW)
+    est = massart_condition_estimate(proj, labels, edges, eta=eta,
+                                     min_count=BALANCE_MIN_COUNT)
     dev = max_label_deviation(est, eta)
     reports.append(TestReport(
         name="label-balance",
@@ -411,7 +393,7 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
         description=f"max per-bin |Pr[y=+1] - {1 - eta:.3g}|",
         params={"eta": eta, "min_count": BALANCE_MIN_COUNT},
     ))
-    err = ptf_error_estimate(coords, labels, direction, t, eps, c_prime)
+    err = ptf_error_estimate(proj, labels, t, eps, c_prime)
     reports.append(TestReport(
         name="planted-null-error",
         statistic=err,
@@ -421,9 +403,7 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
         description="region classifier must not fit independent labels",
         params={"eta": eta},
     ))
-    hist = (coords @ direction / math.sqrt(n),
-            oracle, np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1))
-    return reports, hist
+    return reports, (proj, oracle, edges)
 
 
 @main.command("verify")
@@ -432,7 +412,7 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
               help="Write the JSON report array here (default: stdout only).")
 @click.option("--hist", "hist_path", type=click.Path(), default=None,
               help="Write the projection histogram (empirical vs model) CSV.")
-@click.option("--bins", type=int, default=64)
+@click.option("--bins", type=int, default=64, help="Histogram bins, from 1 to m'.")
 @click.option("--tol-l1", type=float, default=TOL_L1)
 @_SEED_OPT
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
@@ -448,6 +428,9 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
             raise ValueError("alternative instance without planted secret")
         config = MassartConfig(params=_reduction_params(cfg),
                                eta=cfg.eta, m_prime=cfg.m_prime)
+        if not 1 <= bins <= cfg.m_prime:
+            # more bins than samples leaves the histogram gates no power
+            raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
     except ValueError as err:
         raise click.UsageError(str(err))
     coords = x[:, 1 : cfg.n + 1] if header["lifted"] else x
@@ -462,10 +445,8 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
         write_reports_json(report_path, reports)
     if hist_path:
         proj, oracle, edges = hist
-        write_histogram_csv(hist_path, edges, {
-            "empirical": folded_histogram(proj, edges) / len(proj),
-            "model": oracle.bin_masses(edges),
-        })
+        emp, model = projected_histogram(proj, oracle, edges)
+        write_histogram_csv(hist_path, edges, {"empirical": emp, "model": model})
     for rep in reports:
         click.echo(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: "
                    f"statistic {rep.statistic:.6g} vs threshold {rep.threshold:.6g} "
@@ -486,8 +467,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
 @click.option("--m-prime", type=int, default=None)
 @click.option("--tau", type=float, default=None)
 @click.option("--trials", type=int, default=None)
-@click.option("--learner", type=click.Choice(["planted", "constant", "sgd"]),
-              default=None)
+@click.option("--learner", type=click.Choice(_CHOICES["learner"]), default=None)
 @click.option("--min-advantage", type=float, default=None,
               help="Exit 4 when the advantage falls below this.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
@@ -592,10 +572,11 @@ def cmd_preset_list():
 
 @preset.command("apply")
 @click.argument("name", type=click.Choice(sorted(PRESETS)))
-@click.option("--n", type=int, default=8)
+@click.option("--n", type=click.IntRange(min=1), default=8)
 @click.option("--zeta", type=float, default=0.5)
-@click.option("--m-prime", type=int, default=100_000)
-@click.option("--delta", type=float, default=0.01)
+@click.option("--m-prime", type=click.IntRange(min=1), default=100_000)
+@click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+              default=0.01)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
     """Write the preset's RunConfig JSON and report the parameter condition."""

@@ -55,6 +55,11 @@ class TruncationPolicy:
 
 DEFAULT_TRUNCATION = TruncationPolicy()
 
+# Support points above which sample_discrete_gaussian_1d refuses to build
+# its weight table.  The window holds 24 sigma / spacing points and the
+# table a few float64 arrays of that length, 32 MB each at the cap.
+SUPPORT_CAP = 1 << 22
+
 
 def mod_q(v, q):
     """Reduce v into [0, q); mod_q(q) == 0 and negative inputs wrap via floor."""
@@ -241,6 +246,9 @@ def _support_points(lat, sigma):
         # sigma far below the spacing: the window is empty, keep the nearest
         # point, which carries all of the mass anyway
         lo = hi = round(-lat.offset / lat.spacing)
+    if hi - lo + 1 > SUPPORT_CAP:
+        raise ValueError(f"discrete Gaussian window exceeds the cap of {SUPPORT_CAP} "
+                         f"lattice points at sigma {sigma:.6g}")
     return lat.offset + lat.spacing * np.arange(lo, hi + 1, dtype=float)
 
 

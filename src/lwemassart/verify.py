@@ -285,12 +285,46 @@ def convolve_with_gaussian(oracle, sigma_noise):
     return DensityOracle1D(interp, (xs[0], xs[-1], step))
 
 
+def mixture_oracle(config):
+    """Label-marginal model of the projection onto the hidden direction.
+
+    The instance builder draws the -1 branch with probability eta, so the
+    unconditional projected law is the eta-weighted mixture of the two
+    branch laws, atoms included.  Blur smaller than 1e-3 is invisible at
+    any reasonable bin width and the convolution is skipped.
+    """
+    pp, pm, eta = config.params_plus, config.params_minus, config.eta
+    t, eps = pp.t, pp.eps
+    ss = math.sqrt(pp.signal_ratio)
+    sigma_noise = math.sqrt(1.0 - pp.signal_ratio)
+
+    def pdf(u):
+        return (1.0 - eta) * dprime_pdf(u, t, eps, pp.psi, pp.B, ss) \
+            + eta * dprime_pdf(u, t, eps, pm.psi, pm.B, ss)
+
+    atoms = [
+        (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, eps, pp.psi, pp.B, ss)),
+        (pm.psi - t, eta * dprime_atom_mass(t, eps, pm.psi, pm.B, ss)),
+    ]
+    half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
+    step = min(eps, max(sigma_noise, 1e-3)) / 8.0
+    oracle = DensityOracle1D(pdf, grid=(-half, half, step), atoms=atoms)
+    if sigma_noise >= 1e-3:
+        oracle = convolve_with_gaussian(oracle, sigma_noise)
+    return oracle
+
+
 # -------------------------------------------------------- projection tests
 
 
 def _unit(s):
     s = np.asarray(s, dtype=float)
     return s / np.linalg.norm(s)
+
+
+def project(samples, s):
+    """Coordinates of the samples along the unit vector in direction s."""
+    return np.asarray(samples, dtype=float) @ _unit(s)
 
 
 def atom_safe_edges(lo, hi, bins, atom_locs):
@@ -320,24 +354,19 @@ def folded_histogram(proj, edges):
     return np.histogram(np.clip(proj, edges[0], edges[-1]), bins=edges)[0]
 
 
-def hidden_direction_test(samples, s, oracle, bins=64, window=None, tol_l1=0.05):
-    """L1 distance between projected-sample histogram and the oracle.
+def projected_histogram(proj, oracle, edges):
+    """(empirical, model) mass per bin of the projection proj.
 
-    bins is a count (uniform over the window) or an explicit edge array.
-    Tail mass on both sides is folded into the edge bins so the compared
-    vectors each sum to one.
+    Tail mass on both sides is folded into the edge bins, so each vector
+    sums to one.
     """
-    proj = np.asarray(samples, dtype=float) @ _unit(s)
-    if np.ndim(bins) == 1:
-        edges = np.asarray(bins, dtype=float)
-    else:
-        if window is None:
-            lo, hi, _ = oracle.grid
-            window = (lo, hi)
-        edges = np.linspace(window[0], window[1], bins + 1)
+    return folded_histogram(proj, edges) / len(proj), oracle.bin_masses(edges)
+
+
+def hidden_direction_test(proj, oracle, edges, tol_l1):
+    """L1 distance between the projected_histogram vectors on edges."""
+    emp, model = projected_histogram(proj, oracle, edges)
     n_bins = len(edges) - 1
-    emp = folded_histogram(proj, edges) / len(proj)
-    model = oracle.bin_masses(edges, lump_tails=True)
     l1 = float(np.abs(emp - model).sum())
     note = "" if len(proj) >= 20 * n_bins else "underpowered: fewer than 20 samples/bin; "
     return TestReport(
@@ -369,7 +398,22 @@ def ks_norm_pvalue(x, std):
     return float(kolmogorov(math.sqrt(n) * d))
 
 
-def orthogonal_gaussianity_test(samples, s, level=DEFAULT_LEVEL):
+def _min_p_report(name, pvals, n_samples, description):
+    """Bonferroni gate on the smallest of a family of KS p-values."""
+    alpha = DEFAULT_LEVEL / len(pvals)
+    min_p = float(np.min(pvals))  # a NaN p-value never passes
+    return TestReport(
+        name=name,
+        statistic=min_p,
+        threshold=alpha,
+        passed=min_p > alpha,
+        n_samples=n_samples,
+        description=description,
+        params={"level": DEFAULT_LEVEL, "tests": len(pvals)},
+    )
+
+
+def orthogonal_gaussianity_test(samples, s):
     """KS tests orthogonal to s: marginals plus quartile-conditioned slices.
 
     Every coordinate of an orthonormal basis of the complement is tested
@@ -380,7 +424,7 @@ def orthogonal_gaussianity_test(samples, s, level=DEFAULT_LEVEL):
     n = x.shape[1]
     if n == 1:
         return TestReport(
-            name="orthogonal-gaussianity", statistic=1.0, threshold=level,
+            name="orthogonal-gaussianity", statistic=1.0, threshold=DEFAULT_LEVEL,
             passed=True, n_samples=len(x), description="n=1: no complement, vacuous",
         )
     u = _unit(s)
@@ -397,35 +441,17 @@ def orthogonal_gaussianity_test(samples, s, level=DEFAULT_LEVEL):
             sel = coords[groups == g, j]
             if len(sel) >= 25:
                 pvals.append(ks_norm_pvalue(sel, std))
-    alpha = level / len(pvals)
-    min_p = float(np.min(pvals))  # a NaN p-value never passes
-    return TestReport(
-        name="orthogonal-gaussianity",
-        statistic=min_p,
-        threshold=alpha,
-        passed=min_p > alpha,
-        n_samples=len(x),
-        description=f"{len(pvals)} KS tests (marginal + quartile-conditioned)",
-        params={"level": level, "tests": len(pvals)},
-    )
+    return _min_p_report("orthogonal-gaussianity", pvals, len(x),
+                         f"{len(pvals)} KS tests (marginal + quartile-conditioned)")
 
 
-def isotropic_gaussianity_test(samples, level=DEFAULT_LEVEL):
+def isotropic_gaussianity_test(samples):
     """Per-coordinate KS against the width-1 Gaussian (null output law)."""
     x = np.asarray(samples, dtype=float)
     std = 1.0 / math.sqrt(TWO_PI)
     pvals = [ks_norm_pvalue(x[:, j], std) for j in range(x.shape[1])]
-    alpha = level / len(pvals)
-    min_p = float(np.min(pvals))  # a NaN p-value never passes
-    return TestReport(
-        name="isotropic-gaussianity",
-        statistic=min_p,
-        threshold=alpha,
-        passed=min_p > alpha,
-        n_samples=len(x),
-        description=f"{len(pvals)} per-coordinate KS tests",
-        params={"level": level, "tests": len(pvals)},
-    )
+    return _min_p_report("isotropic-gaussianity", pvals, len(x),
+                         f"{len(pvals)} per-coordinate KS tests")
 
 
 # ------------------------------------------------------- label-noise tests
@@ -448,24 +474,17 @@ class MassartEstimate:
     n_samples: int
 
 
-def massart_condition_estimate(samples, labels, s, bins, eta, min_count=50,
-                               window=None, target=None):
-    """Per-bin flip-rate audit of the label noise along s, at threshold 2 eta.
+def massart_condition_estimate(proj, labels, edges, eta, min_count=50, target=None):
+    """Per-bin flip-rate audit of the label noise along proj, at threshold 2 eta.
 
     Without a target the flip rate of a bin is its minority-label rate,
     which certifies the Massart condition for whatever sign pattern the
     majorities define.  Passing target (a sign function of the projection,
     evaluated at bin midpoints) pins the rate to that specific classifier;
     this is the stronger audit and is not fooled by a global label flip.
+    Samples outside [edges[0], edges[-1]] are not counted.
     """
-    proj = np.asarray(samples, dtype=float) @ _unit(s)
     labels = np.asarray(labels)
-    if isinstance(bins, int):
-        if window is None:
-            window = (float(proj.min()), float(proj.max()) + 1e-12)
-        edges = np.linspace(window[0], window[1], bins + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
     plus, _ = np.histogram(proj[labels > 0], bins=edges)
     minus, _ = np.histogram(proj[labels < 0], bins=edges)
     total = plus + minus
@@ -504,9 +523,8 @@ def max_label_deviation(estimate, eta):
     return worst
 
 
-def ptf_error_estimate(samples, labels, s, t, eps, c_prime):
+def ptf_error_estimate(proj, labels, t, eps, c_prime):
     """Empirical disagreement between labels and the region classifier."""
-    proj = np.asarray(samples, dtype=float) @ _unit(s)
     pred = ptf_region(proj, t, eps, c_prime)
     return float(np.mean(pred != np.asarray(labels)))
 

@@ -51,6 +51,7 @@ from lwemassart.verify import (
     massart_condition_estimate,
     max_label_deviation,
     orthogonal_gaussianity_test,
+    project,
     ptf_error_estimate,
 )
 
@@ -189,9 +190,8 @@ def test_criterion_04_hidden_direction_law(desk_alt_run):
     oracle = convolve_with_gaussian(
         dprime_oracle(T, EPS, 0.0, b_plus(EPS), math.sqrt(1.0 - SIGMA_NOISE**2)),
         SIGMA_NOISE)
-    rep = hidden_direction_test(desk_alt_run["x"], desk_alt_run["secret"],
-                                oracle, bins=64, window=(-0.8, 0.8),
-                                tol_l1=0.05)
+    rep = hidden_direction_test(project(desk_alt_run["x"], desk_alt_run["secret"]),
+                                oracle, np.linspace(-0.8, 0.8, 65), tol_l1=0.05)
     elapsed = time.perf_counter() - t0 + desk_alt_run["elapsed"]
     ok = rep.passed and elapsed < 300.0
     report(4, ok, f"projection histogram vs transformed-law oracle, L1 "
@@ -202,9 +202,8 @@ def test_criterion_04_hidden_direction_law(desk_alt_run):
 
 
 def test_criterion_05_orthogonal_gaussianity(desk_alt_run, desk_null_run):
-    rep_orth = orthogonal_gaussianity_test(desk_alt_run["x"],
-                                           desk_alt_run["secret"], level=0.01)
-    rep_null = isotropic_gaussianity_test(desk_null_run["x"], level=0.01)
+    rep_orth = orthogonal_gaussianity_test(desk_alt_run["x"], desk_alt_run["secret"])
+    rep_null = isotropic_gaussianity_test(desk_null_run["x"])
     ok = rep_orth.passed and rep_null.passed
     report(5, ok, f"orthogonal KS min p {rep_orth.statistic:.4f} (Bonferroni "
                   f"alpha {rep_orth.threshold:.2e}); null per-coordinate KS "
@@ -215,10 +214,11 @@ def test_criterion_05_orthogonal_gaussianity(desk_alt_run, desk_null_run):
 
 def test_criterion_06_massart_condition_planted(alt_instance):
     x, y, s = alt_instance["x"], alt_instance["labels"], alt_instance["secret"]
-    ptf_err = ptf_error_estimate(x, y, s, T, EPS, C_PRIME)
+    proj = project(x, s)
+    ptf_err = ptf_error_estimate(proj, y, T, EPS, C_PRIME)
     edges = region_aligned_edges(T, EPS, C_PRIME, (-1.3, 1.3), max_width=0.05)
     est = massart_condition_estimate(
-        x, y, s, edges, eta=ETA,
+        proj, y, edges, eta=ETA,
         target=lambda u: ptf_region(u, T, EPS, C_PRIME))
     ok = ptf_err <= 0.02 and est.violating_mass <= 0.01
     report(6, ok, f"ptf disagreement {ptf_err:.4f} (<= 0.02), violating mass "
@@ -229,11 +229,11 @@ def test_criterion_06_massart_condition_planted(alt_instance):
 
 def test_criterion_07_null_label_independence(null_instance):
     x, y = null_instance["x"], null_instance["labels"]
-    direction = np.ones(x.shape[1])
-    est = massart_condition_estimate(x, y, direction, 40, eta=ETA,
-                                     min_count=2000, window=(-1.2, 1.2))
+    proj = project(x, np.ones(x.shape[1]))
+    est = massart_condition_estimate(proj, y, np.linspace(-1.2, 1.2, 41), eta=ETA,
+                                     min_count=2000)
     dev = max_label_deviation(est, ETA)
-    err = ptf_error_estimate(x, y, direction, T, EPS, C_PRIME)
+    err = ptf_error_estimate(proj, y, T, EPS, C_PRIME)
     ok = dev <= 0.05 and err >= 0.8 * ETA
     report(7, ok, f"max per-bin label deviation {dev:.4f} (<= 0.05), planted "
                   f"classifier null error {err:.4f} (>= {0.8 * ETA:.3f})")

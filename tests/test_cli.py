@@ -270,6 +270,14 @@ class TestVerify:
         assert res.exit_code == 4
         assert "FAIL hidden-direction-l1" in res.output
 
+    @pytest.mark.parametrize("bins", ["0", "-3", "1000000000"])
+    @pytest.mark.parametrize("inst", ["alt.inst", "null.inst"])
+    def test_bins_outside_one_to_m_prime_exits_2(self, work, inst, bins):
+        res = CliRunner().invoke(main, ["verify", str(work / inst), "--bins", bins])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "--bins must lie in [1, m'=40000]" in res.output
+
     def test_missing_sidecar_is_usage_error(self, work, tmp_path):
         orphan = tmp_path / "orphan.inst"
         shutil.copyfile(work / "alt.inst", orphan)
@@ -413,6 +421,23 @@ def test_directory_input_exits_2(tmp_path, args):
     assert "is a directory" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["gen-instance", *BASE_ARGS, "--m-prime", "10", "--m", "-5", "--out", "{dir}/o.inst"],
+    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--m", "-5"],
+    ["preset", "apply", "theorem-d", "--n", "0", "--out", "{dir}/c.json"],
+    ["preset", "apply", "theorem-d", "--m-prime", "0", "--out", "{dir}/c.json"],
+    ["preset", "apply", "theorem-d", "--delta", "0", "--out", "{dir}/c.json"],
+    ["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "2", "--m", "10",
+     "--sigma", "1e12", "--out", "{dir}/o.lwe"],
+], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
+        "gen-lwe-noise-window"])
+def test_number_outside_its_domain_exits_2(tmp_path, args):
+    res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not any(tmp_path.iterdir())
+
+
 class TestDistinguish:
     def test_planted_learner_separates(self, tmp_path):
         report = tmp_path / "d.json"
@@ -477,6 +502,21 @@ class TestConfig:
             main, ["gen-instance", "--config", str(path), "--out", str(tmp_path / "x")])
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("command,field", [("gen-lwe", "kind"),
+                                               ("distinguish", "learner")])
+    def test_unknown_choice_rejected(self, tmp_path, command, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({field: "bogus"}))
+        with pytest.raises(ValueError, match=f"config {field} 'bogus' is not one of"):
+            RunConfig.load(path)
+        args = [command, "--config", str(path)]
+        if command == "gen-lwe":
+            args += ["--out", str(tmp_path / "x.lwe")]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not (tmp_path / "x.lwe").exists()
 
     def test_flags_override_config(self, tmp_path):
         cfg = RunConfig(n=4, sigma=TINY_SIGMA, m_prime=300, seed=6)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import logsumexp
 
+from lwemassart import gaussians
 from lwemassart.gaussians import (
     ShiftedLattice1D,
     TruncationPolicy,
@@ -187,6 +188,17 @@ def test_discrete_sampler_scalar_draw():
     v = sample_discrete_gaussian_1d(ShiftedLattice1D(), 1.0, rng=rng)
     assert isinstance(v, float)
     assert v == round(v)
+
+
+def test_support_window_cap_is_exact(monkeypatch):
+    # at sigma 2 the 12-sigma window on Z holds the 49 points -24..24; the
+    # cap is lowered around that count so no large table is ever built
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(gaussians, "SUPPORT_CAP", 49)
+    assert sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=rng, size=8).shape == (8,)
+    monkeypatch.setattr(gaussians, "SUPPORT_CAP", 48)
+    with pytest.raises(ValueError, match="cap of 48 lattice points"):
+        sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=rng, size=8)
 
 
 def test_tiny_sigma_keeps_nearest_point():

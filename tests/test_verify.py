@@ -33,6 +33,7 @@ from lwemassart.verify import (
     PlantedRegionLearner,
     SgdHalfspaceLearner,
     acceptance_rate_test,
+    atom_safe_edges,
     convolve_with_gaussian,
     distinguish,
     dk21_reference_sample,
@@ -46,7 +47,9 @@ from lwemassart.verify import (
     ks_norm_pvalue,
     massart_condition_estimate,
     max_label_deviation,
+    mixture_oracle,
     orthogonal_gaussianity_test,
+    project,
     ptf_error_estimate,
     write_histogram_csv,
     write_reports_json,
@@ -251,6 +254,29 @@ class TestConvolution:
         assert np.max(np.abs(c.bin_masses(edges, lump_tails=False) - target)) <= 2e-5
 
 
+class TestMixtureOracle:
+    """The alternative gate's model against its two branch oracles."""
+
+    @pytest.mark.parametrize("eta", [0.05, 0.0])
+    def test_eta_weighted_branch_sum(self, eta):
+        # the bench preset: sigma_noise = 2.5e-4 < 1e-3, so no convolution;
+        # the branch grids are narrower than the mixture's, hence 1e-3
+        cfg = MassartConfig(desk_params(sigma=5.5556e-4), eta=eta, m_prime=1)
+        pp, pm = cfg.params_plus, cfg.params_minus
+        ss = math.sqrt(pp.signal_ratio)
+        oracle = mixture_oracle(cfg)
+        edges = atom_safe_edges(-0.8, 0.8, 64, [pp.psi - T, pm.psi - T])
+        got = oracle.bin_masses(edges)
+        want = sum(w * dprime_oracle(T, EPS, p.psi, p.B, ss, step=oracle.step)
+                   .bin_masses(edges) for w, p in ((1.0 - eta, pp), (eta, pm)))
+        assert np.abs(got - want).sum() <= 1e-3
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        for (loc, mass), w, p in zip(oracle.atoms, (1.0 - eta, eta), (pp, pm)):
+            assert loc == p.psi - T
+            assert mass * oracle.normalization == pytest.approx(
+                w * dprime_atom_mass(T, EPS, p.psi, p.B, ss), rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def alt_run():
     rng = np.random.default_rng(20260814)
@@ -292,8 +318,8 @@ def sharp_run():
 class TestReductionLaw:
     def test_alternative_projection_matches_oracle(self, alt_run, conv_oracle):
         x, s = alt_run
-        rep = hidden_direction_test(x, s, conv_oracle, bins=48,
-                                    window=(-0.8, 0.8), tol_l1=0.08)
+        rep = hidden_direction_test(project(x, s), conv_oracle,
+                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
         assert rep.passed, rep
         assert len(x) > 15_000
 
@@ -312,38 +338,38 @@ class TestReductionLaw:
 
     def test_sharp_projection_matches_oracle(self, sharp_run, sharp_oracle):
         x, s = sharp_run
-        rep = hidden_direction_test(x, s, sharp_oracle, bins=48,
-                                    window=(-0.8, 0.8), tol_l1=0.08)
+        rep = hidden_direction_test(project(x, s), sharp_oracle,
+                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
         assert rep.passed, rep
 
     def test_sharp_wrong_direction_fails(self, sharp_run, sharp_oracle):
         x, s = sharp_run
         wrong = s * np.array([1.0, -1.0, 1.0, -1.0])
         assert abs(wrong @ s) < 1e-12
-        rep = hidden_direction_test(x, wrong, sharp_oracle, bins=48,
-                                    window=(-0.8, 0.8))
+        rep = hidden_direction_test(project(x, wrong), sharp_oracle,
+                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
         assert rep.statistic > 0.3
         assert not rep.passed
 
     def test_null_rejects_structured_model(self, null_run, sharp_oracle):
-        rep = hidden_direction_test(null_run, np.ones(4), sharp_oracle, bins=48,
-                                    window=(-0.8, 0.8))
+        rep = hidden_direction_test(project(null_run, np.ones(4)), sharp_oracle,
+                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
         assert rep.statistic > 0.3
 
     def test_right_edge_sample_counted_once(self):
         # np.histogram already books x == edges[-1] in the last bin; adding
         # the right tail on top would count that sample twice
         edges = np.linspace(-0.8, 0.8, 5)
-        reps = [hidden_direction_test(np.array([[top], [0.0], [-0.3], [0.1]]), [1.0],
-                                      gaussian_oracle(1.0), bins=edges)
+        reps = [hidden_direction_test(np.array([top, 0.0, -0.3, 0.1]),
+                                      gaussian_oracle(1.0), edges, tol_l1=0.05)
                 for top in (0.8, 0.8 - 1e-9)]
         assert reps[0].statistic == reps[1].statistic
         proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
         assert folded_histogram(proj, edges).tolist() == [2, 1, 2, 2]
 
     def test_null_projection_is_gaussian(self, null_run):
-        rep = hidden_direction_test(null_run, np.ones(4), gaussian_oracle(1.0),
-                                    bins=48, window=(-1.2, 1.2), tol_l1=0.08)
+        rep = hidden_direction_test(project(null_run, np.ones(4)), gaussian_oracle(1.0),
+                                    np.linspace(-1.2, 1.2, 49), tol_l1=0.08)
         assert rep.passed, rep
 
     def test_null_isotropic(self, null_run):
@@ -380,8 +406,8 @@ class TestReductionLaw:
 
     def test_underpowered_note(self, conv_oracle):
         rng = np.random.default_rng(3)
-        rep = hidden_direction_test(rng.normal(size=(100, 4)), np.ones(4),
-                                    conv_oracle, bins=64, window=(-0.8, 0.8))
+        rep = hidden_direction_test(project(rng.normal(size=(100, 4)), np.ones(4)),
+                                    conv_oracle, np.linspace(-0.8, 0.8, 65), tol_l1=0.05)
         assert rep.description.startswith("underpowered")
 
 
@@ -443,8 +469,7 @@ class TestReferenceMixture:
         rng = np.random.default_rng(271828)
         draws = dk21_reference_sample(T, EPS, 150_000, rng)
         o = dprime_oracle(T, EPS, 0.0, BP, 1.0, "uniform")
-        rep = hidden_direction_test(draws[:, None], np.array([1.0]), o,
-                                    bins=48, window=(-2.0, 2.0), tol_l1=0.05)
+        rep = hidden_direction_test(draws, o, np.linspace(-2.0, 2.0, 49), tol_l1=0.05)
         assert rep.passed, rep
 
     def test_atom_frequency(self):
@@ -472,7 +497,7 @@ class TestLabelNoise:
     def test_clean_instance_satisfies_bound(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
         edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
-        est = massart_condition_estimate(x, y, s, edges, eta=0.1)
+        est = massart_condition_estimate(project(x, s), y, edges, eta=0.1)
         assert est.violating_mass == 0.0
         worst = max((r[4] for r in est.bins if r[2] + r[3] >= est.min_count),
                     default=0.0)
@@ -480,16 +505,17 @@ class TestLabelNoise:
 
     def test_clean_instance_ptf_error(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
-        assert ptf_error_estimate(x, y, s, T, EPS, 0.04) <= 0.005
+        assert ptf_error_estimate(project(x, s), y, T, EPS, 0.04) <= 0.005
 
     def test_shuffled_labels_are_flagged(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
         perm = np.random.default_rng(11).permutation(len(y))
         edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
-        est = massart_condition_estimate(x, y[perm], s, edges, eta=0.03,
+        proj = project(x, s)
+        est = massart_condition_estimate(proj, y[perm], edges, eta=0.03,
                                          min_count=150)
         assert est.violating_mass > 0.3
-        assert ptf_error_estimate(x, y[perm], s, T, EPS, 0.04) > 0.05
+        assert ptf_error_estimate(proj, y[perm], T, EPS, 0.04) > 0.05
 
     def test_target_audit_catches_global_flip(self, tiny_noise_instance):
         # the minority rate per bin is flip-invariant; the rate against the
@@ -497,12 +523,13 @@ class TestLabelNoise:
         x, y, s = tiny_noise_instance
         edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
         region = lambda u: ptf_region(u, T, EPS, 0.04)
-        flipped = massart_condition_estimate(x, -y, s, edges, eta=0.1,
+        proj = project(x, s)
+        flipped = massart_condition_estimate(proj, -y, edges, eta=0.1,
                                              target=region)
         assert flipped.violating_mass > 0.9
-        agnostic = massart_condition_estimate(x, -y, s, edges, eta=0.1)
+        agnostic = massart_condition_estimate(proj, -y, edges, eta=0.1)
         assert agnostic.violating_mass == 0.0
-        clean = massart_condition_estimate(x, y, s, edges, eta=0.1,
+        clean = massart_condition_estimate(proj, y, edges, eta=0.1,
                                            target=region)
         assert clean.violating_mass == 0.0
 
@@ -554,8 +581,8 @@ class TestLabelNoise:
         batch = gen_continuous_lwe(4, 12_000, SIGMA_TINY, "alternative", rng=rng)
         inst = generate_instance(batch, cfg, rng=rng)
         est = massart_condition_estimate(
-            inst.x, inst.labels, np.asarray(batch.secret, float), 32, eta=0.0,
-            window=(-1.2, 1.2))
+            project(inst.x, batch.secret), inst.labels, np.linspace(-1.2, 1.2, 33),
+            eta=0.0)
         assert est.violating_mass == 0.0
         assert max_label_deviation(est, 0.0) == 0.0
 
@@ -563,8 +590,9 @@ class TestLabelNoise:
         rng = np.random.default_rng(33)
         x = rng.normal(0.0, 1.0 / math.sqrt(2 * math.pi), size=(20_000, 2))
         y = np.where(rng.random(20_000) < 0.1, -1, 1)
-        est = massart_condition_estimate(x, y, np.ones(2), 40, eta=0.1,
-                                         min_count=500, window=(-1.0, 1.0))
+        est = massart_condition_estimate(project(x, np.ones(2)), y,
+                                         np.linspace(-1.0, 1.0, 41), eta=0.1,
+                                         min_count=500)
         assert max_label_deviation(est, 0.1) <= 0.05
         assert est.violating_mass == 0.0
 
