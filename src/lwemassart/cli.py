@@ -38,7 +38,6 @@ from .rejection import ReductionParams, b_plus, validate_condition
 from .verify import (
     ConstantLearner,
     PlantedRegionLearner,
-    SgdHalfspaceLearner,
     TestReport,
     atom_safe_edges,
     distinguish,
@@ -124,7 +123,7 @@ _CHOICES = {
     "kind": ("classic", "continuous"),
     "tag": ("alternative", "null"),
     "mode": ("strict", "desk-scale"),
-    "learner": ("planted", "constant", "sgd"),
+    "learner": ("planted", "constant"),
 }
 
 
@@ -159,6 +158,16 @@ def _stream_budget(cfg):
 
 class StreamExhausted(click.ClickException):
     exit_code = 3
+
+
+class _FloatRange(click.FloatRange):
+    """A click.FloatRange that also refuses NaN, which passes every bound check."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if math.isnan(value):
+            self.fail(f"{value} is not a number.", param, ctx)
+        return value
 
 
 _CONFIG_OPT = click.option("--config", "config_path",
@@ -413,7 +422,7 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
 @click.option("--hist", "hist_path", type=click.Path(), default=None,
               help="Write the projection histogram (empirical vs model) CSV.")
 @click.option("--bins", type=int, default=64, help="Histogram bins, from 1 to m'.")
-@click.option("--tol-l1", type=float, default=TOL_L1)
+@click.option("--tol-l1", type=_FloatRange(min=0.0), default=TOL_L1)
 @_SEED_OPT
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
     """Run the distributional test battery for a labeled instance file."""
@@ -468,7 +477,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
 @click.option("--tau", type=float, default=None)
 @click.option("--trials", type=int, default=None)
 @click.option("--learner", type=click.Choice(_CHOICES["learner"]), default=None)
-@click.option("--min-advantage", type=float, default=None,
+@click.option("--min-advantage", type=_FloatRange(-1.0, 1.0), default=None,
               help="Exit 4 when the advantage falls below this.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_SEED_OPT
@@ -481,6 +490,9 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
                            trials=trials, learner=learner, seed=seed)
         if cfg.trials < 1:
             raise ValueError("distinguish needs trials >= 1")
+        if not 0.0 <= cfg.tau <= 1.0:
+            raise ValueError("distinguish needs tau in [0, 1]: it bounds a held-out "
+                             "error rate")
         if cfg.m_prime < 2:
             raise ValueError("distinguish needs m_prime >= 2: each instance is "
                              "split into a training and a held-out half")
@@ -509,7 +521,6 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
     factories = {
         "planted": lambda: PlantedRegionLearner(secret, cfg.t, cfg.eps, cfg.c_prime),
         "constant": ConstantLearner,
-        "sgd": lambda: SgdHalfspaceLearner(d=2, seed=_resolve_seed(cfg)),
     }
     rep = distinguish(make_instance, factories[cfg.learner], tau=cfg.tau,
                       trials=cfg.trials, rng=rng)
@@ -573,9 +584,9 @@ def cmd_preset_list():
 @preset.command("apply")
 @click.argument("name", type=click.Choice(sorted(PRESETS)))
 @click.option("--n", type=click.IntRange(min=1), default=8)
-@click.option("--zeta", type=float, default=0.5)
+@click.option("--zeta", type=_FloatRange(0.0, 1.0), default=0.5)
 @click.option("--m-prime", type=click.IntRange(min=1), default=100_000)
-@click.option("--delta", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+@click.option("--delta", type=_FloatRange(0.0, 1.0, min_open=True, max_open=True),
               default=0.01)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_preset_apply(name, n, zeta, m_prime, delta, out):

@@ -41,16 +41,11 @@ class ShiftedLattice1D:
 class TruncationPolicy:
     """Keep lattice points within radius_multiplier * sigma of the origin.
 
-    At the default 12 sigma the dropped tail is below exp(-pi * 144) of the
-    total mass, which is about 2^-652 and invisible to float64.  Multipliers
-    under 8 would start to bias desk-scale histograms, so they are rejected.
+    At 12 sigma the dropped tail is below exp(-pi * 144) of the total mass,
+    which is about 2^-652 and invisible to float64.
     """
 
     radius_multiplier: float = 12.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius_multiplier) and self.radius_multiplier >= 8.0):
-            raise ValueError("radius_multiplier must be >= 8")
 
 
 DEFAULT_TRUNCATION = TruncationPolicy()
@@ -80,25 +75,11 @@ def mod_1(v):
     return mod_q(v, 1.0)
 
 
-def rho_weight(x, sigma):
-    """Gaussian weight rho_sigma(x) = sigma^-n * exp(-pi * ||x/sigma||^2).
-
-    x is one point: a scalar (n = 1) or a vector in R^n.  Over R^n this is
-    the continuous density of the scale-sigma Gaussian.
-    """
-    _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("rho_weight needs finite coordinates")
-    n = x.size if x.ndim else 1
-    return float(sigma ** -n * math.exp(-math.pi * float(np.sum((x / sigma) ** 2))))
-
-
 def smoothing_threshold(n, eps):
     """Scale above which the collapsed Gaussian on [0,1)^n is eps-flat.
 
     Returns sqrt(ln(2n(1 + 1/eps)) / pi), the standard smoothing bound for
-    Z^n.  collapsed_density stays within [1-eps, 1+eps] for sigma at or
+    Z^n.  The collapsed density stays within [1-eps, 1+eps] for sigma at or
     above this value.
     """
     if not 0.0 < eps < 1.0:
@@ -124,21 +105,6 @@ def sample_discrete_gaussian_1d(lat, sigma, rng, size=None):
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(pts) - 1)
     out = pts[idx]
     return float(out) if size is None else out
-
-
-def sample_shifted_lattice_gaussian_nd(shift, sigma, rng, size=None):
-    """Draw from the discrete Gaussian on Z^n + shift at scale sigma.
-
-    rho factorizes over coordinates, so each coordinate is an independent
-    1-D draw on Z + shift_i.  size=None returns one vector (n,), otherwise
-    an array (size, n).
-    """
-    _check_sigma(sigma)
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if size is None:
-        return sample_lattice_rows(shift, sigma, rng=rng)
-    reps = np.broadcast_to(shift, (size, shift.size)).ravel()
-    return sample_lattice_rows(reps, sigma, rng=rng).reshape(size, shift.size)
 
 
 def sample_lattice_rows(shifts, sigma, *, rng):
@@ -200,41 +166,6 @@ def sample_continuous(n, sigma, rng, size=None):
     _check_sigma(sigma)
     shape = (n,) if size is None else (size, n)
     return rng.normal(0.0, sigma / math.sqrt(TWO_PI), size=shape)
-
-
-def sample_expanded(n, sigma, rng, size=None):
-    """Expanded Gaussian: x ~ U([0,1)^n), then a draw from Z^n + x at scale sigma.
-
-    mod_1 of the output is uniform by construction; for sigma above the
-    smoothing threshold the output itself is close to the continuous
-    Gaussian of the same scale.
-    """
-    _check_sigma(sigma)
-    shape = (n,) if size is None else (size, n)
-    x = rng.uniform(size=shape)
-    return sample_lattice_rows(x.ravel(), sigma, rng=rng).reshape(shape)
-
-
-def sample_collapsed(n, sigma, rng, size=None):
-    """Collapsed Gaussian: mod_1 of a continuous scale-sigma draw, in [0,1)^n."""
-    return mod_1(sample_continuous(n, sigma, rng=rng, size=size))
-
-
-def collapsed_density(u, sigma):
-    """Density at u in [0,1)^n of the collapsed Gaussian.
-
-    Computed as the product over coordinates of the truncated shift sum
-    sum_k rho_sigma(u_i + k).  Approaches 1 everywhere once sigma clears
-    smoothing_threshold(n, eps), per the smoothing lemma.
-    """
-    _check_sigma(sigma)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((u < 0.0) | (u >= 1.0)):
-        raise ValueError("u must lie in [0,1)^n")
-    h = int(math.ceil(DEFAULT_TRUNCATION.radius_multiplier * sigma)) + 1
-    k = np.arange(-h, h + 1, dtype=float)
-    per = np.exp(-math.pi * ((u[:, None] + k[None, :]) / sigma) ** 2).sum(axis=1) / sigma
-    return float(np.prod(per))
 
 
 def _support_points(lat, sigma):

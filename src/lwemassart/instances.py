@@ -9,9 +9,9 @@ with a family of slots carved out.
 The carving exists because the +1 projection law has geometrically
 spaced support translates whose decaying copies would otherwise land in
 the middle of the -1 support and break the bounded-flip-noise property.
-The map g below sends an ambient location to the spot in the base
-interval from which the -1 branch would populate it, so removing
-g-images of the +1 danger zones keeps the two supports apart.
+The map g (see _g_image_exact) sends an ambient location to the spot in
+the base interval from which the -1 branch would populate it, so
+removing g-images of the +1 danger zones keeps the two supports apart.
 
 The builder decides acceptance for every stream position at once, then
 walks the label sequence run by run: a run of equal labels takes the next
@@ -23,7 +23,7 @@ transform is vectorized per label group.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -37,7 +37,6 @@ from .rejection import (
     ReductionParams,
     accept_steps,
     b_plus,
-    params_for_branch,
     transform_accepted,
     validate_condition,
 )
@@ -54,34 +53,16 @@ DEFAULT_LIFT_CAP = 200_000
 # --------------------------------------------------------------------- g map
 
 
-def g_map(u, t):
-    """Slot position in [t/2, t) targeted by ambient location u.
-
-    Decomposes u = i*t + t/2 + b with b in [0, t) and applies
-        b/(i+1) + t/2        if i >= 0,
-        (b-t)/(i+2) + t/2    if i < 0.
-    The band i in {-1, -2} (u in [-1.5t, 0.5t)) is outside the domain:
-    i = -2 puts a zero divisor in the second branch and i = -1 is the
-    base cell itself.  Accepts scalars or arrays.
-    """
-    u = np.asarray(u, dtype=float)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    i = np.floor((u - t / 2.0) / t)
-    if np.any((i == -1) | (i == -2)):
-        raise ValueError(f"u in the excluded band [{-1.5 * t}, {0.5 * t})")
-    b = u - i * t - t / 2.0
-    out = np.where(i >= 0, b / (i + 1.0) + t / 2.0, (b - t) / (i + 2.0) + t / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _g_image_exact(lo, hi, t):
     """Exact image pairs of [lo, hi] under g, split at band boundaries.
 
-    Endpoints are Fractions; the image on a band with negative slope
-    (i < -2) comes out endpoint-reversed and is normalized here.  Pieces
-    falling in the excluded band are skipped: nothing can be populated
-    from there, so there is nothing to carve.
+    g writes u = i*t + t/2 + b with b in [0, t) and maps it to b/(i+1) + t/2
+    for i >= 0 and to (b-t)/(i+2) + t/2 for i < -2, a slot in [t/2, t);
+    the band i in {-1, -2} is outside its domain.  Endpoints are
+    Fractions; the image on a band with negative slope (i < -2) comes out
+    endpoint-reversed and is normalized here.  Pieces falling in the
+    excluded band are skipped: nothing can be populated from there, so
+    there is nothing to carve.
     """
     if hi <= lo:
         return []
@@ -292,7 +273,7 @@ class MassartConfig:
 
     @property
     def params_minus(self):
-        return params_for_branch(self.params, self.params.t / 2.0, self.b_minus)
+        return replace(self.params, psi=self.params.t / 2.0, B=self.b_minus)
 
 
 @dataclass(frozen=True)

@@ -42,17 +42,6 @@ def subtract_pairs(base, cut):
     return out
 
 
-def intersect_pairs(a, b):
-    """Set intersection of two [lo, hi) pair lists."""
-    out = []
-    for lo, hi in merge_pairs(a):
-        for clo, chi in merge_pairs(b):
-            ilo, ihi = max(lo, clo), min(hi, chi)
-            if ihi > ilo:
-                out.append((ilo, ihi))
-    return merge_pairs(out)
-
-
 @dataclass(frozen=True)
 class IntervalSet:
     """Sorted, pairwise-disjoint half-open intervals [a, b)."""

@@ -18,7 +18,7 @@ Steps, for parameters (t, eps, psi, B) with B inside [psi, psi+eps]:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,21 +161,12 @@ def validate_condition(params, m_prime=None):
     return {"mode": params.mode, "ok": all(evaluated), "clauses": clauses}
 
 
-def invert_y(y, t, psi):
+def _k_of_y(y, t, psi):
     """The unique k solving y = k/(t+k-psi), namely k = y(t-psi)/(1-y).
 
     Strictly increasing in y, so Step 1's membership test "y is in the
-    image of B" is exactly "invert_y(y) is in B".  Accepts arrays.
+    image of B" is exactly "k is in B".  y must already lie in [0, 1).
     """
-    y = np.asarray(y, dtype=float)
-    if np.any((y < 0.0) | (y >= 1.0)):
-        raise ValueError("y must lie in [0, 1)")
-    k = _k_of_y(y, t, psi)
-    return float(k) if k.ndim == 0 else k
-
-
-def _k_of_y(y, t, psi):
-    """invert_y without its range check, for y already known to be in [0, 1)."""
     return y * (t - psi) / (1.0 - y)
 
 
@@ -219,58 +210,6 @@ def step3_scales(k, params):
     return sigma_scale, np.sqrt(np.maximum(rad, 0.0))
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    """Vectorized rejection output over a batch.
-
-    x_prime rows follow the input stream order; indices maps each row back
-    to its source sample; consumed is how far the stream was read (equal to
-    m unless max_accepts cut the scan short).
-    """
-
-    x_prime: np.ndarray
-    k: np.ndarray
-    indices: np.ndarray
-    consumed: int
-    n_in: int
-
-    @property
-    def n_accepted(self):
-        return len(self.indices)
-
-
-def reduce_batch(batch, params, rng, max_accepts=None, want_outputs=True):
-    """Vectorized Steps 1-3 over a unit-torus batch.
-
-    Decisions for every stream position are drawn positionally (one keep
-    uniform per sample, accepted or not), so the accept/reject pattern for
-    a given seed does not depend on max_accepts.  want_outputs=False skips
-    the Step-3 sampling, which never affects acceptance.
-    """
-    if batch.domain != "unit_torus":
-        raise ValueError("reduce_batch expects a unit-torus batch")
-    if batch.n != params.n:
-        raise ValueError("batch dimension %d != params.n %d" % (batch.n, params.n))
-    u = rng.uniform(size=batch.m)
-    k_all, accept = accept_steps(batch.y, u, params)
-    idx = np.flatnonzero(accept)
-    consumed = batch.m
-    if max_accepts is not None and len(idx) > max_accepts:
-        idx = idx[:max_accepts]
-        consumed = int(idx[-1]) + 1
-    k_acc = k_all[idx]
-    if not want_outputs:
-        return ReductionResult(
-            x_prime=np.empty((0, params.n)),
-            k=k_acc,
-            indices=idx,
-            consumed=consumed,
-            n_in=batch.m,
-        )
-    x_prime = transform_accepted(batch.x[idx], k_acc, params, rng)
-    return ReductionResult(x_prime=x_prime, k=k_acc, indices=idx, consumed=consumed, n_in=batch.m)
-
-
 def transform_accepted(x, k, params, rng):
     """Step 3 applied to already-accepted samples with per-sample offsets k.
 
@@ -312,25 +251,7 @@ def acceptance_probability(params):
     return lower, branch_acceptance(t, psi, params.B)
 
 
-def accepted_k_pdf(k, params):
-    """Density of the recovered offset among accepted samples.
-
-    (t-psi)*t^2/(t+k-psi)^4 restricted to B, over the branch acceptance.
-    The paper's analysis idealizes this as uniform on B, which it
-    approaches only as eps/t -> 0; this is the exact law.  Accepts arrays.
-    """
-    k = np.asarray(k, dtype=float)
-    t, psi = params.t, params.psi
-    val = (t - psi) * t**2 / (t + k - psi) ** 4
-    val = np.where(params.B.contains(k), val, 0.0) / branch_acceptance(t, psi, params.B)
-    return float(val) if val.ndim == 0 else val
-
-
 def b_plus(eps):
     """The +1-branch offset window [0, eps)."""
     return IntervalSet.single(0.0, eps)
 
-
-def params_for_branch(params, psi, B):
-    """Copy params with a different (psi, B) branch."""
-    return replace(params, psi=psi, B=B)

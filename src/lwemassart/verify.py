@@ -33,10 +33,8 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import null_space
 from scipy.special import kolmogorov, ndtr, smirnov
 
-from .gaussians import sample_lattice_rows
-from .instances import ptf_region, veronese_lift
-from .lwe import gen_continuous_lwe
-from .rejection import acceptance_probability, branch_acceptance, reduce_batch
+from .instances import ptf_region
+from .rejection import branch_acceptance
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_LEVEL = 0.01
@@ -221,19 +219,6 @@ def dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law="accepted"):
     else:
         raise ValueError("k_law must be 'uniform' or 'accepted'")
     return float(_rho1(psi - t, sigma_signal) * mean)
-
-
-def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted", step=None):
-    """Raw (unconvolved) oracle for the projected law, atom included."""
-    w = 4.5 * sigma_signal + t + abs(psi)
-    if step is None:
-        step = min(min(b - a for a, b in B), eps) / 8.0
-    atom = (psi - t, dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law))
-    return DensityOracle1D(
-        lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law),
-        (-w, w, step),
-        atoms=(atom,),
-    )
 
 
 def _convolve_same(a, kern):
@@ -557,50 +542,6 @@ class ConstantLearner:
         return np.ones(len(x), dtype=np.int8)
 
 
-class SgdHalfspaceLearner:
-    """Averaged hinge-loss SGD on degree-d lifted features.
-
-    A plain exploratory baseline: feature standardization from the
-    training split, EPOCHS passes in a seeded shuffle at step size LR,
-    averaged iterate for prediction.
-    """
-
-    EPOCHS, LR = 5, 0.05
-
-    def __init__(self, d=2, seed=0):
-        self.d, self.seed = d, seed
-        self.w = None
-
-    def _features(self, x):
-        v = veronese_lift(np.asarray(x, dtype=float), self.d)
-        v = (v - self._mu) / self._sd
-        v[:, 0] = 1.0
-        return v
-
-    def fit(self, x, y):
-        v = veronese_lift(np.asarray(x, dtype=float), self.d)
-        self._mu = v.mean(axis=0)
-        self._sd = np.where(v.std(axis=0) > 1e-12, v.std(axis=0), 1.0)
-        v = self._features(x)
-        y = np.asarray(y, dtype=float)
-        rng = np.random.default_rng(self.seed)
-        w = np.zeros(v.shape[1])
-        acc = np.zeros_like(w)
-        steps = 0
-        for _ in range(self.EPOCHS):
-            for i in rng.permutation(len(y)):
-                if y[i] * (w @ v[i]) < 1.0:
-                    w += self.LR * y[i] * v[i]
-                acc += w
-                steps += 1
-        self.w = acc / steps
-        return self
-
-    def predict(self, x):
-        v = self._features(x)
-        return np.where(v @ self.w >= 0.0, 1, -1).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class DistinguishReport:
     p_alt: float
@@ -662,37 +603,3 @@ def distinguish(make_instance, learner_factory, tau, trials, rng):
         degenerate_trials=degenerate,
     )
 
-
-# ------------------------------------------------------------- rate checks
-
-
-def acceptance_rate_test(params, n_trials, rng):
-    """Empirical acceptance vs the exact value and the closed bound."""
-    batch = gen_continuous_lwe(params.n, n_trials, params.sigma, "null", rng=rng)
-    res = reduce_batch(batch, params, rng=rng, want_outputs=False)
-    lower, exact = acceptance_probability(params)
-    rate = res.n_accepted / n_trials
-    se = math.sqrt(exact * (1.0 - exact) / n_trials)
-    ok = abs(rate - exact) <= 3.0 * se and rate >= lower
-    return TestReport(
-        name="acceptance-rate",
-        statistic=rate,
-        threshold=exact,
-        passed=ok,
-        n_samples=n_trials,
-        description=f"exact {exact:.6g}, lower bound {lower:.6g}, 3-sigma band "
-                    f"{3.0 * se:.2e}",
-        params={"lower": lower, "exact": exact, "psi": params.psi},
-    )
-
-
-def dk21_reference_sample(t, eps, size, rng):
-    """Direct sampler for the uniform-offset mixture of lattice Gaussians.
-
-    Draws u uniform on [0, eps) and then a width-1 discrete Gaussian on
-    u + (t+u)Z, by rescaling the row sampler to unit spacing.
-    """
-    u = rng.uniform(0.0, eps, size=size)
-    spacing = t + u
-    w = sample_lattice_rows(u / spacing, 1.0 / spacing, rng=rng)
-    return w * spacing

@@ -13,18 +13,13 @@ Heavy runs are shared through module fixtures: criteria 4 and 5 reuse one
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from lwemassart.gaussians import (
-    ShiftedLattice1D,
-    collapsed_density,
-    mod_1,
-    sample_discrete_gaussian_1d,
-    sample_expanded,
-)
+from lwemassart.gaussians import ShiftedLattice1D, mod_1, sample_discrete_gaussian_1d
 from lwemassart.instances import (
     MassartConfig,
     build_b_minus,
@@ -33,19 +28,12 @@ from lwemassart.instances import (
     region_aligned_edges,
 )
 from lwemassart.lwe import gen_classic_lwe, gen_continuous_lwe, run_chain
-from lwemassart.rejection import (
-    ReductionParams,
-    b_plus,
-    params_for_branch,
-    reduce_batch,
-)
+from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
     ConstantLearner,
     PlantedRegionLearner,
-    acceptance_rate_test,
     convolve_with_gaussian,
     distinguish,
-    dprime_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
     massart_condition_estimate,
@@ -53,6 +41,14 @@ from lwemassart.verify import (
     orthogonal_gaussianity_test,
     project,
     ptf_error_estimate,
+)
+
+from oracles import (
+    acceptance_rate_test,
+    collapsed_density,
+    dprime_oracle,
+    reduce_batch,
+    sample_expanded,
 )
 
 T = 0.2
@@ -171,7 +167,7 @@ def test_criterion_02_expanded_collapsed_gaussians():
 def test_criterion_03_acceptance_rate_both_branches():
     t0 = time.perf_counter()
     base = desk_params(8, DESK_SIGMA)
-    minus = params_for_branch(base, T / 2.0, build_b_minus(T, EPS, C_PRIME))
+    minus = replace(base, psi=T / 2.0, B=build_b_minus(T, EPS, C_PRIME))
     rng = np.random.default_rng(103)
     rep_plus = acceptance_rate_test(base, 1_000_000, rng)
     rep_minus = acceptance_rate_test(minus, 1_000_000, rng)

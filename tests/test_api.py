@@ -1,15 +1,29 @@
-"""Checks on the public signatures of the lwemassart package."""
+"""Checks on the public signatures and the imports of the lwemassart package."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import lwemassart
 
+import oracles
+
+SRC = Path(lwemassart.__file__).parent
+TESTS = Path(__file__).parent
+# the modules that generate samples and instances; verify.py checks their output
+GENERATOR_MODULES = {"gaussians", "lwe", "rejection", "instances"}
+
+
+def _modules():
+    for info in pkgutil.iter_modules(lwemassart.__path__):
+        yield importlib.import_module(f"lwemassart.{info.name}")
+    yield oracles
+
 
 def _public_callables():
-    for info in pkgutil.iter_modules(lwemassart.__path__):
-        module = importlib.import_module(f"lwemassart.{info.name}")
+    for module in _modules():
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
@@ -21,14 +35,46 @@ def _public_callables():
                         yield f"{module.__name__}.{name}.{meth}", fn
 
 
+def _imports(path):
+    """(module, name) per imported name, package prefix dropped.
+
+    "from .rejection import branch_acceptance" gives ("rejection",
+    "branch_acceptance"); importing a whole module gives (module, "*").
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("lwemassart").lstrip(".")
+            for alias in node.names:
+                yield (alias.name, "*") if module == "" else (module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("lwemassart."), "*"
+
+
 def test_no_rng_parameter_has_a_default():
     # all randomness flows through a generator the caller seeds; a default
     # would let a call fall back to an unseeded one
-    walked, defaulted = 0, []
+    walked, defaulted = [], []
     for qualname, fn in _public_callables():
-        walked += 1
+        walked.append(qualname)
         rng = inspect.signature(fn).parameters.get("rng")
         if rng is not None and rng.default is not inspect.Parameter.empty:
             defaulted.append(qualname)
-    assert walked > 50
+    assert len(walked) > 50
+    assert "oracles.reduce_batch" in walked
     assert defaulted == []
+
+
+def test_verify_shares_two_names_with_the_generator():
+    # the oracles and gates stay independent of the code they check: only
+    # the exact branch acceptance and the planted region are shared
+    shared = {(m, name) for m, name in _imports(SRC / "verify.py") if m in GENERATOR_MODULES}
+    assert shared == {("rejection", "branch_acceptance"), ("instances", "ptf_region")}
+
+
+def test_package_imports_nothing_from_the_tests():
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    found = [(path.name, m) for path in sorted(SRC.glob("*.py"))
+             for m, _ in _imports(path) if m.split(".")[0] in test_modules]
+    assert len(list(SRC.glob("*.py"))) > 5
+    assert found == []

@@ -278,6 +278,14 @@ class TestVerify:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "--bins must lie in [1, m'=40000]" in res.output
 
+    def test_nan_tol_l1_exits_2(self, work, tmp_path):
+        res = CliRunner().invoke(main, ["verify", str(work / "alt.inst"), "--tol-l1", "nan",
+                                        "--report", str(tmp_path / "r.json"),
+                                        "--hist", str(tmp_path / "h.csv")])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not any(tmp_path.iterdir())
+
     def test_missing_sidecar_is_usage_error(self, work, tmp_path):
         orphan = tmp_path / "orphan.inst"
         shutil.copyfile(work / "alt.inst", orphan)
@@ -429,8 +437,16 @@ def test_directory_input_exits_2(tmp_path, args):
     ["preset", "apply", "theorem-d", "--delta", "0", "--out", "{dir}/c.json"],
     ["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "2", "--m", "10",
      "--sigma", "1e12", "--out", "{dir}/o.lwe"],
+    ["preset", "apply", "desk-scale", "--delta", "nan", "--out", "{dir}/c.json"],
+    ["preset", "apply", "theorem-d", "--zeta", "nan", "--out", "{dir}/c.json"],
+    ["preset", "apply", "theorem-d", "--zeta", "inf", "--out", "{dir}/c.json"],
+    ["preset", "apply", "theorem-d", "--zeta", "-100", "--out", "{dir}/c.json"],
+    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--tau", "nan"],
+    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
+     "--min-advantage", "nan"],
 ], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
-        "gen-lwe-noise-window"])
+        "gen-lwe-noise-window", "preset-delta-nan", "preset-zeta-nan", "preset-zeta-inf",
+        "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan"])
 def test_number_outside_its_domain_exits_2(tmp_path, args):
     res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
     assert res.exit_code == 2, res.output
@@ -470,10 +486,36 @@ class TestDistinguish:
         assert "Traceback" not in res.output
 
 
+    @pytest.mark.parametrize("tau", [2.0, -0.5])
+    def test_tau_outside_unit_interval_in_config_exits_2(self, tmp_path, tau):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tau": tau}))
+        res = CliRunner().invoke(main, ["distinguish", "--config", str(path), *BASE_ARGS,
+                                        "--m-prime", "10", "--trials", "1"])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "tau in [0, 1]" in res.output
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sgd_learner_exits_2(self, tmp_path, source):
+        if source == "flag":
+            args = ["--learner", "sgd"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"learner": "sgd"}))
+            args = ["--config", str(path)]
+        res = CliRunner().invoke(main, ["distinguish", *BASE_ARGS, "--m-prime", "10",
+                                        "--trials", "1", *args])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "'sgd' is not one of" in res.output
+        assert "planted" in res.output and "constant" in res.output
+
+
 class TestConfig:
     def test_roundtrip_is_lossless(self, tmp_path):
         cfg = RunConfig(n=6, sigma=1e-3, t=0.1, eps=0.0125, m_prime=123,
-                        seed=42, learner="sgd")
+                        seed=42, learner="constant")
         path = tmp_path / "cfg.json"
         cfg.save(path)
         assert RunConfig.load(path) == cfg

@@ -17,19 +17,21 @@ from scipy.special import logsumexp
 from lwemassart import gaussians
 from lwemassart.gaussians import (
     ShiftedLattice1D,
-    TruncationPolicy,
     _envelope,
-    collapsed_density,
     mod_1,
     mod_q,
-    rho_weight,
-    sample_collapsed,
     sample_continuous,
     sample_discrete_gaussian_1d,
-    sample_expanded,
     sample_lattice_rows,
-    sample_shifted_lattice_gaussian_nd,
     smoothing_threshold,
+)
+
+from oracles import (
+    collapsed_density,
+    rho_weight,
+    sample_collapsed,
+    sample_expanded,
+    sample_shifted_lattice_gaussian_nd,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -207,12 +209,6 @@ def test_tiny_sigma_keeps_nearest_point():
     lat = ShiftedLattice1D(spacing=10.0, offset=4.0)
     draws = sample_discrete_gaussian_1d(lat, 0.01, rng=rng, size=100)
     assert np.all(draws == 4.0)
-
-
-def test_truncation_policy_floor():
-    with pytest.raises(ValueError):
-        TruncationPolicy(radius_multiplier=4.0)
-    TruncationPolicy(radius_multiplier=8.0)  # boundary is allowed
 
 
 # ---------------------------------------------------------------- nd sampler

@@ -20,7 +20,6 @@ from lwemassart.instances import (
     MassartConfig,
     _g_image_exact,
     build_b_minus,
-    g_map,
     generate_instance,
     ptf_region,
     read_labeled_file,
@@ -31,15 +30,16 @@ from lwemassart.instances import (
     veronese_lift,
     write_labeled_file,
 )
-from lwemassart.intervals import IntervalSet, intersect_pairs, merge_pairs, subtract_pairs
+from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import (
     ReductionParams,
     b_plus,
-    invert_y,
     keep_probability,
     transform_accepted,
 )
+
+from oracles import g_map, intersect_pairs, invert_y, reduce_batch
 
 T, EPS, CP = 0.2, 0.025, 0.04
 SIGMA = 1.0 / (8.0 * (T + EPS))
@@ -469,8 +469,6 @@ def test_builder_validates_batch():
 
 def test_plus_branch_law_matches_reduce_batch():
     from scipy import stats
-
-    from lwemassart.rejection import reduce_batch
 
     cfg = desk_config(8_000, eta=0.0, n=4)
     rng = np.random.default_rng(17)

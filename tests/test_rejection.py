@@ -8,6 +8,7 @@ direct evaluation.
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +22,14 @@ from lwemassart.rejection import (
     ReductionParams,
     accept_steps,
     acceptance_probability,
-    accepted_k_pdf,
     b_plus,
-    invert_y,
     keep_probability,
-    params_for_branch,
-    reduce_batch,
     step3_scales,
     transform_accepted,
     validate_condition,
 )
+
+from oracles import accepted_k_pdf, invert_y, reduce_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,7 +324,7 @@ def test_reduce_batch_output_shape_and_branches():
     assert res.x_prime.shape == (res.n_accepted, p.n)
     assert np.all(np.isfinite(res.x_prime))
     # minus branch accepts too, at roughly half the rate (t-psi factor)
-    pm = params_for_branch(p, p.t / 2, IntervalSet.single(p.t / 2, p.t / 2 + p.eps))
+    pm = replace(p, psi=p.t / 2, B=IntervalSet.single(p.t / 2, p.t / 2 + p.eps))
     _, exact_p = acceptance_probability(p)
     _, exact_m = acceptance_probability(pm)
     assert exact_m == pytest.approx(exact_p / 2, rel=1e-9)

@@ -26,19 +26,15 @@ from lwemassart.instances import (
     region_aligned_edges,
 )
 from lwemassart.lwe import gen_continuous_lwe
-from lwemassart.rejection import ReductionParams, b_plus, reduce_batch
+from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
     ConstantLearner,
     DensityOracle1D,
     PlantedRegionLearner,
-    SgdHalfspaceLearner,
-    acceptance_rate_test,
     atom_safe_edges,
     convolve_with_gaussian,
     distinguish,
-    dk21_reference_sample,
     dprime_atom_mass,
-    dprime_oracle,
     dprime_pdf,
     folded_histogram,
     gaussian_oracle,
@@ -55,6 +51,8 @@ from lwemassart.verify import (
     write_reports_json,
 )
 from lwemassart.verify import _convolve_same
+
+from oracles import acceptance_rate_test, dk21_reference_sample, dprime_oracle, reduce_batch
 
 T, EPS, PSI = 0.2, 0.025, 0.0
 SIGMA = 1.0 / (8.0 * (T + EPS))  # (t+eps)*sigma = 1/8, SR = 15/16
@@ -658,16 +656,6 @@ class TestDistinguish:
         assert advantages[1] >= advantages[0] - two_sigma
         assert advantages[2] >= advantages[1] - two_sigma
         assert advantages[2] >= 0.85
-
-    def test_sgd_learner_fits_separable_data(self):
-        rng = np.random.default_rng(66)
-        n = 800
-        y = np.where(rng.random(n) < 0.5, 1, -1)
-        x = rng.normal(0.0, 0.3, size=(n, 2)) + 0.8 * y[:, None]
-        learner = SgdHalfspaceLearner(d=1, seed=1)
-        learner.fit(x[:400], y[:400])
-        err = np.mean(learner.predict(x[400:]) != y[400:])
-        assert err <= 0.1
 
 
 class TestOutputs:
