@@ -20,7 +20,7 @@ from typing import Optional
 import click
 import numpy as np
 
-from .frames import check_fields, decode_json
+from .frames import check_fields, decode_json, write_json
 from .instances import (
     MassartConfig,
     generate_instance,
@@ -106,9 +106,7 @@ class RunConfig:
         return cls(**data)
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -233,13 +231,8 @@ def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     try:
         batch = LweBatch.load(batch_path)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    if batch.domain != "mod_q":
-        raise click.UsageError("input batch is already on the unit torus")
-    rng = np.random.default_rng(0 if seed is None else seed)
-    try:
-        reduced = run_chain(batch, sigma_target, sigma_coord, rng=rng)
+        reduced = run_chain(batch, sigma_target, sigma_coord,
+                            rng=np.random.default_rng(0 if seed is None else seed))
     except ValueError as err:
         raise click.UsageError(str(err))
     reduced.save(out)
@@ -301,14 +294,14 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
         mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta,
                                 m_prime=cfg.m_prime)
         inst = generate_instance(batch, mconfig, rng=rng)
+        if not inst.ok:
+            raise StreamExhausted(
+                f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
+                f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
+            )
+        x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
     except ValueError as err:
         raise click.UsageError(str(err))
-    if not inst.ok:
-        raise StreamExhausted(
-            f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
-            f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
-        )
-    x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
     meta = {
         "command": "gen-instance",
         **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
@@ -532,9 +525,7 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
     if cfg.trials < 20:
         payload["warning"] = "underpowered: fewer than 20 paired trials"
     if report_path:
-        with open(report_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report_path, payload)
     click.echo(json.dumps(payload, sort_keys=True))
     if min_advantage is not None and rep.advantage < min_advantage:
         sys.exit(4)

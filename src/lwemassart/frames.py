@@ -65,6 +65,13 @@ def decode_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
+def write_json(path, obj):
+    """Write obj to path as sort-keyed JSON, indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def pack(magic, header):
     """The bytes of a framed file that precede its payload."""
     hb = json.dumps(header, sort_keys=True).encode()

@@ -21,7 +21,6 @@ transform is vectorized per label group.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -423,9 +422,7 @@ def sidecar_path(path):
 
 
 def write_sidecar(path, meta):
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    frames.write_json(sidecar_path(path), meta)
 
 
 def read_sidecar(path):

@@ -5,9 +5,10 @@ in [0, q)) or "unit_torus" (components in [0, 1)).  Alternative batches
 keep their secret and running noise so the defining relation
 y = mod(<x, s> + noise) stays exactly checkable after every transform.
 
-The chain classic -> continuize_noise -> continuize_samples ->
-rescale_to_unit turns classic modular LWE with a {±1}^n secret into
-continuous unit-torus LWE; its output should be statistically
+run_chain turns classic modular LWE with a {±1}^n secret into
+continuous unit-torus LWE in one pass of three steps, recorded in the
+batch history as noise-add (blur the label), sample-add (blur the
+sample) and rescale (divide by q).  Its output should be statistically
 indistinguishable from direct continuous generation at the matched scale,
 which is the module's master property and is tested as such.
 """
@@ -224,83 +225,7 @@ def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
     return LweBatch(x, y, "unit_torus", tag, sigma)
 
 
-# ------------------------------------------------------------- chain steps
-
-
-def continuize_noise(batch, sigma_target, rng):
-    """Blur the label: y <- mod_q(y + e), e continuous with the scale that
-    lifts the batch noise from sigma to sigma_target."""
-    if batch.domain != "mod_q":
-        raise ValueError("continuize_noise expects a mod_q batch")
-    if not sigma_target > batch.sigma:
-        raise ValueError("sigma_target must exceed the batch noise scale")
-    sigma_add = math.sqrt(sigma_target**2 - batch.sigma**2)
-    e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
-    noise = None if batch.noise is None else batch.noise + e
-    return LweBatch(
-        batch.x,
-        mod_q(batch.y + e, batch.q),
-        batch.domain,
-        batch.tag,
-        sigma_target,
-        q=batch.q,
-        secret=batch.secret,
-        noise=noise,
-        history=batch.history + (ContinuizationStep("noise-add", sigma_add),),
-    )
-
-
-def continuize_samples(batch, sigma_coord, rng):
-    """Blur the sample: x <- mod_q(x + x'), x' per-coordinate Gaussian at
-    scale sigma_coord.
-
-    Through the ±1 secret the displacement feeds the label relation, so the
-    effective noise becomes sqrt(sigma^2 + n * sigma_coord^2) (||s||^2 = n
-    exactly for ±1 secrets) and the running noise picks up -<x', s>.
-    """
-    if batch.domain != "mod_q":
-        raise ValueError("continuize_samples expects a mod_q batch")
-    if not np.array_equal(batch.x, np.round(batch.x)):
-        raise ValueError("continuize_samples expects integer sample support")
-    if sigma_coord <= 0:
-        raise ValueError("sigma_coord must be positive")
-    xp = sample_continuous(batch.n, sigma_coord, rng=rng, size=batch.m)
-    noise = batch.noise
-    if noise is not None and batch.secret is not None:
-        noise = noise - xp @ batch.secret
-    return LweBatch(
-        mod_q(batch.x + xp, batch.q),
-        batch.y,
-        batch.domain,
-        batch.tag,
-        math.sqrt(batch.sigma**2 + batch.n * sigma_coord**2),
-        q=batch.q,
-        secret=batch.secret,
-        noise=noise,
-        history=batch.history + (ContinuizationStep("sample-add", sigma_coord),),
-    )
-
-
-def rescale_to_unit(batch):
-    """Divide samples, labels and noise by q; domain becomes the unit torus.
-
-    The secret is untouched, so the defining relation still holds verbatim
-    under mod_1.  Exactly invertible up to float rounding.
-    """
-    if batch.domain != "mod_q":
-        raise ValueError("rescale_to_unit expects a mod_q batch")
-    q = float(batch.q)
-    noise = None if batch.noise is None else batch.noise / q
-    return LweBatch(
-        batch.x / q,
-        batch.y / q,
-        "unit_torus",
-        batch.tag,
-        batch.sigma / q,
-        secret=batch.secret,
-        noise=noise,
-        history=batch.history + (ContinuizationStep("rescale"),),
-    )
+# ------------------------------------------------------------- the chain
 
 
 def default_chain_scales(sigma, m):
@@ -317,11 +242,60 @@ def default_chain_scales(sigma, m):
 
 
 def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
-    """classic -> continuize_noise -> continuize_samples -> rescale_to_unit."""
+    """Continuize a classic mod_q batch onto the unit torus in one pass.
+
+    The three steps, each recorded in history:
+
+    - noise-add: y <- mod_q(y + e), e continuous at the scale that lifts
+      the batch noise from sigma to sigma_target (drawn first);
+    - sample-add: x <- mod_q(x + x'), x' per-coordinate Gaussian at
+      sigma_coord.  Through the ±1 secret the displacement feeds the label
+      relation, so the noise becomes sqrt(sigma_target^2 + n sigma_coord^2)
+      (||s||^2 = n exactly) and the running noise picks up -<x', s>;
+    - rescale: x, y, noise and sigma are divided by q.  The secret is
+      untouched, so y = mod_1(<x, s> + noise) holds verbatim.
+
+    Omitted scales come from default_chain_scales.  The input batch is
+    left as it was; one LweBatch is built.
+    """
+    if batch.domain != "mod_q":
+        raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
     ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
     st = ref_t if sigma_target is None else sigma_target
     sc = ref_c if sigma_coord is None else sigma_coord
-    out = continuize_noise(batch, st, rng=rng)
-    out = continuize_samples(out, sc, rng=rng)
-    return rescale_to_unit(out)
-
+    if not st > batch.sigma:
+        raise ValueError("sigma_target must exceed the batch noise scale")
+    if not sc > 0:
+        raise ValueError("sigma_coord must be positive")
+    if not np.array_equal(batch.x, np.round(batch.x)):
+        raise ValueError("the chain needs integer sample support")
+    q = float(batch.q)
+    sigma_add = math.sqrt(st**2 - batch.sigma**2)
+    e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
+    xp = sample_continuous(batch.n, sc, rng=rng, size=batch.m)
+    noise = None if batch.noise is None else batch.noise + e
+    if noise is not None:
+        if batch.secret is not None:
+            noise -= xp @ batch.secret
+        noise /= q
+    # the sums go into the fresh draws' buffers, never into the input's
+    e += batch.y
+    y = mod_q(e, batch.q)
+    y /= q
+    xp += batch.x
+    x = mod_q(xp, batch.q)
+    x /= q
+    return LweBatch(
+        x,
+        y,
+        "unit_torus",
+        batch.tag,
+        math.sqrt(st**2 + batch.n * sc**2) / q,
+        secret=batch.secret,
+        noise=noise,
+        history=batch.history + (
+            ContinuizationStep("noise-add", sigma_add),
+            ContinuizationStep("sample-add", sc),
+            ContinuizationStep("rescale"),
+        ),
+    )

@@ -23,7 +23,6 @@ anything that needs randomness takes an explicit generator.
 """
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,6 +32,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import null_space
 from scipy.special import kolmogorov, ndtr, smirnov
 
+from . import frames
 from .instances import ptf_region
 from .rejection import branch_acceptance
 
@@ -74,9 +74,7 @@ class TestReport:
 
 
 def write_reports_json(path, reports):
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    frames.write_json(path, [r.to_dict() for r in reports])
 
 
 def write_histogram_csv(path, edges, columns):

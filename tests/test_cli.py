@@ -200,6 +200,15 @@ class TestGenInstance:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "x").exists()
 
+    def test_lift_past_the_width_cap_exits_2(self, tmp_path):
+        # C(64, 60) = 635376 monomials is past the cap; the instance itself is fine
+        res = CliRunner().invoke(
+            main, ["gen-instance", *BASE_ARGS, "--m-prime", "100", "--d", "60", "--lifted",
+                   "--seed", "1", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 2, res.output
+        assert "exceeds cap" in res.output and "Traceback" not in res.output
+        assert not (tmp_path / "x").exists()
+
     def test_lifted_record_width(self, tmp_path):
         out = tmp_path / "l.inst"
         res = invoke(["gen-instance", "--n", "3", "--sigma", repr(TINY_SIGMA),

@@ -5,6 +5,7 @@ generation) gets a light version here; the full-scale run lives in the
 acceptance suite.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,12 +21,9 @@ from lwemassart.gaussians import mod_1, mod_q
 from lwemassart.lwe import (
     ContinuizationStep,
     LweBatch,
-    continuize_noise,
-    continuize_samples,
     default_chain_scales,
     gen_classic_lwe,
     gen_continuous_lwe,
-    rescale_to_unit,
     run_chain,
 )
 
@@ -112,61 +110,71 @@ def test_continuous_y_marginal_uniform():
 
 
 # ------------------------------------------------------------- chain steps
+#
+# Each step of the chain (noise-add, sample-add, rescale) keeps its laws;
+# run_chain runs all three, so every test goes through it.
 
 
 def test_continuize_noise_rejects_shrink():
     rng = np.random.default_rng(27)
     b = gen_classic_lwe(4, 10, 257, 2.0, "alternative", rng=rng)
     with pytest.raises(ValueError):
-        continuize_noise(b, 2.0, rng=rng)
+        run_chain(b, 2.0, rng=rng)
     with pytest.raises(ValueError):
-        continuize_noise(b, 1.0, rng=rng)
+        run_chain(b, 1.0, rng=rng)
 
 
 def test_continuize_noise_distribution_and_relation():
     rng = np.random.default_rng(28)
     b = gen_classic_lwe(4, 100_000, 257, 2.0, "alternative", rng=rng)
-    out = continuize_noise(b, 5.0, rng=rng)
-    assert out.sigma == 5.0
+    out = run_chain(b, 5.0, 2.2, rng=rng)
     assert out.tag == "alternative" and out.m == b.m
-    assert circ_close(out.y, mod_q(out.x @ out.secret + out.noise, 257), 257.0)
+    assert circ_close(out.y, mod_1(out.x @ out.secret + out.noise), 1.0)
     z = recovered_noise(out)
-    p = stats.kstest(z, "norm", args=(0.0, 5.0 / math.sqrt(TWO_PI))).pvalue
+    scale = math.sqrt(5.0**2 + 4 * 2.2**2) / 257.0
+    p = stats.kstest(z, "norm", args=(0.0, scale / math.sqrt(TWO_PI))).pvalue
     assert p > 0.01
-    assert out.history == (ContinuizationStep("noise-add", math.sqrt(21.0)),)
+    assert out.history == (ContinuizationStep("noise-add", math.sqrt(21.0)),
+                           ContinuizationStep("sample-add", 2.2),
+                           ContinuizationStep("rescale"))
 
 
 def test_continuize_noise_null_y_stays_uniform():
     rng = np.random.default_rng(29)
     b = gen_classic_lwe(4, 50_000, 257, 2.0, "null", rng=rng)
-    out = continuize_noise(b, 5.0, rng=rng)
-    assert stats.kstest(out.y / 257.0, "uniform").pvalue > 0.01
+    out = run_chain(b, 5.0, 2.2, rng=rng)
+    assert out.secret is None and out.noise is None
+    assert stats.kstest(out.y, "uniform").pvalue > 0.01
 
 
 def test_continuize_samples_distribution_and_noise_accounting():
     rng = np.random.default_rng(30)
     b = gen_classic_lwe(4, 100_000, 257, 4.0, "alternative", rng=rng)
-    b = continuize_noise(b, 5.0, rng=rng)
-    out = continuize_samples(b, 2.2, rng=rng)
+    out = run_chain(b, 5.0, 2.2, rng=rng)
     # x becomes continuous-uniform per coordinate
     for j in range(4):
-        assert stats.kstest(out.x[:, j] / 257.0, "uniform").pvalue > 0.01
-    # metadata accounting: sigma' = sqrt(sigma^2 + n sigma_coord^2)
-    expect = math.sqrt(5.0**2 + 4 * 2.2**2)
+        assert stats.kstest(out.x[:, j], "uniform").pvalue > 0.01
+    # metadata accounting: sigma' = sqrt(sigma^2 + n sigma_coord^2), over q
+    expect = math.sqrt(5.0**2 + 4 * 2.2**2) / 257.0
     assert out.sigma == pytest.approx(expect, rel=1e-12)
     # recovered noise std within 5% of the metadata scale
     z = recovered_noise(out)
     assert np.std(z) == pytest.approx(expect / math.sqrt(TWO_PI), rel=0.05)
     # relation still holds with the running noise (wrap-aware closeness)
-    assert circ_close(out.y, mod_q(out.x @ out.secret + out.noise, 257), 257.0)
+    assert circ_close(out.y, mod_1(out.x @ out.secret + out.noise), 1.0)
 
 
 def test_continuize_samples_rejects_non_integer_support():
     rng = np.random.default_rng(31)
     b = gen_classic_lwe(4, 100, 257, 4.0, "alternative", rng=rng)
-    b = continuize_samples(b, 2.2, rng=rng)
-    with pytest.raises(ValueError):
-        continuize_samples(b, 2.2, rng=rng)
+    with pytest.raises(ValueError, match="integer"):
+        run_chain(dataclasses.replace(b, x=b.x + 0.25), 5.0, 2.2, rng=rng)
+    for sigma_coord in (0.0, -2.2, math.nan):
+        with pytest.raises(ValueError, match="sigma_coord"):
+            run_chain(b, 5.0, sigma_coord, rng=rng)
+    torus = run_chain(b, 5.0, 2.2, rng=rng)
+    with pytest.raises(ValueError, match="unit torus"):
+        run_chain(torus, 5.0, 2.2, rng=rng)
 
 
 def test_rescale_frozen_example_and_inverse():
@@ -178,25 +186,40 @@ def test_rescale_frozen_example_and_inverse():
         sigma=0.5,
         q=2,
     )
-    out = rescale_to_unit(b)
+    out = run_chain(b, 1.0, 2.2, rng=np.random.default_rng(0))
+    # replay the documented draws: e (one per sample), then x' (n per sample)
+    replay = np.random.default_rng(0)
+    e = replay.normal(0.0, math.sqrt(1.0**2 - 0.5**2) / math.sqrt(TWO_PI), size=1)
+    xp = replay.normal(0.0, 2.2 / math.sqrt(TWO_PI), size=(1, 2))
     assert out.domain == "unit_torus" and out.q is None
-    assert np.array_equal(out.x, [[0.5, 0.0]])
-    assert out.y[0] == 0.75
-    assert out.sigma == 0.25
+    assert np.array_equal(out.y, mod_q(b.y + e, 2) / 2)
+    assert np.array_equal(out.x, mod_q(b.x + xp, 2) / 2)
+    assert out.sigma == math.sqrt(1.0**2 + 2 * 2.2**2) / 2
     # invertible up to float rounding
-    assert np.max(np.abs(out.x * 2 - b.x)) <= 1e-12
+    assert np.max(np.abs(out.x * 2 - mod_q(b.x + xp, 2))) <= 1e-12
 
 
 def test_rescale_preserves_relation():
     rng = np.random.default_rng(32)
     b = gen_classic_lwe(4, 10_000, 257, 4.0, "alternative", rng=rng)
-    b = continuize_noise(b, 5.0, rng=rng)
-    b = continuize_samples(b, 2.2, rng=rng)
-    out = rescale_to_unit(b)
+    out = run_chain(b, 5.0, 2.2, rng=rng)
     assert circ_close(out.y, mod_1(out.x @ out.secret + out.noise), 1.0)
     assert np.array_equal(out.secret, b.secret)
     kinds = [s.kind for s in out.history]
     assert kinds == ["noise-add", "sample-add", "rescale"]
+
+
+def test_chain_leaves_its_input_unchanged(tmp_path):
+    # the chain sums into fresh buffers; a loaded batch's arrays are
+    # writable views into the file buffer, so a stray in-place op would show
+    p = tmp_path / "b.lwe"
+    PINNED.save(p)
+    loaded = LweBatch.load(p)
+    before = {k: getattr(loaded, k).tobytes() for k in ("x", "y", "noise", "secret")}
+    run_chain(loaded, rng=np.random.default_rng(6))
+    for k, data in before.items():
+        assert getattr(loaded, k).tobytes() == data, k
+    assert file_bytes(loaded) == p.read_bytes()
 
 
 def test_chain_master_property_light():
@@ -239,7 +262,7 @@ def load_bytes(data):
 def test_roundtrip_bit_exact():
     rng = np.random.default_rng(34)
     b = gen_classic_lwe(4, 1000, 257, 4.0, "alternative", rng=rng)
-    b = continuize_noise(b, 5.0, rng=rng)
+    b = run_chain(b, 5.0, rng=rng)
     other = load_bytes(file_bytes(b))
     assert np.array_equal(other.x, b.x)
     assert np.array_equal(other.y, b.y)
@@ -304,7 +327,7 @@ def test_saved_bytes_pinned(tmp_path, make, digest):
 
 def test_load_returns_independent_writable_views(tmp_path):
     p = tmp_path / "b.lwe"
-    batch = continuize_noise(PINNED, 3.0, rng=np.random.default_rng(5))
+    batch = run_chain(PINNED, 3.0, rng=np.random.default_rng(5))
     batch.save(p)
     loaded = LweBatch.load(p)
     arrays = {"secret": loaded.secret, "noise": loaded.noise, "x": loaded.x, "y": loaded.y}
