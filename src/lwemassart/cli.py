@@ -24,6 +24,7 @@ from .frames import check_fields, decode_json, write_json
 from .instances import (
     MassartConfig,
     generate_instance,
+    lift_width,
     ptf_region,
     read_labeled_file,
     read_sidecar,
@@ -138,8 +139,8 @@ def _load_config(path, **overrides):
     return dataclasses.replace(cfg, **live)
 
 
-def _resolve_seed(cfg):
-    return 0 if cfg.seed is None else int(cfg.seed)
+def _resolve_seed(seed):
+    return 0 if seed is None else int(seed)
 
 
 def _reduction_params(cfg):
@@ -175,6 +176,22 @@ _SEED_OPT = click.option("--seed", type=int, default=None,
                          envvar="LWEMASSART_SEED", help="Generator seed.")
 
 
+def _config_options(*fields):
+    """One --field-name option per named RunConfig field, in order.
+
+    Each takes the field's kind (or its _CHOICES) and defaults to None, so
+    a --config value stands unless the flag is given.
+    """
+
+    def decorate(fn):
+        for name in reversed(fields):
+            kind = click.Choice(_CHOICES[name]) if name in _CHOICES else _CONFIG_KINDS[name]
+            fn = click.option("--" + name.replace("_", "-"), type=kind, default=None)(fn)
+        return fn
+
+    return decorate
+
+
 @click.group()
 def main():
     """LWE-to-Massart reduction pipeline."""
@@ -182,20 +199,14 @@ def main():
 
 @main.command("gen-lwe")
 @_CONFIG_OPT
-@click.option("--kind", type=click.Choice(_CHOICES["kind"]), default=None)
-@click.option("--tag", type=click.Choice(_CHOICES["tag"]), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--sigma", type=float, default=None)
+@_config_options("kind", "tag", "n", "m", "q", "sigma")
 @_SEED_OPT
 @click.option("--out", type=click.Path(), required=True)
-def cmd_gen_lwe(config_path, kind, tag, n, m, q, sigma, seed, out):
+def cmd_gen_lwe(config_path, out, **flags):
     """Write an LWE sample batch (binary) plus a JSON metadata sidecar."""
     try:
-        cfg = _load_config(config_path, kind=kind, tag=tag, n=n, m=m, q=q,
-                           sigma=sigma, seed=seed)
-        rng = np.random.default_rng(_resolve_seed(cfg))
+        cfg = _load_config(config_path, **flags)
+        rng = np.random.default_rng(_resolve_seed(cfg.seed))
         if cfg.kind == "classic":
             batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
         else:
@@ -211,7 +222,7 @@ def cmd_gen_lwe(config_path, kind, tag, n, m, q, sigma, seed, out):
         "m": batch.m,
         "q": batch.q,
         "sigma": batch.sigma,
-        "seed": _resolve_seed(cfg),
+        "seed": _resolve_seed(cfg.seed),
         "secret": None if batch.secret is None else [int(v) for v in batch.secret],
         "secret_digest": None if batch.secret is None else secret_digest(batch.secret),
     }
@@ -229,10 +240,11 @@ def cmd_gen_lwe(config_path, kind, tag, n, m, q, sigma, seed, out):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
+    seed = _resolve_seed(seed)
     try:
         batch = LweBatch.load(batch_path)
         reduced = run_chain(batch, sigma_target, sigma_coord,
-                            rng=np.random.default_rng(0 if seed is None else seed))
+                            rng=np.random.default_rng(seed))
     except ValueError as err:
         raise click.UsageError(str(err))
     reduced.save(out)
@@ -243,7 +255,7 @@ def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
         "n": reduced.n,
         "m": reduced.m,
         "sigma": reduced.sigma,
-        "seed": 0 if seed is None else seed,
+        "seed": seed,
         "history": [dataclasses.asdict(step) for step in reduced.history],
         "secret": None if reduced.secret is None else [int(v) for v in reduced.secret],
     }
@@ -261,36 +273,26 @@ _SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prim
 @click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
               default=None,
               help="Unit-torus batch file; omitted: generate inline from config.")
-@click.option("--tag", type=click.Choice(_CHOICES["tag"]), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--t", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--c-prime", type=float, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--m-prime", type=int, default=None)
-@click.option("--d", type=int, default=None)
+@_config_options("tag", "n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime", "d")
 @click.option("--lifted", is_flag=True, default=False,
               help="Store degree-d lifted features instead of raw coordinates.")
 @_SEED_OPT
 @click.option("--out", type=click.Path(), required=True)
-def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
-                     eta, m_prime, d, lifted, seed, out):
+def cmd_gen_instance(config_path, batch_path, lifted, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     try:
-        cfg = _load_config(config_path, tag=tag, n=n, m=m, sigma=sigma, t=t,
-                           eps=eps, c_prime=c_prime, eta=eta, m_prime=m_prime,
-                           d=d, seed=seed)
+        cfg = _load_config(config_path, **flags)
         if cfg.d < 1:
             raise ValueError("d must be >= 1")
-        rng = np.random.default_rng(_resolve_seed(cfg))
+        rng = np.random.default_rng(_resolve_seed(cfg.seed))
         if batch_path is not None:
             batch = LweBatch.load(batch_path)
         else:
             batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma,
                                        cfg.tag, rng=rng)
         cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
+        if lifted:
+            lift_width(cfg.n, cfg.d)  # refuse an oversized lift before the walk
         mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta,
                                 m_prime=cfg.m_prime)
         inst = generate_instance(batch, mconfig, rng=rng)
@@ -307,7 +309,7 @@ def cmd_gen_instance(config_path, batch_path, tag, n, m, sigma, t, eps, c_prime,
         **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
         "m": batch.m,
         "lifted": bool(lifted),
-        "seed": _resolve_seed(cfg),
+        "seed": _resolve_seed(cfg.seed),
         "consumed": inst.consumed,
         "secret": None if batch.secret is None else [int(v) for v in batch.secret],
         "secret_digest": None if batch.secret is None else secret_digest(batch.secret),
@@ -327,7 +329,7 @@ def _instance_config(meta, header):
                         "lifted": bool, "secret": Optional[list]}, "sidecar")
     _check_choices(meta, "sidecar")
     cfg = RunConfig(**{k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
-    width = math.comb(cfg.n + cfg.d, cfg.d) if meta["lifted"] else cfg.n
+    width = lift_width(cfg.n, cfg.d) if meta["lifted"] else cfg.n
     for key, want in (("lifted", meta["lifted"]), ("d", cfg.d),
                       ("m_prime", cfg.m_prime), ("n", width)):
         if header[key] != want:
@@ -441,8 +443,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
                                              bins, tol_l1)
     else:
         reports, hist = _null_reports(coords, labels, cfg, bins, tol_l1)
-    run_seed = 0 if seed is None else seed
-    reports = [dataclasses.replace(r, seed=run_seed) for r in reports]
+    reports = [dataclasses.replace(r, seed=_resolve_seed(seed)) for r in reports]
     if report_path:
         write_reports_json(report_path, reports)
     if hist_path:
@@ -459,28 +460,16 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
 
 @main.command("distinguish")
 @_CONFIG_OPT
-@click.option("--n", type=int, default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--t", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--c-prime", type=float, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--m-prime", type=int, default=None)
-@click.option("--tau", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--learner", type=click.Choice(_CHOICES["learner"]), default=None)
+@_config_options("n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime", "tau",
+                 "trials", "learner")
 @click.option("--min-advantage", type=_FloatRange(-1.0, 1.0), default=None,
               help="Exit 4 when the advantage falls below this.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 @_SEED_OPT
-def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
-                    tau, trials, learner, min_advantage, report_path, seed):
+def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     """Paired-trial advantage of a learner between the two hypotheses."""
     try:
-        cfg = _load_config(config_path, n=n, m=m, sigma=sigma, t=t, eps=eps,
-                           c_prime=c_prime, eta=eta, m_prime=m_prime, tau=tau,
-                           trials=trials, learner=learner, seed=seed)
+        cfg = _load_config(config_path, **flags)
         if cfg.trials < 1:
             raise ValueError("distinguish needs trials >= 1")
         if not 0.0 <= cfg.tau <= 1.0:
@@ -489,7 +478,7 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
         if cfg.m_prime < 2:
             raise ValueError("distinguish needs m_prime >= 2: each instance is "
                              "split into a training and a held-out half")
-        rng = np.random.default_rng(_resolve_seed(cfg))
+        rng = np.random.default_rng(_resolve_seed(cfg.seed))
         secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
         params = _reduction_params(cfg)
         mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
@@ -517,8 +506,8 @@ def cmd_distinguish(config_path, n, m, sigma, t, eps, c_prime, eta, m_prime,
     }
     rep = distinguish(make_instance, factories[cfg.learner], tau=cfg.tau,
                       trials=cfg.trials, rng=rng)
-    payload = rep.to_dict()
-    payload["seed"] = _resolve_seed(cfg)
+    payload = dataclasses.asdict(rep)
+    payload["seed"] = _resolve_seed(cfg.seed)
     payload["learner"] = cfg.learner
     se = math.sqrt(2.0 * 0.25 / cfg.trials)
     payload["advantage_2se"] = 2.0 * se
@@ -591,7 +580,7 @@ def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
         params = _reduction_params(cfg)
         report = validate_condition(params, m_prime=cfg.m_prime)
         for clause in report["clauses"]:
-            state = {True: "ok", False: "VIOLATED", None: "unevaluated"}[clause["ok"]]
+            state = "ok" if clause["ok"] else "VIOLATED"
             click.echo(f"{clause['clause']}: {state} ({clause['detail']})")
     except ValueError as err:
         click.echo(f"parameter condition: infeasible at this scale ({err})")

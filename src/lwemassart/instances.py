@@ -199,6 +199,18 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
 # ------------------------------------------------------------ Veronese lift
 
 
+def lift_width(n, d):
+    """C(n+d, d) columns of the degree-d lift; ValueError for d < 1 or past the cap."""
+    if d < 1:
+        raise ValueError("lift degree must be >= 1")
+    width = math.comb(n + d, d)
+    if width > DEFAULT_LIFT_CAP:
+        raise ValueError(
+            f"lifted width C({n}+{d},{d}) = {width} exceeds cap {DEFAULT_LIFT_CAP}"
+        )
+    return width
+
+
 def veronese_lift(x, d):
     """All monomials of total degree <= d, graded-lex, constant first.
 
@@ -208,18 +220,12 @@ def veronese_lift(x, d):
     original coordinates occupy columns 1..n, which lets consumers of a
     lifted matrix recover the ambient points.
     """
-    if d < 1:
-        raise ValueError("lift degree must be >= 1")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
     m, n = arr.shape
-    width = math.comb(n + d, d)
-    if width > DEFAULT_LIFT_CAP:
-        raise ValueError(
-            f"lifted width C({n}+{d},{d}) = {width} exceeds cap {DEFAULT_LIFT_CAP}"
-        )
+    lift_width(n, d)
     cols = [np.ones(m)]
     for k in range(1, d + 1):
         for combo in combinations_with_replacement(range(n), k):
@@ -258,9 +264,10 @@ class MassartConfig:
         self.b_minus  # builds and validates the carving
         if p.mode == "strict":
             report = validate_condition(p, self.m_prime)
-            bad = [c["clause"] for c in report["clauses"] if c["ok"] is False]
+            bad = [c for c in report["clauses"] if not c["ok"]]
             if bad:
-                raise ValueError(f"strict mode: failed clauses {bad}")
+                raise ValueError("strict mode: parameter condition violated: " + "; ".join(
+                    f"{c['clause']} {c['detail']}" for c in bad))
 
     @cached_property
     def b_minus(self):

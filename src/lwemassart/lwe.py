@@ -191,8 +191,6 @@ def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
         z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
         y = mod_q(x @ s + z, q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
-    if tag != "null":
-        raise ValueError("tag must be 'null' or 'alternative'")
     y = rng.integers(0, q, size=m).astype(float)
     return LweBatch(x, y, "mod_q", tag, sigma, q=q)
 
@@ -219,8 +217,6 @@ def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
         z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
         y = mod_1(x @ s + z)
         return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
-    if tag != "null":
-        raise ValueError("tag must be 'null' or 'alternative'")
     y = rng.uniform(size=m)
     return LweBatch(x, y, "unit_torus", tag, sigma)
 

@@ -38,9 +38,9 @@ class ReductionParams:
 
     c_prime, c_dprime are the universal constants of the parameter
     condition's clause (iv); they matter for strict-mode validation and
-    for carving widths (c_prime).  mode "strict" enforces
-    the asymptotic parameter condition; "desk-scale" permits small-n runs
-    and enforces only what Step 3 needs to be well defined.
+    for carving widths (c_prime).  Construction checks only what Step 3
+    needs; mode "strict" makes MassartConfig, which knows m', enforce the
+    parameter condition, and "desk-scale" permits small-n runs.
     """
 
     n: int
@@ -83,27 +83,16 @@ class ReductionParams:
                 % (sr, (self.t + self.eps) * self.sigma)
             )
         step3_scales(self.psi + self.eps, self)  # the worst k; raises if infeasible
-        if self.mode == "strict":
-            report = validate_condition(self)
-            bad = [c for c in report["clauses"] if c["ok"] is False]
-            if bad:
-                raise ValueError(
-                    "strict mode: parameter condition violated: "
-                    + "; ".join(c["clause"] + " " + c["detail"] for c in bad)
-                )
 
     @property
     def signal_ratio(self):
         return 1.0 - 4.0 * ((self.t + self.eps) * self.sigma) ** 2
 
 
-def validate_condition(params, m_prime=None):
-    """Report on the four parameter-condition clauses.
+def validate_condition(params, m_prime):
+    """Report on the four parameter-condition clauses at m' output samples.
 
-    Clause (iv) needs the output sample count m'; when it is not supplied
-    the clause is reported unevaluated (ok None).  Strict-mode construction
-    of ReductionParams enforces clauses (i)-(iii); clause (iv) is enforced
-    where m' first exists, at MassartConfig construction.
+    MassartConfig enforces them in strict mode.
     """
     t, eps, n, sigma, delta = params.t, params.eps, params.n, params.sigma, params.delta
     clauses = []
@@ -138,27 +127,17 @@ def validate_condition(params, m_prime=None):
         }
     )
 
-    if m_prime is None:
-        clauses.append(
-            {
-                "clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
-                "ok": None,
-                "detail": "not evaluated (needs m')",
-            }
-        )
-    else:
-        lhs4 = (params.c_prime * eps / (params.c_dprime * t * sigma)) ** 2
-        rhs4 = math.log(m_prime / delta)
-        clauses.append(
-            {
-                "clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
-                "ok": lhs4 >= rhs4,
-                "detail": "lhs = %.6g, rhs = %.6g" % (lhs4, rhs4),
-            }
-        )
+    lhs4 = (params.c_prime * eps / (params.c_dprime * t * sigma)) ** 2
+    rhs4 = math.log(m_prime / delta)
+    clauses.append(
+        {
+            "clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
+            "ok": lhs4 >= rhs4,
+            "detail": "lhs = %.6g, rhs = %.6g" % (lhs4, rhs4),
+        }
+    )
 
-    evaluated = [c["ok"] for c in clauses if c["ok"] is not None]
-    return {"mode": params.mode, "ok": all(evaluated), "clauses": clauses}
+    return {"mode": params.mode, "ok": all(c["ok"] for c in clauses), "clauses": clauses}
 
 
 def _k_of_y(y, t, psi):

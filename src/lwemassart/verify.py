@@ -551,18 +551,6 @@ class DistinguishReport:
     null_errors: tuple
     degenerate_trials: int
 
-    def to_dict(self):
-        return {
-            "p_alt": self.p_alt,
-            "p_null": self.p_null,
-            "advantage": self.advantage,
-            "trials": self.trials,
-            "tau": self.tau,
-            "alt_errors": list(self.alt_errors),
-            "null_errors": list(self.null_errors),
-            "degenerate_trials": self.degenerate_trials,
-        }
-
 
 def distinguish(make_instance, learner_factory, tau, trials, rng):
     """Repeated-trial decision harness.

@@ -9,6 +9,7 @@ import json
 import math
 import shutil
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -208,6 +209,14 @@ class TestGenInstance:
         assert res.exit_code == 2, res.output
         assert "exceeds cap" in res.output and "Traceback" not in res.output
         assert not (tmp_path / "x").exists()
+        # the width is refused before the walk, so a short stream is not exit 3
+        res = CliRunner().invoke(
+            main, ["gen-instance", "--n", "4", "--sigma", "5.5556e-4", "--lifted",
+                   "--d", "60", "--m", "5", "--m-prime", "10", "--seed", "1",
+                   "--out", str(tmp_path / "y")])
+        assert res.exit_code == 2, res.output
+        assert "exceeds cap" in res.output
+        assert not (tmp_path / "y").exists()
 
     def test_lifted_record_width(self, tmp_path):
         out = tmp_path / "l.inst"
@@ -521,7 +530,39 @@ class TestDistinguish:
         assert "planted" in res.output and "constant" in res.output
 
 
+# each command's options in order, "--flag type"; the RunConfig fields among
+# them carry the field's kind and admitted choices, as a --config file does
+OPTIONS = {
+    "gen-lwe": "--config file, --kind classic|continuous, --tag alternative|null, "
+               "--n integer, --m integer, --q integer, --sigma float, --seed integer, "
+               "--out path",
+    "gen-instance": "--config file, --batch file, --tag alternative|null, --n integer, "
+                    "--m integer, --sigma float, --t float, --eps float, "
+                    "--c-prime float, --eta float, --m-prime integer, --d integer, "
+                    "--lifted boolean, --seed integer, --out path",
+    "distinguish": "--config file, --n integer, --m integer, --sigma float, --t float, "
+                   "--eps float, --c-prime float, --eta float, --m-prime integer, "
+                   "--tau float, --trials integer, --learner planted|constant, "
+                   "--min-advantage float range, --report path, --seed integer",
+}
+
+
+def describe_option(param):
+    kind = param.type
+    return f"{param.opts[0]} " + (
+        "|".join(kind.choices) if isinstance(kind, click.Choice) else kind.name)
+
+
 class TestConfig:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_options_pinned(self, command):
+        params = main.commands[command].params
+        assert ", ".join(describe_option(p) for p in params) == OPTIONS[command]
+        # None: a flag left out lets the --config value (or the field default) stand
+        for p in params:
+            if not p.required:
+                assert p.default is (False if p.name == "lifted" else None), p.name
+
     def test_roundtrip_is_lossless(self, tmp_path):
         cfg = RunConfig(n=6, sigma=1e-3, t=0.1, eps=0.0125, m_prime=123,
                         seed=42, learner="constant")

@@ -107,29 +107,30 @@ def test_validate_condition_clauses():
         n=8, t=0.21, eps=0.03, psi=0.0, B=IntervalSet.single(0.0, 0.03),
         delta=0.01, sigma=0.5,
     )
-    rep = validate_condition(p)
+    rep = validate_condition(p, m_prime=10**4)
     assert rep["clauses"][0]["ok"] is False
     # desk params: even ratio 8 passes (i); (iii) fails at small n as expected
-    rep = validate_condition(desk_params())
-    assert rep["clauses"][0]["ok"] is True
-    assert rep["clauses"][3]["ok"] is None  # needs m'
     rep = validate_condition(desk_params(), m_prime=10**4)
+    assert rep["clauses"][0]["ok"] is True
     assert rep["clauses"][3]["ok"] is False  # desk scale cannot satisfy (iv)
 
 
 def test_strict_mode_enforces():
-    with pytest.raises(ValueError, match="strict"):
-        ReductionParams(
-            n=8, t=0.2, eps=0.025, psi=0.0, B=b_plus(0.025), delta=0.01,
-            sigma=0.5555555555555556, mode="strict",
-        )
-    # a genuinely satisfiable strict configuration at large n
-    n, t = 4096, 1e-3
-    eps = t / 4
-    ReductionParams(
-        n=n, t=t, eps=eps, psi=0.0, B=b_plus(eps), delta=0.5, sigma=1.0,
-        mode="strict",
+    # the desk parameters in strict mode: (iii) and (iv) fail, each with its detail
+    with pytest.raises(ValueError, match="strict") as err:
+        MassartConfig(params=replace(desk_params(sigma=0.5555555555555556),
+                                     mode="strict"), eta=0.05, m_prime=1000)
+    msg = str(err.value)
+    assert "parameter condition violated" in msg
+    assert "(iii) 1/(t sqrt(n)) >= sqrt(c log(n/delta)) lhs = " in msg
+    assert "(iv) " in msg and "(i) " not in msg and "(ii) " not in msg
+    # a configuration that meets all four clauses at m' = 1000
+    params = ReductionParams(
+        n=1, t=0.2, eps=0.025, psi=0.0, B=b_plus(0.025), delta=1e-4, sigma=4e-4,
+        mode="strict", c_dprime=2.0,
     )
+    assert validate_condition(params, m_prime=1000)["ok"] is True
+    MassartConfig(params=params, eta=0.05, m_prime=1000)
 
 
 # ------------------------------------------------------------- scales
