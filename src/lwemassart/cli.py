@@ -1,13 +1,13 @@
 """Command-line pipeline: generate, reduce, verify, distinguish.
 
-Every command takes an explicit --seed (or the LWEMASSART_SEED variable)
-and is deterministic given it: the same invocation writes byte-identical
-files.  Bulk samples travel as binary f64 records, configuration and
-reports as JSON, histograms as CSV.
+Every command that draws randomness takes an explicit --seed (or the
+LWEMASSART_SEED variable) and is deterministic given it: the same
+invocation writes byte-identical files.  Bulk samples travel as binary
+f64 records, configuration and reports as JSON, histograms as CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 the sample stream ran
-dry before m' labeled samples were produced (a semantic outcome of the
-generator, distinct from an error), 4 verification failed.
+Exit codes: 0 success, 2 a bad parameter or input or an unusable path, 3 the
+sample stream ran dry before m' labeled samples were produced (a semantic
+outcome of the generator, distinct from an error), 4 verification failed.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from .frames import check_fields, decode_json, write_json
+from .gaussians import sample_continuous
 from .instances import (
     MassartConfig,
     generate_instance,
@@ -176,6 +177,23 @@ _SEED_OPT = click.option("--seed", type=int, default=None,
                          envvar="LWEMASSART_SEED", help="Generator seed.")
 
 
+class _Command(click.Command):
+    """A ValueError (bad parameter or input) or OSError (unusable path) exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:  # a closed stdout keeps click's own handling
+            raise
+        except (ValueError, OSError) as err:
+            raise click.UsageError(str(err), ctx) from err
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too, so their commands get the rule
+
+
 def _config_options(*fields):
     """One --field-name option per named RunConfig field, in order.
 
@@ -192,7 +210,7 @@ def _config_options(*fields):
     return decorate
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """LWE-to-Massart reduction pipeline."""
 
@@ -204,15 +222,12 @@ def main():
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen_lwe(config_path, out, **flags):
     """Write an LWE sample batch (binary) plus a JSON metadata sidecar."""
-    try:
-        cfg = _load_config(config_path, **flags)
-        rng = np.random.default_rng(_resolve_seed(cfg.seed))
-        if cfg.kind == "classic":
-            batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
-        else:
-            batch = gen_continuous_lwe(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng=rng)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    cfg = _load_config(config_path, **flags)
+    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    if cfg.kind == "classic":
+        batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
+    else:
+        batch = gen_continuous_lwe(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng=rng)
     batch.save(out)
     meta = {
         "command": "gen-lwe",
@@ -241,12 +256,8 @@ def cmd_gen_lwe(config_path, out, **flags):
 def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     seed = _resolve_seed(seed)
-    try:
-        batch = LweBatch.load(batch_path)
-        reduced = run_chain(batch, sigma_target, sigma_coord,
-                            rng=np.random.default_rng(seed))
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    batch = LweBatch.load(batch_path)
+    reduced = run_chain(batch, sigma_target, sigma_coord, rng=np.random.default_rng(seed))
     reduced.save(out)
     meta = {
         "command": "reduce-lwe",
@@ -280,30 +291,27 @@ _SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prim
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen_instance(config_path, batch_path, lifted, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
-    try:
-        cfg = _load_config(config_path, **flags)
-        if cfg.d < 1:
-            raise ValueError("d must be >= 1")
-        rng = np.random.default_rng(_resolve_seed(cfg.seed))
-        if batch_path is not None:
-            batch = LweBatch.load(batch_path)
-        else:
-            batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma,
-                                       cfg.tag, rng=rng)
+    cfg = _load_config(config_path, **flags)
+    batch = None
+    if batch_path is not None:
+        batch = LweBatch.load(batch_path)
         cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
-        if lifted:
-            lift_width(cfg.n, cfg.d)  # refuse an oversized lift before the walk
-        mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta,
-                                m_prime=cfg.m_prime)
-        inst = generate_instance(batch, mconfig, rng=rng)
-        if not inst.ok:
-            raise StreamExhausted(
-                f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
-                f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
-            )
-        x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    # every check that needs only the flags runs before the inline stream is drawn
+    if cfg.d < 1:
+        raise ValueError("d must be >= 1")
+    if lifted:
+        lift_width(cfg.n, cfg.d)
+    mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
+    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    if batch is None:
+        batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma, cfg.tag, rng=rng)
+    inst = generate_instance(batch, mconfig, rng=rng)
+    if not inst.ok:
+        raise StreamExhausted(
+            f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
+            f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
+        )
+    x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
     meta = {
         "command": "gen-instance",
         **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
@@ -418,32 +426,22 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
               help="Write the projection histogram (empirical vs model) CSV.")
 @click.option("--bins", type=int, default=64, help="Histogram bins, from 1 to m'.")
 @click.option("--tol-l1", type=_FloatRange(min=0.0), default=TOL_L1)
-@_SEED_OPT
-def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
+def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     """Run the distributional test battery for a labeled instance file."""
-    try:
-        x, labels, header = read_labeled_file(instance_path)
-        try:
-            meta = read_sidecar(instance_path)
-        except OSError as err:
-            raise ValueError(f"cannot read the metadata sidecar: {err.strerror}")
-        cfg, secret = _instance_config(meta, header)
-        if cfg.tag == "alternative" and secret is None:
-            raise ValueError("alternative instance without planted secret")
-        config = MassartConfig(params=_reduction_params(cfg),
-                               eta=cfg.eta, m_prime=cfg.m_prime)
-        if not 1 <= bins <= cfg.m_prime:
-            # more bins than samples leaves the histogram gates no power
-            raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    x, labels, header = read_labeled_file(instance_path)
+    cfg, secret = _instance_config(read_sidecar(instance_path), header)
+    if cfg.tag == "alternative" and secret is None:
+        raise ValueError("alternative instance without planted secret")
+    config = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
+    if not 1 <= bins <= cfg.m_prime:
+        # more bins than samples leaves the histogram gates no power
+        raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
     coords = x[:, 1 : cfg.n + 1] if header["lifted"] else x
     if cfg.tag == "alternative":
         reports, hist = _alternative_reports(coords, labels, secret, cfg, config,
                                              bins, tol_l1)
     else:
         reports, hist = _null_reports(coords, labels, cfg, bins, tol_l1)
-    reports = [dataclasses.replace(r, seed=_resolve_seed(seed)) for r in reports]
     if report_path:
         write_reports_json(report_path, reports)
     if hist_path:
@@ -468,23 +466,18 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1, seed):
 @_SEED_OPT
 def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     """Paired-trial advantage of a learner between the two hypotheses."""
-    try:
-        cfg = _load_config(config_path, **flags)
-        if cfg.trials < 1:
-            raise ValueError("distinguish needs trials >= 1")
-        if not 0.0 <= cfg.tau <= 1.0:
-            raise ValueError("distinguish needs tau in [0, 1]: it bounds a held-out "
-                             "error rate")
-        if cfg.m_prime < 2:
-            raise ValueError("distinguish needs m_prime >= 2: each instance is "
-                             "split into a training and a held-out half")
-        rng = np.random.default_rng(_resolve_seed(cfg.seed))
-        secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
-        params = _reduction_params(cfg)
-        mconfig = MassartConfig(params=params, eta=cfg.eta, m_prime=cfg.m_prime)
-        budget = _stream_budget(cfg)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    cfg = _load_config(config_path, **flags)
+    if cfg.trials < 1:
+        raise ValueError("distinguish needs trials >= 1")
+    if not 0.0 <= cfg.tau <= 1.0:
+        raise ValueError("distinguish needs tau in [0, 1]: it bounds a held-out error rate")
+    if cfg.m_prime < 2:
+        raise ValueError("distinguish needs m_prime >= 2: each instance is "
+                         "split into a training and a held-out half")
+    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
+    mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
+    budget = _stream_budget(cfg)
 
     def make_instance(tag, trial_rng):
         if tag == "alternative":
@@ -495,8 +488,7 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
                 raise StreamExhausted(
                     f"FAIL: stream exhausted in a trial ({inst.consumed} consumed)")
             return inst.x, inst.labels
-        x = trial_rng.normal(0.0, 1.0 / math.sqrt(2.0 * math.pi),
-                             size=(cfg.m_prime, cfg.n))
+        x = sample_continuous(cfg.n, 1.0, rng=trial_rng, size=cfg.m_prime)
         y = np.where(trial_rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
         return x, y
 

@@ -7,8 +7,8 @@ Conventions used everywhere in this package:
   Integrated over R^n this is already a probability density, and a draw
   from it has per-coordinate variance sigma^2 / (2*pi), NOT sigma^2.
   Every moment or KS reference in this package uses the 1/(2*pi) scaling.
-* mod_1 maps exactly onto [0, 1) with mod_1(1.0) == 0.0; negative inputs
-  wrap via floor.
+* mod_1 maps an array exactly onto [0, 1): 1.0 maps to 0.0 and negative
+  entries wrap via floor.  mod_q, mod_1 and the samplers have no scalar form.
 * Discrete sampling is exact: a weight table plus inverse CDF for one
   shared 1-D lattice, rejection from a discrete-Laplace envelope (no
   window, cost flat in sigma) for per-row shifts and scales.
@@ -57,21 +57,21 @@ SUPPORT_CAP = 1 << 22
 
 
 def mod_q(v, q):
-    """Reduce v into [0, q); mod_q(q) == 0 and negative inputs wrap via floor."""
+    """Reduce the array v into [0, q); q maps to 0 and negative entries wrap via floor."""
     v = np.asarray(v, dtype=float)
     # r = v - q * floor(v / q), computed in one buffer
-    r = np.atleast_1d(v / q)
+    r = v / q
     np.floor(r, out=r)
     r *= q
     np.subtract(v, r, out=r)
     # float edges: v within one ulp below 0 can leave r == q (or, for
     # subnormal v/q, a negative residue); both mean "wrapped to 0"
     r[(r >= q) | (r < 0.0)] = 0.0
-    return float(r[0]) if v.ndim == 0 else r
+    return r
 
 
 def mod_1(v):
-    """Reduce v into [0, 1) with the package-wide convention mod_1(1.0) == 0.0."""
+    """Reduce the array v into [0, 1); an entry 1.0 maps to 0.0."""
     return mod_q(v, 1.0)
 
 
@@ -89,12 +89,11 @@ def smoothing_threshold(n, eps):
     return math.sqrt(math.log(2.0 * n * (1.0 + 1.0 / eps)) / math.pi)
 
 
-def sample_discrete_gaussian_1d(lat, sigma, rng, size=None):
-    """Draw from the discrete Gaussian on a shifted 1-D lattice.
+def sample_discrete_gaussian_1d(lat, sigma, rng, size):
+    """size independent draws from the discrete Gaussian on a shifted 1-D lattice.
 
     The pmf is proportional to rho_sigma restricted to the truncated window
-    around the origin.  size=None returns a scalar, otherwise an array of
-    independent draws from the same table.
+    around the origin; every draw comes from the same table.
     """
     _check_sigma(sigma)
     pts = _support_points(lat, sigma)
@@ -103,8 +102,7 @@ def sample_discrete_gaussian_1d(lat, sigma, rng, size=None):
     cdf = np.cumsum(w)
     u = rng.uniform(size=size) * cdf[-1]
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(pts) - 1)
-    out = pts[idx]
-    return float(out) if size is None else out
+    return pts[idx]
 
 
 def sample_lattice_rows(shifts, sigma, *, rng):
@@ -157,15 +155,13 @@ def _envelope(frac, sigma):
     return s, a, a / s / s
 
 
-def sample_continuous(n, sigma, rng, size=None):
-    """Continuous rho-convention Gaussian on R^n.
+def sample_continuous(n, sigma, rng, size):
+    """size draws, as a (size, n) array, of the rho-convention Gaussian on R^n.
 
-    Per-coordinate variance is sigma^2 / (2*pi).  size=None returns one
-    vector (n,), otherwise (size, n).
+    Per-coordinate variance is sigma^2 / (2*pi).
     """
     _check_sigma(sigma)
-    shape = (n,) if size is None else (size, n)
-    return rng.normal(0.0, sigma / math.sqrt(TWO_PI), size=shape)
+    return rng.normal(0.0, sigma / math.sqrt(TWO_PI), size=(size, n))
 
 
 def _support_points(lat, sigma):

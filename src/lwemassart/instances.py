@@ -158,7 +158,7 @@ def region_plus_intervals(t, eps, c_prime):
 
 
 def ptf_region(u, t, eps, c_prime):
-    """Sign of the threshold polynomial at projection value u (+1/-1).
+    """Sign (+1/-1, int8) of the threshold polynomial at each projection value in u.
 
     Inside the built horizon membership in the interval union decides;
     beyond it the +1 intervals overlap into a cover of the whole line,
@@ -167,8 +167,7 @@ def ptf_region(u, t, eps, c_prime):
     region = region_plus_intervals(t, eps, c_prime)
     u = np.asarray(u, dtype=float)
     plus = region.contains(u) | (u < region.lo) | (u >= region.hi)
-    out = np.where(plus, 1, -1).astype(np.int8)
-    return int(out) if out.ndim == 0 else out
+    return np.where(plus, 1, -1).astype(np.int8)
 
 
 def region_aligned_edges(t, eps, c_prime, window, max_width=None):
@@ -218,20 +217,16 @@ def veronese_lift(x, d):
     tuples are nondecreasing (combinations with replacement in index
     order), so for n=2, d=2 the columns are 1, a, b, a^2, ab, b^2.  The
     original coordinates occupy columns 1..n, which lets consumers of a
-    lifted matrix recover the ambient points.
+    lifted matrix recover the ambient points.  x is an (m, n) array.
     """
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     m, n = arr.shape
     lift_width(n, d)
     cols = [np.ones(m)]
     for k in range(1, d + 1):
         for combo in combinations_with_replacement(range(n), k):
             cols.append(arr[:, combo].prod(axis=1))
-    out = np.column_stack(cols)
-    return out[0] if single else out
+    return np.column_stack(cols)
 
 
 # ------------------------------------------------------------- the builder

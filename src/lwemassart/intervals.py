@@ -77,7 +77,7 @@ class IntervalSet:
         return self.intervals[-1][1]
 
     def contains(self, u):
-        """Half-open membership; scalar in, bool out; array in, bool array out.
+        """Half-open membership of each entry of the array u, as a bool array.
 
         Points outside the bounding box [lo, hi) are out (NaN included).
         With more than one interval, the in-box points are then decided by
@@ -85,11 +85,11 @@ class IntervalSet:
         list: odd index means inside some [a, b).
         """
         flat = self._flat
-        v = np.atleast_1d(np.asarray(u, dtype=float))
+        v = np.asarray(u, dtype=float)
         inside = (v >= flat[0]) & (v < flat[-1]) if flat.size else np.zeros(v.shape, bool)
         if flat.size > 2:
             inside[inside] = np.searchsorted(flat, v[inside], side="right") % 2 == 1
-        return bool(inside[0]) if np.ndim(u) == 0 else inside
+        return inside
 
     def issubset(self, other, tol=0.0):
         left = subtract_pairs(self.intervals, other.intervals)

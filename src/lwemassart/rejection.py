@@ -150,10 +150,8 @@ def _k_of_y(y, t, psi):
 
 
 def keep_probability(k, params):
-    """Step-2 keep probability t^2/(t+k-psi)^2; accepts arrays."""
-    k = np.asarray(k, dtype=float)
-    p = (params.t / (params.t + k - params.psi)) ** 2
-    return float(p) if p.ndim == 0 else p
+    """Step-2 keep probability t^2/(t+k-psi)^2 at each offset of the array k."""
+    return (params.t / (params.t + k - params.psi)) ** 2
 
 
 def accept_steps(y, u, params):

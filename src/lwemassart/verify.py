@@ -25,7 +25,7 @@ anything that needs randomness takes an explicit generator.
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -58,7 +58,6 @@ class TestReport:
     n_samples: int
     description: str = ""
     params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
     def to_dict(self):
         return {
@@ -67,7 +66,6 @@ class TestReport:
             "threshold": self.threshold,
             "pass": self.passed,
             "n": self.n_samples,
-            "seed": self.seed,
             "description": self.description,
             "params": dict(self.params),
         }
@@ -171,22 +169,21 @@ def _k_density(k, t, psi, B, k_law):
 
 
 def dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law="accepted"):
-    """Continuous part of the projected law (the i = -1 atom is separate).
+    """Continuous part of the projected law at the array u (the i = -1 atom is separate).
 
     k_law selects the accepted-offset mixing density: "accepted" is the
     exact law of the rejection core, proportional to (t+k-psi)^-4 on B;
     "uniform" is the idealization used by the reference construction.
     """
     u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape if u.ndim else (1,), dtype=float)
-    uu = np.atleast_1d(u)
-    w_max = float(np.max(np.abs(uu))) if uu.size else 0.0
+    out = np.zeros(u.shape, dtype=float)
+    w_max = float(np.max(np.abs(u))) if u.size else 0.0
     reach = int(math.ceil((w_max + abs(psi) + t) / (t - eps))) + 2
-    rho_u = _rho1(uu, sigma_signal)
+    rho_u = _rho1(u, sigma_signal)
     for i in range(-reach, reach + 1):
         if i == -1:
             continue
-        k_star = psi + (uu - i * t - psi) / (i + 1)
+        k_star = psi + (u - i * t - psi) / (i + 1)
         inside = B.contains(k_star)
         if not np.any(inside):
             continue
@@ -197,7 +194,7 @@ def dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law="accepted"):
             * rho_u[inside]
             / abs(i + 1)
         )
-    return float(out[0]) if u.ndim == 0 else out
+    return out
 
 
 def dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law="accepted"):
@@ -462,34 +459,27 @@ def massart_condition_estimate(proj, labels, edges, eta, min_count=50, target=No
 
     Without a target the flip rate of a bin is its minority-label rate,
     which certifies the Massart condition for whatever sign pattern the
-    majorities define.  Passing target (a sign function of the projection,
-    evaluated at bin midpoints) pins the rate to that specific classifier;
-    this is the stronger audit and is not fooled by a global label flip.
-    Samples outside [edges[0], edges[-1]] are not counted.
+    majorities define.  Passing target (a sign function of an array of
+    projections, called once on the bin midpoints) pins the rate to that
+    specific classifier; this is the stronger audit and is not fooled by a
+    global label flip.  Samples outside [edges[0], edges[-1]] are not counted.
     """
     labels = np.asarray(labels)
     plus, _ = np.histogram(proj[labels > 0], bins=edges)
     minus, _ = np.histogram(proj[labels < 0], bins=edges)
-    total = plus + minus
+    if target is None:
+        wrong = np.minimum(plus, minus)
+    else:
+        wrong = np.where(target((edges[:-1] + edges[1:]) / 2.0) > 0, minus, plus)
+    full = np.flatnonzero(plus + minus)  # bins with at least one sample
+    total = plus[full] + minus[full]
+    eta_hat = wrong[full] / total
     thresh = 2.0 * eta
-    rows = []
-    violating = 0
-    for j in range(len(total)):
-        if total[j] == 0:
-            continue
-        if target is None:
-            wrong = min(plus[j], minus[j])
-        else:
-            sign = target((edges[j] + edges[j + 1]) / 2.0)
-            wrong = minus[j] if sign > 0 else plus[j]
-        eta_hat = wrong / total[j]
-        rows.append((float(edges[j]), float(edges[j + 1]),
-                     int(plus[j]), int(minus[j]), float(eta_hat)))
-        if total[j] >= min_count and eta_hat > thresh:
-            violating += int(total[j])
+    violating = int(total[(total >= min_count) & (eta_hat > thresh)].sum())
     in_window = int(total.sum())
     return MassartEstimate(
-        bins=tuple(rows),
+        bins=tuple(zip(edges[full].tolist(), edges[full + 1].tolist(), plus[full].tolist(),
+                       minus[full].tolist(), eta_hat.tolist())),
         violating_mass=violating / in_window if in_window else 0.0,
         threshold=thresh,
         min_count=min_count,

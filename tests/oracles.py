@@ -4,7 +4,8 @@ No command reaches these, so they live beside the tests rather than in
 the package: the expanded and collapsed Gaussians and their densities,
 the one-shot batch reduction, the offset inversion and its density, the
 g map, interval intersection, the raw projected-law oracle, the
-acceptance-rate check and the uniform-offset reference sampler.  They
+per-bin Massart audit, the acceptance-rate check and the uniform-offset
+reference sampler.  They
 call the library's row sampler and accept/transform steps, so a test
 that compares them with a command's output checks the command's own
 walk against a second, simpler one.
@@ -30,7 +31,13 @@ from lwemassart.rejection import (
     branch_acceptance,
     transform_accepted,
 )
-from lwemassart.verify import DensityOracle1D, TestReport, dprime_atom_mass, dprime_pdf
+from lwemassart.verify import (
+    DensityOracle1D,
+    MassartEstimate,
+    TestReport,
+    dprime_atom_mass,
+    dprime_pdf,
+)
 
 # ---------------------------------------------------------------- gaussians
 
@@ -77,8 +84,8 @@ def sample_expanded(n, sigma, rng, size=None):
     return sample_lattice_rows(x.ravel(), sigma, rng=rng).reshape(shape)
 
 
-def sample_collapsed(n, sigma, rng, size=None):
-    """Collapsed Gaussian: mod_1 of a continuous scale-sigma draw, in [0,1)^n."""
+def sample_collapsed(n, sigma, rng, size):
+    """size collapsed Gaussian draws: mod_1 of continuous scale-sigma draws, in [0,1)^n."""
     return mod_1(sample_continuous(n, sigma, rng=rng, size=size))
 
 
@@ -229,6 +236,38 @@ def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted", step=None):
         lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law),
         (-w, w, step),
         atoms=(atom,),
+    )
+
+
+def massart_reference(proj, labels, edges, eta, min_count=50, target=None):
+    """massart_condition_estimate as a per-bin loop, target called once per bin."""
+    labels = np.asarray(labels)
+    plus, _ = np.histogram(proj[labels > 0], bins=edges)
+    minus, _ = np.histogram(proj[labels < 0], bins=edges)
+    total = plus + minus
+    thresh = 2.0 * eta
+    rows = []
+    violating = 0
+    for j in range(len(total)):
+        if total[j] == 0:
+            continue
+        if target is None:
+            wrong = min(plus[j], minus[j])
+        else:
+            sign = target(np.array([(edges[j] + edges[j + 1]) / 2.0]))[0]
+            wrong = minus[j] if sign > 0 else plus[j]
+        eta_hat = wrong / total[j]
+        rows.append((float(edges[j]), float(edges[j + 1]),
+                     int(plus[j]), int(minus[j]), float(eta_hat)))
+        if total[j] >= min_count and eta_hat > thresh:
+            violating += int(total[j])
+    in_window = int(total.sum())
+    return MassartEstimate(
+        bins=tuple(rows),
+        violating_mass=violating / in_window if in_window else 0.0,
+        threshold=thresh,
+        min_count=min_count,
+        n_samples=in_window,
     )
 
 

@@ -5,6 +5,7 @@ per-coordinate blur 2(t+eps)sigma is 2.5e-4, small enough that labels
 track the planted region and the projected law keeps its structure.
 """
 
+import errno
 import json
 import math
 import shutil
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lwemassart import cli
 from lwemassart.cli import RunConfig, main, theorem_d_bindings
 from lwemassart.instances import (
     read_labeled_file,
@@ -246,15 +248,14 @@ class TestVerify:
         report = tmp_path / "r.json"
         hist = tmp_path / "h.csv"
         res = invoke(["verify", str(work / "alt.inst"), "--bins", "32",
-                      "--seed", "77", "--report", str(report),
-                      "--hist", str(hist)])
+                      "--report", str(report), "--hist", str(hist)])
         assert res.exit_code == 0, res.output
         entries = json.loads(report.read_text())
         names = {e["test"] for e in entries}
         assert names == {"hidden-direction-l1", "orthogonal-gaussianity",
                          "massart-violating-mass", "ptf-disagreement"}
         assert all(e["pass"] for e in entries)
-        assert all(e["seed"] == 77 for e in entries)
+        assert all("seed" not in e for e in entries)
         rows = hist.read_text().splitlines()
         assert rows[0] == "lo,hi,empirical,model"
         assert len(rows) >= 30
@@ -309,7 +310,7 @@ class TestVerify:
         shutil.copyfile(work / "alt.inst", orphan)
         res = CliRunner().invoke(main, ["verify", str(orphan)])
         assert res.exit_code == 2
-        assert "sidecar" in res.output
+        assert "orphan.inst.meta.json" in res.output
 
     def test_garbage_file_is_usage_error(self, tmp_path):
         junk = tmp_path / "junk.inst"
@@ -470,6 +471,59 @@ def test_number_outside_its_domain_exits_2(tmp_path, args):
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-lwe", "--n", "4", "--m", "10", "--sigma", "0.01", "--out", "{missing}/x.lwe"],
+    ["reduce-lwe", "{dir}/cls.lwe", "--out", "{missing}/x.lwe"],
+    ["gen-instance", *BASE_ARGS, "--m-prime", "10", "--out", "{missing}/x.inst"],
+    ["verify", "{work}/alt.inst", "--report", "{missing}/r.json"],
+    ["verify", "{work}/alt.inst", "--hist", "{missing}/h.csv"],
+    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
+     "--report", "{missing}/d.json"],
+    ["preset", "apply", "desk-scale", "--out", "{missing}/c.json"],
+], ids=["gen-lwe", "reduce-lwe", "gen-instance", "verify-report", "verify-hist",
+        "distinguish", "preset-apply"])
+def test_unwritable_output_path_exits_2(work, tmp_path, args):
+    invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4",
+            "--m", "50", "--q", "257", "--sigma", "2.0", "--out", str(tmp_path / "cls.lwe")])
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing", "work": work}
+    res = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error:" in res.output and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "{dir}/strict.json"],
+    [*BASE_ARGS, "--m-prime", "10", "--lifted", "--d", "60"],
+], ids=["strict-condition", "lift-cap"])
+def test_gen_instance_checks_flags_before_the_stream(tmp_path, monkeypatch, args):
+    def no_stream(*_, **__):
+        raise AssertionError("the inline stream was drawn")
+
+    monkeypatch.setattr(cli, "gen_continuous_lwe", no_stream)
+    (tmp_path / "strict.json").write_text(json.dumps(
+        {"mode": "strict", "n": 4, "sigma": 5.5556e-4, "m_prime": 1_000_000}))
+    res = CliRunner().invoke(main, ["gen-instance", *[a.format(dir=tmp_path) for a in args],
+                                    "--out", str(tmp_path / "x.inst")])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    if args[0] == "--config":
+        assert "(iii)" in res.output and "(iv)" in res.output
+    else:
+        assert "exceeds cap" in res.output
+
+
+def test_closed_stdout_keeps_clicks_exit_1(monkeypatch):
+    # a reader that closes the pipe early is not a usage error
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(click, "echo", closed_pipe)
+    res = CliRunner().invoke(main, ["preset", "list"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Error:" not in res.output
 
 
 class TestDistinguish:

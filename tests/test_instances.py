@@ -187,13 +187,11 @@ def test_b_minus_piece_count_matches_oracle():
 
 
 def test_ptf_region_frozen_points():
-    assert ptf_region(0.0, T, EPS, CP) == 1
-    assert ptf_region(T / 2, T, EPS, CP) == -1
     far = T**2 / EPS + T + 0.1
-    assert ptf_region(far, T, EPS, CP) == 1
-    assert ptf_region(-far, T, EPS, CP) == 1
-    assert ptf_region(-T, T, EPS, CP) == 1  # i=-1 island catches the atom
-    assert ptf_region(-T, T, EPS, 0.0) == -1  # degenerate island at c'=0
+    # the last point, -T, sits on the i=-1 island that catches the atom
+    u = np.array([0.0, T / 2, far, -far, -T])
+    assert ptf_region(u, T, EPS, CP).tolist() == [1, -1, 1, 1, 1]
+    assert ptf_region(np.array([-T]), T, EPS, 0.0).tolist() == [-1]  # degenerate island at c'=0
 
 
 def test_ptf_region_vectorized_and_interval_count():
@@ -252,10 +250,12 @@ def test_region_aligned_edges_pure_bins():
 
 def test_veronese_frozen_order():
     a, b = 0.3, -1.7
-    v = veronese_lift(np.array([a, b]), 2)
-    assert v == pytest.approx([1.0, a, b, a * a, a * b, b * b])
-    v1 = veronese_lift(np.array([a, b]), 1)
-    assert v1 == pytest.approx([1.0, a, b])
+    v = veronese_lift(np.array([[a, b]]), 2)
+    assert v.shape == (1, 6)
+    assert v[0] == pytest.approx([1.0, a, b, a * a, a * b, b * b])
+    v1 = veronese_lift(np.array([[a, b]]), 1)
+    assert v1.shape == (1, 3)
+    assert v1[0] == pytest.approx([1.0, a, b])
 
 
 def test_veronese_width_and_coordinate_block():

@@ -52,7 +52,13 @@ from lwemassart.verify import (
 )
 from lwemassart.verify import _convolve_same
 
-from oracles import acceptance_rate_test, dk21_reference_sample, dprime_oracle, reduce_batch
+from oracles import (
+    acceptance_rate_test,
+    dk21_reference_sample,
+    dprime_oracle,
+    massart_reference,
+    reduce_batch,
+)
 
 T, EPS, PSI = 0.2, 0.025, 0.0
 SIGMA = 1.0 / (8.0 * (T + EPS))  # (t+eps)*sigma = 1/8, SR = 15/16
@@ -127,11 +133,10 @@ class TestDensityOracle:
 
 class TestProjectedLaw:
     def test_pdf_frozen_points(self):
-        for u, want in DENS_ACC.items():
-            got = dprime_pdf(u, T, EPS, PSI, BP, SS, "accepted")
-            assert got == pytest.approx(want, rel=1e-10)
-        assert dprime_pdf(0.21, T, EPS, PSI, BP, SS, "uniform") == pytest.approx(
-            DENS_UNI_021, rel=1e-10)
+        got = dprime_pdf(np.array(list(DENS_ACC)), T, EPS, PSI, BP, SS, "accepted")
+        assert got == pytest.approx(list(DENS_ACC.values()), rel=1e-10)
+        assert dprime_pdf(np.array([0.21]), T, EPS, PSI, BP, SS, "uniform") == pytest.approx(
+            [DENS_UNI_021], rel=1e-10)
 
     def test_pdf_zero_in_gaps(self):
         # between the i=0 image [0, eps) and the i=1 image [t, t+2 eps)
@@ -142,7 +147,7 @@ class TestProjectedLaw:
         u = np.array([0.21, 0.0125, 0.1])
         vec = dprime_pdf(u, T, EPS, PSI, BP, SS)
         for j in range(3):
-            assert vec[j] == dprime_pdf(float(u[j]), T, EPS, PSI, BP, SS)
+            assert vec[j] == dprime_pdf(u[j : j + 1], T, EPS, PSI, BP, SS)[0]
 
     def test_atom_mass_frozen(self):
         acc = dprime_atom_mass(T, EPS, PSI, BP, SS, "accepted")
@@ -530,6 +535,31 @@ class TestLabelNoise:
         clean = massart_condition_estimate(proj, y, edges, eta=0.1,
                                            target=region)
         assert clean.violating_mass == 0.0
+
+    @pytest.mark.parametrize("with_target", [False, True], ids=["minority", "target"])
+    def test_estimate_matches_per_bin_reference(self, with_target):
+        # 0 to 12 samples of each label per bin, every ninth bin empty, on
+        # uniform bins that straddle region boundaries, so a bin's sign at
+        # its midpoint can differ from the sign at its left edge; bins 1-3
+        # hold min_count samples with rates at and past 2 eta
+        rng = np.random.default_rng(44)
+        edges = np.linspace(-1.3, 1.3, 81)
+        counts = rng.integers(0, 13, size=(80, 2))
+        counts[::9] = 0
+        counts[1:4] = [[5, 5], [6, 4], [4, 6]]
+        proj = np.concatenate([rng.uniform(edges[j], edges[j + 1], size=counts[j].sum())
+                               for j in range(80)])
+        labels = np.concatenate([np.repeat([1, -1], counts[j]) for j in range(80)])
+        target = (lambda u: ptf_region(u, T, EPS, 0.04)) if with_target else None
+        est = massart_condition_estimate(proj, labels, edges, eta=0.2, min_count=10,
+                                         target=target)
+        ref = massart_reference(proj, labels, edges, eta=0.2, min_count=10, target=target)
+        assert est == ref
+        assert [tuple(map(type, r)) for r in est.bins] == [tuple(map(type, r)) for r in ref.bins]
+        assert type(est.violating_mass) is type(ref.violating_mass)
+        assert len(est.bins) == np.count_nonzero(counts.sum(axis=1)) < 80  # empty bins dropped
+        assert any(r[4] == 0.4 for r in est.bins if r[2] + r[3] >= 10)
+        assert any(r[2] + r[3] == 10 and r[4] > 0.4 for r in est.bins)
 
     @staticmethod
     def predicted_ptf_disagreement(t, eps, c_prime, eta, sigma):
