@@ -25,13 +25,11 @@ from .gaussians import sample_continuous
 from .instances import (
     MassartConfig,
     generate_instance,
-    lift_width,
     ptf_region,
     read_labeled_file,
     read_sidecar,
     region_aligned_edges,
     secret_digest,
-    veronese_lift,
     write_labeled_file,
     write_sidecar,
 )
@@ -85,7 +83,6 @@ class RunConfig:
     c_dprime: float = 4.0
     eta: float = 0.05
     m_prime: int = 1000
-    d: int = 1
     delta: float = 1e-4
     mode: str = "desk-scale"
     tau: float = 0.25
@@ -178,14 +175,15 @@ _SEED_OPT = click.option("--seed", type=int, default=None,
 
 
 class _Command(click.Command):
-    """A ValueError (bad parameter or input) or OSError (unusable path) exits 2."""
+    """A ValueError (bad parameter or input), OSError (unusable path) or
+    MemoryError (arrays too large to allocate) exits 2."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:  # a closed stdout keeps click's own handling
             raise
-        except (ValueError, OSError) as err:
+        except (ValueError, OSError, MemoryError) as err:
             raise click.UsageError(str(err), ctx) from err
 
 
@@ -275,8 +273,8 @@ def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
 
 
 # the RunConfig fields gen-instance writes to its sidecar and verify reads back
-_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
-                        "c_dprime", "eta", "delta", "mode")
+_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "sigma", "t", "eps", "c_prime", "c_dprime",
+                        "eta", "delta", "mode")
 
 
 @main.command("gen-instance")
@@ -284,12 +282,10 @@ _SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prim
 @click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
               default=None,
               help="Unit-torus batch file; omitted: generate inline from config.")
-@_config_options("tag", "n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime", "d")
-@click.option("--lifted", is_flag=True, default=False,
-              help="Store degree-d lifted features instead of raw coordinates.")
+@_config_options("tag", "n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime")
 @_SEED_OPT
 @click.option("--out", type=click.Path(), required=True)
-def cmd_gen_instance(config_path, batch_path, lifted, out, **flags):
+def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     cfg = _load_config(config_path, **flags)
     batch = None
@@ -297,10 +293,6 @@ def cmd_gen_instance(config_path, batch_path, lifted, out, **flags):
         batch = LweBatch.load(batch_path)
         cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
     # every check that needs only the flags runs before the inline stream is drawn
-    if cfg.d < 1:
-        raise ValueError("d must be >= 1")
-    if lifted:
-        lift_width(cfg.n, cfg.d)
     mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
     rng = np.random.default_rng(_resolve_seed(cfg.seed))
     if batch is None:
@@ -311,18 +303,16 @@ def cmd_gen_instance(config_path, batch_path, lifted, out, **flags):
             f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
             f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
         )
-    x_out = veronese_lift(inst.x, cfg.d) if lifted else inst.x
     meta = {
         "command": "gen-instance",
         **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
         "m": batch.m,
-        "lifted": bool(lifted),
         "seed": _resolve_seed(cfg.seed),
         "consumed": inst.consumed,
         "secret": None if batch.secret is None else [int(v) for v in batch.secret],
         "secret_digest": None if batch.secret is None else secret_digest(batch.secret),
     }
-    write_labeled_file(out, x_out, inst.labels, d=cfg.d, lifted=lifted, sidecar=meta)
+    write_labeled_file(out, inst.x, inst.labels, sidecar=meta)
     click.echo(f"wrote {cfg.m_prime} labeled samples to {out} "
                f"(consumed {inst.consumed} of {batch.m})")
 
@@ -331,16 +321,14 @@ def _instance_config(meta, header):
     """(RunConfig, secret or None) from a gen-instance sidecar.
 
     ValueError when a key is missing or ill-typed, or when the sidecar and
-    the file header disagree on n, m_prime, d or lifted.
+    the file header disagree on n or m_prime.
     """
     check_fields(meta, {**{k: _CONFIG_KINDS[k] for k in _SIDECAR_CONFIG_KEYS},
-                        "lifted": bool, "secret": Optional[list]}, "sidecar")
+                        "secret": Optional[list]}, "sidecar")
     _check_choices(meta, "sidecar")
     cfg = RunConfig(**{k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
-    width = lift_width(cfg.n, cfg.d) if meta["lifted"] else cfg.n
-    for key, want in (("lifted", meta["lifted"]), ("d", cfg.d),
-                      ("m_prime", cfg.m_prime), ("n", width)):
-        if header[key] != want:
+    for key in ("m_prime", "n"):
+        if header[key] != getattr(cfg, key):
             raise ValueError(f"sidecar and file header disagree on {key}")
     secret = meta["secret"]
     if secret is not None and len(secret) != cfg.n:
@@ -436,12 +424,10 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     if not 1 <= bins <= cfg.m_prime:
         # more bins than samples leaves the histogram gates no power
         raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
-    coords = x[:, 1 : cfg.n + 1] if header["lifted"] else x
     if cfg.tag == "alternative":
-        reports, hist = _alternative_reports(coords, labels, secret, cfg, config,
-                                             bins, tol_l1)
+        reports, hist = _alternative_reports(x, labels, secret, cfg, config, bins, tol_l1)
     else:
-        reports, hist = _null_reports(coords, labels, cfg, bins, tol_l1)
+        reports, hist = _null_reports(x, labels, cfg, bins, tol_l1)
     if report_path:
         write_reports_json(report_path, reports)
     if hist_path:
@@ -518,10 +504,7 @@ def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):
     t = n^(-0.5 - 0.2 zeta) and eps proportional to n^(-1.5), with the
     ratio rounded to an even integer, eta = 1/3, and the noise scale the
     smaller of n^-5 and the clause-(iv) bound at RunConfig's c' and c''.
-    The lift degree grows like 4 t/eps, so materializing the lift quickly
-    exceeds any sane feature budget; the bindings are still useful for
-    driving the unlifted pipeline and for validating the parameter
-    condition.
+    The paper's PTF degree at these bindings is 4 t/eps.
     """
     t = n ** (-0.5 - 0.2 * zeta)
     eps0 = n ** -1.5
@@ -531,8 +514,7 @@ def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):
                 / (RunConfig.c_dprime * t * math.sqrt(math.log(m_prime / delta))))
     return RunConfig(
         kind="continuous", tag="alternative", n=n, m=2 * ratio * m_prime,
-        sigma=sigma, t=t, eps=eps, eta=1.0 / 3.0, m_prime=m_prime, d=4 * ratio,
-        delta=delta, zeta=zeta,
+        sigma=sigma, t=t, eps=eps, eta=1.0 / 3.0, m_prime=m_prime, delta=delta, zeta=zeta,
     )
 
 

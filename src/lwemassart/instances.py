@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -42,11 +41,6 @@ from .rejection import (
 
 LABELED_MAGIC = b"MLAB"
 LABELED_VERSION = 1
-
-# Monomial count above which veronese_lift refuses to materialize the
-# lifted matrix.  Asymptotic parameter choices blow past any reasonable
-# memory budget; the error is the honest outcome there.
-DEFAULT_LIFT_CAP = 200_000
 
 
 # --------------------------------------------------------------------- g map
@@ -195,40 +189,6 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
     return np.asarray(out)
 
 
-# ------------------------------------------------------------ Veronese lift
-
-
-def lift_width(n, d):
-    """C(n+d, d) columns of the degree-d lift; ValueError for d < 1 or past the cap."""
-    if d < 1:
-        raise ValueError("lift degree must be >= 1")
-    width = math.comb(n + d, d)
-    if width > DEFAULT_LIFT_CAP:
-        raise ValueError(
-            f"lifted width C({n}+{d},{d}) = {width} exceeds cap {DEFAULT_LIFT_CAP}"
-        )
-    return width
-
-
-def veronese_lift(x, d):
-    """All monomials of total degree <= d, graded-lex, constant first.
-
-    Output width is C(n+d, d).  Within each degree the monomial index
-    tuples are nondecreasing (combinations with replacement in index
-    order), so for n=2, d=2 the columns are 1, a, b, a^2, ab, b^2.  The
-    original coordinates occupy columns 1..n, which lets consumers of a
-    lifted matrix recover the ambient points.  x is an (m, n) array.
-    """
-    arr = np.asarray(x, dtype=float)
-    m, n = arr.shape
-    lift_width(n, d)
-    cols = [np.ones(m)]
-    for k in range(1, d + 1):
-        for combo in combinations_with_replacement(range(n), k):
-            cols.append(arr[:, combo].prod(axis=1))
-    return np.column_stack(cols)
-
-
 # ------------------------------------------------------------- the builder
 
 
@@ -362,12 +322,12 @@ def secret_digest(secret):
     return hashlib.sha256(np.asarray(secret, dtype="<f8").tobytes()).hexdigest()
 
 
-def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
+def write_labeled_file(path, x, labels, sidecar=None):
     """Binary labeled-sample file plus optional JSON sidecar.
 
-    A framed file (see frames.py) with header {magic, version, n, m_prime,
-    d, lifted} whose payload is m_prime packed records of n little-endian
-    f8 followed by one signed label byte.
+    A framed file (see frames.py) with header {magic, version, n, m_prime}
+    whose payload is m_prime packed records of n little-endian f8 followed
+    by one signed label byte.
     """
     x = np.asarray(x, dtype=float)
     labels = np.asarray(labels)
@@ -375,16 +335,10 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
         raise ValueError("x must be (m, n) with matching labels")
     if not np.all(np.abs(labels) == 1):
         raise ValueError("labels must be +1/-1")
-    m, width = x.shape
-    header = {
-        "magic": LABELED_MAGIC.decode(),
-        "version": LABELED_VERSION,
-        "n": width,
-        "m_prime": m,
-        "d": int(d),
-        "lifted": bool(lifted),
-    }
-    rec = np.zeros(m, dtype=_record_dtype(width))
+    m, n = x.shape
+    header = {"magic": LABELED_MAGIC.decode(), "version": LABELED_VERSION,
+              "n": n, "m_prime": m}
+    rec = np.zeros(m, dtype=_record_dtype(n))
     rec["x"] = x
     rec["label"] = labels.astype(np.int8)
     with open(path, "wb") as fh:
@@ -397,13 +351,17 @@ def write_labeled_file(path, x, labels, d=1, lifted=False, sidecar=None):
 def read_labeled_file(path):
     """(x, labels, header) of a labeled-sample file; ValueError if damaged.
 
-    The header must hold magic, version, n, m_prime, d and lifted, the
-    last four with the kinds write_labeled_file gives them; the records
-    must fill the rest of the file exactly, with finite x and +1/-1 labels.
+    The header must hold magic, version and the counts n and m_prime; a
+    "lifted" key other than false marks a file of the removed lifted
+    format.  The records must fill the rest of the file exactly, with
+    finite x and +1/-1 labels.
     """
     header, payload = frames.unpack(
         frames.read(path, LABELED_MAGIC), LABELED_MAGIC, LABELED_VERSION,
-        {"n": "count", "m_prime": "count", "d": "count", "lifted": bool})
+        {"n": "count", "m_prime": "count"})
+    if header.get("lifted", False) is not False:
+        raise ValueError("MLAB file holds lifted features: gen-instance --lifted "
+                         "was removed, so regenerate the instance without it")
     dtype = _record_dtype(header["n"])
     if len(payload) != header["m_prime"] * dtype.itemsize:
         raise ValueError(

@@ -195,42 +195,6 @@ class TestGenInstance:
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
 
-    @pytest.mark.parametrize("lifted", [[], ["--lifted"]])
-    def test_lift_degree_below_one_exits_2(self, tmp_path, lifted):
-        res = CliRunner().invoke(
-            main, ["gen-instance", *BASE_ARGS, "--m-prime", "100", "--d", "0", *lifted,
-                   "--seed", "1", "--out", str(tmp_path / "x")])
-        assert res.exit_code == 2, res.output
-        assert not (tmp_path / "x").exists()
-
-    def test_lift_past_the_width_cap_exits_2(self, tmp_path):
-        # C(64, 60) = 635376 monomials is past the cap; the instance itself is fine
-        res = CliRunner().invoke(
-            main, ["gen-instance", *BASE_ARGS, "--m-prime", "100", "--d", "60", "--lifted",
-                   "--seed", "1", "--out", str(tmp_path / "x")])
-        assert res.exit_code == 2, res.output
-        assert "exceeds cap" in res.output and "Traceback" not in res.output
-        assert not (tmp_path / "x").exists()
-        # the width is refused before the walk, so a short stream is not exit 3
-        res = CliRunner().invoke(
-            main, ["gen-instance", "--n", "4", "--sigma", "5.5556e-4", "--lifted",
-                   "--d", "60", "--m", "5", "--m-prime", "10", "--seed", "1",
-                   "--out", str(tmp_path / "y")])
-        assert res.exit_code == 2, res.output
-        assert "exceeds cap" in res.output
-        assert not (tmp_path / "y").exists()
-
-    def test_lifted_record_width(self, tmp_path):
-        out = tmp_path / "l.inst"
-        res = invoke(["gen-instance", "--n", "3", "--sigma", repr(TINY_SIGMA),
-                      "--m-prime", "50", "--d", "2", "--lifted", "--seed", "4",
-                      "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        x, _, header = read_labeled_file(out)
-        assert header["lifted"] and header["d"] == 2
-        assert x.shape[1] == math.comb(3 + 2, 2)
-        assert np.allclose(x[:, 0], 1.0)
-
     def test_batch_file_input(self, tmp_path):
         src = tmp_path / "s.lwe"
         invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative",
@@ -269,11 +233,10 @@ class TestVerify:
             assert f"PASS {name}" in res.output
 
     def test_flipped_labels_fail(self, work, tmp_path):
-        x, labels, header = read_labeled_file(work / "alt.inst")
+        x, labels, _ = read_labeled_file(work / "alt.inst")
         meta = read_sidecar(work / "alt.inst")
         bad = tmp_path / "flipped.inst"
-        write_labeled_file(bad, x, -labels, d=header["d"],
-                           lifted=header["lifted"], sidecar=meta)
+        write_labeled_file(bad, x, -labels, sidecar=meta)
         res = CliRunner().invoke(main, ["verify", str(bad), "--bins", "32"])
         assert res.exit_code == 4
         assert "FAIL ptf-disagreement" in res.output
@@ -345,9 +308,9 @@ class TestVerify:
         assert "strict mode" in res.output
 
 
-SIDECAR_KEYS = ["tag", "n", "m_prime", "d", "sigma", "t", "eps", "c_prime",
-                "c_dprime", "eta", "delta", "mode", "lifted", "secret"]
-HEADER_KEYS = ["magic", "version", "n", "m_prime", "d", "lifted"]
+SIDECAR_KEYS = ["tag", "n", "m_prime", "sigma", "t", "eps", "c_prime", "c_dprime",
+                "eta", "delta", "mode", "secret"]
+HEADER_KEYS = ["magic", "version", "n", "m_prime"]
 
 
 def verify_exits_2(path):
@@ -397,7 +360,7 @@ class TestDamagedInstance:
         assert key in verify_exits_2(inst)
 
     @pytest.mark.parametrize("key,value", [("t", "0.2"), ("n", 4.0), ("m_prime", True),
-                                           ("lifted", 1), ("tag", "alt"),
+                                           ("eta", None), ("tag", "alt"),
                                            ("secret", "1111"), ("secret", [1, 1, 1]),
                                            pytest.param("sigma", 10**400, id="sigma-huge"),
                                            pytest.param("secret", [10**400, 1, 1, 1],
@@ -427,8 +390,12 @@ class TestDamagedInstance:
         self.edit_header(inst, lambda h: h.update(magic=value))
         assert "magic" in verify_exits_2(inst)
 
-    @pytest.mark.parametrize("key,value", [("n", 5), ("m_prime", 39999), ("d", 2),
-                                           ("lifted", True)])
+    def test_lifted_header_names_the_removal(self, inst):
+        # a file written by the removed gen-instance --lifted
+        self.edit_header(inst, lambda h: h.update(d=2, lifted=True))
+        assert "--lifted was removed" in verify_exits_2(inst)
+
+    @pytest.mark.parametrize("key,value", [("n", 5), ("m_prime", 39999)])
     def test_sidecar_disagrees_with_header(self, inst, key, value):
         meta = read_sidecar(inst)
         meta[key] = value
@@ -463,9 +430,13 @@ def test_directory_input_exits_2(tmp_path, args):
     ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--tau", "nan"],
     ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
      "--min-advantage", "nan"],
+    # a stream of 1.6e16 rows of 4 floats is past any 48-bit address space,
+    # so its allocation fails at once whatever the overcommit setting
+    ["gen-instance", *BASE_ARGS, "--m-prime", str(10**15), "--out", "{dir}/o.inst"],
 ], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
         "gen-lwe-noise-window", "preset-delta-nan", "preset-zeta-nan", "preset-zeta-inf",
-        "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan"])
+        "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan",
+        "gen-instance-unallocatable"])
 def test_number_outside_its_domain_exits_2(tmp_path, args):
     res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
     assert res.exit_code == 2, res.output
@@ -496,8 +467,7 @@ def test_unwritable_output_path_exits_2(work, tmp_path, args):
 
 @pytest.mark.parametrize("args", [
     ["--config", "{dir}/strict.json"],
-    [*BASE_ARGS, "--m-prime", "10", "--lifted", "--d", "60"],
-], ids=["strict-condition", "lift-cap"])
+], ids=["strict-condition"])
 def test_gen_instance_checks_flags_before_the_stream(tmp_path, monkeypatch, args):
     def no_stream(*_, **__):
         raise AssertionError("the inline stream was drawn")
@@ -509,10 +479,7 @@ def test_gen_instance_checks_flags_before_the_stream(tmp_path, monkeypatch, args
                                     "--out", str(tmp_path / "x.inst")])
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
-    if args[0] == "--config":
-        assert "(iii)" in res.output and "(iv)" in res.output
-    else:
-        assert "exceeds cap" in res.output
+    assert "(iii)" in res.output and "(iv)" in res.output
 
 
 def test_closed_stdout_keeps_clicks_exit_1(monkeypatch):
@@ -592,8 +559,8 @@ OPTIONS = {
                "--out path",
     "gen-instance": "--config file, --batch file, --tag alternative|null, --n integer, "
                     "--m integer, --sigma float, --t float, --eps float, "
-                    "--c-prime float, --eta float, --m-prime integer, --d integer, "
-                    "--lifted boolean, --seed integer, --out path",
+                    "--c-prime float, --eta float, --m-prime integer, --seed integer, "
+                    "--out path",
     "distinguish": "--config file, --n integer, --m integer, --sigma float, --t float, "
                    "--eps float, --c-prime float, --eta float, --m-prime integer, "
                    "--tau float, --trials integer, --learner planted|constant, "
@@ -615,7 +582,7 @@ class TestConfig:
         # None: a flag left out lets the --config value (or the field default) stand
         for p in params:
             if not p.required:
-                assert p.default is (False if p.name == "lifted" else None), p.name
+                assert p.default is None, p.name
 
     def test_roundtrip_is_lossless(self, tmp_path):
         cfg = RunConfig(n=6, sigma=1e-3, t=0.1, eps=0.0125, m_prime=123,
@@ -625,14 +592,17 @@ class TestConfig:
         assert RunConfig.load(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
+        # preset apply theorem-d wrote a "d" key while --d existed
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 4, "nope": 1}')
-        with pytest.raises(ValueError, match="nope"):
-            RunConfig.load(path)
-        res = CliRunner().invoke(
-            main, ["gen-instance", "--config", str(path),
-                   "--out", str(tmp_path / "x")])
-        assert res.exit_code == 2
+        for text, key in (('{"n": 4, "nope": 1}', "nope"), ('{"d": 32}', "d")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                RunConfig.load(path)
+            res = CliRunner().invoke(
+                main, ["gen-instance", "--config", str(path),
+                       "--out", str(tmp_path / "x")])
+            assert res.exit_code == 2
+            assert f"'{key}'" in res.output
 
     @pytest.mark.parametrize("text", ['{"n": "4"}', '{"sigma": true}', '{"seed": 1.5}',
                                       '{"tag": 1}', "[4]", '{"n": 4',
@@ -694,7 +664,6 @@ class TestPreset:
         assert cfg.t / cfg.eps == pytest.approx(ratio)
         assert cfg.eta == pytest.approx(1.0 / 3.0)
         assert cfg.sigma == pytest.approx(16.0**-5.0)
-        assert cfg.d == 4 * ratio
         assert cfg.m == 2 * ratio * cfg.m_prime
         assert "(i) t/eps large even integer: ok" in res.output
         # clause (iii) genuinely fails this far below the asymptotic regime
@@ -703,7 +672,7 @@ class TestPreset:
     def test_bindings_scale_with_n(self):
         a, b = theorem_d_bindings(16), theorem_d_bindings(64)
         assert b.t < a.t and b.eps < a.eps and b.sigma < a.sigma
-        assert b.d > a.d
+        assert b.t / b.eps > a.t / a.eps  # the PTF degree 4 t/eps grows
 
     def test_desk_scale_config(self, tmp_path):
         out = tmp_path / "desk.json"

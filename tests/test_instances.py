@@ -27,7 +27,6 @@ from lwemassart.instances import (
     region_aligned_edges,
     region_plus_intervals,
     secret_digest,
-    veronese_lift,
     write_labeled_file,
 )
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
@@ -245,53 +244,6 @@ def test_region_aligned_edges_pure_bins():
         assert len(set(signs.tolist())) == 1
 
 
-# ------------------------------------------------------------ Veronese lift
-
-
-def test_veronese_frozen_order():
-    a, b = 0.3, -1.7
-    v = veronese_lift(np.array([[a, b]]), 2)
-    assert v.shape == (1, 6)
-    assert v[0] == pytest.approx([1.0, a, b, a * a, a * b, b * b])
-    v1 = veronese_lift(np.array([[a, b]]), 1)
-    assert v1.shape == (1, 3)
-    assert v1[0] == pytest.approx([1.0, a, b])
-
-
-def test_veronese_width_and_coordinate_block():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(40, 3))
-    for d in (1, 2, 3, 4):
-        v = veronese_lift(x, d)
-        assert v.shape == (40, math.comb(3 + d, d))
-        assert np.array_equal(v[:, 1:4], x)
-        assert np.all(v[:, 0] == 1.0)
-
-
-def test_veronese_linearity_witness():
-    from itertools import combinations_with_replacement
-
-    rng = np.random.default_rng(6)
-    n, d = 3, 3
-    combos = [()]
-    for k in range(1, d + 1):
-        combos.extend(combinations_with_replacement(range(n), k))
-    w = rng.normal(size=len(combos))
-    x = rng.normal(size=(100, n))
-    direct = np.zeros(100)
-    for coef, combo in zip(w, combos):
-        direct += coef * np.prod(x[:, list(combo)], axis=1) if combo else coef * np.ones(100)
-    lifted = veronese_lift(x, d)
-    assert lifted @ w == pytest.approx(direct, rel=1e-10)
-
-
-def test_veronese_cap():
-    with pytest.raises(ValueError):
-        veronese_lift(np.zeros((2, 50)), 10)
-    with pytest.raises(ValueError):
-        veronese_lift(np.zeros(3), 0)
-
-
 # -------------------------------------------------------------- the builder
 
 
@@ -491,12 +443,11 @@ def test_labeled_file_round_trip(tmp_path):
     path = tmp_path / "inst.mlab"
     meta = {"t": T, "eps": EPS, "seed": 42, "tag": "alternative",
             "secret_digest": secret_digest(np.ones(5))}
-    write_labeled_file(path, x, labels, d=2, lifted=False, sidecar=meta)
+    write_labeled_file(path, x, labels, sidecar=meta)
     x2, labels2, header = read_labeled_file(path)
     assert np.array_equal(x, x2)
     assert np.array_equal(labels, labels2)
-    assert header["n"] == 5 and header["m_prime"] == 123
-    assert header["d"] == 2 and header["lifted"] is False
+    assert header == {"magic": "MLAB", "version": 1, "n": 5, "m_prime": 123}
     assert read_sidecar(path) == meta
 
 
@@ -524,18 +475,30 @@ def test_labeled_file_rejects_every_truncation_and_bad_label(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("version", 2), ("n", 0), ("n", 2.0),
-                                       ("m_prime", "3"), ("d", 0), ("lifted", 0)])
+                                       ("m_prime", "3"), ("lifted", 0), ("lifted", True)])
 def test_labeled_file_rejects_ill_typed_header(tmp_path, key, value):
     path = tmp_path / "h.mlab"
     write_labeled_file(path, np.zeros((3, 2)), np.ones(3))
-    data = path.read_bytes()
-    hlen = int.from_bytes(data[4:8], "little")
-    header = json.loads(data[8 : 8 + hlen])
-    header[key] = value
-    hb = json.dumps(header).encode()
-    path.write_bytes(b"MLAB" + len(hb).to_bytes(4, "little") + hb + data[8 + hlen :])
+    edit_labeled_header(path, **{key: value})
     with pytest.raises(ValueError):
         read_labeled_file(path)
+
+
+def test_labeled_file_reads_an_unlifted_header_with_d(tmp_path):
+    # files written while --lifted existed carry d and lifted: false
+    path = tmp_path / "h.mlab"
+    write_labeled_file(path, np.zeros((3, 2)), np.ones(3))
+    edit_labeled_header(path, d=1, lifted=False)
+    x, labels, _ = read_labeled_file(path)
+    assert x.shape == (3, 2) and np.all(labels == 1)
+
+
+def edit_labeled_header(path, **changes):
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[4:8], "little")
+    header = {**json.loads(data[8 : 8 + hlen]), **changes}
+    hb = json.dumps(header).encode()
+    path.write_bytes(b"MLAB" + len(hb).to_bytes(4, "little") + hb + data[8 + hlen :])
 
 
 def test_labeled_file_same_bytes_same_input(tmp_path):
