@@ -14,27 +14,24 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import click
 import numpy as np
 
-from .frames import check_fields, decode_json, write_json
+from . import config
+from .frames import write_json
 from .gaussians import sample_continuous
 from .instances import (
-    MassartConfig,
     generate_instance,
     ptf_region,
     read_labeled_file,
     read_sidecar,
     region_aligned_edges,
-    secret_digest,
     write_labeled_file,
     write_sidecar,
 )
 from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
-from .rejection import ReductionParams, b_plus, validate_condition
+from .rejection import validate_condition
 from .verify import (
     ConstantLearner,
     PlantedRegionLearner,
@@ -65,92 +62,6 @@ HIDDEN_WINDOW = (-0.8, 0.8)
 NULL_WINDOW = (-1.2, 1.2)
 MASSART_WINDOW = (-1.3, 1.3)
 BALANCE_MIN_COUNT = 2000
-
-
-@dataclass
-class RunConfig:
-    """One flat bag of pipeline parameters; flags override file values."""
-
-    kind: str = "continuous"
-    tag: str = "alternative"
-    n: int = 8
-    m: int = 0  # 0: derive 2 (t/eps) m_prime where a stream budget is needed
-    q: int = 257
-    sigma: float = 0.5555555555555556
-    t: float = 0.2
-    eps: float = 0.025
-    c_prime: float = 0.04
-    c_dprime: float = 4.0
-    eta: float = 0.05
-    m_prime: int = 1000
-    delta: float = 1e-4
-    mode: str = "desk-scale"
-    tau: float = 0.25
-    trials: int = 50
-    learner: str = "planted"
-    zeta: float = 0.5
-    seed: Optional[int] = None
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        check_fields(data, {}, "config")  # a JSON object
-        extra = data.keys() - _CONFIG_KINDS.keys()
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        check_fields(data, {k: _CONFIG_KINDS[k] for k in data}, "config")
-        _check_choices(data, "config")
-        return cls(**data)
-
-    def save(self, path):
-        write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(decode_json(fh.read()))
-
-
-# each field's annotated type is its JSON kind for frames.check_fields
-_CONFIG_KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-# admitted values of the string fields, for the click options and the JSON checks
-_CHOICES = {
-    "kind": ("classic", "continuous"),
-    "tag": ("alternative", "null"),
-    "mode": ("strict", "desk-scale"),
-    "learner": ("planted", "constant"),
-}
-
-
-def _check_choices(data, where):
-    for key, admitted in _CHOICES.items():
-        if key in data and data[key] not in admitted:
-            raise ValueError(f"{where} {key} {data[key]!r} is not one of "
-                             f"{', '.join(admitted)}")
-
-
-def _load_config(path, **overrides):
-    cfg = RunConfig() if path is None else RunConfig.load(path)
-    live = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(cfg, **live)
-
-
-def _resolve_seed(seed):
-    return 0 if seed is None else int(seed)
-
-
-def _reduction_params(cfg):
-    return ReductionParams(n=cfg.n, t=cfg.t, eps=cfg.eps, psi=0.0, B=b_plus(cfg.eps),
-                           delta=cfg.delta, sigma=cfg.sigma, mode=cfg.mode,
-                           c_prime=cfg.c_prime, c_dprime=cfg.c_dprime)
-
-
-def _stream_budget(cfg):
-    if cfg.m < 0:
-        raise ValueError("m must be >= 0 (0 derives the stream budget)")
-    return cfg.m if cfg.m > 0 else math.ceil(2.0 * (cfg.t / cfg.eps) * cfg.m_prime)
 
 
 class StreamExhausted(click.ClickException):
@@ -195,13 +106,14 @@ class _Group(click.Group):
 def _config_options(*fields):
     """One --field-name option per named RunConfig field, in order.
 
-    Each takes the field's kind (or its _CHOICES) and defaults to None, so
+    Each takes the field's kind (or its config.CHOICES) and defaults to None, so
     a --config value stands unless the flag is given.
     """
 
     def decorate(fn):
         for name in reversed(fields):
-            kind = click.Choice(_CHOICES[name]) if name in _CHOICES else _CONFIG_KINDS[name]
+            kind = (click.Choice(config.CHOICES[name]) if name in config.CHOICES
+                    else config.KINDS[name])
             fn = click.option("--" + name.replace("_", "-"), type=kind, default=None)(fn)
         return fn
 
@@ -220,61 +132,46 @@ def main():
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen_lwe(config_path, out, **flags):
     """Write an LWE sample batch (binary) plus a JSON metadata sidecar."""
-    cfg = _load_config(config_path, **flags)
-    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    cfg = config.RunConfig.load(config_path, **flags)
+    seed = config.resolve_seed(cfg.seed)
+    rng = np.random.default_rng(seed)
     if cfg.kind == "classic":
         batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
     else:
         batch = gen_continuous_lwe(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng=rng)
     batch.save(out)
-    meta = {
-        "command": "gen-lwe",
-        "kind": cfg.kind,
-        "tag": batch.tag,
-        "n": batch.n,
-        "m": batch.m,
-        "q": batch.q,
-        "sigma": batch.sigma,
-        "seed": _resolve_seed(cfg.seed),
-        "secret": None if batch.secret is None else [int(v) for v in batch.secret],
-        "secret_digest": None if batch.secret is None else secret_digest(batch.secret),
-    }
-    write_sidecar(out, meta)
+    write_sidecar(out, config.batch_sidecar("gen-lwe", batch, seed, kind=cfg.kind, q=batch.q))
     click.echo(f"wrote {batch.m} samples to {out}")
 
 
 @main.command("reduce-lwe")
 @click.argument("batch_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--sigma-target", type=float, default=None,
-              help="Label-noise target scale (default: reference choice).")
-@click.option("--sigma-coord", type=float, default=None,
-              help="Per-coordinate sample blur scale (default: reference choice).")
 @_SEED_OPT
 @click.option("--out", type=click.Path(), required=True)
-def cmd_reduce_lwe(batch_path, sigma_target, sigma_coord, seed, out):
+def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
-    seed = _resolve_seed(seed)
+    seed = config.resolve_seed(seed)
     batch = LweBatch.load(batch_path)
-    reduced = run_chain(batch, sigma_target, sigma_coord, rng=np.random.default_rng(seed))
+    reduced = run_chain(batch, rng=np.random.default_rng(seed))
     reduced.save(out)
-    meta = {
-        "command": "reduce-lwe",
-        "source": str(batch_path),
-        "tag": reduced.tag,
-        "n": reduced.n,
-        "m": reduced.m,
-        "sigma": reduced.sigma,
-        "seed": seed,
-        "history": [dataclasses.asdict(step) for step in reduced.history],
-        "secret": None if reduced.secret is None else [int(v) for v in reduced.secret],
-    }
-    write_sidecar(out, meta)
+    history = [dataclasses.asdict(step) for step in reduced.history]
+    write_sidecar(out, config.batch_sidecar("reduce-lwe", reduced, seed,
+                                            source=str(batch_path), history=history))
     click.echo(f"continuized {reduced.m} samples to {out} (sigma={reduced.sigma:.6g})")
 
 
-# the RunConfig fields gen-instance writes to its sidecar and verify reads back
-_SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "sigma", "t", "eps", "c_prime", "c_dprime",
-                        "eta", "delta", "mode")
+def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
+    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry."""
+    if batch is None:
+        batch = gen_continuous_lwe(cfg.n, config.stream_budget(cfg), cfg.sigma, tag,
+                                   rng=rng, secret=secret)
+    inst = generate_instance(batch, mconfig, rng=rng)
+    if not inst.ok:
+        raise StreamExhausted(
+            f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
+            f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
+        )
+    return batch, inst
 
 
 @main.command("gen-instance")
@@ -287,59 +184,28 @@ _SIDECAR_CONFIG_KEYS = ("tag", "n", "m_prime", "sigma", "t", "eps", "c_prime", "
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
-    cfg = _load_config(config_path, **flags)
+    cfg = config.RunConfig.load(config_path, **flags)
     batch = None
     if batch_path is not None:
         batch = LweBatch.load(batch_path)
+        if batch.domain != "unit_torus":
+            raise ValueError(f"--batch needs a unit-torus batch, not a {batch.domain} "
+                             "one: reduce-lwe makes one from it")
         cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
     # every check that needs only the flags runs before the inline stream is drawn
-    mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
-    rng = np.random.default_rng(_resolve_seed(cfg.seed))
-    if batch is None:
-        batch = gen_continuous_lwe(cfg.n, _stream_budget(cfg), cfg.sigma, cfg.tag, rng=rng)
-    inst = generate_instance(batch, mconfig, rng=rng)
-    if not inst.ok:
-        raise StreamExhausted(
-            f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
-            f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
-        )
-    meta = {
-        "command": "gen-instance",
-        **{k: getattr(cfg, k) for k in _SIDECAR_CONFIG_KEYS},
-        "m": batch.m,
-        "seed": _resolve_seed(cfg.seed),
-        "consumed": inst.consumed,
-        "secret": None if batch.secret is None else [int(v) for v in batch.secret],
-        "secret_digest": None if batch.secret is None else secret_digest(batch.secret),
-    }
-    write_labeled_file(out, inst.x, inst.labels, sidecar=meta)
+    mconfig = config.massart_config(cfg)
+    rng = np.random.default_rng(config.resolve_seed(cfg.seed))
+    batch, inst = _instance(cfg, mconfig, rng, cfg.tag, batch)
+    write_labeled_file(out, inst.x, inst.labels,
+                       sidecar=config.instance_sidecar(cfg, batch, inst.consumed))
     click.echo(f"wrote {cfg.m_prime} labeled samples to {out} "
                f"(consumed {inst.consumed} of {batch.m})")
 
 
-def _instance_config(meta, header):
-    """(RunConfig, secret or None) from a gen-instance sidecar.
-
-    ValueError when a key is missing or ill-typed, or when the sidecar and
-    the file header disagree on n or m_prime.
-    """
-    check_fields(meta, {**{k: _CONFIG_KINDS[k] for k in _SIDECAR_CONFIG_KEYS},
-                        "secret": Optional[list]}, "sidecar")
-    _check_choices(meta, "sidecar")
-    cfg = RunConfig(**{k: meta[k] for k in _SIDECAR_CONFIG_KEYS})
-    for key in ("m_prime", "n"):
-        if header[key] != getattr(cfg, key):
-            raise ValueError(f"sidecar and file header disagree on {key}")
-    secret = meta["secret"]
-    if secret is not None and len(secret) != cfg.n:
-        raise ValueError("sidecar secret must be a list of n numbers")
-    return cfg, None if secret is None else np.asarray(secret, dtype=float)
-
-
-def _alternative_reports(coords, labels, secret, cfg, config, bins, tol_l1):
+def _alternative_reports(coords, labels, secret, cfg, mconfig, bins, tol_l1):
     t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
-    oracle = mixture_oracle(config)
-    atom_locs = [config.params_plus.psi - t, config.params_minus.psi - t]
+    oracle = mixture_oracle(mconfig)
+    atom_locs = [mconfig.params_plus.psi - t, mconfig.params_minus.psi - t]
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
     proj = project(coords, secret)
     reports = [
@@ -417,15 +283,13 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     """Run the distributional test battery for a labeled instance file."""
     x, labels, header = read_labeled_file(instance_path)
-    cfg, secret = _instance_config(read_sidecar(instance_path), header)
-    if cfg.tag == "alternative" and secret is None:
-        raise ValueError("alternative instance without planted secret")
-    config = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
+    cfg, secret = config.read_instance_sidecar(read_sidecar(instance_path), header)
+    mconfig = config.massart_config(cfg)
     if not 1 <= bins <= cfg.m_prime:
         # more bins than samples leaves the histogram gates no power
         raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
     if cfg.tag == "alternative":
-        reports, hist = _alternative_reports(x, labels, secret, cfg, config, bins, tol_l1)
+        reports, hist = _alternative_reports(x, labels, secret, cfg, mconfig, bins, tol_l1)
     else:
         reports, hist = _null_reports(x, labels, cfg, bins, tol_l1)
     if report_path:
@@ -452,7 +316,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
 @_SEED_OPT
 def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     """Paired-trial advantage of a learner between the two hypotheses."""
-    cfg = _load_config(config_path, **flags)
+    cfg = config.RunConfig.load(config_path, **flags)
     if cfg.trials < 1:
         raise ValueError("distinguish needs trials >= 1")
     if not 0.0 <= cfg.tau <= 1.0:
@@ -460,19 +324,13 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     if cfg.m_prime < 2:
         raise ValueError("distinguish needs m_prime >= 2: each instance is "
                          "split into a training and a held-out half")
-    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    rng = np.random.default_rng(config.resolve_seed(cfg.seed))
     secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
-    mconfig = MassartConfig(params=_reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
-    budget = _stream_budget(cfg)
+    mconfig = config.massart_config(cfg)
 
     def make_instance(tag, trial_rng):
         if tag == "alternative":
-            batch = gen_continuous_lwe(cfg.n, budget, cfg.sigma, tag,
-                                       rng=trial_rng, secret=secret)
-            inst = generate_instance(batch, mconfig, rng=trial_rng)
-            if not inst.ok:
-                raise StreamExhausted(
-                    f"FAIL: stream exhausted in a trial ({inst.consumed} consumed)")
+            _, inst = _instance(cfg, mconfig, trial_rng, tag, secret=secret)
             return inst.x, inst.labels
         x = sample_continuous(cfg.n, 1.0, rng=trial_rng, size=cfg.m_prime)
         y = np.where(trial_rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
@@ -485,7 +343,7 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     rep = distinguish(make_instance, factories[cfg.learner], tau=cfg.tau,
                       trials=cfg.trials, rng=rng)
     payload = dataclasses.asdict(rep)
-    payload["seed"] = _resolve_seed(cfg.seed)
+    payload["seed"] = config.resolve_seed(cfg.seed)
     payload["learner"] = cfg.learner
     se = math.sqrt(2.0 * 0.25 / cfg.trials)
     payload["advantage_2se"] = 2.0 * se
@@ -498,32 +356,6 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
         sys.exit(4)
 
 
-def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):
-    """Parameter bindings of the dimension-d hardness regime.
-
-    t = n^(-0.5 - 0.2 zeta) and eps proportional to n^(-1.5), with the
-    ratio rounded to an even integer, eta = 1/3, and the noise scale the
-    smaller of n^-5 and the clause-(iv) bound at RunConfig's c' and c''.
-    The paper's PTF degree at these bindings is 4 t/eps.
-    """
-    t = n ** (-0.5 - 0.2 * zeta)
-    eps0 = n ** -1.5
-    ratio = max(2, 2 * round(t / eps0 / 2.0))
-    eps = t / ratio
-    sigma = min(n ** -5.0, RunConfig.c_prime * eps
-                / (RunConfig.c_dprime * t * math.sqrt(math.log(m_prime / delta))))
-    return RunConfig(
-        kind="continuous", tag="alternative", n=n, m=2 * ratio * m_prime,
-        sigma=sigma, t=t, eps=eps, eta=1.0 / 3.0, m_prime=m_prime, delta=delta, zeta=zeta,
-    )
-
-
-PRESETS = {
-    "desk-scale": "n=8, t=0.2, t/eps=8, (t+eps)sigma=1/8: the validation scale",
-    "theorem-d": "t=n^(-0.5-0.2 zeta), eps~n^(-1.5), eta=1/3: the hardness regime",
-}
-
-
 @main.group()
 def preset():
     """Named parameter bindings."""
@@ -531,12 +363,12 @@ def preset():
 
 @preset.command("list")
 def cmd_preset_list():
-    for name, desc in PRESETS.items():
+    for name, (desc, _) in config.PRESETS.items():
         click.echo(f"{name}: {desc}")
 
 
 @preset.command("apply")
-@click.argument("name", type=click.Choice(sorted(PRESETS)))
+@click.argument("name", type=click.Choice(sorted(config.PRESETS)))
 @click.option("--n", type=click.IntRange(min=1), default=8)
 @click.option("--zeta", type=_FloatRange(0.0, 1.0), default=0.5)
 @click.option("--m-prime", type=click.IntRange(min=1), default=100_000)
@@ -545,14 +377,10 @@ def cmd_preset_list():
 @click.option("--out", type=click.Path(), required=True)
 def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
     """Write the preset's RunConfig JSON and report the parameter condition."""
-    if name == "desk-scale":
-        cfg = RunConfig(n=n, m_prime=m_prime, delta=delta)
-    else:
-        cfg = theorem_d_bindings(n, zeta=zeta, m_prime=m_prime, delta=delta)
+    cfg = config.preset(name, n, zeta, m_prime, delta)
     cfg.save(out)
     try:
-        params = _reduction_params(cfg)
-        report = validate_condition(params, m_prime=cfg.m_prime)
+        report = validate_condition(config.reduction_params(cfg), m_prime=cfg.m_prime)
         for clause in report["clauses"]:
             state = "ok" if clause["ok"] else "VIOLATED"
             click.echo(f"{clause['clause']}: {state} ({clause['detail']})")

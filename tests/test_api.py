@@ -72,6 +72,13 @@ def test_verify_shares_two_names_with_the_generator():
     assert shared == {("rejection", "branch_acceptance"), ("instances", "ptf_region")}
 
 
+def test_config_imports_neither_click_nor_scipy():
+    # the parameter rules load without the command line or the statistics stack
+    found = {m.split(".")[0] for m, _ in _imports(SRC / "config.py")}
+    assert "frames" in found
+    assert not found & {"click", "scipy"}
+
+
 def test_package_imports_nothing_from_the_tests():
     test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
     found = [(path.name, m) for path in sorted(SRC.glob("*.py"))

@@ -16,7 +16,8 @@ import pytest
 from click.testing import CliRunner
 
 from lwemassart import cli
-from lwemassart.cli import RunConfig, main, theorem_d_bindings
+from lwemassart.cli import main
+from lwemassart.config import RunConfig, theorem_d_bindings
 from lwemassart.instances import (
     read_labeled_file,
     read_sidecar,
@@ -109,7 +110,9 @@ class TestReduceLwe:
         assert reduced.x.max() < 1.0 and reduced.x.min() >= 0.0
         source = LweBatch.load(src)
         assert np.array_equal(reduced.secret, source.secret)
-        assert len(read_sidecar(dst)["history"]) == 3
+        meta = read_sidecar(dst)
+        assert len(meta["history"]) == 3
+        assert meta["secret_digest"] == secret_digest(np.asarray(meta["secret"], float))
 
     def test_torus_input_is_usage_error(self, tmp_path):
         src = tmp_path / "t.lwe"
@@ -205,6 +208,17 @@ class TestGenInstance:
                       "--m-prime", "1000", "--seed", "8", "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert read_sidecar(out)["secret"] == read_sidecar(src)["secret"]
+
+    def test_mod_q_batch_names_reduce_lwe(self, tmp_path):
+        # the domain is checked before the batch's sigma reaches the Step-3 check
+        src = tmp_path / "classic.lwe"
+        invoke(["gen-lwe", "--kind", "classic", "--n", "4", "--m", "2000",
+                "--sigma", "2.0", "--seed", "1", "--out", str(src)])
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(src),
+                                        "--out", str(tmp_path / "i")])
+        assert res.exit_code == 2, res.output
+        assert "unit-torus batch" in res.output and "reduce-lwe" in res.output
+        assert "signal ratio" not in res.output and not (tmp_path / "i").exists()
 
 
 class TestVerify:
@@ -514,6 +528,14 @@ class TestDistinguish:
         assert res.exit_code == 4
         assert json.loads(res.output.splitlines()[-1])["advantage"] == 0.0
 
+    def test_exhausted_stream_exits_3(self):
+        res = CliRunner().invoke(main, ["distinguish", *BASE_ARGS, "--m", "300",
+                                        "--m-prime", "200", "--trials", "2", "--seed", "1"])
+        assert res.exit_code == 3, res.output
+        # the one message gen-instance prints too
+        assert "FAIL: stream exhausted after 300 of 300 samples (" in res.output
+        assert " of 200 labeled samples produced)" in res.output
+
     @pytest.mark.parametrize("args", [["--trials", "0"], ["--trials", "-1"],
                                       ["--m-prime", "1", "--m", "20000"]],
                              ids=["no-trials", "negative-trials", "one-sample"])
@@ -554,6 +576,7 @@ class TestDistinguish:
 # each command's options in order, "--flag type"; the RunConfig fields among
 # them carry the field's kind and admitted choices, as a --config file does
 OPTIONS = {
+    "reduce-lwe": "batch_path file, --seed integer, --out path",
     "gen-lwe": "--config file, --kind classic|continuous, --tag alternative|null, "
                "--n integer, --m integer, --q integer, --sigma float, --seed integer, "
                "--out path",
