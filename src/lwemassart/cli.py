@@ -30,14 +30,12 @@ from .instances import (
     write_labeled_file,
     write_sidecar,
 )
+from .learners import LEARNERS, distinguish
 from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
 from .rejection import validate_condition
 from .verify import (
-    ConstantLearner,
-    PlantedRegionLearner,
     TestReport,
     atom_safe_edges,
-    distinguish,
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
@@ -184,14 +182,13 @@ def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
 @click.option("--out", type=click.Path(), required=True)
 def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
-    cfg = config.RunConfig.load(config_path, **flags)
     batch = None
     if batch_path is not None:
         batch = LweBatch.load(batch_path)
         if batch.domain != "unit_torus":
             raise ValueError(f"--batch needs a unit-torus batch, not a {batch.domain} "
                              "one: reduce-lwe makes one from it")
-        cfg = dataclasses.replace(cfg, n=batch.n, tag=batch.tag, sigma=batch.sigma)
+    cfg = config.RunConfig.load(config_path, batch, **flags)
     # every check that needs only the flags runs before the inline stream is drawn
     mconfig = config.massart_config(cfg)
     rng = np.random.default_rng(config.resolve_seed(cfg.seed))
@@ -317,10 +314,6 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
 def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     """Paired-trial advantage of a learner between the two hypotheses."""
     cfg = config.RunConfig.load(config_path, **flags)
-    if cfg.trials < 1:
-        raise ValueError("distinguish needs trials >= 1")
-    if not 0.0 <= cfg.tau <= 1.0:
-        raise ValueError("distinguish needs tau in [0, 1]: it bounds a held-out error rate")
     if cfg.m_prime < 2:
         raise ValueError("distinguish needs m_prime >= 2: each instance is "
                          "split into a training and a held-out half")
@@ -336,12 +329,9 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
         y = np.where(trial_rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
         return x, y
 
-    factories = {
-        "planted": lambda: PlantedRegionLearner(secret, cfg.t, cfg.eps, cfg.c_prime),
-        "constant": ConstantLearner,
-    }
-    rep = distinguish(make_instance, factories[cfg.learner], tau=cfg.tau,
-                      trials=cfg.trials, rng=rng)
+    build = LEARNERS[cfg.learner]
+    rep = distinguish(make_instance, lambda: build(secret, cfg.t, cfg.eps, cfg.c_prime),
+                      tau=cfg.tau, trials=cfg.trials, rng=rng)
     payload = dataclasses.asdict(rep)
     payload["seed"] = config.resolve_seed(cfg.seed)
     payload["learner"] = cfg.learner

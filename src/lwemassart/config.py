@@ -9,6 +9,7 @@ import numpy as np
 
 from .frames import check_fields, decode_json, write_json
 from .instances import MassartConfig, secret_digest
+from .learners import LEARNERS
 from .rejection import ReductionParams, b_plus
 
 
@@ -32,7 +33,7 @@ class RunConfig:
     mode: str = "desk-scale"
     tau: float = 0.25
     trials: int = 50
-    learner: str = "planted"
+    learner: str = next(iter(LEARNERS))
     zeta: float = 0.5
     seed: Optional[int] = None
 
@@ -40,8 +41,11 @@ class RunConfig:
         write_json(path, dataclasses.asdict(self))
 
     @classmethod
-    def load(cls, path, **overrides):
-        """The config in path (defaults when None) under every override that is not None."""
+    def load(cls, path, batch=None, **overrides):
+        """The config in path (defaults when None) under every override that is not None.
+
+        A batch sets n, tag and sigma; ValueError names one set otherwise (sigma: rel 1e-9).
+        """
         data = {}
         if path is not None:
             with open(path) as fh:
@@ -53,6 +57,12 @@ class RunConfig:
             check_fields(data, {k: KINDS[k] for k in data}, "config")
             _check_choices(data, "config")
         data.update((k, v) for k, v in overrides.items() if v is not None)
+        for key in () if batch is None else ("n", "tag", "sigma"):
+            have = getattr(batch, key)
+            v = data.get(key, have)
+            if not (math.isclose(v, have, rel_tol=1e-9) if key == "sigma" else v == have):
+                raise ValueError(f"{key} {v!r} disagrees with the batch's {key} {have!r}")
+            data[key] = have
         return cls(**data)
 
 
@@ -63,7 +73,7 @@ CHOICES = {
     "kind": ("classic", "continuous"),
     "tag": ("alternative", "null"),
     "mode": ("strict", "desk-scale"),
-    "learner": ("planted", "constant"),
+    "learner": tuple(LEARNERS),
 }
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,7 +132,9 @@ def sample_lattice_rows(shifts, sigma, *, rng):
         # the envelope's mass is exp(-lam*f) / (1 - e^-lam) on the points
         # f + j, j >= 0, and exp(-lam*(1 - f)) / (1 - e^-lam) on f - 1 - j
         j = rng.geometric(-np.expm1(-lam)) - 1.0
-        x = f + np.where(rng.uniform(size=f.size) < expit(lam * (1.0 - 2.0 * f)), j, -1.0 - j)
+        with np.errstate(over="ignore"):  # exp overflow: the logistic is 0, as it should be
+            up = 1.0 / (1.0 + np.exp(-lam * (1.0 - 2.0 * f)))
+        x = f + np.where(rng.uniform(size=f.size) < up, j, -1.0 - j)
         ax = np.abs(x)
         radius = np.maximum(DEFAULT_TRUNCATION.radius_multiplier * sg, np.minimum(f, 1.0 - f))
         keep = (rng.uniform(size=f.size) < np.exp(-0.5 * ((ax - a) / s) ** 2)) & (ax <= radius)

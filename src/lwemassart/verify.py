@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import null_space
 from scipy.special import kolmogorov, ndtr, smirnov
 
 from . import frames
@@ -219,13 +217,15 @@ def dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law="accepted"):
 def _convolve_same(a, kern):
     """Linear convolution of 1-D a and kern cut to a's length, centred.
 
-    An rfft product at the next fast real length: the computation behind
-    scipy.signal.fftconvolve(a, kern, mode="same") for lengths >= 2.
+    An np.fft rfft product at the next power of two: what
+    scipy.signal.fftconvolve(a, kern, mode="same") computes, up to rounding,
+    for lengths >= 2.
     """
     full = a.size + kern.size - 1
-    nfft = next_fast_len(full, real=True)
+    nfft = 1 << (full - 1).bit_length()
     lo = (full - a.size) // 2
-    return irfft(rfft(a, nfft) * rfft(kern, nfft), nfft)[lo : lo + a.size]
+    prod = np.fft.rfft(a, nfft) * np.fft.rfft(kern, nfft)
+    return np.fft.irfft(prod, nfft)[lo : lo + a.size]
 
 
 def convolve_with_gaussian(oracle, sigma_noise):
@@ -408,7 +408,7 @@ def orthogonal_gaussianity_test(samples, s):
             passed=True, n_samples=len(x), description="n=1: no complement, vacuous",
         )
     u = _unit(s)
-    basis = null_space(u[None, :])
+    basis = np.linalg.svd(u[None, :])[2][1:].T  # orthonormal complement of u
     coords = x @ basis
     proj = x @ u
     quartiles = np.quantile(proj, [0.25, 0.5, 0.75])
@@ -500,82 +500,3 @@ def ptf_error_estimate(proj, labels, t, eps, c_prime):
     """Empirical disagreement between labels and the region classifier."""
     pred = ptf_region(proj, t, eps, c_prime)
     return float(np.mean(pred != np.asarray(labels)))
-
-
-# ------------------------------------------------------------ distinguisher
-
-
-class PlantedRegionLearner:
-    """Classifies by the threshold-polynomial region along the planted s."""
-
-    def __init__(self, s, t, eps, c_prime):
-        self.s = _unit(s)
-        self.t, self.eps, self.c_prime = t, eps, c_prime
-
-    def fit(self, x, y):
-        return self
-
-    def predict(self, x):
-        return ptf_region(np.asarray(x, dtype=float) @ self.s,
-                          self.t, self.eps, self.c_prime)
-
-
-class ConstantLearner:
-    """Predicts +1 everywhere."""
-
-    def fit(self, x, y):
-        return self
-
-    def predict(self, x):
-        return np.ones(len(x), dtype=np.int8)
-
-
-@dataclass(frozen=True)
-class DistinguishReport:
-    p_alt: float
-    p_null: float
-    advantage: float
-    trials: int
-    tau: float
-    alt_errors: tuple
-    null_errors: tuple
-    degenerate_trials: int
-
-
-def distinguish(make_instance, learner_factory, tau, trials, rng):
-    """Repeated-trial decision harness.
-
-    make_instance(tag, rng) must return (x, labels) for a fresh instance;
-    each trial fits a fresh learner on the first half of each pair
-    member and decides "alternative" when the held-out error is below
-    tau.  The advantage is the alternative-decision rate gap.  Learners
-    that output a constant on some test split are counted, not rejected.
-    """
-    decisions = {"alternative": [], "null": []}
-    errors = {"alternative": [], "null": []}
-    degenerate = 0
-    for _ in range(trials):
-        for tag in ("alternative", "null"):
-            x, y = make_instance(tag, rng)
-            cut = max(1, len(y) // 2)
-            learner = learner_factory()
-            learner.fit(x[:cut], y[:cut])
-            pred = np.asarray(learner.predict(x[cut:]))
-            if np.all(pred == pred[0]):
-                degenerate += 1
-            err = float(np.mean(pred != y[cut:]))
-            errors[tag].append(err)
-            decisions[tag].append(err < tau)
-    p_alt = float(np.mean(decisions["alternative"]))
-    p_null = float(np.mean(decisions["null"]))
-    return DistinguishReport(
-        p_alt=p_alt,
-        p_null=p_null,
-        advantage=p_alt - p_null,
-        trials=trials,
-        tau=tau,
-        alt_errors=tuple(errors["alternative"]),
-        null_errors=tuple(errors["null"]),
-        degenerate_trials=degenerate,
-    )
-

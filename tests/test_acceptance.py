@@ -27,13 +27,11 @@ from lwemassart.instances import (
     ptf_region,
     region_aligned_edges,
 )
+from lwemassart.learners import ConstantLearner, PlantedRegionLearner, distinguish
 from lwemassart.lwe import gen_classic_lwe, gen_continuous_lwe, run_chain
 from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
-    ConstantLearner,
-    PlantedRegionLearner,
     convolve_with_gaussian,
-    distinguish,
     hidden_direction_test,
     isotropic_gaussianity_test,
     massart_condition_estimate,

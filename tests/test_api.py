@@ -79,6 +79,18 @@ def test_config_imports_neither_click_nor_scipy():
     assert not found & {"click", "scipy"}
 
 
+def test_scipy_is_imported_by_verify_alone_and_only_special():
+    # the generator, the config and the distinguisher load without scipy
+    found = {(path.stem, m) for path in SRC.glob("*.py")
+             for m, _ in _imports(path) if m.split(".")[0] == "scipy"}
+    assert found == {("verify", "scipy.special")}
+
+
+def test_learners_import_neither_click_nor_scipy():
+    found = {m.split(".")[0] for m, _ in _imports(SRC / "learners.py")}
+    assert found == {"dataclasses", "numpy", "instances"}
+
+
 def test_package_imports_nothing_from_the_tests():
     test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
     found = [(path.name, m) for path in sorted(SRC.glob("*.py"))

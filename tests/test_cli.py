@@ -209,6 +209,27 @@ class TestGenInstance:
         assert res.exit_code == 0, res.output
         assert read_sidecar(out)["secret"] == read_sidecar(src)["secret"]
 
+    @pytest.mark.parametrize("args, field", [
+        (["--n", "8"], "n"),
+        (["--tag", "null"], "tag"),
+        (["--sigma", "0.3"], "sigma"),
+        (["--config", "{dir}/n.json"], "n"),
+    ], ids=["n", "tag", "sigma", "config-n"])
+    def test_batch_disagreement_exits_2(self, tmp_path, args, field):
+        # a value the user set is never silently replaced by the batch's
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative",
+                "--n", "4", "--m", "2000", "--sigma", repr(TINY_SIGMA),
+                "--seed", "8", "--out", str(src)])
+        (tmp_path / "n.json").write_text(json.dumps({"n": 8}))
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(src),
+                                        *[a.format(dir=tmp_path) for a in args],
+                                        "--out", str(tmp_path / "i")])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert f"{field} " in res.output and "disagrees with the batch's" in res.output
+        assert not (tmp_path / "i").exists()
+
     def test_mod_q_batch_names_reduce_lwe(self, tmp_path):
         # the domain is checked before the batch's sigma reaches the Step-3 check
         src = tmp_path / "classic.lwe"
@@ -494,6 +515,25 @@ def test_gen_instance_checks_flags_before_the_stream(tmp_path, monkeypatch, args
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "(iii)" in res.output and "(iv)" in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--trials", "0"], "distinguish needs trials >= 1"),
+    (["--tau", "2"], "distinguish needs tau in [0, 1]: it bounds a held-out error rate"),
+    (["--m-prime", "1"], "distinguish needs m_prime >= 2: each instance is split into a "
+                         "training and a held-out half"),
+], ids=["no-trials", "tau-above-1", "one-sample"])
+def test_distinguish_checks_flags_before_the_stream(monkeypatch, args, message):
+    def no_stream(*_, **__):
+        raise AssertionError("the inline stream was drawn")
+
+    monkeypatch.setattr(cli, "gen_continuous_lwe", no_stream)
+    res = CliRunner().invoke(main, ["distinguish", *BASE_ARGS, "--m-prime", "200",
+                                    "--trials", "2", *args])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert f"Error: {message}\n" in res.output
+    assert "inline stream" not in res.output
 
 
 def test_closed_stdout_keeps_clicks_exit_1(monkeypatch):

@@ -25,15 +25,13 @@ from lwemassart.instances import (
     ptf_region,
     region_aligned_edges,
 )
+from lwemassart.learners import ConstantLearner, PlantedRegionLearner, distinguish
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
-    ConstantLearner,
     DensityOracle1D,
-    PlantedRegionLearner,
     atom_safe_edges,
     convolve_with_gaussian,
-    distinguish,
     dprime_atom_mass,
     dprime_pdf,
     folded_histogram,
@@ -414,7 +412,7 @@ class TestReductionLaw:
         assert rep.description.startswith("underpowered")
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.stats"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.stats", "scipy.fft", "scipy.linalg"])
 def test_cli_import_skips(module):
     import lwemassart
 
@@ -656,6 +654,15 @@ class TestDistinguish:
                           tau=0.25, trials=4, rng=np.random.default_rng(55))
         assert rep.advantage == 0.0
         assert rep.degenerate_trials == 8
+
+    @pytest.mark.parametrize("m_prime", [0, 1])
+    def test_instance_without_a_held_out_half_is_refused(self, m_prime):
+        def make(tag, rng):
+            return rng.normal(size=(m_prime, 2)), np.ones(m_prime, dtype=np.int8)
+
+        with pytest.raises(ValueError, match="m' >= 2 samples per instance"):
+            distinguish(make, ConstantLearner, tau=0.25, trials=1,
+                        rng=np.random.default_rng(0))
 
     def test_advantage_monotone_in_sample_count(self):
         """At eta = 0.2 the held-out error sits near tau, so the decision
