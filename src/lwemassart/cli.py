@@ -32,7 +32,7 @@ from .instances import (
 )
 from .learners import LEARNERS, distinguish
 from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
-from .rejection import validate_condition
+from .rejection import plus_branch, validate_condition
 from .verify import (
     TestReport,
     atom_safe_edges,
@@ -199,8 +199,8 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
                f"(consumed {inst.consumed} of {batch.m})")
 
 
-def _alternative_reports(coords, labels, secret, cfg, mconfig, bins, tol_l1):
-    t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
+def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
+    t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
     oracle = mixture_oracle(mconfig)
     atom_locs = [mconfig.params_plus.psi - t, mconfig.params_minus.psi - t]
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
@@ -235,8 +235,8 @@ def _alternative_reports(coords, labels, secret, cfg, mconfig, bins, tol_l1):
     return reports, (proj, oracle, edges)
 
 
-def _null_reports(coords, labels, cfg, bins, tol_l1):
-    t, eps, c_prime, eta = cfg.t, cfg.eps, cfg.c_prime, cfg.eta
+def _null_reports(coords, labels, mconfig, bins, tol_l1):
+    t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
     oracle = gaussian_oracle(1.0)
     edges = np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1)
     proj = project(coords, np.ones(coords.shape[1]))
@@ -280,15 +280,14 @@ def _null_reports(coords, labels, cfg, bins, tol_l1):
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     """Run the distributional test battery for a labeled instance file."""
     x, labels, header = read_labeled_file(instance_path)
-    cfg, secret = config.read_instance_sidecar(read_sidecar(instance_path), header)
-    mconfig = config.massart_config(cfg)
-    if not 1 <= bins <= cfg.m_prime:
+    tag, mconfig, secret = config.read_instance_sidecar(read_sidecar(instance_path), header)
+    if not 1 <= bins <= mconfig.m_prime:
         # more bins than samples leaves the histogram gates no power
-        raise ValueError(f"--bins must lie in [1, m'={cfg.m_prime}]")
-    if cfg.tag == "alternative":
-        reports, hist = _alternative_reports(x, labels, secret, cfg, mconfig, bins, tol_l1)
+        raise ValueError(f"--bins must lie in [1, m'={mconfig.m_prime}]")
+    if tag == "alternative":
+        reports, hist = _alternative_reports(x, labels, secret, mconfig, bins, tol_l1)
     else:
-        reports, hist = _null_reports(x, labels, cfg, bins, tol_l1)
+        reports, hist = _null_reports(x, labels, mconfig, bins, tol_l1)
     if report_path:
         write_reports_json(report_path, reports)
     if hist_path:
@@ -370,7 +369,9 @@ def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
     cfg = config.preset(name, n, zeta, m_prime, delta)
     cfg.save(out)
     try:
-        report = validate_condition(config.reduction_params(cfg), m_prime=cfg.m_prime)
+        # the +1 branch's checks, not the -1 carving (slow at theorem-d's t/eps ~ n^0.9)
+        plus_branch(cfg)
+        report = validate_condition(cfg)
         for clause in report["clauses"]:
             state = "ok" if clause["ok"] else "VIOLATED"
             click.echo(f"{clause['clause']}: {state} ({clause['detail']})")

@@ -10,7 +10,6 @@ import numpy as np
 from .frames import check_fields, decode_json, write_json
 from .instances import MassartConfig, secret_digest
 from .learners import LEARNERS
-from .rejection import ReductionParams, b_plus
 
 
 @dataclass
@@ -89,16 +88,13 @@ def resolve_seed(seed):
     return 0 if seed is None else int(seed)
 
 
-def reduction_params(cfg):
-    """The +1 branch's inputs, without the -1 carving (slow at theorem-d's t/eps ~ n^0.9)."""
-    return ReductionParams(n=cfg.n, t=cfg.t, eps=cfg.eps, psi=0.0, B=b_plus(cfg.eps),
-                           delta=cfg.delta, sigma=cfg.sigma, mode=cfg.mode,
-                           c_prime=cfg.c_prime, c_dprime=cfg.c_dprime)
+# the instance parameter set's fields, each a RunConfig field of the same name and kind
+MASSART_FIELDS = tuple(f.name for f in dataclasses.fields(MassartConfig))
 
 
 def massart_config(cfg):
-    """The instance builder's inputs; ValueError names what cfg violates."""
-    return MassartConfig(params=reduction_params(cfg), eta=cfg.eta, m_prime=cfg.m_prime)
+    """The instance parameter set, copied from cfg by name; ValueError names what cfg violates."""
+    return MassartConfig(**{k: getattr(cfg, k) for k in MASSART_FIELDS})
 
 
 def stream_budget(cfg):
@@ -117,8 +113,7 @@ def batch_sidecar(command, batch, seed, **extra):
 
 
 # the RunConfig fields gen-instance writes to its sidecar and verify reads back
-SIDECAR_KEYS = ("tag", "n", "m_prime", "sigma", "t", "eps", "c_prime", "c_dprime",
-                "eta", "delta", "mode")
+SIDECAR_KEYS = ("tag",) + MASSART_FIELDS
 
 
 def instance_sidecar(cfg, batch, consumed):
@@ -128,24 +123,26 @@ def instance_sidecar(cfg, batch, consumed):
 
 
 def read_instance_sidecar(meta, header):
-    """(RunConfig, secret or None) from a gen-instance sidecar.
+    """(tag, MassartConfig, secret or None) from a gen-instance sidecar.
 
     ValueError when a key is missing or ill-typed, when the sidecar and the
-    file header disagree on n or m_prime, or when an alternative has no secret.
+    file header disagree on n or m_prime, when the secret is not a ±1
+    vector of length n, when an alternative has no secret, or when the
+    parameters break a MassartConfig rule.
     """
     check_fields(meta, {**{k: KINDS[k] for k in SIDECAR_KEYS},
                         "secret": Optional[list]}, "sidecar")
     _check_choices(meta, "sidecar")
-    cfg = RunConfig(**{k: meta[k] for k in SIDECAR_KEYS})
     for key in ("m_prime", "n"):
-        if header[key] != getattr(cfg, key):
+        if header[key] != meta[key]:
             raise ValueError(f"sidecar and file header disagree on {key}")
     secret = meta["secret"]
-    if secret is not None and len(secret) != cfg.n:
-        raise ValueError("sidecar secret must be a list of n numbers")
-    if cfg.tag == "alternative" and secret is None:
+    if secret is not None and (len(secret) != meta["n"] or any(v not in (-1, 1) for v in secret)):
+        raise ValueError("sidecar secret must be a ±1 vector of length n")
+    if meta["tag"] == "alternative" and secret is None:
         raise ValueError("alternative instance without planted secret")
-    return cfg, None if secret is None else np.asarray(secret, dtype=float)
+    mconfig = MassartConfig(**{k: meta[k] for k in MASSART_FIELDS})
+    return meta["tag"], mconfig, None if secret is None else np.asarray(secret, dtype=float)
 
 
 def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):

@@ -1,10 +1,10 @@
 """Labeled learning instances from a torus sample stream.
 
-Each labeled sample is produced by the rejection core under one of two
-branch parameter sets: with probability 1 - eta the label is +1 and the
-branch is (psi = 0, B = [0, eps)); otherwise the label is -1 and the
-branch is (psi = t/2, B = B_minus), where B_minus is [t/2, t/2 + eps)
-with a family of slots carved out.
+One parameter set, MassartConfig, defines the instance, and each labeled
+sample is produced by the rejection core under one of its two branches:
+with probability 1 - eta the label is +1 and the branch is (psi = 0,
+B = [0, eps)); otherwise the label is -1 and the branch is (psi = t/2,
+B = B_minus), where B_minus is [t/2, t/2 + eps) with slots carved out.
 
 The carving exists because the +1 projection law has geometrically
 spaced support translates whose decaying copies would otherwise land in
@@ -31,13 +31,7 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
-from .rejection import (
-    ReductionParams,
-    accept_steps,
-    b_plus,
-    transform_accepted,
-    validate_condition,
-)
+from .rejection import accept_steps, plus_branch, transform_accepted, validate_condition
 
 LABELED_MAGIC = b"MLAB"
 LABELED_VERSION = 1
@@ -194,47 +188,50 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
 
 @dataclass(frozen=True)
 class MassartConfig:
-    """Inputs of the labeled-instance builder.
+    """The instance's whole parameter set, under RunConfig's field names.
 
-    params must be the +1 branch (psi = 0, B = [0, eps)); the -1 branch
-    is derived here, carved with params.c_prime.  eta is the -1 mixing
-    weight and m_prime the number of labeled samples.
+    eta is the -1 mixing weight, m_prime the number of labeled samples and
+    c_prime the carving width; mode "strict" enforces the parameter
+    condition, "desk-scale" permits small-n runs.  Construction builds and
+    checks both branches, so a bad parameter fails before any sampling.
     """
 
-    params: ReductionParams
+    n: int
+    t: float
+    eps: float
+    sigma: float
     eta: float
     m_prime: int
+    c_prime: float
+    c_dprime: float
+    delta: float
+    mode: str
 
     def __post_init__(self):
-        p = self.params
         if not 0.0 <= self.eta < 0.5:
             raise ValueError("eta must lie in [0, 1/2)")
         if self.m_prime < 1:
             raise ValueError("m_prime must be positive")
-        if p.psi != 0.0:
-            raise ValueError("base params must use psi = 0")
-        ref = b_plus(p.eps)
-        if len(p.B) != 1 or not p.B.issubset(ref) or not ref.issubset(p.B):
-            raise ValueError("base params must use B = [0, eps)")
-        self.b_minus  # builds and validates the carving
-        if p.mode == "strict":
-            report = validate_condition(p, self.m_prime)
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        if self.mode not in ("strict", "desk-scale"):
+            raise ValueError("mode must be 'strict' or 'desk-scale'")
+        self.params_plus, self.params_minus  # builds and checks both branches
+        if self.mode == "strict":
+            report = validate_condition(self)
             bad = [c for c in report["clauses"] if not c["ok"]]
             if bad:
                 raise ValueError("strict mode: parameter condition violated: " + "; ".join(
                     f"{c['clause']} {c['detail']}" for c in bad))
 
     @cached_property
-    def b_minus(self):
-        return build_b_minus(self.params.t, self.params.eps, self.params.c_prime)
-
-    @property
     def params_plus(self):
-        return self.params
+        return plus_branch(self)
 
-    @property
+    @cached_property
     def params_minus(self):
-        return replace(self.params, psi=self.params.t / 2.0, B=self.b_minus)
+        return replace(self.params_plus, psi=self.t / 2.0,
+                       B=build_b_minus(self.t, self.eps, self.c_prime))
 
 
 @dataclass(frozen=True)

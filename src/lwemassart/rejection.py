@@ -8,7 +8,8 @@ Gaussian.  On null inputs (y independent of x) the same machinery outputs
 a plain standard Gaussian vector, which is what makes the construction a
 distribution-matching reduction rather than a heuristic.
 
-Steps, for parameters (t, eps, psi, B) with B inside [psi, psi+eps]:
+Steps, for one branch (t, eps, psi, B) with B inside [psi, psi+eps], a
+ReductionParams; instances.MassartConfig builds the instance's two branches:
 
 1. invert y -> k = y(t-psi)/(1-y); reject unless k is in B,
 2. keep with probability t^2/(t+k-psi)^2,
@@ -34,13 +35,10 @@ C_CLAUSE_III = 2.0
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Inputs of the rejection core plus the validation-mode switch.
+    """One branch's inputs of the rejection core: exactly what Steps 1-3 read.
 
-    c_prime, c_dprime are the universal constants of the parameter
-    condition's clause (iv); they matter for strict-mode validation and
-    for carving widths (c_prime).  Construction checks only what Step 3
-    needs; mode "strict" makes MassartConfig, which knows m', enforce the
-    parameter condition, and "desk-scale" permits small-n runs.
+    Construction checks what Step 3 needs; eta, m', delta, c', c'' and mode
+    belong to the instance, on instances.MassartConfig.
     """
 
     n: int
@@ -48,11 +46,7 @@ class ReductionParams:
     eps: float
     psi: float
     B: IntervalSet
-    delta: float
     sigma: float
-    mode: str = "desk-scale"
-    c_prime: float = 0.04
-    c_dprime: float = 4.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,8 +55,6 @@ class ReductionParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError("%s must be finite and positive" % name)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if not 0.0 <= self.psi < self.t:
             raise ValueError("psi must lie in [0, t)")
         if self.psi + self.eps > self.t + 1e-12:
@@ -73,9 +65,7 @@ class ReductionParams:
             raise ValueError("B must be contained in [psi, psi+eps)")
         if self.B.measure <= 0:
             raise ValueError("B must have positive measure")
-        if self.mode not in ("strict", "desk-scale"):
-            raise ValueError("mode must be 'strict' or 'desk-scale'")
-        # Step 3 must be well defined in every mode
+        # Step 3 must be well defined, whatever the parameter condition says
         sr = self.signal_ratio
         if sr < 0.5:
             raise ValueError(
@@ -89,12 +79,12 @@ class ReductionParams:
         return 1.0 - 4.0 * ((self.t + self.eps) * self.sigma) ** 2
 
 
-def validate_condition(params, m_prime):
-    """Report on the four parameter-condition clauses at m' output samples.
+def validate_condition(p):
+    """Report on the four parameter-condition clauses of p, a MassartConfig or RunConfig.
 
     MassartConfig enforces them in strict mode.
     """
-    t, eps, n, sigma, delta = params.t, params.eps, params.n, params.sigma, params.delta
+    t, eps, n, sigma, delta = p.t, p.eps, p.n, p.sigma, p.delta
     clauses = []
 
     ratio = t / eps
@@ -127,8 +117,8 @@ def validate_condition(params, m_prime):
         }
     )
 
-    lhs4 = (params.c_prime * eps / (params.c_dprime * t * sigma)) ** 2
-    rhs4 = math.log(m_prime / delta)
+    lhs4 = (p.c_prime * eps / (p.c_dprime * t * sigma)) ** 2
+    rhs4 = math.log(p.m_prime / delta)
     clauses.append(
         {
             "clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
@@ -137,7 +127,7 @@ def validate_condition(params, m_prime):
         }
     )
 
-    return {"mode": params.mode, "ok": all(c["ok"] for c in clauses), "clauses": clauses}
+    return {"mode": p.mode, "ok": all(c["ok"] for c in clauses), "clauses": clauses}
 
 
 def _k_of_y(y, t, psi):
@@ -232,3 +222,7 @@ def b_plus(eps):
     """The +1-branch offset window [0, eps)."""
     return IntervalSet.single(0.0, eps)
 
+
+def plus_branch(p):
+    """The +1 branch (psi = 0, B = [0, eps)) at p's n, t, eps and sigma, checked."""
+    return ReductionParams(n=p.n, t=p.t, eps=p.eps, psi=0.0, B=b_plus(p.eps), sigma=p.sigma)

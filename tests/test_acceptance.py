@@ -63,8 +63,12 @@ def report(num, passed, detail):
 
 
 def desk_params(n, sigma):
-    return ReductionParams(n=n, t=T, eps=EPS, psi=0.0, B=b_plus(EPS),
-                           delta=1e-4, sigma=sigma, c_prime=C_PRIME)
+    return ReductionParams(n=n, t=T, eps=EPS, psi=0.0, B=b_plus(EPS), sigma=sigma)
+
+
+def desk_config(n, sigma, m_prime):
+    return MassartConfig(n=n, t=T, eps=EPS, sigma=sigma, eta=ETA, m_prime=m_prime,
+                         c_prime=C_PRIME, c_dprime=4.0, delta=1e-4, mode="desk-scale")
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +95,7 @@ def desk_null_run():
 
 @pytest.fixture(scope="module")
 def tiny_config():
-    return MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=100_000)
+    return desk_config(4, TINY_SIGMA, 100_000)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +241,7 @@ def test_criterion_07_null_label_independence(null_instance):
 
 def test_criterion_08_distinguisher_advantage(tiny_config):
     t0 = time.perf_counter()
-    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=10_000)
+    cfg = desk_config(4, TINY_SIGMA, 10_000)
     secret = np.asarray([1.0, -1.0, 1.0, 1.0])
     budget = 2 * round(T / EPS) * cfg.m_prime
 
@@ -290,7 +294,7 @@ def test_criterion_09_continuization_chain():
 
 def test_criterion_10_budget_failure_semantics(tiny_config):
     m_prime = 500
-    cfg = MassartConfig(params=desk_params(4, TINY_SIGMA), eta=ETA, m_prime=m_prime)
+    cfg = desk_config(4, TINY_SIGMA, m_prime)
     budget = 2 * round(T / EPS) * m_prime
     successes = 0
     for run in range(100):

@@ -1,12 +1,16 @@
 """Checks on the public signatures and the imports of the lwemassart package."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import lwemassart
+from lwemassart.config import RunConfig
+from lwemassart.instances import MassartConfig
+from lwemassart.rejection import ReductionParams
 
 import oracles
 
@@ -89,6 +93,22 @@ def test_scipy_is_imported_by_verify_alone_and_only_special():
 def test_learners_import_neither_click_nor_scipy():
     found = {m.split(".")[0] for m, _ in _imports(SRC / "learners.py")}
     assert found == {"dataclasses", "numpy", "instances"}
+
+
+def test_reduction_params_holds_one_branchs_step_inputs():
+    fields = [f.name for f in dataclasses.fields(ReductionParams)]
+    assert fields == ["n", "t", "eps", "psi", "B", "sigma"]
+
+
+def test_massart_config_fields_are_run_config_fields_without_defaults():
+    # massart_config copies the fields from a RunConfig by name, so each must
+    # exist there with the same annotation, and none may fall back to a default
+    run = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    fields = dataclasses.fields(MassartConfig)
+    assert len(fields) == 10
+    for f in fields:
+        assert run.get(f.name) == f.type, f.name
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 
 
 def test_package_imports_nothing_from_the_tests():

@@ -406,6 +406,15 @@ class TestDamagedInstance:
         write_sidecar(inst, meta)
         verify_exits_2(inst)
 
+    @pytest.mark.parametrize("secret", [[0.5, 1, 1, 1], [0, 0, 0, 0]],
+                             ids=["half-entry", "zeros"])
+    def test_secret_not_plus_minus_one(self, inst, secret):
+        # gen-instance plants only ±1 secrets; any other direction is an input error
+        meta = read_sidecar(inst)
+        meta["secret"] = secret
+        write_sidecar(inst, meta)
+        assert "secret" in verify_exits_2(inst)
+
     @staticmethod
     def edit_header(inst, edit):
         data = inst.read_bytes()
@@ -731,6 +740,15 @@ class TestPreset:
         assert "(i) t/eps large even integer: ok" in res.output
         # clause (iii) genuinely fails this far below the asymptotic regime
         assert "(iii)" in res.output and "VIOLATED" in res.output
+
+    def test_sigma_underflow_is_reported_infeasible(self, tmp_path):
+        # at n = 10**70, sigma = n^-5 underflows to 0: the +1 branch's checks
+        # report it instead of clause (iv) dividing by zero
+        out = tmp_path / "big.json"
+        res = invoke(["preset", "apply", "theorem-d", "--n", str(10**70), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output == ("parameter condition: infeasible at this scale "
+                              f"(sigma must be finite and positive)\nwrote {out}\n")
 
     def test_bindings_scale_with_n(self):
         a, b = theorem_d_bindings(16), theorem_d_bindings(64)

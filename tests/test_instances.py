@@ -31,12 +31,7 @@ from lwemassart.instances import (
 )
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
 from lwemassart.lwe import gen_continuous_lwe
-from lwemassart.rejection import (
-    ReductionParams,
-    b_plus,
-    keep_probability,
-    transform_accepted,
-)
+from lwemassart.rejection import keep_probability, transform_accepted
 
 from oracles import g_map, intersect_pairs, invert_y, reduce_batch
 
@@ -44,15 +39,10 @@ T, EPS, CP = 0.2, 0.025, 0.04
 SIGMA = 1.0 / (8.0 * (T + EPS))
 
 
-def desk_params(n=8, sigma=SIGMA):
-    return ReductionParams(
-        n=n, t=T, eps=EPS, psi=0.0, B=b_plus(EPS), delta=0.01, sigma=sigma
-    )
-
-
 def desk_config(m_prime, eta=0.05, n=8, sigma=SIGMA):
     return MassartConfig(
-        params=desk_params(n, sigma), eta=eta, m_prime=m_prime
+        n=n, t=T, eps=EPS, sigma=sigma, eta=eta, m_prime=m_prime,
+        c_prime=CP, c_dprime=4.0, delta=0.01, mode="desk-scale",
     )
 
 
@@ -251,16 +241,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         desk_config(100, eta=0.5)
     with pytest.raises(ValueError):
-        MassartConfig(params=desk_params(), eta=0.1, m_prime=0)
-    p = ReductionParams(
-        n=8, t=T, eps=EPS, psi=0.05, B=IntervalSet.single(0.05, 0.05 + EPS),
-        delta=0.01, sigma=SIGMA,
-    )
-    with pytest.raises(ValueError, match="psi"):
-        MassartConfig(params=p, eta=0.1, m_prime=10)
+        desk_config(0, eta=0.1)
     cfg = desk_config(10)
+    for field, bad in (("delta", 0.0), ("delta", 1.5), ("mode", "lenient")):
+        with pytest.raises(ValueError, match=field):
+            replace(cfg, **{field: bad})
     assert cfg.params_minus.psi == pytest.approx(T / 2)
-    assert cfg.params_minus.B.measure == pytest.approx(cfg.b_minus.measure)
+    assert cfg.params_minus.B.measure == pytest.approx(build_b_minus(T, EPS, CP).measure)
 
 
 def test_eta_zero_all_plus():

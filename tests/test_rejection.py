@@ -43,9 +43,14 @@ def quad_acceptance(t, psi, pairs):
 
 def desk_params(n=8, t=0.2, eps=0.025, sigma=None):
     sigma = 1.0 / (8.0 * (t + eps)) if sigma is None else sigma
-    return ReductionParams(
-        n=n, t=t, eps=eps, psi=0.0, B=b_plus(eps), delta=0.01, sigma=sigma
-    )
+    return ReductionParams(n=n, t=t, eps=eps, psi=0.0, B=b_plus(eps), sigma=sigma)
+
+
+def desk_config(m_prime, n=8, t=0.2, eps=0.025, sigma=None, **fields):
+    """desk_params' instance at eta = 0.05; fields override c', c'', delta and mode."""
+    fields = {"c_prime": 0.04, "c_dprime": 4.0, "delta": 0.01, "mode": "desk-scale", **fields}
+    return MassartConfig(n=n, t=t, eps=eps, sigma=desk_params(n, t, eps, sigma).sigma,
+                         eta=0.05, m_prime=m_prime, **fields)
 
 
 # ------------------------------------------------------------- inversion
@@ -88,8 +93,7 @@ def test_params_validation():
         desk_params(t=0.2, eps=0.3)  # psi+eps > t
     with pytest.raises(ValueError):
         ReductionParams(
-            n=4, t=0.2, eps=0.025, psi=0.0, B=IntervalSet.single(0.0, 0.05),
-            delta=0.01, sigma=0.5,
+            n=4, t=0.2, eps=0.025, psi=0.0, B=IntervalSet.single(0.0, 0.05), sigma=0.5,
         )  # B wider than eps
     with pytest.raises(ValueError):
         desk_params(sigma=0.4 / 0.225)  # (t+eps)sigma = 0.4 -> SR < 1/2
@@ -103,14 +107,10 @@ def test_signal_ratio_frozen():
 
 def test_validate_condition_clauses():
     # t/eps = 7: odd ratio violates clause (i)
-    p = ReductionParams(
-        n=8, t=0.21, eps=0.03, psi=0.0, B=IntervalSet.single(0.0, 0.03),
-        delta=0.01, sigma=0.5,
-    )
-    rep = validate_condition(p, m_prime=10**4)
+    rep = validate_condition(desk_config(10**4, t=0.21, eps=0.03, sigma=0.5))
     assert rep["clauses"][0]["ok"] is False
     # desk params: even ratio 8 passes (i); (iii) fails at small n as expected
-    rep = validate_condition(desk_params(), m_prime=10**4)
+    rep = validate_condition(desk_config(10**4))
     assert rep["clauses"][0]["ok"] is True
     assert rep["clauses"][3]["ok"] is False  # desk scale cannot satisfy (iv)
 
@@ -118,19 +118,14 @@ def test_validate_condition_clauses():
 def test_strict_mode_enforces():
     # the desk parameters in strict mode: (iii) and (iv) fail, each with its detail
     with pytest.raises(ValueError, match="strict") as err:
-        MassartConfig(params=replace(desk_params(sigma=0.5555555555555556),
-                                     mode="strict"), eta=0.05, m_prime=1000)
+        desk_config(1000, sigma=0.5555555555555556, mode="strict")
     msg = str(err.value)
     assert "parameter condition violated" in msg
     assert "(iii) 1/(t sqrt(n)) >= sqrt(c log(n/delta)) lhs = " in msg
     assert "(iv) " in msg and "(i) " not in msg and "(ii) " not in msg
     # a configuration that meets all four clauses at m' = 1000
-    params = ReductionParams(
-        n=1, t=0.2, eps=0.025, psi=0.0, B=b_plus(0.025), delta=1e-4, sigma=4e-4,
-        mode="strict", c_dprime=2.0,
-    )
-    assert validate_condition(params, m_prime=1000)["ok"] is True
-    MassartConfig(params=params, eta=0.05, m_prime=1000)
+    cfg = desk_config(1000, n=1, sigma=4e-4, delta=1e-4, mode="strict", c_dprime=2.0)
+    assert validate_condition(cfg)["ok"] is True
 
 
 # ------------------------------------------------------------- scales
@@ -204,8 +199,8 @@ def test_acceptance_on_carved_set():
     # multi-interval B sets, a hand-made one and the builder's carved B_minus:
     # the closed form must match quadrature interval by interval
     B = IntervalSet(((0.1, 0.105), (0.11, 0.118), (0.12, 0.125)))
-    hand = ReductionParams(n=8, t=0.2, eps=0.025, psi=0.1, B=B, delta=0.01, sigma=0.5)
-    carved = MassartConfig(params=desk_params(n=4), eta=0.05, m_prime=10).params_minus
+    hand = ReductionParams(n=8, t=0.2, eps=0.025, psi=0.1, B=B, sigma=0.5)
+    carved = desk_config(10, n=4).params_minus
     assert len(carved.B) > 1
     for p in (hand, carved):
         lower, exact = acceptance_probability(p)
@@ -277,7 +272,7 @@ TRANSFORM_SHA256 = {
 
 @pytest.mark.parametrize("branch", [1, -1])
 def test_transform_accepted_pinned(branch):
-    cfg = MassartConfig(params=desk_params(n=4), eta=0.05, m_prime=10)
+    cfg = desk_config(10, n=4)
     params = cfg.params_plus if branch == 1 else cfg.params_minus
     digests = []
     for _ in range(2):

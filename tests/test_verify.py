@@ -75,8 +75,12 @@ DENS_UNI_021 = 3.6527332239956194
 
 
 def desk_params(n=4, sigma=SIGMA):
-    return ReductionParams(n=n, t=T, eps=EPS, psi=PSI, B=BP, delta=1e-4,
-                           sigma=sigma)
+    return ReductionParams(n=n, t=T, eps=EPS, psi=PSI, B=BP, sigma=sigma)
+
+
+def desk_config(m_prime, eta, sigma=SIGMA, n=4):
+    return MassartConfig(n=n, t=T, eps=EPS, sigma=sigma, eta=eta, m_prime=m_prime,
+                         c_prime=0.04, c_dprime=4.0, delta=1e-4, mode="desk-scale")
 
 
 def second_moment(oracle):
@@ -262,7 +266,7 @@ class TestMixtureOracle:
     def test_eta_weighted_branch_sum(self, eta):
         # the bench preset: sigma_noise = 2.5e-4 < 1e-3, so no convolution;
         # the branch grids are narrower than the mixture's, hence 1e-3
-        cfg = MassartConfig(desk_params(sigma=5.5556e-4), eta=eta, m_prime=1)
+        cfg = desk_config(1, eta, sigma=5.5556e-4)
         pp, pm = cfg.params_plus, cfg.params_minus
         ss = math.sqrt(pp.signal_ratio)
         oracle = mixture_oracle(cfg)
@@ -487,7 +491,7 @@ SIGMA_TINY = 2.5e-4 / (2.0 * (T + EPS))  # sigma_noise = 2.5e-4 = c' eps / 4
 @pytest.fixture(scope="module")
 def tiny_noise_instance():
     rng = np.random.default_rng(987654321)
-    cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1, m_prime=5_000)
+    cfg = desk_config(5_000, 0.1, sigma=SIGMA_TINY)
     batch = gen_continuous_lwe(4, 120_000, SIGMA_TINY, "alternative", rng=rng)
     inst = generate_instance(batch, cfg, rng=rng)
     assert inst.ok
@@ -570,9 +574,9 @@ class TestLabelNoise:
         sigma_noise blur, which matters only at its atom at -t: the i = -1
         island keeps just c'eps either side of it.
         """
-        base = ReductionParams(n=4, t=t, eps=eps, psi=0.0, B=b_plus(eps),
-                               delta=0.01, sigma=sigma, c_prime=c_prime)
-        pm = MassartConfig(base, eta=eta, m_prime=1).params_minus
+        cfg = MassartConfig(n=4, t=t, eps=eps, sigma=sigma, eta=eta, m_prime=1,
+                            c_prime=c_prime, c_dprime=4.0, delta=0.01, mode="desk-scale")
+        base, pm = cfg.params_plus, cfg.params_minus
         ss = math.sqrt(base.signal_ratio)
         oracle = dprime_oracle(t, eps, pm.psi, pm.B, ss, step=eps / 32.0)
         lo, hi, _ = oracle.grid
@@ -603,7 +607,7 @@ class TestLabelNoise:
 
     def test_noiseless_labels_degenerate(self):
         rng = np.random.default_rng(22)
-        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.0, m_prime=400)
+        cfg = desk_config(400, 0.0, sigma=SIGMA_TINY)
         batch = gen_continuous_lwe(4, 12_000, SIGMA_TINY, "alternative", rng=rng)
         inst = generate_instance(batch, cfg, rng=rng)
         est = massart_condition_estimate(
@@ -625,7 +629,7 @@ class TestLabelNoise:
 
 class TestDistinguish:
     def _make_instance(self, s_fixed):
-        cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.1, m_prime=600)
+        cfg = desk_config(600, 0.1, sigma=SIGMA_TINY)
 
         def make(tag, rng):
             if tag == "alternative":
@@ -673,7 +677,7 @@ class TestDistinguish:
         s = np.array([1.0, 1.0, -1.0, 1.0])
         advantages = []
         for j, m_prime in enumerate((40, 400, 1600)):
-            cfg = MassartConfig(desk_params(sigma=SIGMA_TINY), eta=0.2, m_prime=m_prime)
+            cfg = desk_config(m_prime, 0.2, sigma=SIGMA_TINY)
 
             def make(tag, rng, cfg=cfg, m_prime=m_prime):
                 if tag == "alternative":
