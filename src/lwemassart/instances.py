@@ -13,8 +13,9 @@ The map g (see _g_image_exact) sends an ambient location to the spot in
 the base interval from which the -1 branch would populate it, so
 removing g-images of the +1 danger zones keeps the two supports apart.
 
-The builder decides acceptance for every stream position at once, then
-walks the label sequence run by run: a run of equal labels takes the next
+The builder decides acceptance for every stream position, one row chunk
+at a time and keeping one boolean per position and branch, then walks
+the label sequence run by run: a run of equal labels takes the next
 accepted positions of its branch in one slice, so consumption order (and
 with it the FAIL contract) is that of a draw-by-draw scan.  The lattice
 transform is vectorized per label group.
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
-from .rejection import accept_steps, plus_branch, transform_accepted, validate_condition
+from .lwe import row_chunks
+from .rejection import accept_steps, k_of_y, plus_branch, transform_accepted, validate_condition
 
 LABELED_MAGIC = b"MLAB"
 LABELED_VERSION = 1
@@ -258,6 +260,9 @@ def generate_instance(batch, config, rng):
     The walk goes run by run over maximal runs of equal labels: a run of
     L draws takes the first L accepted positions of its branch at or past
     the current position, which is exactly what L single draws would take.
+    Steps 1-2 run per row chunk, so the pass keeps two booleans per
+    stream position and no float; the offsets k are recomputed at the
+    taken positions only.
 
     Randomness order is fixed (labels, per-position keep uniforms, +1
     group transform, -1 group transform) so one seed reproduces the
@@ -276,10 +281,13 @@ def generate_instance(batch, config, rng):
 
     m_prime = config.m_prime
     labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
-    u_keep = rng.random(batch.m)
-
-    k_plus, ok_plus = accept_steps(batch.y, u_keep, p_plus)
-    k_minus, ok_minus = accept_steps(batch.y, u_keep, p_minus)
+    ok_plus = np.empty(batch.m, dtype=bool)
+    ok_minus = np.empty(batch.m, dtype=bool)
+    for c in row_chunks(batch.m):
+        y = batch.y[c]
+        u_keep = rng.random(len(y))
+        ok_plus[c] = accept_steps(y, u_keep, p_plus)[1]
+        ok_minus[c] = accept_steps(y, u_keep, p_minus)[1]
     accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
 
     hits = np.empty(m_prime, dtype=np.int64)
@@ -297,12 +305,13 @@ def generate_instance(batch, config, rng):
         pos = int(hits[b - 1]) + 1
 
     x = np.empty((m_prime, batch.n))
-    for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
+    for params, sign in ((p_plus, 1), (p_minus, -1)):
         rows = np.flatnonzero(labels == sign)
         if rows.size == 0:
             continue
         take = hits[rows]
-        x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng)
+        k = k_of_y(batch.y[take], params.t, params.psi)
+        x[rows] = transform_accepted(batch.x[take], k, params, rng)
     return InstanceResult(
         ok=True, x=x, labels=labels, consumed=pos, draws=m_prime
     )

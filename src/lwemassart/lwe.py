@@ -32,6 +32,22 @@ from .gaussians import (
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
 
+# Rows per step of a pass over a whole stream (run_chain here, the
+# instance builder's accept pass): scratch stays O(CHUNK_ROWS) rows.
+CHUNK_ROWS = 1 << 16
+
+
+def row_chunks(m):
+    """Consecutive slices of CHUNK_ROWS rows covering range(m); the last takes the rest.
+
+    A lone last row joins the chunk before it: numpy multiplies a one-row
+    block by a vector with a dot product whose summation order is not the
+    matrix-vector product's, so its <x', s> would differ in the last bit
+    from the whole-array value.
+    """
+    starts = range(0, max(m - 1, 1), CHUNK_ROWS)
+    return [slice(a, b) for a, b in zip(starts, list(starts[1:]) + [m])]
+
 
 @dataclass(frozen=True)
 class ContinuizationStep:
@@ -94,8 +110,8 @@ class LweBatch:
             if self.secret is None:
                 raise ValueError("alternative batches must carry their secret")
             object.__setattr__(self, "secret", np.asarray(self.secret, dtype=float))
-            if self.secret.shape != (self.n,):
-                raise ValueError("secret length must equal n")
+            if self.secret.shape != (self.n,) or not np.all(np.abs(self.secret) == 1.0):
+                raise ValueError("secret must be a ±1 vector of length n")
         if self.noise is not None:
             object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
             if self.noise.shape != (self.m,):
@@ -211,9 +227,7 @@ def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
         if secret is None:
             s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
         else:
-            s = np.asarray(secret, dtype=float)
-            if s.shape != (n,) or not np.all(np.abs(s) == 1.0):
-                raise ValueError("secret must be a ±1 vector of length n")
+            s = np.asarray(secret, dtype=float)  # LweBatch checks it
         z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
         y = mod_1(x @ s + z)
         return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
@@ -252,7 +266,10 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
       untouched, so y = mod_1(<x, s> + noise) holds verbatim.
 
     Omitted scales come from default_chain_scales.  The input batch is
-    left as it was; one LweBatch is built.
+    left as it was; one LweBatch is built.  x' is drawn and added one row
+    chunk at a time into the output, so beside the input and the output
+    the pass holds e (m values, dropped once y is made) and O(CHUNK_ROWS)
+    rows of scratch.
     """
     if batch.domain != "mod_q":
         raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
@@ -263,24 +280,28 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
         raise ValueError("sigma_target must exceed the batch noise scale")
     if not sc > 0:
         raise ValueError("sigma_coord must be positive")
-    if not np.array_equal(batch.x, np.round(batch.x)):
+    chunks = row_chunks(batch.m)
+    if not all(np.array_equal(batch.x[c], np.round(batch.x[c])) for c in chunks):
         raise ValueError("the chain needs integer sample support")
     q = float(batch.q)
     sigma_add = math.sqrt(st**2 - batch.sigma**2)
     e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
-    xp = sample_continuous(batch.n, sc, rng=rng, size=batch.m)
     noise = None if batch.noise is None else batch.noise + e
-    if noise is not None:
-        if batch.secret is not None:
-            noise -= xp @ batch.secret
-        noise /= q
-    # the sums go into the fresh draws' buffers, never into the input's
+    # the sums go into fresh buffers, never into the input's
     e += batch.y
     y = mod_q(e, batch.q)
-    y /= q
-    xp += batch.x
-    x = mod_q(xp, batch.q)
+    del e
+    x = np.empty((batch.m, batch.n))
+    for c in chunks:
+        xp = sample_continuous(batch.n, sc, rng=rng, size=c.stop - c.start)
+        if noise is not None and batch.secret is not None:
+            noise[c] -= xp @ batch.secret
+        xp += batch.x[c]
+        x[c] = mod_q(xp, batch.q)
     x /= q
+    y /= q
+    if noise is not None:
+        noise /= q
     return LweBatch(
         x,
         y,

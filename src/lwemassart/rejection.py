@@ -130,7 +130,7 @@ def validate_condition(p):
     return {"mode": p.mode, "ok": all(c["ok"] for c in clauses), "clauses": clauses}
 
 
-def _k_of_y(y, t, psi):
+def k_of_y(y, t, psi):
     """The unique k solving y = k/(t+k-psi), namely k = y(t-psi)/(1-y).
 
     Strictly increasing in y, so Step 1's membership test "y is in the
@@ -153,7 +153,7 @@ def accept_steps(y, u, params):
     whatever its uniform.  y is an LweBatch's y, which the batch has
     already checked to lie in [0, 1), so it is not checked again here.
     """
-    k = _k_of_y(y, params.t, params.psi)
+    k = k_of_y(y, params.t, params.psi)
     accepted = params.B.contains(k)
     inb = np.flatnonzero(accepted)
     accepted[inb] = u[inb] < keep_probability(k[inb], params)

@@ -4,11 +4,12 @@ No command reaches these, so they live beside the tests rather than in
 the package: the expanded and collapsed Gaussians and their densities,
 the one-shot batch reduction, the offset inversion and its density, the
 g map, interval intersection, the raw projected-law oracle, the
-per-bin Massart audit, the acceptance-rate check and the uniform-offset
-reference sampler.  They
-call the library's row sampler and accept/transform steps, so a test
-that compares them with a command's output checks the command's own
-walk against a second, simpler one.
+per-bin Massart audit, the acceptance-rate check, the uniform-offset
+reference sampler, and whole-array copies of the continuization chain
+and of the instance builder, both of which the library runs in row
+chunks.  They call the library's row sampler and accept/transform
+steps, so a test that compares them with a command's output checks the
+command's own walk against a second, simpler one.
 """
 
 import math
@@ -20,11 +21,13 @@ from lwemassart.gaussians import (
     DEFAULT_TRUNCATION,
     _check_sigma,
     mod_1,
+    mod_q,
     sample_continuous,
     sample_lattice_rows,
 )
+from lwemassart.instances import InstanceResult
 from lwemassart.intervals import merge_pairs
-from lwemassart.lwe import gen_continuous_lwe
+from lwemassart.lwe import ContinuizationStep, LweBatch, default_chain_scales, gen_continuous_lwe
 from lwemassart.rejection import (
     accept_steps,
     acceptance_probability,
@@ -104,6 +107,75 @@ def collapsed_density(u, sigma):
     k = np.arange(-h, h + 1, dtype=float)
     per = np.exp(-math.pi * ((u[:, None] + k[None, :]) / sigma) ** 2).sum(axis=1) / sigma
     return float(np.prod(per))
+
+
+# --------------------------------------------------------- whole-array passes
+
+
+def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
+    """lwe.run_chain with every draw and sum over the whole stream at once.
+
+    The same draws in the same order (e, then x' row-major), so one seed
+    gives the library's output bit for bit.  It holds x', x + x' and the
+    rounded copy of x, each as large as the batch's x.
+    """
+    ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
+    st = ref_t if sigma_target is None else sigma_target
+    sc = ref_c if sigma_coord is None else sigma_coord
+    if not np.array_equal(batch.x, np.round(batch.x)):
+        raise ValueError("the chain needs integer sample support")
+    q = float(batch.q)
+    sigma_add = math.sqrt(st**2 - batch.sigma**2)
+    e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
+    xp = sample_continuous(batch.n, sc, rng=rng, size=batch.m)
+    noise = None if batch.noise is None else batch.noise + e
+    if noise is not None:
+        if batch.secret is not None:
+            noise -= xp @ batch.secret
+        noise /= q
+    y = mod_q(batch.y + e, batch.q) / q
+    x = mod_q(batch.x + xp, batch.q) / q
+    return LweBatch(
+        x, y, "unit_torus", batch.tag, math.sqrt(st**2 + batch.n * sc**2) / q,
+        secret=batch.secret, noise=noise,
+        history=batch.history + (ContinuizationStep("noise-add", sigma_add),
+                                 ContinuizationStep("sample-add", sc),
+                                 ContinuizationStep("rescale")),
+    )
+
+
+def generate_instance_reference(batch, config, rng):
+    """instances.generate_instance with Steps 1-2 over the whole stream at once.
+
+    One draw of all the keep uniforms, and both branches' offsets k kept
+    for every position; the run-by-run walk and the transforms are the
+    library's, so the outcome matches it bit for bit.
+    """
+    p_plus, p_minus = config.params_plus, config.params_minus
+    m_prime = config.m_prime
+    labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
+    u_keep = rng.random(batch.m)
+    k_plus, ok_plus = accept_steps(batch.y, u_keep, p_plus)
+    k_minus, ok_minus = accept_steps(batch.y, u_keep, p_minus)
+    accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
+    hits = np.empty(m_prime, dtype=np.int64)
+    pos = 0
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [m_prime]):
+        idx = accepted[int(labels[a])]
+        j = int(idx.searchsorted(pos))
+        if j + (b - a) > len(idx):
+            return InstanceResult(ok=False, x=None, labels=None, consumed=batch.m,
+                                  draws=a + len(idx) - j)
+        hits[a:b] = idx[j : j + (b - a)]
+        pos = int(hits[b - 1]) + 1
+    x = np.empty((m_prime, batch.n))
+    for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
+        rows = np.flatnonzero(labels == sign)
+        if rows.size:
+            take = hits[rows]
+            x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng)
+    return InstanceResult(ok=True, x=x, labels=labels, consumed=pos, draws=m_prime)
 
 
 # ---------------------------------------------------------------- rejection

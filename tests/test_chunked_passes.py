@@ -1,0 +1,95 @@
+"""The row-chunked stream passes against their whole-array references.
+
+run_chain and the instance builder's Steps 1-2 pass walk the stream in
+row chunks of lwe.CHUNK_ROWS.  Split normal/uniform draws and per-chunk
+products must reproduce the whole-array values exactly, at every stream
+length around a chunk boundary, and the passes must not hold
+whole-stream float temporaries.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lwemassart.instances import MassartConfig, generate_instance
+from lwemassart.lwe import CHUNK_ROWS, gen_classic_lwe, gen_continuous_lwe, run_chain
+from oracles import generate_instance_reference, run_chain_reference
+
+C = CHUNK_ROWS
+SIZES = [1, C - 1, C, C + 1, C + 2, 2 * C + 7]
+T, EPS = 0.2, 0.025
+SIGMA = 1.0 / (8.0 * (T + EPS))
+
+
+def desk_config(n, m_prime, eta=0.2):
+    return MassartConfig(n=n, t=T, eps=EPS, sigma=SIGMA, eta=eta, m_prime=m_prime,
+                         c_prime=0.04, c_dprime=4.0, delta=0.01, mode="desk-scale")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes numpy and python allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", SIZES)
+def test_run_chain_matches_whole_array_reference(tag, m):
+    batch = gen_classic_lwe(4, m, 257, 2.0, tag, rng=np.random.default_rng(m))
+    out = run_chain(batch, rng=np.random.default_rng(7))
+    ref = run_chain_reference(batch, rng=np.random.default_rng(7))
+    for k in ("x", "y", "noise", "secret"):
+        a, b = getattr(out, k), getattr(ref, k)
+        assert (a is None) == (b is None), k
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), k
+    assert (out.sigma, out.history, out.tag) == (ref.sigma, ref.history, ref.tag)
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", SIZES)
+def test_generate_instance_matches_whole_array_reference(tag, m):
+    batch = gen_continuous_lwe(2, m, SIGMA, tag, rng=np.random.default_rng(m))
+    # about 13 positions per draw: m // 20 draws fit, m // 8 run dry
+    for m_prime in (max(1, m // 20), max(1, m // 8)):
+        cfg = desk_config(2, m_prime)
+        res = generate_instance(batch, cfg, rng=np.random.default_rng(3))
+        ref = generate_instance_reference(batch, cfg, rng=np.random.default_rng(3))
+        assert (res.ok, res.consumed, res.draws) == (ref.ok, ref.consumed, ref.draws)
+        if ref.ok:
+            assert res.labels.tobytes() == ref.labels.tobytes()
+            assert res.x.tobytes() == ref.x.tobytes()
+        if m == SIZES[-1]:
+            # the walk takes positions past a chunk boundary, or (exit 3)
+            # runs dry past one
+            assert res.ok if m_prime == m // 20 else not res.ok
+            assert res.consumed > C
+
+
+def test_run_chain_peak_is_output_plus_chunk_scratch():
+    # beside its output the chain may hold SLACK: a few chunks of x' rows
+    # (the draw, mod_q's result, its masks); the whole-array pass holds
+    # x', mod_q's result and e on top of its output
+    n, m = 4, 300_000
+    batch = gen_classic_lwe(n, m, 257, 2.0, "alternative", rng=np.random.default_rng(1))
+    out, peak = traced_peak(run_chain, batch, rng=np.random.default_rng(2))
+    out_bytes = out.x.nbytes + out.y.nbytes + out.noise.nbytes
+    slack = 3 * C * n * 8
+    assert peak <= out_bytes + slack, (peak - out_bytes) / slack
+
+
+def test_accept_pass_holds_no_float_per_stream_position():
+    # a float64 array of the stream's length alone is 8 m bytes; the
+    # chunked pass keeps two booleans per position, the accepted indices
+    # and O(CHUNK_ROWS) scratch
+    m = 2_000_000
+    batch = gen_continuous_lwe(2, m, SIGMA, "null", rng=np.random.default_rng(4))
+    res, peak = traced_peak(generate_instance, batch, desk_config(2, 200),
+                            rng=np.random.default_rng(5))
+    assert res.ok
+    assert peak < 8 * m, peak / (8 * m)

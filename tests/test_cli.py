@@ -209,6 +209,21 @@ class TestGenInstance:
         assert res.exit_code == 0, res.output
         assert read_sidecar(out)["secret"] == read_sidecar(src)["secret"]
 
+    def test_batch_secret_not_pm1_exits_2(self, tmp_path):
+        # the sidecar would record int(v) of each entry, a secret the batch lacks
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative",
+                "--n", "4", "--m", "2000", "--sigma", repr(TINY_SIGMA),
+                "--seed", "8", "--out", str(src)])
+        data = src.read_bytes()
+        secret = LweBatch.load(src).secret.astype("<f8").tobytes()
+        bad = tmp_path / "bad.lwe"
+        bad.write_bytes(data.replace(secret, np.array([0.5, 1, 1, 1], "<f8").tobytes(), 1))
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(bad),
+                                        "--m-prime", "100", "--out", str(tmp_path / "i")])
+        assert res.exit_code == 2, res.output
+        assert "±1 vector" in res.output and not (tmp_path / "i").exists()
+
     @pytest.mark.parametrize("args, field", [
         (["--n", "8"], "n"),
         (["--tag", "null"], "tag"),

@@ -456,3 +456,7 @@ def test_batch_validation():
         LweBatch(np.zeros((3, 2)), np.zeros(3), "unit_torus", "alternative", 1.0)  # no secret
     with pytest.raises(ValueError):
         LweBatch(np.full((3, 2), 1.5), np.zeros(3), "unit_torus", "null", 1.0)  # out of range
+    for secret in ([0.5, 1.0], [1.0, 1.0, 1.0], [0.0, -1.0]):
+        with pytest.raises(ValueError, match="±1 vector of length n"):
+            LweBatch(np.zeros((3, 2)), np.zeros(3), "unit_torus", "alternative", 1.0,
+                     secret=secret)
