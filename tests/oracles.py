@@ -3,11 +3,13 @@
 No command reaches these, so they live beside the tests rather than in
 the package: the expanded and collapsed Gaussians and their densities,
 the one-shot batch reduction, the offset inversion and its density, the
-g map, interval intersection, the raw projected-law oracle, the
-per-bin Massart audit, the acceptance-rate check, the uniform-offset
-reference sampler, and whole-array copies of the continuization chain
-and of the instance builder, both of which the library runs in row
-chunks.  They call the library's row sampler and accept/transform
+g map, interval intersection, the grid oracle with its FFT noise
+convolution (the reference the library's quadrature replaced), the
+uniform-offset law, single-branch oracles, a second quadrature of the
+mixture's bin masses, the per-bin Massart audit, the acceptance-rate
+check, the uniform-offset reference sampler, and whole-array copies of
+the continuization chain and of the instance builder, both of which the
+library runs in row chunks.  They call the library's row sampler and accept/transform
 steps, so a test that compares them with a command's output checks the
 command's own walk against a second, simpler one.
 """
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from lwemassart.gaussians import (
     DEFAULT_TRUNCATION,
@@ -35,10 +38,11 @@ from lwemassart.rejection import (
     transform_accepted,
 )
 from lwemassart.verify import (
-    DensityOracle1D,
     MassartEstimate,
+    QuadratureOracle,
     TestReport,
     dprime_atom_mass,
+    dprime_breakpoints,
     dprime_pdf,
 )
 
@@ -298,17 +302,219 @@ def intersect_pairs(a, b):
 # ------------------------------------------------------------------- verify
 
 
+class DensityOracle1D:
+    """The grid reference: a density known pointwise plus optional point masses.
+
+    The continuous part is normalized together with the atoms on the
+    stated grid at construction; afterwards the grid integral of the pdf
+    plus the atom masses is 1 to float precision (ValueError otherwise,
+    which also catches NaN values).  Bin masses interpolate the
+    trapezoid-rule CDF, so a jump of the pdf costs first-order error.
+    """
+
+    def __init__(self, evaluator, grid, atoms=()):
+        lo, hi, step = float(grid[0]), float(grid[1]), float(grid[2])
+        if not (lo < hi and step > 0):
+            raise ValueError("grid must be (lo, hi, step) with lo < hi, step > 0")
+        self.xs = np.arange(lo, hi + step / 2.0, step)
+        self.step = step
+        raw = np.asarray(evaluator(self.xs), dtype=float)
+        if raw.shape != self.xs.shape:
+            raise ValueError("evaluator must be vectorized over the grid")
+        if np.any(raw < 0) or any(m < 0 for _, m in atoms):
+            raise ValueError("density values and atom masses must be nonnegative")
+        total = float(np.trapezoid(raw, self.xs)) + sum(m for _, m in atoms)
+        if total <= 0:
+            raise ValueError("density integrates to zero on the grid")
+        self._evaluator = evaluator
+        self.normalization = total
+        self.atoms = tuple((float(loc), float(m) / total) for loc, m in atoms)
+        v = raw / total
+        # cumulative trapezoid rule, starting at 0
+        self._cdf = np.concatenate(([0.0], np.cumsum(np.diff(self.xs) * (v[1:] + v[:-1]) / 2.0)))
+        check = self._cdf[-1] + sum(m for _, m in self.atoms)
+        if not abs(check - 1.0) <= 1e-6:
+            raise ValueError(f"oracle mass {check} is not 1 after normalization")
+
+    @property
+    def grid(self):
+        return (float(self.xs[0]), float(self.xs[-1]), self.step)
+
+    def pdf(self, u):
+        """Normalized continuous part (atoms are not smeared into this)."""
+        return np.asarray(self._evaluator(u), dtype=float) / self.normalization
+
+    def bin_masses(self, edges, lump_tails=True):
+        """Probability mass per bin, optionally folding tails and atoms in."""
+        edges = np.asarray(edges, dtype=float)
+        at_edges = np.interp(edges, self.xs, self._cdf, left=0.0, right=self._cdf[-1])
+        masses = np.diff(at_edges)
+        if lump_tails:
+            masses[0] += at_edges[0]
+            masses[-1] += self._cdf[-1] - at_edges[-1]
+        for loc, m in self.atoms:
+            j = int(np.searchsorted(edges, loc, side="right")) - 1
+            if lump_tails:
+                j = min(max(j, 0), len(masses) - 1)
+            elif not 0 <= j < len(masses):
+                continue
+            masses[j] += m
+        return masses
+
+
+def grid_gaussian(sigma, step):
+    """Grid reference on +-4.5 sigma for the centered width-sigma Gaussian."""
+    return DensityOracle1D(lambda u: np.exp(-math.pi * (u / sigma) ** 2) / sigma,
+                           (-4.5 * sigma, 4.5 * sigma, step))
+
+
+def convolve_same(a, kern):
+    """Linear convolution of 1-D a and kern cut to a's length, centred.
+
+    An np.fft rfft product at the next power of two: what
+    scipy.signal.fftconvolve(a, kern, mode="same") computes, up to rounding,
+    for lengths >= 2.
+    """
+    full = a.size + kern.size - 1
+    nfft = 1 << (full - 1).bit_length()
+    lo = (full - a.size) // 2
+    prod = np.fft.rfft(a, nfft) * np.fft.rfft(kern, nfft)
+    return np.fft.irfft(prod, nfft)[lo : lo + a.size]
+
+
+def convolve_with_gaussian(oracle, sigma_noise):
+    """Grid reference for (law + independent width-sigma_noise Gaussian noise).
+
+    Numeric convolution of the continuous part on an extended grid, with
+    each atom added back as an analytic Gaussian bump.  The input grid
+    must already resolve the kernel (step <= sigma_noise / 8).
+    """
+    if sigma_noise <= 0:
+        raise ValueError("sigma_noise must be positive")
+    step = oracle.step
+    if step > sigma_noise / 8.0:
+        raise ValueError(
+            f"grid step {step} too coarse for sigma_noise {sigma_noise}; "
+            "need step <= sigma_noise/8"
+        )
+    std = sigma_noise / math.sqrt(2.0 * math.pi)
+    r = int(math.ceil(6.0 * std / step))
+    lo, hi, _ = oracle.grid
+    xs = np.arange(lo - r * step, hi + r * step + step / 2.0, step)
+    inside = (xs >= lo - step / 2.0) & (xs <= hi + step / 2.0)
+    raw = oracle.pdf(np.clip(xs, lo, hi)) * inside
+    kern = np.exp(-math.pi * (np.arange(-r, r + 1) * step / sigma_noise) ** 2)
+    kern /= kern.sum()
+    conv = convolve_same(raw, kern)
+    for loc, m in oracle.atoms:
+        bump = np.exp(-math.pi * ((xs - loc) / sigma_noise) ** 2)
+        conv = conv + m * bump / (bump.sum() * step)
+    conv = np.maximum(conv, 0.0)
+    # discrete-normalized kernel and bumps keep the Riemann mass exact up
+    # to kernel truncation and edge spill, both far below this guard
+    drift = abs(float(conv.sum() - raw.sum()) * step - sum(m for _, m in oracle.atoms))
+    if drift > 1e-6:
+        raise ValueError(f"convolution mass drift {drift}; widen the grid")
+    interp = lambda u: np.interp(np.asarray(u, dtype=float), xs, conv, left=0.0, right=0.0)
+    return DensityOracle1D(interp, (xs[0], xs[-1], step))
+
+
+def uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal):
+    """verify.dprime_pdf with the offset k uniform on B instead of accepted.
+
+    The reference construction's idealization, which the accepted law
+    approaches only as eps/t -> 0.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    reach = int(math.ceil((np.max(np.abs(u), initial=0.0) + abs(psi) + t) / (t - eps))) + 2
+    for i in range(-reach, reach + 1):
+        if i != -1:
+            ks = psi + (u - i * t - psi) / (i + 1)
+            out += np.where(B.contains(ks), (t + ks - psi) / B.measure, 0.0) / abs(i + 1)
+    return out * np.exp(-math.pi * (u / sigma_signal) ** 2) / sigma_signal
+
+
+def uniform_atom_mass(t, eps, psi, B, sigma_signal):
+    """verify.dprime_atom_mass with the offset k uniform on B."""
+    mean = sum((t + b - psi) ** 2 - (t + a - psi) ** 2 for a, b in B) / (2.0 * B.measure)
+    return math.exp(-math.pi * ((psi - t) / sigma_signal) ** 2) / sigma_signal * mean
+
+
+def _branch_law(t, eps, psi, B, sigma_signal, k_law):
+    if k_law == "accepted":
+        return (lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal),
+                dprime_atom_mass(t, eps, psi, B, sigma_signal))
+    if k_law == "uniform":
+        return (lambda u: uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal),
+                uniform_atom_mass(t, eps, psi, B, sigma_signal))
+    raise ValueError("k_law must be 'accepted' or 'uniform'")
+
+
 def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted", step=None):
-    """Raw (unconvolved) oracle for the projected law, atom included."""
+    """Grid reference for one branch's raw (noiseless) projected law, atom included."""
     w = 4.5 * sigma_signal + t + abs(psi)
     if step is None:
         step = min(min(b - a for a, b in B), eps) / 8.0
-    atom = (psi - t, dprime_atom_mass(t, eps, psi, B, sigma_signal, k_law))
-    return DensityOracle1D(
-        lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal, k_law),
-        (-w, w, step),
-        atoms=(atom,),
-    )
+    pdf, atom = _branch_law(t, eps, psi, B, sigma_signal, k_law)
+    return DensityOracle1D(pdf, (-w, w, step), atoms=((psi - t, atom),))
+
+
+def branch_oracle(t, eps, psi, B, sigma_signal, sigma_noise, k_law="accepted"):
+    """One branch's projected law blurred by sigma_noise, as a QuadratureOracle.
+
+    mixture_oracle's construction for a single branch; a tiny sigma_noise
+    stands in for the raw law.
+    """
+    half = 4.5 * sigma_signal + t + abs(psi)
+    pdf, atom = _branch_law(t, eps, psi, B, sigma_signal, k_law)
+    return QuadratureOracle(pdf, dprime_breakpoints(t, eps, psi, B, half),
+                            ((psi - t, atom),), sigma_noise)
+
+
+def reference_bin_masses(config, edges, points=64):
+    """Bin masses of mixture_oracle(config)'s law by a second quadrature.
+
+    Every translate i of each branch is integrated in k over each piece of
+    B, where f(k) (t+k-psi) rho(u(k)) is smooth, u(k) = it + psi +
+    (i+1)(k - psi); no jump of the pdf and no Jacobian enters.  Each piece
+    is split where u(k) crosses an edge or an edge +- 8 sd, and the noise
+    weight ndtr((e - u)/sd) is applied at every edge over every node.  The
+    atoms, rho(psi - t) times the integral of f(k) (t+k-psi), are
+    integrated the same way and enter as ndtr mass.  Tails fold into the
+    edge bins.
+    """
+    edges = np.asarray(edges, dtype=float)
+    t, eps, eta = config.t, config.eps, config.eta
+    sr = config.params_plus.signal_ratio
+    ss, sd = math.sqrt(sr), math.sqrt((1.0 - sr) / (2.0 * math.pi))
+    rho = lambda u: np.exp(-math.pi * (u / ss) ** 2) / ss
+    cuts = np.concatenate((edges, edges - 8.0 * sd, edges + 8.0 * sd))
+    x, w = np.polynomial.legendre.leggauss(points)
+    reach = int(math.ceil((4.5 * ss + 2.0 * t) / (t - eps))) + 2
+    cdf, total = np.zeros(len(edges)), 0.0
+    for weight, p in ((1.0 - eta, config.params_plus), (eta, config.params_minus)):
+        psi = p.psi
+        acc = branch_acceptance(t, psi, p.B)
+        for i in [j for j in range(-reach, reach + 1) if j != -1] + [None]:
+            for a, b in p.B:
+                if i is None:  # the atom
+                    ks = np.array([a, b])
+                else:
+                    kc = psi + (cuts - i * t - psi) / (i + 1)
+                    ks = np.unique(np.concatenate(([a, b], kc[(kc > a) & (kc < b)])))
+                half = np.diff(ks)[:, None] / 2.0
+                k = (ks[:-1, None] + half) + half * x
+                u = psi - t if i is None else i * t + psi + (i + 1) * (k - psi)
+                val = (weight * (t - psi) * t**2 / (t + k - psi) ** 3 / acc
+                       * rho(u) * half * w).ravel()
+                u = np.broadcast_to(u, k.shape).ravel()
+                total += val.sum()
+                cdf += (val[:, None] * ndtr((edges[None, :] - u[:, None]) / sd)).sum(axis=0)
+    masses = np.diff(cdf)
+    masses[0] += cdf[0]
+    masses[-1] += total - cdf[-1]
+    return masses
 
 
 def massart_reference(proj, labels, edges, eta, min_count=50, target=None):

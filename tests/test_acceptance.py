@@ -31,11 +31,11 @@ from lwemassart.learners import ConstantLearner, PlantedRegionLearner, distingui
 from lwemassart.lwe import gen_classic_lwe, gen_continuous_lwe, run_chain
 from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
-    convolve_with_gaussian,
     hidden_direction_test,
     isotropic_gaussianity_test,
     massart_condition_estimate,
     max_label_deviation,
+    mixture_oracle,
     orthogonal_gaussianity_test,
     project,
     ptf_error_estimate,
@@ -44,7 +44,6 @@ from lwemassart.verify import (
 from oracles import (
     acceptance_rate_test,
     collapsed_density,
-    dprime_oracle,
     reduce_batch,
     sample_expanded,
 )
@@ -185,9 +184,9 @@ def test_criterion_03_acceptance_rate_both_branches():
 
 def test_criterion_04_hidden_direction_law(desk_alt_run):
     t0 = time.perf_counter()
-    oracle = convolve_with_gaussian(
-        dprime_oracle(T, EPS, 0.0, b_plus(EPS), math.sqrt(1.0 - SIGMA_NOISE**2)),
-        SIGMA_NOISE)
+    # the +1 branch alone: the eta = 0 mixture, blurred by sigma_noise = 0.25
+    oracle = mixture_oracle(replace(desk_config(8, DESK_SIGMA, 100_000), eta=0.0))
+    assert oracle.sigma_noise == pytest.approx(SIGMA_NOISE, rel=1e-12)
     rep = hidden_direction_test(project(desk_alt_run["x"], desk_alt_run["secret"]),
                                 oracle, np.linspace(-0.8, 0.8, 65), tol_l1=0.05)
     elapsed = time.perf_counter() - t0 + desk_alt_run["elapsed"]

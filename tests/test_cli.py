@@ -270,9 +270,14 @@ class TestVerify:
                          "massart-violating-mass", "ptf-disagreement"}
         assert all(e["pass"] for e in entries)
         assert all("seed" not in e for e in entries)
+        l1 = next(e for e in entries if e["test"] == "hidden-direction-l1")
+        worst = l1["params"]["worst_bins"]
+        assert len(worst) == 5 and all(len(b) == 4 for b in worst)
         rows = hist.read_text().splitlines()
         assert rows[0] == "lo,hi,empirical,model"
         assert len(rows) >= 30
+        model = [float(r.split(",")[3]) for r in rows[1:]]
+        assert abs(math.fsum(model) - 1.0) <= 1e-12
 
     def test_null_all_pass(self, work):
         res = invoke(["verify", str(work / "null.inst"), "--bins", "32"])

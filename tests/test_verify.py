@@ -29,9 +29,8 @@ from lwemassart.learners import ConstantLearner, PlantedRegionLearner, distingui
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
-    DensityOracle1D,
+    QuadratureOracle,
     atom_safe_edges,
-    convolve_with_gaussian,
     dprime_atom_mass,
     dprime_pdf,
     folded_histogram,
@@ -48,14 +47,21 @@ from lwemassart.verify import (
     write_histogram_csv,
     write_reports_json,
 )
-from lwemassart.verify import _convolve_same
 
 from oracles import (
+    DensityOracle1D,
     acceptance_rate_test,
+    branch_oracle,
+    convolve_same,
+    convolve_with_gaussian,
     dk21_reference_sample,
     dprime_oracle,
+    grid_gaussian,
     massart_reference,
     reduce_batch,
+    reference_bin_masses,
+    uniform_atom_mass,
+    uniform_dprime_pdf,
 )
 
 T, EPS, PSI = 0.2, 0.025, 0.0
@@ -63,6 +69,7 @@ SIGMA = 1.0 / (8.0 * (T + EPS))  # (t+eps)*sigma = 1/8, SR = 15/16
 SS = math.sqrt(0.9375)
 SN = 0.25
 BP = b_plus(EPS)
+RAW = 1e-9  # a sigma_noise that stands in for the unblurred law
 
 # frozen desk-scale oracle values (quadrature over the literal forms)
 ACCEPT_EXACT = 0.09922267946959307
@@ -92,12 +99,13 @@ def second_moment(oracle):
 class TestDensityOracle:
     def test_gaussian_oracle_is_normalized(self):
         o = gaussian_oracle(1.0)
-        assert abs(o.normalization - 1.0) <= 1e-6
+        assert o.mass == 1.0 and o.xs.size == 0
         edges = np.linspace(-5.0, 5.0, 33)
         assert abs(o.bin_masses(edges).sum() - 1.0) <= 1e-12
-        # the oracle's CDF is scipy's cumulative trapezoid, bit for bit
-        want = integrate.cumulative_trapezoid(o.pdf(o.xs), o.xs, initial=0.0)
-        assert np.array_equal(o.bin_masses(o.xs, lump_tails=False), np.diff(want))
+        # the grid reference's CDF is scipy's cumulative trapezoid, bit for bit
+        g = grid_gaussian(1.0, 1.0 / 256.0)
+        want = integrate.cumulative_trapezoid(g.pdf(g.xs), g.xs, initial=0.0)
+        assert np.array_equal(g.bin_masses(g.xs, lump_tails=False), np.diff(want))
 
     def test_bin_masses_match_gaussian_cdf(self):
         o = gaussian_oracle(1.0)
@@ -105,27 +113,37 @@ class TestDensityOracle:
         std = 1.0 / math.sqrt(2.0 * math.pi)
         want = np.diff(stats.norm.cdf(edges, 0.0, std))
         got = o.bin_masses(edges, lump_tails=False)
-        assert np.max(np.abs(got - want)) <= 2e-5
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # the null battery's bins, tails folded in
+        edges = np.linspace(-1.2, 1.2, 65)
+        cdf = stats.norm.cdf(edges, 0.0, std)
+        want = np.diff(cdf)
+        want[[0, -1]] += [cdf[0], 1.0 - cdf[-1]]
+        assert np.abs(o.bin_masses(edges) - want).sum() <= 1e-14
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            DensityOracle1D(np.sin, (-4.0, 4.0, 0.01))
+            QuadratureOracle(np.sin, (-4.0, 4.0), (), 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, -0.1),), 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, 1.0),), 0.0)
 
     def test_nan_density_rejected(self):
         # a ValueError, not an assert, so the check survives python -O
         def evaluator(u):
             return np.where(np.abs(u) < 0.1, np.nan, 1.0)
 
-        with pytest.raises(ValueError, match="mass"):
-            DensityOracle1D(evaluator, (-1.0, 1.0, 0.01))
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureOracle(evaluator, (-1.0, 0.0, 1.0), (), 1.0)
 
     def test_pure_atom_binning(self):
-        o = DensityOracle1D(np.zeros_like, (-1.0, 1.0, 0.01), atoms=((0.3, 2.0),))
-        assert o.atoms == ((0.3, 1.0),)
+        o = QuadratureOracle(np.zeros_like, (-1.0, 1.0), ((0.3, 1.0),), RAW)
+        assert o.atoms == ((0.3, 1.0),) and o.mass == 1.0
         edges = np.array([-1.0, 0.0, 0.5, 1.0])
-        assert np.allclose(o.bin_masses(edges), [0.0, 1.0, 0.0])
+        assert np.array_equal(o.bin_masses(edges), [0.0, 1.0, 0.0])
         # without tail lumping an atom outside the edges is dropped
-        assert np.allclose(o.bin_masses(np.array([0.5, 1.0]), lump_tails=False), [0.0])
+        assert np.array_equal(o.bin_masses(np.array([0.5, 1.0]), lump_tails=False), [0.0])
 
     def test_bad_edges_rejected(self):
         o = gaussian_oracle(1.0)
@@ -135,9 +153,9 @@ class TestDensityOracle:
 
 class TestProjectedLaw:
     def test_pdf_frozen_points(self):
-        got = dprime_pdf(np.array(list(DENS_ACC)), T, EPS, PSI, BP, SS, "accepted")
+        got = dprime_pdf(np.array(list(DENS_ACC)), T, EPS, PSI, BP, SS)
         assert got == pytest.approx(list(DENS_ACC.values()), rel=1e-10)
-        assert dprime_pdf(np.array([0.21]), T, EPS, PSI, BP, SS, "uniform") == pytest.approx(
+        assert uniform_dprime_pdf(np.array([0.21]), T, EPS, PSI, BP, SS) == pytest.approx(
             [DENS_UNI_021], rel=1e-10)
 
     def test_pdf_zero_in_gaps(self):
@@ -152,8 +170,8 @@ class TestProjectedLaw:
             assert vec[j] == dprime_pdf(u[j : j + 1], T, EPS, PSI, BP, SS)[0]
 
     def test_atom_mass_frozen(self):
-        acc = dprime_atom_mass(T, EPS, PSI, BP, SS, "accepted")
-        uni = dprime_atom_mass(T, EPS, PSI, BP, SS, "uniform")
+        acc = dprime_atom_mass(T, EPS, PSI, BP, SS)
+        uni = uniform_atom_mass(T, EPS, PSI, BP, SS)
         assert acc == pytest.approx(ATOM_ACCEPTED, rel=1e-12)
         assert uni == pytest.approx(ATOM_UNIFORM, rel=1e-12)
 
@@ -181,7 +199,7 @@ class TestProjectedLaw:
     def test_pdf_matches_literal_form(self):
         rng = np.random.default_rng(7)
         u = rng.uniform(-2.7, 2.7, size=400)
-        got = dprime_pdf(u, T, EPS, PSI, BP, SS, "accepted")
+        got = dprime_pdf(u, T, EPS, PSI, BP, SS)
         f_un = lambda k: (T - PSI) * T**2 / (T + k - PSI) ** 4
         acc = integrate.quad(f_un, 0.0, EPS, epsabs=1e-14)[0]
         want = np.zeros_like(u)
@@ -197,7 +215,7 @@ class TestProjectedLaw:
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_oracle_grid_covers_the_mass(self):
-        o = dprime_oracle(T, EPS, PSI, BP, SS, "accepted")
+        o = dprime_oracle(T, EPS, PSI, BP, SS)
         # raw evaluator plus atom integrate to 1 up to trapezoid error on
         # a discontinuous integrand
         assert abs(o.normalization - 1.0) <= 0.01
@@ -205,15 +223,15 @@ class TestProjectedLaw:
 
     def test_uniform_idealization_is_close_but_distinct(self):
         edges = np.linspace(-0.8, 0.8, 65)
-        acc = dprime_oracle(T, EPS, PSI, BP, SS, "accepted").bin_masses(edges)
-        uni = dprime_oracle(T, EPS, PSI, BP, SS, "uniform").bin_masses(edges)
+        acc = branch_oracle(T, EPS, PSI, BP, SS, RAW).bin_masses(edges)
+        uni = branch_oracle(T, EPS, PSI, BP, SS, RAW, "uniform").bin_masses(edges)
         l1 = np.abs(acc - uni).sum()
         assert 0.005 < l1 < 0.3
 
 
 class TestConvolution:
     def test_mass_and_variance(self):
-        o = gaussian_oracle(1.0, step=0.01)
+        o = grid_gaussian(1.0, 0.01)
         c = convolve_with_gaussian(o, 0.2)
         assert abs(c.normalization - 1.0) <= 1e-6
         # rho-convention widths add in squares; variance is width^2/(2 pi)
@@ -228,19 +246,19 @@ class TestConvolution:
         a = rng.uniform(size=size) * np.hanning(size)
         kern = np.exp(-math.pi * (np.arange(-r, r + 1) / (r / 3.0)) ** 2)
         kern /= kern.sum()
-        got = _convolve_same(a, kern)
+        got = convolve_same(a, kern)
         want = fftconvolve(a, kern, mode="same")
         assert got.shape == want.shape
         # the same rfft computation, so equal in practice; allow one rounding
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_coarse_grid_rejected(self):
-        o = gaussian_oracle(1.0, step=0.05)
+        o = grid_gaussian(1.0, 0.05)
         with pytest.raises(ValueError, match="too coarse"):
             convolve_with_gaussian(o, 0.2)
 
     def test_vanishing_noise_is_identity(self):
-        o = gaussian_oracle(1.0, step=6.25e-4)
+        o = grid_gaussian(1.0, 6.25e-4)
         c = convolve_with_gaussian(o, 0.005)
         edges = np.linspace(-3.0, 3.0, 65)
         l1 = np.abs(c.bin_masses(edges) - o.bin_masses(edges)).sum()
@@ -257,6 +275,16 @@ class TestConvolution:
         target = np.diff(stats.norm.cdf(edges, 0.3, std))
         # residual is the trapezoid CDF error at this grid step
         assert np.max(np.abs(c.bin_masses(edges, lump_tails=False) - target)) <= 2e-5
+        q = QuadratureOracle(np.zeros_like, (), ((0.3, 1.0),), 0.5)
+        assert np.max(np.abs(q.bin_masses(edges, lump_tails=False) - target)) <= 1e-15
+
+    def test_quadrature_matches_convolution_at_desk_scale(self):
+        # sigma_noise = 0.25 took the FFT path; the quadrature agrees with it
+        # to the grid's first-order error in the jumps of the law
+        edges = np.linspace(-0.8, 0.8, 65)
+        conv = convolve_with_gaussian(dprime_oracle(T, EPS, PSI, BP, SS), SN)
+        quad = branch_oracle(T, EPS, PSI, BP, SS, SN)
+        assert np.abs(conv.bin_masses(edges) - quad.bin_masses(edges)).sum() <= 0.01
 
 
 class TestMixtureOracle:
@@ -264,22 +292,46 @@ class TestMixtureOracle:
 
     @pytest.mark.parametrize("eta", [0.05, 0.0])
     def test_eta_weighted_branch_sum(self, eta):
-        # the bench preset: sigma_noise = 2.5e-4 < 1e-3, so no convolution;
-        # the branch grids are narrower than the mixture's, hence 1e-3
+        # the bench preset: sigma_noise = 2.5e-4
         cfg = desk_config(1, eta, sigma=5.5556e-4)
         pp, pm = cfg.params_plus, cfg.params_minus
-        ss = math.sqrt(pp.signal_ratio)
+        ss, sn = math.sqrt(pp.signal_ratio), math.sqrt(1.0 - pp.signal_ratio)
         oracle = mixture_oracle(cfg)
         edges = atom_safe_edges(-0.8, 0.8, 64, [pp.psi - T, pm.psi - T])
         got = oracle.bin_masses(edges)
-        want = sum(w * dprime_oracle(T, EPS, p.psi, p.B, ss, step=oracle.step)
-                   .bin_masses(edges) for w, p in ((1.0 - eta, pp), (eta, pm)))
-        assert np.abs(got - want).sum() <= 1e-3
+        want = sum(w * branch_oracle(T, EPS, p.psi, p.B, ss, sn).bin_masses(edges)
+                   for w, p in ((1.0 - eta, pp), (eta, pm)))
+        assert np.abs(got - want).sum() <= 1e-12
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        assert oracle.sigma_noise == sn
         for (loc, mass), w, p in zip(oracle.atoms, (1.0 - eta, eta), (pp, pm)):
             assert loc == p.psi - T
-            assert mass * oracle.normalization == pytest.approx(
-                w * dprime_atom_mass(T, EPS, p.psi, p.B, ss), rel=1e-12)
+            assert mass == pytest.approx(w * dprime_atom_mass(T, EPS, p.psi, p.B, ss),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [5.5556e-4, SIGMA], ids=["bench", "desk"])
+    def test_matches_64_point_reference(self, sigma):
+        # the 64 atom-safe bins of verify's alternative window; the null
+        # battery's oracle is exact ndtr differences (TestDensityOracle)
+        cfg = desk_config(1, 0.05, sigma=sigma)
+        oracle = mixture_oracle(cfg)
+        edges = atom_safe_edges(-0.8, 0.8, 64, [loc for loc, _ in oracle.atoms])
+        got = oracle.bin_masses(edges)
+        assert np.abs(got - reference_bin_masses(cfg, edges)).sum() <= 1e-8
+        assert abs(oracle.mass - 1.0) <= 1e-12 and abs(got.sum() - 1.0) <= 1e-12
+
+    def test_grid_reference_converges_at_first_order(self):
+        # the grid oracle's trapezoid CDF cuts across the law's jumps, so its
+        # L1 to the quadrature falls with the step, not its square
+        oracle = mixture_oracle(desk_config(1, 0.05, sigma=5.5556e-4))
+        raw = QuadratureOracle(oracle.pdf, oracle.xs, oracle.atoms, RAW)
+        edges = atom_safe_edges(-0.8, 0.8, 64, [loc for loc, _ in oracle.atoms])
+        exact = raw.bin_masses(edges)
+        l1 = [np.abs(DensityOracle1D(oracle.pdf, (oracle.xs[0], oracle.xs[-1], EPS / d),
+                                     atoms=oracle.atoms).bin_masses(edges) - exact).sum()
+              for d in (8, 32, 128)]
+        assert 0.03 < l1[0] < 0.1
+        assert all(3.0 < a / b < 5.0 for a, b in zip(l1, l1[1:])), l1
 
 
 @pytest.fixture(scope="module")
@@ -303,13 +355,12 @@ SIGMA_SHARP = 0.1 / (2.0 * (T + EPS))  # sigma_noise = 0.1: bumps stay resolved
 
 @pytest.fixture(scope="module")
 def conv_oracle():
-    return convolve_with_gaussian(dprime_oracle(T, EPS, PSI, BP, SS, "accepted"), SN)
+    return branch_oracle(T, EPS, PSI, BP, SS, SN)
 
 
 @pytest.fixture(scope="module")
 def sharp_oracle():
-    ss = math.sqrt(1.0 - 0.1**2)
-    return convolve_with_gaussian(dprime_oracle(T, EPS, PSI, BP, ss, "accepted"), 0.1)
+    return branch_oracle(T, EPS, PSI, BP, math.sqrt(1.0 - 0.1**2), 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +422,26 @@ class TestReductionLaw:
         assert reps[0].statistic == reps[1].statistic
         proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
         assert folded_histogram(proj, edges).tolist() == [2, 1, 2, 2]
+
+    def test_worst_bins_name_a_dropped_atom(self, tiny_noise_instance):
+        # a model that lost the +1 atom at -t fails with that atom's bin first
+        x, _, s = tiny_noise_instance
+        oracle = mixture_oracle(desk_config(1, 0.1, sigma=SIGMA_TINY))
+        edges = atom_safe_edges(-0.8, 0.8, 64, [loc for loc, _ in oracle.atoms])
+        proj = project(x, s)
+        good = hidden_direction_test(proj, oracle, edges, tol_l1=0.05)
+        lost = QuadratureOracle(oracle.pdf, oracle.xs, oracle.atoms[1:], oracle.sigma_noise)
+        rep = hidden_direction_test(proj, lost, edges, tol_l1=0.05)
+        # 5,000 samples over 64 bins: the intact model's L1 is sampling noise
+        assert rep.statistic > good.statistic + 0.1 and not rep.passed
+        worst = rep.params["worst_bins"]
+        assert len(worst) == 5 and len(good.params["worst_bins"]) == 5
+        lo, hi, emp, model = worst[0]
+        assert lo <= -T < hi
+        assert emp - model == pytest.approx(oracle.atoms[0][1], abs=0.02)
+        gaps = [abs(e - m) for _, _, e, m in worst]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[1] < 0.02
 
     def test_null_projection_is_gaussian(self, null_run):
         rep = hidden_direction_test(project(null_run, np.ones(4)), gaussian_oracle(1.0),
@@ -473,7 +544,7 @@ class TestReferenceMixture:
     def test_matches_uniform_oracle(self):
         rng = np.random.default_rng(271828)
         draws = dk21_reference_sample(T, EPS, 150_000, rng)
-        o = dprime_oracle(T, EPS, 0.0, BP, 1.0, "uniform")
+        o = branch_oracle(T, EPS, 0.0, BP, 1.0, RAW, "uniform")
         rep = hidden_direction_test(draws, o, np.linspace(-2.0, 2.0, 49), tol_l1=0.05)
         assert rep.passed, rep
 
@@ -567,23 +638,23 @@ class TestLabelNoise:
     def predicted_ptf_disagreement(t, eps, c_prime, eta, sigma):
         """(-1 labels in the +1 region, +1 labels in the -1 region), expected.
 
-        The -1 term is eta times the -1 branch's projected mass inside the
-        +1 region: past |u| ~ t^2/eps the +1 intervals merge into rays and
-        whatever -1 mass lands there counts against the region.  The +1
-        branch's support lies inside the +1 region except through the
-        sigma_noise blur, which matters only at its atom at -t: the i = -1
-        island keeps just c'eps either side of it.
+        The -1 term is eta times the -1 branch's noisy projected mass
+        inside the +1 region: past |u| ~ t^2/eps the +1 intervals merge
+        into rays and whatever -1 mass lands there counts against the
+        region.  The +1 branch's support lies inside the +1 region except
+        through the sigma_noise blur, which matters only at its atom at
+        -t: the i = -1 island keeps just c'eps either side of it.
         """
         cfg = MassartConfig(n=4, t=t, eps=eps, sigma=sigma, eta=eta, m_prime=1,
                             c_prime=c_prime, c_dprime=4.0, delta=0.01, mode="desk-scale")
         base, pm = cfg.params_plus, cfg.params_minus
         ss = math.sqrt(base.signal_ratio)
-        oracle = dprime_oracle(t, eps, pm.psi, pm.B, ss, step=eps / 32.0)
-        lo, hi, _ = oracle.grid
-        edges = region_aligned_edges(t, eps, c_prime, (lo, hi))
+        sigma_noise = math.sqrt(1.0 - base.signal_ratio)
+        oracle = branch_oracle(t, eps, pm.psi, pm.B, ss, sigma_noise)
+        edges = region_aligned_edges(t, eps, c_prime, (oracle.xs[0], oracle.xs[-1]))
         masses = oracle.bin_masses(edges)
         plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), t, eps, c_prime) == 1
-        noise_sd = math.sqrt((1.0 - base.signal_ratio) / (2.0 * math.pi))
+        noise_sd = sigma_noise / math.sqrt(2.0 * math.pi)
         escape = 2.0 * stats.norm.sf(c_prime * eps / noise_sd)
         atom = dprime_atom_mass(t, eps, 0.0, base.B, ss)
         return eta * float(masses[plus].sum()), (1.0 - eta) * atom * escape
