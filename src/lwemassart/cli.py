@@ -32,10 +32,11 @@ from .instances import (
 )
 from .learners import LEARNERS, distinguish
 from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
-from .rejection import plus_branch, validate_condition
+from .rejection import branch_acceptance, validate_condition
 from .verify import (
     TestReport,
     atom_safe_edges,
+    folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
     isotropic_gaussianity_test,
@@ -44,7 +45,6 @@ from .verify import (
     mixture_oracle,
     orthogonal_gaussianity_test,
     project,
-    projected_histogram,
     ptf_error_estimate,
     write_histogram_csv,
     write_reports_json,
@@ -205,8 +205,9 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
     atom_locs = [mconfig.params_plus.psi - t, mconfig.params_minus.psi - t]
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
     proj = project(coords, secret)
+    model = oracle.bin_masses(edges)
     reports = [
-        hidden_direction_test(proj, oracle, edges, tol_l1),
+        hidden_direction_test(proj, model, edges, tol_l1),
         orthogonal_gaussianity_test(coords, secret),
     ]
     medges = region_aligned_edges(t, eps, c_prime, MASSART_WINDOW, max_width=0.05)
@@ -232,7 +233,7 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
         description="labels vs the planted threshold-polynomial region",
         params={"eta": eta},
     ))
-    return reports, (proj, oracle, edges)
+    return reports, (proj, model, edges)
 
 
 def _null_reports(coords, labels, mconfig, bins, tol_l1):
@@ -240,9 +241,10 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
     oracle = gaussian_oracle(1.0)
     edges = np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1)
     proj = project(coords, np.ones(coords.shape[1]))
+    model = oracle.bin_masses(edges)
     reports = [
         isotropic_gaussianity_test(coords),
-        hidden_direction_test(proj, oracle, edges, tol_l1),
+        hidden_direction_test(proj, model, edges, tol_l1),
     ]
     est = massart_condition_estimate(proj, labels, edges, eta=eta,
                                      min_count=BALANCE_MIN_COUNT)
@@ -266,7 +268,7 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
         description="region classifier must not fit independent labels",
         params={"eta": eta},
     ))
-    return reports, (proj, oracle, edges)
+    return reports, (proj, model, edges)
 
 
 @main.command("verify")
@@ -291,8 +293,8 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     if report_path:
         write_reports_json(report_path, reports)
     if hist_path:
-        proj, oracle, edges = hist
-        emp, model = projected_histogram(proj, oracle, edges)
+        proj, model, edges = hist  # model is the array the L1 gate read: one binning
+        emp = folded_histogram(proj, edges) / len(proj)
         write_histogram_csv(hist_path, edges, {"empirical": emp, "model": model})
     for rep in reports:
         click.echo(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: "
@@ -365,16 +367,20 @@ def cmd_preset_list():
               default=0.01)
 @click.option("--out", type=click.Path(), required=True)
 def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
-    """Write the preset's RunConfig JSON and report the parameter condition."""
+    """Write the preset's RunConfig JSON; report its parameter condition and stream use."""
     cfg = config.preset(name, n, zeta, m_prime, delta)
     cfg.save(out)
     try:
-        # the +1 branch's checks, not the -1 carving (slow at theorem-d's t/eps ~ n^0.9)
-        plus_branch(cfg)
-        report = validate_condition(cfg)
-        for clause in report["clauses"]:
-            state = "ok" if clause["ok"] else "VIOLATED"
-            click.echo(f"{clause['clause']}: {state} ({clause['detail']})")
+        mconfig = config.massart_config(cfg)
+        for c in validate_condition(mconfig)["clauses"]:
+            click.echo(f"{c['clause']}: {'ok' if c['ok'] else 'VIOLATED'} ({c['detail']})")
+        p_plus, p_minus = (branch_acceptance(p.t, p.psi, p.B)
+                           for p in (mconfig.params_plus, mconfig.params_minus))
+        expected = cfg.m_prime * ((1.0 - cfg.eta) / p_plus + cfg.eta / p_minus)
+        budget = config.stream_budget(cfg)
+        click.echo(f"acceptance: p+ {p_plus:.4g}, p- {p_minus:.4g}")
+        click.echo(f"stream: budget {budget:,} vs expected use m'((1-eta)/p+ + eta/p-) = "
+                   f"{expected:,.0f} ({budget / expected:.2f}x)")
     except ValueError as err:
         click.echo(f"parameter condition: infeasible at this scale ({err})")
     click.echo(f"wrote {out}")

@@ -6,12 +6,12 @@ with probability 1 - eta the label is +1 and the branch is (psi = 0,
 B = [0, eps)); otherwise the label is -1 and the branch is (psi = t/2,
 B = B_minus), where B_minus is [t/2, t/2 + eps) with slots carved out.
 
-The carving exists because the +1 projection law has geometrically
-spaced support translates whose decaying copies would otherwise land in
-the middle of the -1 support and break the bounded-flip-noise property.
-The map g (see _g_image_exact) sends an ambient location to the spot in
-the base interval from which the -1 branch would populate it, so
-removing g-images of the +1 danger zones keeps the two supports apart.
+The carving keeps the +1 projection law's geometrically spaced support
+translates off the -1 support, as the bounded-flip-noise property needs.
+The map g sends an ambient location to the spot in the base interval
+from which the -1 branch would populate it; build_b_minus removes the
+g-images of the +1 danger zones in float arrays, each image widened past
+its float error, so the result lies inside the exact carved set.
 
 The builder decides acceptance for every stream position, one row chunk
 at a time and keeping one boolean per position and branch, then walks
@@ -24,7 +24,6 @@ transform is vectorized per label group.
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -33,95 +32,88 @@ import numpy as np
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .lwe import row_chunks
-from .rejection import accept_steps, k_of_y, plus_branch, transform_accepted, validate_condition
+from .rejection import (ReductionParams, accept_steps, b_plus, k_of_y, transform_accepted,
+                        validate_condition)
 
 LABELED_MAGIC = b"MLAB"
 LABELED_VERSION = 1
 
 
-# --------------------------------------------------------------------- g map
+# --------------------------------------------------------------- carving
+
+# the largest t/eps build_b_minus carves; theorem-d at n = 10^6 has 251,188
+MAX_CARVE_RATIO = 2**18
+_U = 2.0**-53  # unit roundoff of float64
 
 
-def _g_image_exact(lo, hi, t):
-    """Exact image pairs of [lo, hi] under g, split at band boundaries.
+def _carved_images(t, eps, w):
+    """(lo, hi, err): the g-image of every slot and a bound on its float error.
 
-    g writes u = i*t + t/2 + b with b in [0, t) and maps it to b/(i+1) + t/2
-    for i >= 0 and to (b-t)/(i+2) + t/2 for i < -2, a slot in [t/2, t);
-    the band i in {-1, -2} is outside its domain.  Endpoints are
-    Fractions; the image on a band with negative slope (i < -2) comes out
-    endpoint-reversed and is normalized here.  Pieces falling in the
-    excluded band are skipped: nothing can be populated from there, so
-    there is nothing to carve.
+    Band j is [jt + t/2, (j+1)t + t/2); g sends its offset b to b/(j+1) + t/2
+    for j >= 0 and to (b-t)/(j+2) + t/2 for j <= -3.  Over build_b_minus's
+    ranges of i the families sit at offsets [t/2 - w, t/2] of band i-1,
+    [(i+1)eps - t/2, .. + w] of band i, [(i+1)eps + t/2 - w, .. + w] and
+    [t/2, t/2 + w] of band i-1, so no i*t is formed.  A slot is narrower
+    than t: only its part below offset 0 lies in the band below (at offset
+    + t), and a slot end within 4us of 0 (s = t + 2eps, u = 2^-53) is mapped
+    under both bands.  Each offset sums (i+1)eps, t/2 and w, all within s
+    of 0, so it is within 3.2us of exact, a piece end within 5.2us, and an
+    image, after the division by d, within us(5.2/|d| + 2.5) < err = us(6/|d| + 3).
     """
-    if hi <= lo:
-        return []
-    half = t / 2
-    pieces = []
-    a = lo
-    while a < hi:
-        i = (a - half) // t  # Fraction floor division -> integer band index
-        band_end = (i + 1) * t + half
-        b = min(hi, band_end)
-        if i not in (-1, -2):
-            if i >= 0:
-                ga = a - i * t - half
-                gb = b - i * t - half
-                va = ga / (i + 1) + half
-                vb = gb / (i + 1) + half
-            else:
-                va = (a - i * t - half - t) / (i + 2) + half
-                vb = (b - i * t - half - t) / (i + 2) + half
-            if va > vb:
-                va, vb = vb, va
-            if vb > va:
-                pieces.append((va, vb))
-        a = b
-    return pieces
+    (tn, td), (en, ed) = float(t).as_integer_ratio(), float(eps).as_integer_ratio()
+    num, den = tn * ed, td * en  # t/eps = num/den exactly
+    pos = np.arange((num - 2 * den) // (2 * den), -((den - num) // den) + 1, dtype=float)
+    neg = np.arange((-num - den) // den, -((num + 2 * den) // (2 * den)) + 1, dtype=float)
+    b_pos, b_neg = (pos + 1) * eps - t / 2, (neg + 1) * eps + t / 2
+    j = np.concatenate((pos - 1, pos, neg - 1, neg - 1))
+    lo = np.concatenate((np.full_like(pos, t / 2 - w), b_pos, b_neg - w, np.full_like(neg, t / 2)))
+    hi = np.concatenate((np.full_like(pos, t / 2), b_pos + w, b_neg, np.full_like(neg, t / 2 + w)))
+    s = t + 2 * eps
+    up, down = hi > -4 * _U * s, lo < 4 * _U * s
+    j = np.concatenate((j[up], j[down] - 1))
+    ends = [np.concatenate((np.maximum(e[up], 0.0), np.minimum(e[down], 0.0) + t))
+            for e in (lo, hi)]
+    keep = (w > 0) & ((j >= 0) | (j <= -3))  # no slot at c' = 0; g skips bands -1, -2
+    d = np.where(j >= 0, j + 1.0, j + 2.0)[keep]
+    va, vb = ((e[keep] - np.where(d > 0, 0.0, t)) / d + t / 2 for e in ends)
+    return np.minimum(va, vb), np.maximum(va, vb), _U * s * (6.0 / np.abs(d) + 3.0)
 
 
 def build_b_minus(t, eps, c_prime):
     """The -1 branch acceptance set: [t/2, t/2+eps) minus carved slots.
 
-    Four slot families are removed, the g-images of
+    Four slot families of width w = 2c'eps are removed, the g-images of
         [it - 2c'eps, it]                       i in [t/2eps - 1, t/eps - 1]
         [it + (i+1)eps, it + (i+1)eps + 2c'eps] same i range
         [it + (i+1)eps - 2c'eps, it + (i+1)eps] i in [-t/eps - 1, -t/2eps - 1]
         [it, it + 2c'eps]                       same i range
-    Fractional range endpoints are widened to the enclosing integer range
-    (carving a superset is the conservative direction).  All endpoint
-    arithmetic is exact: float inputs are exact rationals, and carving in
-    Fraction space avoids any dependence on subtraction order.
-
-    Raises if the result is empty or its measure drops below
-    eps*(1 - 16c'), the guaranteed floor.
+    with non-integer range ends widened to the enclosing integers.  Each
+    image is widened by its float error bound (_carved_images), so the
+    result lies inside the exact B_minus (carving a superset is the
+    conservative direction), short of it by < 2e-8 eps at t/eps <= 3,982.
+    Raises before any allocation when t/eps > MAX_CARVE_RATIO, and after
+    carving when the result is empty or below eps*(1 - 16c'), the floor.
     """
-    if t <= 0 or eps <= 0 or c_prime < 0:
-        raise ValueError("t, eps must be positive and c_prime nonnegative")
+    if not (0 < t < math.inf and 0 < 2 * eps <= t and c_prime >= 0):
+        raise ValueError("need t finite and positive, 0 < eps <= t/2 and c_prime >= 0")
     if 16 * c_prime >= 1:
         raise ValueError("c_prime must satisfy 16*c_prime < 1")
-    ft, fe, fc = Fraction(t), Fraction(eps), Fraction(c_prime)
-    ratio = ft / fe
-    w = 2 * fc * fe
-    pos = range(math.floor(ratio / 2 - 1), math.ceil(ratio - 1) + 1)
-    neg = range(math.floor(-ratio - 1), math.ceil(-ratio / 2 - 1) + 1)
-    cuts = []
-    for i in pos:
-        cuts += _g_image_exact(i * ft - w, i * ft, ft)
-        cuts += _g_image_exact(i * ft + (i + 1) * fe, i * ft + (i + 1) * fe + w, ft)
-    for i in neg:
-        cuts += _g_image_exact(i * ft + (i + 1) * fe - w, i * ft + (i + 1) * fe, ft)
-        cuts += _g_image_exact(i * ft, i * ft + w, ft)
-    base = [(ft / 2, ft / 2 + fe)]
-    remaining = subtract_pairs(base, merge_pairs(cuts))
-    measure = sum(b - a for a, b in remaining)
-    floor_measure = fe * (1 - 16 * fc)
-    if not remaining or measure < floor_measure:
-        raise ValueError(
-            f"carving left measure {float(measure)} < floor {float(floor_measure)}; "
-            "reduce c_prime or increase t/eps"
-        )
-    pairs = [(float(a), float(b)) for a, b in remaining]
-    return IntervalSet(tuple((a, b) for a, b in pairs if a < b))
+    if t / eps > MAX_CARVE_RATIO:
+        raise ValueError(f"t/eps = {t / eps:.6g} exceeds the carving cap "
+                         f"MAX_CARVE_RATIO = {MAX_CARVE_RATIO} (2^18)")
+    lo, hi, err = _carved_images(t, eps, 2 * c_prime * eps)
+    top = t / 2 + eps
+    if math.fsum((top, -t / 2, -eps)) > 0:  # keep the rounded top inside the exact one
+        top = math.nextafter(top, 0.0)
+    remaining = subtract_pairs([(t / 2, top)], np.column_stack((lo - err, hi + err)))
+    measure = float(np.sum(remaining[:, 1] - remaining[:, 0]))
+    floor_measure = eps * (1 - 16 * c_prime)
+    # the exact measure exceeds this one by at most the widening and the rounded top
+    slack = 4 * (float(np.sum(err)) + _U * (t + 2 * eps))
+    if not len(remaining) or measure + slack < floor_measure:
+        raise ValueError(f"carving left measure {measure} < floor {floor_measure}; "
+                         "reduce c_prime or increase t/eps")
+    return IntervalSet(remaining)
 
 
 # --------------------------------------------------------------- PTF region
@@ -144,7 +136,7 @@ def region_plus_intervals(t, eps, c_prime):
     pairs += [(i * t + (i + 1) * eps - m, i * t + m) for i in range(-reach - 2, -1)]
     if c_prime > 0:
         pairs.append((-t - m, -t + m))
-    return IntervalSet(tuple(merge_pairs(pairs)))
+    return IntervalSet(merge_pairs(pairs))
 
 
 def ptf_region(u, t, eps, c_prime):
@@ -170,14 +162,10 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be nonempty")
-    cuts = {lo, hi}
-    for a, b in region_plus_intervals(t, eps, c_prime):
-        for e in (a, b):
-            if lo < e < hi:
-                cuts.add(e)
-    edges = sorted(cuts)
+    ends = np.ravel(region_plus_intervals(t, eps, c_prime).intervals)
+    edges = np.unique(np.append(ends[(ends > lo) & (ends < hi)], (lo, hi)))
     if max_width is None:
-        return np.asarray(edges)
+        return edges
     out = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         parts = max(1, math.ceil((b - a) / max_width))
@@ -228,7 +216,8 @@ class MassartConfig:
 
     @cached_property
     def params_plus(self):
-        return plus_branch(self)
+        return ReductionParams(n=self.n, t=self.t, eps=self.eps, psi=0.0, B=b_plus(self.eps),
+                               sigma=self.sigma)
 
     @cached_property
     def params_minus(self):

@@ -1,10 +1,4 @@
-"""Half-open interval sets on the real line.
-
-Endpoints are kept as floats for the hot membership path; the set algebra
-helpers (merge/subtract) work on plain (lo, hi) pairs of any ordered
-numeric type, so carving code can run them on exact Fractions and convert
-at the end.
-"""
+"""Half-open interval sets on the real line, and their algebra on (m, 2) float arrays."""
 
 from dataclasses import dataclass
 
@@ -12,34 +6,34 @@ import numpy as np
 
 
 def merge_pairs(pairs):
-    """Sort and merge overlapping or touching [lo, hi) pairs."""
-    out = []
-    for lo, hi in sorted((p for p in pairs if p[1] > p[0])):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
+    """Sort and merge overlapping or touching [lo, hi) pairs, as an (m, 2) float array.
+
+    Empty pairs are dropped; after a sort on lo, a pair starts a new piece
+    when its lo lies past the running max of every hi before it.
+    """
+    p = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    p = p[p[:, 1] > p[:, 0]]
+    p = p[np.argsort(p[:, 0], kind="stable")]
+    reach = np.maximum.accumulate(p[:, 1])
+    start = np.ones(len(p), dtype=bool)
+    start[1:] = p[1:, 0] > reach[:-1]
+    last = np.roll(start, -1)  # the last pair of each piece; start[0] is True
+    return np.column_stack((p[start, 0], reach[last]))
 
 
 def subtract_pairs(base, cut):
-    """Set difference base - cut on merged [lo, hi) pair lists."""
-    base = merge_pairs(base)
-    cut = merge_pairs(cut)
-    out = []
-    for lo, hi in base:
-        cur = lo
-        for clo, chi in cut:
-            if chi <= cur or clo >= hi:
-                continue
-            if clo > cur:
-                out.append((cur, clo))
-            cur = max(cur, chi)
-            if cur >= hi:
-                break
-        if cur < hi:
-            out.append((cur, hi))
-    return out
+    """Set difference base - cut as a merged (m, 2) float array: base's overlaps with cut's gaps."""
+    base, cut = merge_pairs(base), merge_pairs(cut)
+    gap_lo = np.append(-np.inf, cut[:, 1])
+    gap_hi = np.append(cut[:, 0], np.inf)
+    first = np.searchsorted(gap_hi, base[:, 0], side="right")
+    count = np.searchsorted(gap_lo, base[:, 1], side="left") - first
+    owner = np.repeat(np.arange(len(base)), count)
+    gap = first[owner] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    lo = np.maximum(base[owner, 0], gap_lo[gap])
+    hi = np.minimum(base[owner, 1], gap_hi[gap])
+    keep = lo < hi
+    return np.column_stack((lo[keep], hi[keep]))
 
 
 @dataclass(frozen=True)
@@ -49,16 +43,13 @@ class IntervalSet:
     intervals: tuple
 
     def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
-        prev_hi = None
-        for a, b in ivs:
-            if not a < b:
-                raise ValueError("intervals need a < b")
-            if prev_hi is not None and a < prev_hi:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev_hi = b
-        object.__setattr__(self, "_flat", np.array(ivs, dtype=float).ravel())
+        pairs = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
+        if not np.all(pairs[:, 0] < pairs[:, 1]):
+            raise ValueError("intervals need a < b")
+        if np.any(pairs[1:, 0] < pairs[:-1, 1]):
+            raise ValueError("intervals must be sorted and disjoint")
+        object.__setattr__(self, "intervals", tuple(map(tuple, pairs.tolist())))
+        object.__setattr__(self, "_flat", pairs.ravel())
 
     @classmethod
     def single(cls, lo, hi):
@@ -92,8 +83,8 @@ class IntervalSet:
         return inside
 
     def issubset(self, other, tol=0.0):
-        left = subtract_pairs(self.intervals, other.intervals)
-        return sum(b - a for a, b in left) <= tol
+        left = subtract_pairs(self._flat.reshape(-1, 2), other._flat.reshape(-1, 2))
+        return float(np.sum(left[:, 1] - left[:, 0])) <= tol
 
     def __iter__(self):
         return iter(self.intervals)

@@ -221,8 +221,3 @@ def acceptance_probability(params):
 def b_plus(eps):
     """The +1-branch offset window [0, eps)."""
     return IntervalSet.single(0.0, eps)
-
-
-def plus_branch(p):
-    """The +1 branch (psi = 0, B = [0, eps)) at p's n, t, eps and sigma, checked."""
-    return ReductionParams(n=p.n, t=p.t, eps=p.eps, psi=0.0, B=b_plus(p.eps), sigma=p.sigma)

@@ -282,22 +282,13 @@ def folded_histogram(proj, edges):
     return np.histogram(np.clip(proj, edges[0], edges[-1]), bins=edges)[0]
 
 
-def projected_histogram(proj, oracle, edges):
-    """(empirical, model) mass per bin of the projection proj.
+def hidden_direction_test(proj, model, edges, tol_l1):
+    """L1 distance between folded_histogram(proj, edges) / len(proj) and model.
 
-    Tail mass on both sides is folded into the edge bins, so each vector
-    sums to one.
+    model is an oracle's bin_masses(edges); params["worst_bins"] lists the five
+    bins adding most to it, as (lo, hi, empirical, model), largest gap first.
     """
-    return folded_histogram(proj, edges) / len(proj), oracle.bin_masses(edges)
-
-
-def hidden_direction_test(proj, oracle, edges, tol_l1):
-    """L1 distance between the projected_histogram vectors on edges.
-
-    params["worst_bins"] lists the five bins that add most to it, as
-    (lo, hi, empirical, model), largest |empirical - model| first.
-    """
-    emp, model = projected_histogram(proj, oracle, edges)
+    emp = folded_histogram(proj, edges) / len(proj)
     n_bins = len(edges) - 1
     gap = np.abs(emp - model)
     l1 = float(gap.sum())

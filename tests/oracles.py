@@ -3,7 +3,8 @@
 No command reaches these, so they live beside the tests rather than in
 the package: the expanded and collapsed Gaussians and their densities,
 the one-shot batch reduction, the offset inversion and its density, the
-g map, interval intersection, the grid oracle with its FFT noise
+g map, the exact Fraction carving of B_minus with the list-based pair
+algebra it runs on, interval intersection, the grid oracle with its FFT noise
 convolution (the reference the library's quadrature replaced), the
 uniform-offset law, single-branch oracles, a second quadrature of the
 mixture's bin masses, the per-bin Massart audit, the acceptance-rate
@@ -16,6 +17,7 @@ command's own walk against a second, simpler one.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
@@ -29,7 +31,6 @@ from lwemassart.gaussians import (
     sample_lattice_rows,
 )
 from lwemassart.instances import InstanceResult
-from lwemassart.intervals import merge_pairs
 from lwemassart.lwe import ContinuizationStep, LweBatch, default_chain_scales, gen_continuous_lwe
 from lwemassart.rejection import (
     accept_steps,
@@ -288,15 +289,103 @@ def g_map(u, t):
     return float(out) if out.ndim == 0 else out
 
 
+def merge_pairs_exact(pairs):
+    """Sort and merge overlapping or touching [lo, hi) pairs of any ordered type, as a list."""
+    out = []
+    for lo, hi in sorted((lo, hi) for lo, hi in pairs if hi > lo):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def subtract_pairs_exact(base, cut):
+    """Set difference base - cut on [lo, hi) pair lists of any ordered type."""
+    base = merge_pairs_exact(base)
+    cut = merge_pairs_exact(cut)
+    out = []
+    for lo, hi in base:
+        cur = lo
+        for clo, chi in cut:
+            if chi <= cur or clo >= hi:
+                continue
+            if clo > cur:
+                out.append((cur, clo))
+            cur = max(cur, chi)
+            if cur >= hi:
+                break
+        if cur < hi:
+            out.append((cur, hi))
+    return out
+
+
+def _g_image_exact(lo, hi, t):
+    """Exact image pairs of [lo, hi] under g, split at band boundaries.
+
+    g writes u = i*t + t/2 + b with b in [0, t) and maps it to b/(i+1) + t/2
+    for i >= 0 and to (b-t)/(i+2) + t/2 for i < -2, a slot in [t/2, t);
+    the band i in {-1, -2} is outside its domain.  Endpoints are
+    Fractions; the image on a band with negative slope (i < -2) comes out
+    endpoint-reversed and is normalized here.  Pieces falling in the
+    excluded band are skipped: nothing can be populated from there, so
+    there is nothing to carve.
+    """
+    if hi <= lo:
+        return []
+    half = t / 2
+    pieces = []
+    a = lo
+    while a < hi:
+        i = (a - half) // t  # Fraction floor division -> integer band index
+        band_end = (i + 1) * t + half
+        b = min(hi, band_end)
+        if i not in (-1, -2):
+            if i >= 0:
+                va = (a - i * t - half) / (i + 1) + half
+                vb = (b - i * t - half) / (i + 1) + half
+            else:
+                va = (a - i * t - half - t) / (i + 2) + half
+                vb = (b - i * t - half - t) / (i + 2) + half
+            if va > vb:
+                va, vb = vb, va
+            if vb > va:
+                pieces.append((va, vb))
+        a = b
+    return pieces
+
+
+def b_minus_exact(t, eps, c_prime):
+    """B_minus of instances.build_b_minus carved in Fraction arithmetic, as Fraction pairs.
+
+    The reference the float carving is checked against: the float inputs
+    are exact rationals, every slot end and image is exact, and the index
+    ranges are the enclosing integer ranges of the exact ratio t/eps.
+    """
+    ft, fe, fc = Fraction(t), Fraction(eps), Fraction(c_prime)
+    ratio = ft / fe
+    w = 2 * fc * fe
+    pos = range(math.floor(ratio / 2 - 1), math.ceil(ratio - 1) + 1)
+    neg = range(math.floor(-ratio - 1), math.ceil(-ratio / 2 - 1) + 1)
+    cuts = []
+    for i in pos:
+        cuts += _g_image_exact(i * ft - w, i * ft, ft)
+        cuts += _g_image_exact(i * ft + (i + 1) * fe, i * ft + (i + 1) * fe + w, ft)
+    for i in neg:
+        cuts += _g_image_exact(i * ft + (i + 1) * fe - w, i * ft + (i + 1) * fe, ft)
+        cuts += _g_image_exact(i * ft, i * ft + w, ft)
+    return subtract_pairs_exact([(ft / 2, ft / 2 + fe)], cuts)
+
+
 def intersect_pairs(a, b):
     """Set intersection of two [lo, hi) pair lists."""
     out = []
-    for lo, hi in merge_pairs(a):
-        for clo, chi in merge_pairs(b):
+    for lo, hi in merge_pairs_exact(a):
+        for clo, chi in merge_pairs_exact(b):
             ilo, ihi = max(lo, clo), min(hi, chi)
             if ihi > ilo:
                 out.append((ilo, ihi))
-    return merge_pairs(out)
+    return merge_pairs_exact(out)
 
 
 # ------------------------------------------------------------------- verify

@@ -26,6 +26,7 @@ from lwemassart.instances import (
     write_sidecar,
 )
 from lwemassart.lwe import LweBatch
+from lwemassart.verify import QuadratureOracle
 
 T = 0.2
 EPS = 0.025
@@ -198,6 +199,18 @@ class TestGenInstance:
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
 
+    def test_ratio_past_the_carving_cap_exits_2(self, tmp_path):
+        # t/eps = 8e6 > 2^18: refused before the -1 carving allocates anything
+        out = tmp_path / "x.inst"
+        res = CliRunner().invoke(
+            main, ["gen-instance", "--n", "2", "--t", "0.2", "--eps", "2.5e-8",
+                   "--sigma", "5e-4", "--m", "100", "--m-prime", "10", "--seed", "1",
+                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "t/eps = 8e+06 exceeds the carving cap MAX_CARVE_RATIO = 262144" in res.output
+        assert not out.exists()
+
     def test_batch_file_input(self, tmp_path):
         src = tmp_path / "s.lwe"
         invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative",
@@ -278,6 +291,22 @@ class TestVerify:
         assert len(rows) >= 30
         model = [float(r.split(",")[3]) for r in rows[1:]]
         assert abs(math.fsum(model) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("inst", ["alt.inst", "null.inst"])
+    def test_hist_bins_the_oracle_once(self, work, tmp_path, monkeypatch, inst):
+        # the CSV's model column is the array the L1 gate read, not a second binning
+        calls = []
+        bin_masses = QuadratureOracle.bin_masses
+
+        def counted(self, edges, lump_tails=True):
+            calls.append(len(edges))
+            return bin_masses(self, edges, lump_tails)
+
+        monkeypatch.setattr(QuadratureOracle, "bin_masses", counted)
+        res = invoke(["verify", str(work / inst), "--bins", "32",
+                      "--hist", str(tmp_path / "h.csv")])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
 
     def test_null_all_pass(self, work):
         res = invoke(["verify", str(work / "null.inst"), "--bins", "32"])
@@ -760,6 +789,23 @@ class TestPreset:
         assert "(i) t/eps large even integer: ok" in res.output
         # clause (iii) genuinely fails this far below the asymptotic regime
         assert "(iii)" in res.output and "VIOLATED" in res.output
+
+    def test_theorem_d_reports_acceptance_and_stream_use(self, tmp_path):
+        # at n = 8 the preset's 2 (t/eps) m' budget is below the expected use
+        res = invoke(["preset", "apply", "theorem-d", "--n", "8",
+                      "--out", str(tmp_path / "thm.json")])
+        assert res.exit_code == 0, res.output
+        assert "acceptance: p+ 0.1234, p- 0.04813\n" in res.output
+        assert ("stream: budget 1,200,000 vs expected use m'((1-eta)/p+ + eta/p-) = "
+                "1,232,686 (0.97x)\n") in res.output
+
+    def test_theorem_d_past_the_carving_cap_is_reported(self, tmp_path):
+        out = tmp_path / "big.json"
+        res = invoke(["preset", "apply", "theorem-d", "--n", str(10**7), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "infeasible at this scale (t/eps = 1.99526e+06 exceeds the carving cap" \
+            in res.output
+        assert out.exists()
 
     def test_sigma_underflow_is_reported_infeasible(self, tmp_path):
         # at n = 10**70, sigma = n^-5 underflows to 0: the +1 branch's checks

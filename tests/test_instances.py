@@ -15,10 +15,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lwemassart import config, instances
 from lwemassart.instances import (
     InstanceResult,
+    MAX_CARVE_RATIO,
     MassartConfig,
-    _g_image_exact,
     build_b_minus,
     generate_instance,
     ptf_region,
@@ -33,7 +34,7 @@ from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import keep_probability, transform_accepted
 
-from oracles import g_map, intersect_pairs, invert_y, reduce_batch
+from oracles import _g_image_exact, b_minus_exact, g_map, intersect_pairs, invert_y, reduce_batch
 
 T, EPS, CP = 0.2, 0.025, 0.04
 SIGMA = 1.0 / (8.0 * (T + EPS))
@@ -147,6 +148,10 @@ def test_b_minus_validation():
         build_b_minus(T, EPS, 1.0 / 16.0)
     with pytest.raises(ValueError):
         build_b_minus(-1.0, EPS, 0.0)
+    # the -1 window [t/2, t/2 + eps) must fit in [t/2, t), where g maps
+    with pytest.raises(ValueError, match="eps <= t/2"):
+        build_b_minus(T, 0.6 * T, CP)
+    build_b_minus(T, T / 2, CP)
 
 
 def test_b_minus_desk_against_inverse_oracle():
@@ -170,6 +175,67 @@ def test_b_minus_piece_count_matches_oracle():
     # slot count bound from enumerating the four families
     gaps = subtract_pairs([(T / 2, T / 2 + EPS)], list(b))
     assert len(gaps) <= 4 * (T / (2 * EPS) + 2)
+
+
+def inside_exact(got, exact):
+    """Every piece of the IntervalSet got lies in one exact Fraction piece."""
+    k = 0
+    for a, b in got:
+        fa, fb = Fraction(a), Fraction(b)
+        while k < len(exact) and exact[k][1] <= fa:
+            k += 1
+        if not (k < len(exact) and exact[k][0] <= fa and fb <= exact[k][1]):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("c_prime", [0.01, 0.02, 0.04])
+@pytest.mark.parametrize("ratio", [4, 6.5, 7.3, 8, 12, 64, 502, 3982])
+def test_b_minus_inside_exact_carving(ratio, c_prime):
+    t = 0.05
+    eps = t / ratio
+    got = build_b_minus(t, eps, c_prime)
+    exact = b_minus_exact(t, eps, c_prime)
+    assert inside_exact(got, exact)
+    # the exact pieces that survive rounding their ends to floats
+    assert len(got) == sum(float(a) < float(b) for a, b in exact)
+    short = sum(b - a for a, b in exact) - sum(Fraction(b) - Fraction(a) for a, b in got)
+    assert 0 <= short <= Fraction(eps) * Fraction(1, 10**7)
+
+
+def test_b_minus_slot_ends_on_band_boundaries():
+    # at t/eps = 12 the slots i = 5 and i = -7 start and end exactly on band
+    # boundaries; a band taken from the rounded sign of u - t/2 mapped them
+    # outside [t/2, t/2 + eps) and left these two slots in B_minus
+    t = 0.05
+    b = build_b_minus(t, t / 12, 0.02)
+    assert len(b) == 19
+    assert not b.contains(np.array([0.0269165, 0.02725])).any()
+
+
+def test_b_minus_carving_cap():
+    t = 0.2
+    with pytest.raises(ValueError, match="carving cap MAX_CARVE_RATIO = 262144"):
+        build_b_minus(t, t / (2 * MAX_CARVE_RATIO), CP)
+    with pytest.raises(ValueError, match="carving cap"):
+        build_b_minus(t, 2.5e-8, CP)
+
+
+def test_b_minus_floor_check_raises(monkeypatch):
+    # the guaranteed floor eps(1 - 16c') holds for every c' < 1/16 the
+    # carving admits, so a short result is forced to see the check fire
+    short = np.array([[T / 2, T / 2 + EPS / 4]])
+    monkeypatch.setattr(instances, "subtract_pairs", lambda base, cut: short)
+    with pytest.raises(ValueError, match="carving left measure .* < floor"):
+        build_b_minus(T, EPS, CP)
+
+
+def test_theorem_d_config_builds_at_n_1e5():
+    cfg = config.massart_config(config.preset("theorem-d", 10**5, 0.5, 100_000, 0.01))
+    b = cfg.params_minus.B
+    # the piece count of the exact carving at t/eps = 31,622
+    assert len(b) == 43_717
+    assert cfg.eps * (1 - 16 * cfg.c_prime) <= b.measure <= cfg.eps
 
 
 # --------------------------------------------------------------- PTF region

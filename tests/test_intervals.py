@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
 
-from oracles import intersect_pairs
+from oracles import intersect_pairs, merge_pairs_exact, subtract_pairs_exact
 
 
 def test_construction_validates():
@@ -37,15 +37,15 @@ def test_contains_half_open():
 def test_subtract_and_intersect():
     cut = [(1.0, 2.0), (5.0, 7.0)]
     left = subtract_pairs([(0.0, 10.0)], cut)
-    assert left == [(0.0, 1.0), (2.0, 5.0), (7.0, 10.0)]
+    assert left.tolist() == [[0.0, 1.0], [2.0, 5.0], [7.0, 10.0]]
     assert intersect_pairs(left, cut) == []
-    assert merge_pairs(left + cut) == [(0.0, 10.0)]
+    assert merge_pairs(np.vstack((left, cut))).tolist() == [[0.0, 10.0]]
 
 
 def test_subtract_pairs_works_on_fractions():
     base = [(Fraction(0), Fraction(1))]
     cut = [(Fraction(1, 4), Fraction(1, 2))]
-    out = subtract_pairs(base, cut)
+    out = subtract_pairs_exact(base, cut)
     assert out == [(Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(1))]
     assert sum(b - a for a, b in out) == Fraction(3, 4)
 
@@ -77,10 +77,19 @@ def test_algebra_measure_identities(a, b):
     assert mu(intersect_pairs(diff, bm)) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair_lists, pair_lists)
+def test_array_algebra_matches_list_reference(a, b):
+    # the float-array merge and difference against the plain pair-list walk
+    assert merge_pairs(a).tolist() == [list(p) for p in merge_pairs_exact(a)]
+    assert subtract_pairs(a, b).tolist() == [list(p) for p in subtract_pairs_exact(a, b)]
+    assert merge_pairs([]).shape == subtract_pairs([], b).shape == (0, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pair_lists, st.integers(-25, 25))
 def test_membership_matches_bruteforce(a, u):
-    s = IntervalSet(tuple(merge_pairs(a))) if merge_pairs(a) else None
+    s = IntervalSet(merge_pairs(a)) if len(merge_pairs(a)) else None
     if s is None:
         return
     brute = any(lo <= u < hi for lo, hi in s.intervals)

@@ -81,6 +81,11 @@ DENS_ACC = {0.21: 4.168900745840101, 0.0125: 8.673396467311028,
 DENS_UNI_021 = 3.6527332239956194
 
 
+def l1_against(proj, oracle, edges, tol_l1):
+    """The hidden-direction L1 gate against the oracle's bin masses on edges."""
+    return hidden_direction_test(proj, oracle.bin_masses(edges), edges, tol_l1)
+
+
 def desk_params(n=4, sigma=SIGMA):
     return ReductionParams(n=n, t=T, eps=EPS, psi=PSI, B=BP, sigma=sigma)
 
@@ -374,8 +379,8 @@ def sharp_run():
 class TestReductionLaw:
     def test_alternative_projection_matches_oracle(self, alt_run, conv_oracle):
         x, s = alt_run
-        rep = hidden_direction_test(project(x, s), conv_oracle,
-                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
+        rep = l1_against(project(x, s), conv_oracle,
+                         np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
         assert rep.passed, rep
         assert len(x) > 15_000
 
@@ -394,30 +399,30 @@ class TestReductionLaw:
 
     def test_sharp_projection_matches_oracle(self, sharp_run, sharp_oracle):
         x, s = sharp_run
-        rep = hidden_direction_test(project(x, s), sharp_oracle,
-                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
+        rep = l1_against(project(x, s), sharp_oracle,
+                         np.linspace(-0.8, 0.8, 49), tol_l1=0.08)
         assert rep.passed, rep
 
     def test_sharp_wrong_direction_fails(self, sharp_run, sharp_oracle):
         x, s = sharp_run
         wrong = s * np.array([1.0, -1.0, 1.0, -1.0])
         assert abs(wrong @ s) < 1e-12
-        rep = hidden_direction_test(project(x, wrong), sharp_oracle,
-                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
+        rep = l1_against(project(x, wrong), sharp_oracle,
+                         np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
         assert rep.statistic > 0.3
         assert not rep.passed
 
     def test_null_rejects_structured_model(self, null_run, sharp_oracle):
-        rep = hidden_direction_test(project(null_run, np.ones(4)), sharp_oracle,
-                                    np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
+        rep = l1_against(project(null_run, np.ones(4)), sharp_oracle,
+                         np.linspace(-0.8, 0.8, 49), tol_l1=0.05)
         assert rep.statistic > 0.3
 
     def test_right_edge_sample_counted_once(self):
         # np.histogram already books x == edges[-1] in the last bin; adding
         # the right tail on top would count that sample twice
         edges = np.linspace(-0.8, 0.8, 5)
-        reps = [hidden_direction_test(np.array([top, 0.0, -0.3, 0.1]),
-                                      gaussian_oracle(1.0), edges, tol_l1=0.05)
+        reps = [l1_against(np.array([top, 0.0, -0.3, 0.1]),
+                           gaussian_oracle(1.0), edges, tol_l1=0.05)
                 for top in (0.8, 0.8 - 1e-9)]
         assert reps[0].statistic == reps[1].statistic
         proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
@@ -429,9 +434,9 @@ class TestReductionLaw:
         oracle = mixture_oracle(desk_config(1, 0.1, sigma=SIGMA_TINY))
         edges = atom_safe_edges(-0.8, 0.8, 64, [loc for loc, _ in oracle.atoms])
         proj = project(x, s)
-        good = hidden_direction_test(proj, oracle, edges, tol_l1=0.05)
+        good = l1_against(proj, oracle, edges, tol_l1=0.05)
         lost = QuadratureOracle(oracle.pdf, oracle.xs, oracle.atoms[1:], oracle.sigma_noise)
-        rep = hidden_direction_test(proj, lost, edges, tol_l1=0.05)
+        rep = l1_against(proj, lost, edges, tol_l1=0.05)
         # 5,000 samples over 64 bins: the intact model's L1 is sampling noise
         assert rep.statistic > good.statistic + 0.1 and not rep.passed
         worst = rep.params["worst_bins"]
@@ -444,8 +449,8 @@ class TestReductionLaw:
         assert gaps[1] < 0.02
 
     def test_null_projection_is_gaussian(self, null_run):
-        rep = hidden_direction_test(project(null_run, np.ones(4)), gaussian_oracle(1.0),
-                                    np.linspace(-1.2, 1.2, 49), tol_l1=0.08)
+        rep = l1_against(project(null_run, np.ones(4)), gaussian_oracle(1.0),
+                         np.linspace(-1.2, 1.2, 49), tol_l1=0.08)
         assert rep.passed, rep
 
     def test_null_isotropic(self, null_run):
@@ -482,8 +487,8 @@ class TestReductionLaw:
 
     def test_underpowered_note(self, conv_oracle):
         rng = np.random.default_rng(3)
-        rep = hidden_direction_test(project(rng.normal(size=(100, 4)), np.ones(4)),
-                                    conv_oracle, np.linspace(-0.8, 0.8, 65), tol_l1=0.05)
+        rep = l1_against(project(rng.normal(size=(100, 4)), np.ones(4)),
+                         conv_oracle, np.linspace(-0.8, 0.8, 65), tol_l1=0.05)
         assert rep.description.startswith("underpowered")
 
 
@@ -545,7 +550,7 @@ class TestReferenceMixture:
         rng = np.random.default_rng(271828)
         draws = dk21_reference_sample(T, EPS, 150_000, rng)
         o = branch_oracle(T, EPS, 0.0, BP, 1.0, RAW, "uniform")
-        rep = hidden_direction_test(draws, o, np.linspace(-2.0, 2.0, 49), tol_l1=0.05)
+        rep = l1_against(draws, o, np.linspace(-2.0, 2.0, 49), tol_l1=0.05)
         assert rep.passed, rep
 
     def test_atom_frequency(self):
