@@ -132,11 +132,13 @@ def region_plus_intervals(t, eps, c_prime):
         raise ValueError("t, eps must be positive and c_prime nonnegative")
     reach = math.ceil(t / eps) + 2
     m = c_prime * eps
-    pairs = [(i * t - m, i * t + (i + 1) * eps + m) for i in range(0, reach + 1)]
-    pairs += [(i * t + (i + 1) * eps - m, i * t + m) for i in range(-reach - 2, -1)]
+    i = np.arange(0, reach + 1, dtype=float)
+    j = np.arange(-reach - 2, -1, dtype=float)
+    pairs = [np.column_stack((i * t - m, i * t + (i + 1) * eps + m)),
+             np.column_stack((j * t + (j + 1) * eps - m, j * t + m))]
     if c_prime > 0:
-        pairs.append((-t - m, -t + m))
-    return IntervalSet(merge_pairs(pairs))
+        pairs.append([(-t - m, -t + m)])
+    return IntervalSet(merge_pairs(np.concatenate(pairs)))
 
 
 def ptf_region(u, t, eps, c_prime):
@@ -162,7 +164,7 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be nonempty")
-    ends = np.ravel(region_plus_intervals(t, eps, c_prime).intervals)
+    ends = region_plus_intervals(t, eps, c_prime).pairs.ravel()
     edges = np.unique(np.append(ends[(ends > lo) & (ends < hi)], (lo, hi)))
     if max_width is None:
         return edges

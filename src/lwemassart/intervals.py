@@ -36,20 +36,24 @@ def subtract_pairs(base, cut):
     return np.column_stack((lo[keep], hi[keep]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
-    """Sorted, pairwise-disjoint half-open intervals [a, b)."""
+    """Sorted, pairwise-disjoint half-open intervals [a, b), as one read-only (m, 2) array.
 
-    intervals: tuple
+    pairs is copied from the input, so changing the input afterwards
+    leaves the set as built.
+    """
+
+    pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
+        pairs = np.array(self.pairs, dtype=float).reshape(-1, 2)
         if not np.all(pairs[:, 0] < pairs[:, 1]):
             raise ValueError("intervals need a < b")
         if np.any(pairs[1:, 0] < pairs[:-1, 1]):
             raise ValueError("intervals must be sorted and disjoint")
-        object.__setattr__(self, "intervals", tuple(map(tuple, pairs.tolist())))
-        object.__setattr__(self, "_flat", pairs.ravel())
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def single(cls, lo, hi):
@@ -57,15 +61,15 @@ class IntervalSet:
 
     @property
     def measure(self):
-        return float(sum(b - a for a, b in self.intervals))
+        return float(np.sum(self.pairs[:, 1] - self.pairs[:, 0]))
 
     @property
     def lo(self):
-        return self.intervals[0][0]
+        return float(self.pairs[0, 0])
 
     @property
     def hi(self):
-        return self.intervals[-1][1]
+        return float(self.pairs[-1, 1])
 
     def contains(self, u):
         """Half-open membership of each entry of the array u, as a bool array.
@@ -75,19 +79,9 @@ class IntervalSet:
         the parity of their insertion index into the flattened endpoint
         list: odd index means inside some [a, b).
         """
-        flat = self._flat
+        flat = self.pairs.ravel()
         v = np.asarray(u, dtype=float)
         inside = (v >= flat[0]) & (v < flat[-1]) if flat.size else np.zeros(v.shape, bool)
         if flat.size > 2:
             inside[inside] = np.searchsorted(flat, v[inside], side="right") % 2 == 1
         return inside
-
-    def issubset(self, other, tol=0.0):
-        left = subtract_pairs(self._flat.reshape(-1, 2), other._flat.reshape(-1, 2))
-        return float(np.sum(left[:, 1] - left[:, 0])) <= tol
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __len__(self):
-        return len(self.intervals)

@@ -61,10 +61,11 @@ class ReductionParams:
             raise ValueError("psi + eps must not exceed t")
         if not isinstance(self.B, IntervalSet):
             raise ValueError("B must be an IntervalSet")
-        if not self.B.issubset(IntervalSet.single(self.psi, self.psi + self.eps), tol=1e-12):
-            raise ValueError("B must be contained in [psi, psi+eps)")
         if self.B.measure <= 0:
             raise ValueError("B must have positive measure")
+        # B is sorted, so its first and last ends decide containment
+        if self.B.lo < self.psi - 1e-12 or self.B.hi > self.psi + self.eps + 1e-12:
+            raise ValueError("B must be contained in [psi, psi+eps)")
         # Step 3 must be well defined, whatever the parameter condition says
         sr = self.signal_ratio
         if sr < 0.5:
@@ -200,22 +201,15 @@ def branch_acceptance(t, psi, B):
     The recovered k of a uniform y has density (t-psi)/(t+k-psi)^2 (the
     inverse-map Jacobian), so the acceptance is the integral over B of
     (t-psi) t^2/(t+k-psi)^4, whose antiderivative is
-    -(t-psi) t^2/(3 (t+k-psi)^3).
+    -(t-psi) t^2/(3 (t+k-psi)^3).  Over a piece [a, b), with A = t+a-psi
+    and B = t+b-psi, the antiderivative's difference is factored as
+    (t-psi) t^2 (b-a)(A^2 + AB + B^2)/(3 (AB)^3): every term is positive
+    and none is a difference of two nearly equal numbers.
     """
-    anti = lambda k: -(t - psi) * t**2 / (3.0 * (t + k - psi) ** 3)
-    return sum(anti(b) - anti(a) for a, b in B)
-
-
-def acceptance_probability(params):
-    """(lower_bound, exact) overall acceptance probability of Steps 1-2.
-
-    exact is branch_acceptance; the quick lower bound replaces both
-    factors of the integrand by their minima over [psi, psi+eps]:
-    lambda(B) * (t-psi)/(t+eps)^2 * t^2/(t+eps)^2.
-    """
-    t, psi, eps = params.t, params.psi, params.eps
-    lower = params.B.measure * (t - psi) * t**2 / (t + eps) ** 4
-    return lower, branch_acceptance(t, psi, params.B)
+    a, b = B.pairs.T
+    lo, hi = t + a - psi, t + b - psi
+    terms = (b - a) * (lo * lo + lo * hi + hi * hi) / (lo * hi) ** 3
+    return float((t - psi) * t**2 * np.sum(terms) / 3.0)
 
 
 def b_plus(eps):

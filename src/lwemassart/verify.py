@@ -196,9 +196,16 @@ def dprime_pdf(u, t, eps, psi, B, sigma_signal):
 
 
 def dprime_atom_mass(t, eps, psi, B, sigma_signal):
-    """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi)."""
+    """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi).
+
+    The mean integrates (t-psi) t^2 (t+k-psi)^-3 over B.  Over a piece
+    [a, b), with A = t+a-psi and B = t+b-psi, that integral is
+    (t-psi) t^2 (b-a)(A+B)/(2 (AB)^2), free of the cancellation in A^-2 - B^-2.
+    """
     acc = branch_acceptance(t, psi, B)
-    mean = (t - psi) * t**2 * sum((t + a - psi) ** -2 - (t + b - psi) ** -2 for a, b in B)
+    a, b = B.pairs.T
+    lo, hi = t + a - psi, t + b - psi
+    mean = (t - psi) * t**2 * np.sum((b - a) * (lo + hi) / (lo * hi) ** 2)
     return float(_rho1(psi - t, sigma_signal) * mean / (2.0 * acc))
 
 
@@ -211,7 +218,7 @@ def dprime_breakpoints(t, eps, psi, B, half):
     """
     reach = int(math.ceil((half + abs(psi) + t) / (t - eps))) + 2
     i = np.arange(-reach, reach + 1, dtype=float)[:, None]
-    ends = i * t + psi + (i + 1.0) * (np.ravel(B.intervals) - psi)
+    ends = i * t + psi + (i + 1.0) * (B.pairs.ravel() - psi)
     ends = np.concatenate((ends[i[:, 0] != -1].ravel(), [-half, half]))
     return np.unique(np.clip(ends, -half, half))
 

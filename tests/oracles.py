@@ -34,7 +34,6 @@ from lwemassart.instances import InstanceResult
 from lwemassart.lwe import ContinuizationStep, LweBatch, default_chain_scales, gen_continuous_lwe
 from lwemassart.rejection import (
     accept_steps,
-    acceptance_probability,
     branch_acceptance,
     transform_accepted,
 )
@@ -264,6 +263,25 @@ def accepted_k_pdf(k, params):
     val = np.where(params.B.contains(k), val, 0.0) / branch_acceptance(t, psi, params.B)
     return float(val) if val.ndim == 0 else val
 
+
+
+def exact_piece_integrals(t, psi, B):
+    """(acceptance, atom mean) of the branch (t, psi, B), exact per piece.
+
+    Over a piece [a, b), with A = t+a-psi and B = t+b-psi, the acceptance
+    term is (t-psi) t^2 (A^-3 - B^-3)/3 (rejection.branch_acceptance) and
+    the mean term (t-psi) t^2 (A^-2 - B^-2)/2 (the integral inside
+    verify.dprime_atom_mass).  Each term is computed in Fraction from the
+    float inputs, rounded once, and the terms are summed with math.fsum.
+    """
+    tf, pf = Fraction(t), Fraction(psi)
+    c = (tf - pf) * tf**2
+    acc, mean = [], []
+    for a, b in B.pairs.tolist():
+        lo, hi = tf + Fraction(a) - pf, tf + Fraction(b) - pf
+        acc.append(float(c * (lo**-3 - hi**-3) / 3))
+        mean.append(float(c * (lo**-2 - hi**-2) / 2))
+    return math.fsum(acc), math.fsum(mean)
 
 # ------------------------------------------------------ instances, intervals
 
@@ -526,7 +544,8 @@ def uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal):
 
 def uniform_atom_mass(t, eps, psi, B, sigma_signal):
     """verify.dprime_atom_mass with the offset k uniform on B."""
-    mean = sum((t + b - psi) ** 2 - (t + a - psi) ** 2 for a, b in B) / (2.0 * B.measure)
+    mean = sum((t + b - psi) ** 2 - (t + a - psi) ** 2 for a, b in B.pairs.tolist()) \
+        / (2.0 * B.measure)
     return math.exp(-math.pi * ((psi - t) / sigma_signal) ** 2) / sigma_signal * mean
 
 
@@ -544,7 +563,7 @@ def dprime_oracle(t, eps, psi, B, sigma_signal, k_law="accepted", step=None):
     """Grid reference for one branch's raw (noiseless) projected law, atom included."""
     w = 4.5 * sigma_signal + t + abs(psi)
     if step is None:
-        step = min(min(b - a for a, b in B), eps) / 8.0
+        step = min(float(np.min(B.pairs[:, 1] - B.pairs[:, 0])), eps) / 8.0
     pdf, atom = _branch_law(t, eps, psi, B, sigma_signal, k_law)
     return DensityOracle1D(pdf, (-w, w, step), atoms=((psi - t, atom),))
 
@@ -586,7 +605,7 @@ def reference_bin_masses(config, edges, points=64):
         psi = p.psi
         acc = branch_acceptance(t, psi, p.B)
         for i in [j for j in range(-reach, reach + 1) if j != -1] + [None]:
-            for a, b in p.B:
+            for a, b in p.B.pairs.tolist():
                 if i is None:  # the atom
                     ks = np.array([a, b])
                 else:
@@ -638,11 +657,23 @@ def massart_reference(proj, labels, edges, eta, min_count=50, target=None):
     )
 
 
+def acceptance_lower_bound(params):
+    """A quick lower bound on branch_acceptance(params.t, params.psi, params.B).
+
+    Both factors of the integrand (t-psi)/(t+k-psi)^2 * t^2/(t+k-psi)^2
+    are replaced by their minima over [psi, psi+eps]:
+    lambda(B) * (t-psi)/(t+eps)^2 * t^2/(t+eps)^2.
+    """
+    t, psi, eps = params.t, params.psi, params.eps
+    return params.B.measure * (t - psi) * t**2 / (t + eps) ** 4
+
+
 def acceptance_rate_test(params, n_trials, rng):
     """Empirical acceptance vs the exact value and the closed bound."""
     batch = gen_continuous_lwe(params.n, n_trials, params.sigma, "null", rng=rng)
     res = reduce_batch(batch, params, rng=rng, want_outputs=False)
-    lower, exact = acceptance_probability(params)
+    lower = acceptance_lower_bound(params)
+    exact = branch_acceptance(params.t, params.psi, params.B)
     rate = res.n_accepted / n_trials
     se = math.sqrt(exact * (1.0 - exact) / n_trials)
     ok = abs(rate - exact) <= 3.0 * se and rate >= lower

@@ -137,7 +137,7 @@ def test_g_image_matches_pointwise_map():
 
 def test_b_minus_uncarved():
     b = build_b_minus(T, EPS, 0.0)
-    assert len(b) == 1
+    assert len(b.pairs) == 1
     assert b.lo == pytest.approx(T / 2)
     assert b.hi == pytest.approx(T / 2 + EPS)
     assert b.measure == pytest.approx(EPS)
@@ -169,18 +169,18 @@ def test_b_minus_piece_count_matches_oracle():
     grid = np.linspace(T / 2, T / 2 + EPS, 200_001, endpoint=False)
     keep = ~carved_mask(grid, T, EPS, CP)
     runs = int(np.sum(keep[1:] & ~keep[:-1]) + keep[0])
-    assert len(b) == runs
+    assert len(b.pairs) == runs
     measure_est = EPS * keep.mean()
     assert abs(b.measure - measure_est) < 1e-4
     # slot count bound from enumerating the four families
-    gaps = subtract_pairs([(T / 2, T / 2 + EPS)], list(b))
+    gaps = subtract_pairs([(T / 2, T / 2 + EPS)], b.pairs)
     assert len(gaps) <= 4 * (T / (2 * EPS) + 2)
 
 
 def inside_exact(got, exact):
     """Every piece of the IntervalSet got lies in one exact Fraction piece."""
     k = 0
-    for a, b in got:
+    for a, b in got.pairs.tolist():
         fa, fb = Fraction(a), Fraction(b)
         while k < len(exact) and exact[k][1] <= fa:
             k += 1
@@ -198,8 +198,8 @@ def test_b_minus_inside_exact_carving(ratio, c_prime):
     exact = b_minus_exact(t, eps, c_prime)
     assert inside_exact(got, exact)
     # the exact pieces that survive rounding their ends to floats
-    assert len(got) == sum(float(a) < float(b) for a, b in exact)
-    short = sum(b - a for a, b in exact) - sum(Fraction(b) - Fraction(a) for a, b in got)
+    assert len(got.pairs) == sum(float(a) < float(b) for a, b in exact)
+    short = sum(b - a for a, b in exact) - sum(Fraction(b) - Fraction(a) for a, b in got.pairs.tolist())
     assert 0 <= short <= Fraction(eps) * Fraction(1, 10**7)
 
 
@@ -209,7 +209,7 @@ def test_b_minus_slot_ends_on_band_boundaries():
     # outside [t/2, t/2 + eps) and left these two slots in B_minus
     t = 0.05
     b = build_b_minus(t, t / 12, 0.02)
-    assert len(b) == 19
+    assert len(b.pairs) == 19
     assert not b.contains(np.array([0.0269165, 0.02725])).any()
 
 
@@ -234,7 +234,7 @@ def test_theorem_d_config_builds_at_n_1e5():
     cfg = config.massart_config(config.preset("theorem-d", 10**5, 0.5, 100_000, 0.01))
     b = cfg.params_minus.B
     # the piece count of the exact carving at t/eps = 31,622
-    assert len(b) == 43_717
+    assert len(b.pairs) == 43_717
     assert cfg.eps * (1 - 16 * cfg.c_prime) <= b.measure <= cfg.eps
 
 
@@ -257,8 +257,27 @@ def test_ptf_region_vectorized_and_interval_count():
     region = region_plus_intervals(T, EPS, CP)
     # ratio 8: positive side merges from i+1 >= 8, giving 8 blocks, the
     # negative side mirrors it, plus the island
-    assert len(region) == 17
-    assert len(region) <= 2 * (T / EPS) + 4
+    assert len(region.pairs) == 17
+    assert len(region.pairs) <= 2 * (T / EPS) + 4
+
+
+def region_pairs_list(t, eps, c_prime):
+    """region_plus_intervals' pairs built one Python float at a time, then merged."""
+    reach = math.ceil(t / eps) + 2
+    m = c_prime * eps
+    pairs = [(i * t - m, i * t + (i + 1) * eps + m) for i in range(0, reach + 1)]
+    pairs += [(i * t + (i + 1) * eps - m, i * t + m) for i in range(-reach - 2, -1)]
+    if c_prime > 0:
+        pairs.append((-t - m, -t + m))
+    return merge_pairs(pairs)
+
+
+@pytest.mark.parametrize("c_prime", [0.0, 0.04])
+@pytest.mark.parametrize("ratio", [8, 502, 3982])
+def test_region_matches_list_build_bit_for_bit(ratio, c_prime):
+    t = 0.05
+    got = region_plus_intervals(t, t / ratio, c_prime).pairs
+    assert np.array_equal(got, region_pairs_list(t, t / ratio, c_prime))
 
 
 def test_minus_support_disjoint_from_plus_region():
@@ -269,11 +288,11 @@ def test_minus_support_disjoint_from_plus_region():
         if i == -1:
             continue
         img = []
-        for a, bb in b:
+        for a, bb in b.pairs.tolist():
             lo = i * T + psi + (i + 1) * (a - psi)
             hi = i * T + psi + (i + 1) * (bb - psi)
             img.append((min(lo, hi), max(lo, hi)))
-        overlap = intersect_pairs(sorted(img), list(region))
+        overlap = intersect_pairs(sorted(img), region.pairs.tolist())
         assert sum(bb - a for a, bb in overlap) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -285,7 +304,7 @@ def test_plus_support_inside_plus_region():
         lo = i * T + (i + 1) * 0.0
         hi = i * T + (i + 1) * EPS
         lo, hi = min(lo, hi), max(lo, hi)
-        overlap = intersect_pairs([(lo, hi)], list(region))
+        overlap = intersect_pairs([(lo, hi)], region.pairs.tolist())
         assert sum(b - a for a, b in overlap) == pytest.approx(hi - lo, rel=1e-12)
 
 

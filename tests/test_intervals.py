@@ -22,7 +22,7 @@ def test_construction_validates():
 
 def test_merge_pairs_merges():
     s = IntervalSet(tuple(merge_pairs([(0.0, 1.0), (0.5, 2.0), (3.0, 4.0), (2.0, 2.5)])))
-    assert s.intervals == ((0.0, 2.5), (3.0, 4.0))
+    assert s.pairs.tolist() == [[0.0, 2.5], [3.0, 4.0]]
     assert s.measure == 3.5
 
 
@@ -50,9 +50,17 @@ def test_subtract_pairs_works_on_fractions():
     assert sum(b - a for a, b in out) == Fraction(3, 4)
 
 
-def test_issubset():
-    assert IntervalSet(((0.2, 0.4),)).issubset(IntervalSet.single(0.0, 1.0))
-    assert not IntervalSet(((0.2, 1.1),)).issubset(IntervalSet.single(0.0, 1.0))
+def test_pairs_are_a_read_only_copy():
+    src = np.array([[0.0, 1.0], [2.0, 3.0]])
+    s = IntervalSet(src)
+    assert s.pairs.shape == (2, 2) and s.pairs.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        s.pairs[0, 0] = 0.5
+    # the set is built from a copy: changing the input afterwards leaves it as built
+    src[0, 1] = 5.0
+    assert s.pairs.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    assert s.contains(np.array([1.5])).tolist() == [False]
+    assert IntervalSet(()).pairs.shape == (0, 2)
 
 
 pair_lists = st.lists(
@@ -92,13 +100,13 @@ def test_membership_matches_bruteforce(a, u):
     s = IntervalSet(merge_pairs(a)) if len(merge_pairs(a)) else None
     if s is None:
         return
-    brute = any(lo <= u < hi for lo, hi in s.intervals)
+    brute = any(lo <= u < hi for lo, hi in s.pairs.tolist())
     assert s.contains(np.array([float(u)])).tolist() == [brute]
 
 
 def reference_contains(s, u):
     """Membership as a plain parity test over every point (no bounding box)."""
-    flat = np.array(s.intervals, dtype=float).ravel()
+    flat = s.pairs.ravel()
     return (np.searchsorted(flat, u, side="right") % 2) == 1
 
 

@@ -15,21 +15,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from lwemassart import config
 from lwemassart.instances import MassartConfig
 from lwemassart.intervals import IntervalSet
 from lwemassart.lwe import gen_continuous_lwe
 from lwemassart.rejection import (
     ReductionParams,
     accept_steps,
-    acceptance_probability,
     b_plus,
+    branch_acceptance,
     keep_probability,
     step3_scales,
     transform_accepted,
     validate_condition,
 )
 
-from oracles import accepted_k_pdf, invert_y, reduce_batch
+from oracles import (acceptance_lower_bound, accepted_k_pdf, exact_piece_integrals, invert_y,
+                     reduce_batch)
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +99,22 @@ def test_params_validation():
         )  # B wider than eps
     with pytest.raises(ValueError):
         desk_params(sigma=0.4 / 0.225)  # (t+eps)sigma = 0.4 -> SR < 1/2
+
+
+@pytest.mark.parametrize("pairs, error", [
+    (((0.09, 0.12),), r"contained in \[psi, psi\+eps\)"),  # starts below psi
+    (((0.11, 0.125), (0.13, 0.14)), r"contained in \[psi, psi\+eps\)"),  # ends past psi + eps
+    (((0.1, 0.11), (0.12, 0.1 + 0.025 + 1e-13)), None),  # 1e-13 past: within the allowance
+    ((), "positive measure"),
+], ids=["below-psi", "past-top", "past-top-by-1e-13", "empty"])
+def test_params_b_containment(pairs, error):
+    make = lambda: ReductionParams(n=4, t=0.2, eps=0.025, psi=0.1, B=IntervalSet(pairs),
+                                   sigma=0.5)
+    if error is None:
+        assert make().B.hi > 0.1 + 0.025
+    else:
+        with pytest.raises(ValueError, match=error):
+            make()
 
 
 def test_signal_ratio_frozen():
@@ -182,16 +200,20 @@ def test_keep_probability_frozen():
 # ------------------------------------------------------------- acceptance
 
 
-def test_acceptance_probability_vs_closed_form():
+def exact_acceptance(p):
+    return branch_acceptance(p.t, p.psi, p.B)
+
+
+def test_branch_acceptance_vs_closed_form():
     p = desk_params()
-    lower, exact = acceptance_probability(p)
+    lower, exact = acceptance_lower_bound(p), exact_acceptance(p)
     assert exact == pytest.approx(0.09922267946959307, rel=1e-9)
     assert lower == pytest.approx(0.07803688462124679, rel=1e-12)
     assert exact >= lower
-    assert abs(exact - quad_acceptance(p.t, p.psi, p.B)) <= 1e-10
+    assert abs(exact - quad_acceptance(p.t, p.psi, p.B.pairs)) <= 1e-10
     # first-order approximation eps/t for eps << t
     p2 = desk_params(t=0.2, eps=0.0005)
-    _, exact2 = acceptance_probability(p2)
+    exact2 = exact_acceptance(p2)
     assert exact2 == pytest.approx(0.0005 / 0.2, rel=0.02)
 
 
@@ -201,11 +223,21 @@ def test_acceptance_on_carved_set():
     B = IntervalSet(((0.1, 0.105), (0.11, 0.118), (0.12, 0.125)))
     hand = ReductionParams(n=8, t=0.2, eps=0.025, psi=0.1, B=B, sigma=0.5)
     carved = desk_config(10, n=4).params_minus
-    assert len(carved.B) > 1
+    assert len(carved.B.pairs) > 1
     for p in (hand, carved):
-        lower, exact = acceptance_probability(p)
-        assert abs(exact - quad_acceptance(p.t, p.psi, p.B)) <= 1e-10
+        lower, exact = acceptance_lower_bound(p), exact_acceptance(p)
+        assert abs(exact - quad_acceptance(p.t, p.psi, p.B.pairs)) <= 1e-10
         assert exact >= lower
+
+
+def test_branch_acceptance_matches_exact_per_piece_sum():
+    # theorem-d at n = 10^4: t/eps = 3,982 and B_minus has 5,505 pieces, each
+    # term ~5e-12 while the antiderivative at its ends is of order one
+    cfg = config.massart_config(config.preset("theorem-d", 10**4, 0.5, 100_000, 0.01))
+    assert len(cfg.params_minus.B.pairs) == 5_505
+    for p in (cfg.params_plus, cfg.params_minus):
+        want, _ = exact_piece_integrals(p.t, p.psi, p.B)
+        assert branch_acceptance(p.t, p.psi, p.B) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_empirical_acceptance_within_3_sigma():
@@ -213,7 +245,7 @@ def test_empirical_acceptance_within_3_sigma():
     rng = np.random.default_rng(41)
     batch = gen_continuous_lwe(p.n, 200_000, p.sigma, "null", rng=rng)
     res = reduce_batch(batch, p, rng=rng, want_outputs=False)
-    _, exact = acceptance_probability(p)
+    exact = exact_acceptance(p)
     se = math.sqrt(exact * (1 - exact) / batch.m)
     assert abs(res.n_accepted / batch.m - exact) <= 3 * se
 
@@ -231,7 +263,7 @@ def test_accepted_k_density_l1():
     counts, _ = np.histogram(res.k, bins=edges)
     emp = counts / res.n_accepted
     anti = lambda k: -(p.t - p.psi) * p.t**2 / (3.0 * (p.t + k - p.psi) ** 3)
-    _, total = acceptance_probability(p)
+    total = exact_acceptance(p)
     model = np.diff([anti(e) for e in edges]) / total
     assert 0.5 * np.abs(emp - model).sum() <= 0.02
     # pointwise pdf agrees with the binned model at bin centers
@@ -321,8 +353,7 @@ def test_reduce_batch_output_shape_and_branches():
     assert np.all(np.isfinite(res.x_prime))
     # minus branch accepts too, at roughly half the rate (t-psi factor)
     pm = replace(p, psi=p.t / 2, B=IntervalSet.single(p.t / 2, p.t / 2 + p.eps))
-    _, exact_p = acceptance_probability(p)
-    _, exact_m = acceptance_probability(pm)
+    exact_p, exact_m = exact_acceptance(p), exact_acceptance(pm)
     assert exact_m == pytest.approx(exact_p / 2, rel=1e-9)
 
 

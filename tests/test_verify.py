@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from lwemassart import config
 from lwemassart.instances import (
     MassartConfig,
     generate_instance,
@@ -56,6 +57,7 @@ from oracles import (
     convolve_with_gaussian,
     dk21_reference_sample,
     dprime_oracle,
+    exact_piece_integrals,
     grid_gaussian,
     massart_reference,
     reduce_batch,
@@ -179,6 +181,16 @@ class TestProjectedLaw:
         uni = uniform_atom_mass(T, EPS, PSI, BP, SS)
         assert acc == pytest.approx(ATOM_ACCEPTED, rel=1e-12)
         assert uni == pytest.approx(ATOM_UNIFORM, rel=1e-12)
+
+    def test_atom_mass_matches_exact_per_piece_sum(self):
+        # theorem-d at n = 10^4: B_minus has 5,505 pieces of width ~3e-9
+        cfg = config.massart_config(config.preset("theorem-d", 10**4, 0.5, 100_000, 0.01))
+        ss = math.sqrt(cfg.params_plus.signal_ratio)
+        for p in (cfg.params_plus, cfg.params_minus):
+            acc, mean = exact_piece_integrals(p.t, p.psi, p.B)
+            want = math.exp(-math.pi * ((p.psi - p.t) / ss) ** 2) / ss * mean / acc
+            got = dprime_atom_mass(p.t, p.eps, p.psi, p.B, ss)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_total_mass_is_one_by_quadrature(self):
         """Independent check: per-translate masses plus the atom sum to 1.
