@@ -238,10 +238,9 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
 
 def _null_reports(coords, labels, mconfig, bins, tol_l1):
     t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
-    oracle = gaussian_oracle(1.0)
     edges = np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1)
     proj = project(coords, np.ones(coords.shape[1]))
-    model = oracle.bin_masses(edges)
+    model = gaussian_oracle().bin_masses(edges)
     reports = [
         isotropic_gaussianity_test(coords),
         hidden_direction_test(proj, model, edges, tol_l1),

@@ -145,7 +145,7 @@ def read_instance_sidecar(meta, header):
     return meta["tag"], mconfig, None if secret is None else np.asarray(secret, dtype=float)
 
 
-def theorem_d_bindings(n, zeta=0.5, m_prime=100_000, delta=0.01):
+def theorem_d_bindings(n, zeta, m_prime, delta):
     """Parameter bindings of the dimension-d hardness regime.
 
     t = n^(-0.5 - 0.2 zeta) and eps proportional to n^(-1.5), with the

@@ -4,6 +4,8 @@ A batch holds m samples (x, y) on one of two domains: "mod_q" (components
 in [0, q)) or "unit_torus" (components in [0, 1)).  Alternative batches
 keep their secret and running noise so the defining relation
 y = mod(<x, s> + noise) stays exactly checkable after every transform.
+Every <x, s> is signed_sum's fixed left-to-right sum, never BLAS's, so a
+seed gives the same bytes under any BLAS build or CPU kernel.
 
 run_chain turns classic modular LWE with a {±1}^n secret into
 continuous unit-torus LWE in one pass of three steps, recorded in the
@@ -38,15 +40,16 @@ CHUNK_ROWS = 1 << 16
 
 
 def row_chunks(m):
-    """Consecutive slices of CHUNK_ROWS rows covering range(m); the last takes the rest.
+    """Consecutive slices of CHUNK_ROWS rows covering range(m); the last takes the rest."""
+    return [slice(a, min(a + CHUNK_ROWS, m)) for a in range(0, m, CHUNK_ROWS)]
 
-    A lone last row joins the chunk before it: numpy multiplies a one-row
-    block by a vector with a dot product whose summation order is not the
-    matrix-vector product's, so its <x', s> would differ in the last bit
-    from the whole-array value.
-    """
-    starts = range(0, max(m - 1, 1), CHUNK_ROWS)
-    return [slice(a, b) for a, b in zip(starts, list(starts[1:]) + [m])]
+
+def signed_sum(x, s):
+    """Per-row <x_i, s>, s ±1: x[:, 0] s_0, then each next column added or subtracted in place."""
+    out = x[:, 0] * s[0]
+    for j in range(1, x.shape[1]):
+        (np.add if s[j] > 0 else np.subtract)(out, x[:, j], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
     if tag == "alternative":
         s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
         z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
-        y = mod_q(x @ s + z, q)
+        y = mod_q(signed_sum(x, s) + z, q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
     y = rng.integers(0, q, size=m).astype(float)
     return LweBatch(x, y, "mod_q", tag, sigma, q=q)
@@ -224,12 +227,10 @@ def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
         raise ValueError("n and m must be >= 1")
     x = rng.uniform(size=(m, n))
     if tag == "alternative":
-        if secret is None:
-            s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
-        else:
-            s = np.asarray(secret, dtype=float)  # LweBatch checks it
+        s = (2.0 * rng.integers(0, 2, size=n) - 1.0 if secret is None
+             else np.asarray(secret, dtype=float))  # LweBatch checks it
         z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
-        y = mod_1(x @ s + z)
+        y = mod_1(signed_sum(x, s) + z)
         return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
     y = rng.uniform(size=m)
     return LweBatch(x, y, "unit_torus", tag, sigma)
@@ -295,7 +296,7 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
     for c in chunks:
         xp = sample_continuous(batch.n, sc, rng=rng, size=c.stop - c.start)
         if noise is not None and batch.secret is not None:
-            noise[c] -= xp @ batch.secret
+            noise[c] -= signed_sum(xp, batch.secret)
         xp += batch.x[c]
         x[c] = mod_q(xp, batch.q)
     x /= q

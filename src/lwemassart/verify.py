@@ -165,9 +165,9 @@ class QuadratureOracle:
         return masses
 
 
-def gaussian_oracle(sigma=1.0):
-    """The centered width-sigma Gaussian (the null law): a unit atom at 0 blurred."""
-    return QuadratureOracle(np.zeros_like, (), ((0.0, 1.0),), sigma)
+def gaussian_oracle():
+    """The centered width-1 Gaussian (the null law): a unit atom at 0 blurred."""
+    return QuadratureOracle(np.zeros_like, (), ((0.0, 1.0),), 1.0)
 
 
 def dprime_pdf(u, t, eps, psi, B, sigma_signal):

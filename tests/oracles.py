@@ -135,7 +135,8 @@ def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
     noise = None if batch.noise is None else batch.noise + e
     if noise is not None:
         if batch.secret is not None:
-            noise -= xp @ batch.secret
+            # <x', s> left to right, the order the library sums in
+            noise -= sum(xp[:, j] * batch.secret[j] for j in range(batch.n))
         noise /= q
     y = mod_q(batch.y + e, batch.q) / q
     x = mod_q(batch.x + xp, batch.q) / q

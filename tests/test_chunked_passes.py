@@ -2,7 +2,7 @@
 
 run_chain and the instance builder's Steps 1-2 pass walk the stream in
 row chunks of lwe.CHUNK_ROWS.  Split normal/uniform draws and per-chunk
-products must reproduce the whole-array values exactly, at every stream
+sums must reproduce the whole-array values exactly, at every stream
 length around a chunk boundary, and the passes must not hold
 whole-stream float temporaries.
 """
@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from lwemassart.instances import MassartConfig, generate_instance
-from lwemassart.lwe import CHUNK_ROWS, gen_classic_lwe, gen_continuous_lwe, run_chain
+from lwemassart.lwe import (
+    CHUNK_ROWS,
+    gen_classic_lwe,
+    gen_continuous_lwe,
+    row_chunks,
+    run_chain,
+)
 from oracles import generate_instance_reference, run_chain_reference
 
 C = CHUNK_ROWS
@@ -35,6 +41,14 @@ def traced_peak(fn, *args, **kwargs):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_row_chunks_partition(m):
+    chunks = row_chunks(m)
+    assert [i for c in chunks for i in range(m)[c]] == list(range(m))
+    assert all(c.stop - c.start == C for c in chunks[:-1])
+    assert 0 < chunks[-1].stop - chunks[-1].start <= C
 
 
 @pytest.mark.parametrize("tag", ["alternative", "null"])

@@ -817,7 +817,7 @@ class TestPreset:
                               f"(sigma must be finite and positive)\nwrote {out}\n")
 
     def test_bindings_scale_with_n(self):
-        a, b = theorem_d_bindings(16), theorem_d_bindings(64)
+        a, b = (theorem_d_bindings(n, 0.5, 100_000, 0.01) for n in (16, 64))
         assert b.t < a.t and b.eps < a.eps and b.sigma < a.sigma
         assert b.t / b.eps > a.t / a.eps  # the PTF degree 4 t/eps grows
 

@@ -1,0 +1,121 @@
+"""Seeded outputs do not depend on the CPU kernel numpy's BLAS loads.
+
+The generator sums <x, s> left to right (lwe.signed_sum), so a seeded
+command writes the same bytes whichever OpenBLAS kernel is loaded.  One
+child process per kernel runs the commands below through cli.main and
+prints the SHA-256 of every file they wrote; the two maps must match.
+
+The n = 4 digests are pinned as well: a two-term sum has one order only,
+so the n = 2 pins elsewhere cannot notice a change of summation order.
+
+Run as a script, this module runs the commands in the working directory
+and prints {"kernel": ..., "files": {name: SHA-256}} as JSON.
+"""
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lwemassart
+from lwemassart.cli import main
+
+KERNELS = ("Haswell", "Sandybridge")
+PRESET = ["--n", "4", "--sigma", "5.5556e-4", "--t", "0.2", "--eps", "0.025", "--eta", "0.05"]
+
+# in run order; m = 70,000 crosses the 65,536-row chunk of the chain's pass
+COMMANDS = [
+    ["gen-lwe", "--kind", "continuous", "--tag", "alternative", "--n", "4", "--m", "20000",
+     "--sigma", "0.01", "--seed", "1", "--out", "continuous.lwe"],
+    ["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4", "--m", "70000",
+     "--q", "257", "--sigma", "2.0", "--seed", "1", "--out", "classic.lwe"],
+    ["reduce-lwe", "classic.lwe", "--seed", "1", "--out", "torus.lwe"],
+    *(["gen-instance", *PRESET, "--m-prime", "20000", "--tag", tag, "--seed", "1",
+       "--out", f"{tag}.inst"] for tag in ("alternative", "null")),
+    *(["verify", f"{tag}.inst", "--report", f"{tag}.report.json"]
+      for tag in ("alternative", "null")),
+    ["distinguish", *PRESET, "--m-prime", "200", "--trials", "2", "--learner", "planted",
+     "--seed", "1", "--report", "distinguish.json"],
+]
+
+# SHA-256 of the files the commands write at n = 4
+PINNED = {
+    "continuous.lwe": "98451b3b9d6d9c3bfde4201fe1f2186cd3f1c7fa10c82fb7f29ac8ca73cdc3a1",
+    "torus.lwe": "e147031307f03cdcc7f4f6505d6fc1e8f67f277c825aa55ef0c93a71b7edb4f7",
+    "alternative.inst": "04d521039ff3a75d10ff35aeb3978598fbc73d0d1acb1b9794c8902e64eb3433",
+}
+
+
+def run_commands():
+    """{file name: SHA-256} of every file COMMANDS write in the working directory."""
+    for args in COMMANDS:
+        main(args, standalone_mode=False)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path.cwd().iterdir())}
+
+
+def openblas_corename():
+    """The kernel the wheel's OpenBLAS loaded, or None when it cannot be read."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def dynamic_openblas():
+    """(numpy's BLAS is a DYNAMIC_ARCH OpenBLAS, its build description)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    about = blas.get("openblas configuration", "")
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in about, blas
+
+
+def test_two_kernels_write_the_same_bytes(tmp_path):
+    dynamic, blas = dynamic_openblas()
+    if not dynamic:
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
+                    f"selects no kernel: {blas}")
+    path = [str(Path(lwemassart.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    children = []
+    for kernel in KERNELS:
+        cwd = tmp_path / kernel
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        children.append(subprocess.Popen([sys.executable, __file__], cwd=cwd, env=env,
+                                         stdout=subprocess.PIPE, text=True))
+    got = []
+    for child in children:
+        out, _ = child.communicate(timeout=120)
+        assert child.returncode == 0
+        got.append(json.loads(out.splitlines()[-1]))
+    kernels = tuple(g["kernel"] for g in got)
+    if None in kernels:
+        pytest.skip("cannot read which kernel the OpenBLAS library loaded")
+    assert kernels == KERNELS
+    assert len(got[0]["files"]) == 13  # every output and sidecar
+    assert got[0]["files"] == got[1]["files"]
+
+
+def test_n4_digests_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = run_commands()
+    assert {name: files[name] for name in PINNED} == PINNED
+
+
+if __name__ == "__main__":
+    files = run_commands()
+    print(json.dumps({"kernel": openblas_corename(), "files": files}))

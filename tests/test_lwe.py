@@ -98,7 +98,9 @@ def test_continuous_alternative_relation_exact():
     rng = np.random.default_rng(25)
     b = gen_continuous_lwe(5, 5000, 0.05, "alternative", rng=rng)
     assert b.domain == "unit_torus" and b.q is None
-    assert np.array_equal(b.y, mod_1(b.x @ b.secret + b.noise))
+    # <x, s> summed left to right, the order the generator sums in
+    xs = sum(b.x[:, j] * b.secret[j] for j in range(b.n))
+    assert np.array_equal(b.y, mod_1(xs + b.noise))
 
 
 def test_continuous_y_marginal_uniform():

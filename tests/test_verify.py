@@ -105,7 +105,7 @@ def second_moment(oracle):
 
 class TestDensityOracle:
     def test_gaussian_oracle_is_normalized(self):
-        o = gaussian_oracle(1.0)
+        o = gaussian_oracle()
         assert o.mass == 1.0 and o.xs.size == 0
         edges = np.linspace(-5.0, 5.0, 33)
         assert abs(o.bin_masses(edges).sum() - 1.0) <= 1e-12
@@ -115,7 +115,7 @@ class TestDensityOracle:
         assert np.array_equal(g.bin_masses(g.xs, lump_tails=False), np.diff(want))
 
     def test_bin_masses_match_gaussian_cdf(self):
-        o = gaussian_oracle(1.0)
+        o = gaussian_oracle()
         edges = np.linspace(-3.0, 3.0, 25)
         std = 1.0 / math.sqrt(2.0 * math.pi)
         want = np.diff(stats.norm.cdf(edges, 0.0, std))
@@ -153,7 +153,7 @@ class TestDensityOracle:
         assert np.array_equal(o.bin_masses(np.array([0.5, 1.0]), lump_tails=False), [0.0])
 
     def test_bad_edges_rejected(self):
-        o = gaussian_oracle(1.0)
+        o = gaussian_oracle()
         with pytest.raises(ValueError, match="increasing"):
             o.bin_masses(np.array([0.0, -1.0]))
 
@@ -405,7 +405,7 @@ class TestReductionLaw:
         therefore run at the sharper width.
         """
         edges = np.linspace(-0.8, 0.8, 49)
-        g = gaussian_oracle(1.0).bin_masses(edges)
+        g = gaussian_oracle().bin_masses(edges)
         assert np.abs(conv_oracle.bin_masses(edges) - g).sum() < 0.1
         assert np.abs(sharp_oracle.bin_masses(edges) - g).sum() > 0.3
 
@@ -434,7 +434,7 @@ class TestReductionLaw:
         # the right tail on top would count that sample twice
         edges = np.linspace(-0.8, 0.8, 5)
         reps = [l1_against(np.array([top, 0.0, -0.3, 0.1]),
-                           gaussian_oracle(1.0), edges, tol_l1=0.05)
+                           gaussian_oracle(), edges, tol_l1=0.05)
                 for top in (0.8, 0.8 - 1e-9)]
         assert reps[0].statistic == reps[1].statistic
         proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
@@ -461,7 +461,7 @@ class TestReductionLaw:
         assert gaps[1] < 0.02
 
     def test_null_projection_is_gaussian(self, null_run):
-        rep = l1_against(project(null_run, np.ones(4)), gaussian_oracle(1.0),
+        rep = l1_against(project(null_run, np.ones(4)), gaussian_oracle(),
                          np.linspace(-1.2, 1.2, 49), tol_l1=0.08)
         assert rep.passed, rep
 
