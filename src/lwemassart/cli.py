@@ -32,7 +32,6 @@ from .instances import (
 )
 from .learners import LEARNERS, distinguish
 from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
-from .rejection import branch_acceptance, validate_condition
 from .verify import (
     TestReport,
     atom_safe_edges,
@@ -167,7 +166,8 @@ def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
     if not inst.ok:
         raise StreamExhausted(
             f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
-            f"({inst.draws} of {cfg.m_prime} labeled samples produced)"
+            f"({inst.draws} of {cfg.m_prime} labeled samples produced); expected use "
+            f"m'((1-eta)/p+ + eta/p-) = {mconfig.expected_use:,.0f}"
         )
     return batch, inst
 
@@ -202,8 +202,8 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
 def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
     t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
     oracle = mixture_oracle(mconfig)
-    atom_locs = [mconfig.params_plus.psi - t, mconfig.params_minus.psi - t]
-    edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins, atom_locs)
+    edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins,
+                            [loc for loc, _ in oracle.atoms])
     proj = project(coords, secret)
     model = oracle.bin_masses(edges)
     reports = [
@@ -371,11 +371,10 @@ def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
     cfg.save(out)
     try:
         mconfig = config.massart_config(cfg)
-        for c in validate_condition(mconfig)["clauses"]:
+        for c in mconfig.clauses:
             click.echo(f"{c['clause']}: {'ok' if c['ok'] else 'VIOLATED'} ({c['detail']})")
-        p_plus, p_minus = (branch_acceptance(p.t, p.psi, p.B)
-                           for p in (mconfig.params_plus, mconfig.params_minus))
-        expected = cfg.m_prime * ((1.0 - cfg.eta) / p_plus + cfg.eta / p_minus)
+        p_plus, p_minus = mconfig.acceptance
+        expected = mconfig.expected_use
         budget = config.stream_budget(cfg)
         click.echo(f"acceptance: p+ {p_plus:.4g}, p- {p_minus:.4g}")
         click.echo(f"stream: budget {budget:,} vs expected use m'((1-eta)/p+ + eta/p-) = "

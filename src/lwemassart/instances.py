@@ -32,8 +32,8 @@ import numpy as np
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .lwe import row_chunks
-from .rejection import (ReductionParams, accept_steps, b_plus, k_of_y, transform_accepted,
-                        validate_condition)
+from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
+                        transform_accepted)
 
 LABELED_MAGIC = b"MLAB"
 LABELED_VERSION = 1
@@ -184,9 +184,16 @@ class MassartConfig:
 
     eta is the -1 mixing weight, m_prime the number of labeled samples and
     c_prime the carving width; mode "strict" enforces the parameter
-    condition, "desk-scale" permits small-n runs.  Construction builds and
-    checks both branches, so a bad parameter fails before any sampling.
+    condition (clauses), "desk-scale" permits small-n runs.  Construction
+    builds and checks both branches, so a bad parameter fails before any
+    sampling.
     """
+
+    # "sufficiently large even integer": the smallest ratio we accept as such
+    # in strict mode; below it the carving geometry degenerates
+    MIN_STRICT_RATIO = 4
+    # the universal constant c of clause (iii)
+    C_CLAUSE_III = 2.0
 
     n: int
     t: float
@@ -210,8 +217,7 @@ class MassartConfig:
             raise ValueError("mode must be 'strict' or 'desk-scale'")
         self.params_plus, self.params_minus  # builds and checks both branches
         if self.mode == "strict":
-            report = validate_condition(self)
-            bad = [c for c in report["clauses"] if not c["ok"]]
+            bad = [c for c in self.clauses if not c["ok"]]
             if bad:
                 raise ValueError("strict mode: parameter condition violated: " + "; ".join(
                     f"{c['clause']} {c['detail']}" for c in bad))
@@ -225,6 +231,44 @@ class MassartConfig:
     def params_minus(self):
         return replace(self.params_plus, psi=self.t / 2.0,
                        B=build_b_minus(self.t, self.eps, self.c_prime))
+
+    @cached_property
+    def clauses(self):
+        """The four parameter-condition clauses, each a {clause, ok, detail} dict."""
+        t, eps, n, sigma, delta = self.t, self.eps, self.n, self.sigma, self.delta
+        ratio = t / eps
+        ratio_int = round(ratio)
+        is_int = abs(ratio - ratio_int) <= 1e-9 * max(ratio, 1.0)
+        lhs3 = 1.0 / (t * math.sqrt(n))
+        rhs3 = math.sqrt(self.C_CLAUSE_III * math.log(n / delta)) if n / delta > 1 else 0.0
+        lhs4 = (self.c_prime * eps / (self.c_dprime * t * sigma)) ** 2
+        rhs4 = math.log(self.m_prime / delta)
+        return (
+            {"clause": "(i) t/eps large even integer",
+             "ok": is_int and ratio_int % 2 == 0 and ratio_int >= self.MIN_STRICT_RATIO,
+             "detail": "t/eps = %.6g" % ratio},
+            {"clause": "(ii) sigma <= sqrt(n)",
+             "ok": sigma <= math.sqrt(n),
+             "detail": "sigma = %.6g, sqrt(n) = %.6g" % (sigma, math.sqrt(n))},
+            {"clause": "(iii) 1/(t sqrt(n)) >= sqrt(c log(n/delta))",
+             "ok": lhs3 >= rhs3,
+             "detail": "lhs = %.6g, rhs = %.6g" % (lhs3, rhs3)},
+            {"clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
+             "ok": lhs4 >= rhs4,
+             "detail": "lhs = %.6g, rhs = %.6g" % (lhs4, rhs4)},
+        )
+
+    @cached_property
+    def acceptance(self):
+        """(p+, p-): the exact Step-1/2 acceptance of the +1 and the -1 branch."""
+        return tuple(branch_acceptance(p.t, p.psi, p.B)
+                     for p in (self.params_plus, self.params_minus))
+
+    @property
+    def expected_use(self):
+        """Expected stream positions m'((1-eta)/p+ + eta/p-) an m'-sample instance consumes."""
+        p_plus, p_minus = self.acceptance
+        return self.m_prime * ((1.0 - self.eta) / p_plus + self.eta / p_minus)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ a plain standard Gaussian vector, which is what makes the construction a
 distribution-matching reduction rather than a heuristic.
 
 Steps, for one branch (t, eps, psi, B) with B inside [psi, psi+eps], a
-ReductionParams; instances.MassartConfig builds the instance's two branches:
+ReductionParams; instances.MassartConfig builds the instance's two branches
+and states the parameter condition that ties them together:
 
 1. invert y -> k = y(t-psi)/(1-y); reject unless k is in B,
 2. keep with probability t^2/(t+k-psi)^2,
@@ -25,12 +26,6 @@ import numpy as np
 
 from .gaussians import mod_1, sample_lattice_rows
 from .intervals import IntervalSet
-
-# "sufficiently large even integer": the smallest ratio we accept as such
-# in strict mode; below it the carving geometry degenerates
-MIN_STRICT_RATIO = 4
-# the universal constant c of clause (iii)
-C_CLAUSE_III = 2.0
 
 
 @dataclass(frozen=True)
@@ -78,57 +73,6 @@ class ReductionParams:
     @property
     def signal_ratio(self):
         return 1.0 - 4.0 * ((self.t + self.eps) * self.sigma) ** 2
-
-
-def validate_condition(p):
-    """Report on the four parameter-condition clauses of p, a MassartConfig or RunConfig.
-
-    MassartConfig enforces them in strict mode.
-    """
-    t, eps, n, sigma, delta = p.t, p.eps, p.n, p.sigma, p.delta
-    clauses = []
-
-    ratio = t / eps
-    ratio_int = round(ratio)
-    is_int = abs(ratio - ratio_int) <= 1e-9 * max(ratio, 1.0)
-    ok = is_int and ratio_int % 2 == 0 and ratio_int >= MIN_STRICT_RATIO
-    clauses.append(
-        {
-            "clause": "(i) t/eps large even integer",
-            "ok": ok,
-            "detail": "t/eps = %.6g" % ratio,
-        }
-    )
-
-    clauses.append(
-        {
-            "clause": "(ii) sigma <= sqrt(n)",
-            "ok": sigma <= math.sqrt(n),
-            "detail": "sigma = %.6g, sqrt(n) = %.6g" % (sigma, math.sqrt(n)),
-        }
-    )
-
-    lhs = 1.0 / (t * math.sqrt(n))
-    rhs = math.sqrt(C_CLAUSE_III * math.log(n / delta)) if n / delta > 1 else 0.0
-    clauses.append(
-        {
-            "clause": "(iii) 1/(t sqrt(n)) >= sqrt(c log(n/delta))",
-            "ok": lhs >= rhs,
-            "detail": "lhs = %.6g, rhs = %.6g" % (lhs, rhs),
-        }
-    )
-
-    lhs4 = (p.c_prime * eps / (p.c_dprime * t * sigma)) ** 2
-    rhs4 = math.log(p.m_prime / delta)
-    clauses.append(
-        {
-            "clause": "(iv) (c'eps/(c''t sigma))^2 >= log(m'/delta)",
-            "ok": lhs4 >= rhs4,
-            "detail": "lhs = %.6g, rhs = %.6g" % (lhs4, rhs4),
-        }
-    )
-
-    return {"mode": p.mode, "ok": all(c["ok"] for c in clauses), "clauses": clauses}
 
 
 def k_of_y(y, t, psi):

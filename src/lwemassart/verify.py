@@ -195,7 +195,7 @@ def dprime_pdf(u, t, eps, psi, B, sigma_signal):
     return out
 
 
-def dprime_atom_mass(t, eps, psi, B, sigma_signal):
+def dprime_atom_mass(t, psi, B, sigma_signal):
     """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi).
 
     The mean integrates (t-psi) t^2 (t+k-psi)^-3 over B.  Over a piece
@@ -241,8 +241,8 @@ def mixture_oracle(config):
             + eta * dprime_pdf(u, t, eps, pm.psi, pm.B, ss)
 
     atoms = [
-        (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, eps, pp.psi, pp.B, ss)),
-        (pm.psi - t, eta * dprime_atom_mass(t, eps, pm.psi, pm.B, ss)),
+        (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, pp.psi, pp.B, ss)),
+        (pm.psi - t, eta * dprime_atom_mass(t, pm.psi, pm.B, ss)),
     ]
     half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
     xs = np.concatenate([dprime_breakpoints(t, eps, p.psi, p.B, half) for p in (pp, pm)])

@@ -543,7 +543,7 @@ def uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal):
     return out * np.exp(-math.pi * (u / sigma_signal) ** 2) / sigma_signal
 
 
-def uniform_atom_mass(t, eps, psi, B, sigma_signal):
+def uniform_atom_mass(t, psi, B, sigma_signal):
     """verify.dprime_atom_mass with the offset k uniform on B."""
     mean = sum((t + b - psi) ** 2 - (t + a - psi) ** 2 for a, b in B.pairs.tolist()) \
         / (2.0 * B.measure)
@@ -553,10 +553,10 @@ def uniform_atom_mass(t, eps, psi, B, sigma_signal):
 def _branch_law(t, eps, psi, B, sigma_signal, k_law):
     if k_law == "accepted":
         return (lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal),
-                dprime_atom_mass(t, eps, psi, B, sigma_signal))
+                dprime_atom_mass(t, psi, B, sigma_signal))
     if k_law == "uniform":
         return (lambda u: uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal),
-                uniform_atom_mass(t, eps, psi, B, sigma_signal))
+                uniform_atom_mass(t, psi, B, sigma_signal))
     raise ValueError("k_law must be 'accepted' or 'uniform'")
 
 

@@ -95,6 +95,17 @@ def test_learners_import_neither_click_nor_scipy():
     assert found == {"dataclasses", "numpy", "instances"}
 
 
+def test_rejection_reads_no_instance_field_and_cli_imports_nothing_from_it():
+    # the parameter condition and the stream arithmetic live on MassartConfig:
+    # the rejection core sees one branch, and cli.py only prints what they give
+    instance_only = {"eta", "m_prime", "delta", "c_prime", "c_dprime", "mode"}
+    read = {node.attr for node in ast.walk(ast.parse((SRC / "rejection.py").read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert {"t", "psi", "B", "sigma"} <= read
+    assert not read & instance_only
+    assert [name for m, name in _imports(SRC / "cli.py") if m == "rejection"] == []
+
+
 def test_reduction_params_holds_one_branchs_step_inputs():
     fields = [f.name for f in dataclasses.fields(ReductionParams)]
     assert fields == ["n", "t", "eps", "psi", "B", "sigma"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lwemassart import cli
+from lwemassart import cli, config
 from lwemassart.cli import main
 from lwemassart.config import RunConfig, theorem_d_bindings
 from lwemassart.instances import (
@@ -198,6 +198,16 @@ class TestGenInstance:
         assert res.exit_code == 3
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
+
+    def test_exhausted_stream_states_the_expected_use(self, tmp_path):
+        res = CliRunner().invoke(
+            main, ["gen-instance", *BASE_ARGS, "--m-prime", "200", "--m", "300",
+                   "--seed", "1", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 3, res.output
+        cfg = RunConfig(n=4, sigma=TINY_SIGMA, t=T, eps=EPS, eta=0.05, m_prime=200, m=300)
+        want = config.massart_config(cfg).expected_use
+        assert want > 300  # the stream is far shorter than the expected use
+        assert f"; expected use m'((1-eta)/p+ + eta/p-) = {want:,.0f}" in res.output
 
     def test_ratio_past_the_carving_cap_exits_2(self, tmp_path):
         # t/eps = 8e6 > 2^18: refused before the -1 carving allocates anything

@@ -27,7 +27,6 @@ from lwemassart.rejection import (
     keep_probability,
     step3_scales,
     transform_accepted,
-    validate_condition,
 )
 
 from oracles import (acceptance_lower_bound, accepted_k_pdf, exact_piece_integrals, invert_y,
@@ -125,12 +124,12 @@ def test_signal_ratio_frozen():
 
 def test_validate_condition_clauses():
     # t/eps = 7: odd ratio violates clause (i)
-    rep = validate_condition(desk_config(10**4, t=0.21, eps=0.03, sigma=0.5))
-    assert rep["clauses"][0]["ok"] is False
+    clauses = desk_config(10**4, t=0.21, eps=0.03, sigma=0.5).clauses
+    assert clauses[0]["ok"] is False
     # desk params: even ratio 8 passes (i); (iii) fails at small n as expected
-    rep = validate_condition(desk_config(10**4))
-    assert rep["clauses"][0]["ok"] is True
-    assert rep["clauses"][3]["ok"] is False  # desk scale cannot satisfy (iv)
+    clauses = desk_config(10**4).clauses
+    assert clauses[0]["ok"] is True
+    assert clauses[3]["ok"] is False  # desk scale cannot satisfy (iv)
 
 
 def test_strict_mode_enforces():
@@ -143,7 +142,7 @@ def test_strict_mode_enforces():
     assert "(iv) " in msg and "(i) " not in msg and "(ii) " not in msg
     # a configuration that meets all four clauses at m' = 1000
     cfg = desk_config(1000, n=1, sigma=4e-4, delta=1e-4, mode="strict", c_dprime=2.0)
-    assert validate_condition(cfg)["ok"] is True
+    assert all(c["ok"] for c in cfg.clauses)
 
 
 # ------------------------------------------------------------- scales

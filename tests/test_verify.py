@@ -177,8 +177,8 @@ class TestProjectedLaw:
             assert vec[j] == dprime_pdf(u[j : j + 1], T, EPS, PSI, BP, SS)[0]
 
     def test_atom_mass_frozen(self):
-        acc = dprime_atom_mass(T, EPS, PSI, BP, SS)
-        uni = uniform_atom_mass(T, EPS, PSI, BP, SS)
+        acc = dprime_atom_mass(T, PSI, BP, SS)
+        uni = uniform_atom_mass(T, PSI, BP, SS)
         assert acc == pytest.approx(ATOM_ACCEPTED, rel=1e-12)
         assert uni == pytest.approx(ATOM_UNIFORM, rel=1e-12)
 
@@ -189,7 +189,7 @@ class TestProjectedLaw:
         for p in (cfg.params_plus, cfg.params_minus):
             acc, mean = exact_piece_integrals(p.t, p.psi, p.B)
             want = math.exp(-math.pi * ((p.psi - p.t) / ss) ** 2) / ss * mean / acc
-            got = dprime_atom_mass(p.t, p.eps, p.psi, p.B, ss)
+            got = dprime_atom_mass(p.t, p.psi, p.B, ss)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_total_mass_is_one_by_quadrature(self):
@@ -323,7 +323,7 @@ class TestMixtureOracle:
         assert oracle.sigma_noise == sn
         for (loc, mass), w, p in zip(oracle.atoms, (1.0 - eta, eta), (pp, pm)):
             assert loc == p.psi - T
-            assert mass == pytest.approx(w * dprime_atom_mass(T, EPS, p.psi, p.B, ss),
+            assert mass == pytest.approx(w * dprime_atom_mass(T, p.psi, p.B, ss),
                                          rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [5.5556e-4, SIGMA], ids=["bench", "desk"])
@@ -673,7 +673,7 @@ class TestLabelNoise:
         plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), t, eps, c_prime) == 1
         noise_sd = sigma_noise / math.sqrt(2.0 * math.pi)
         escape = 2.0 * stats.norm.sf(c_prime * eps / noise_sd)
-        atom = dprime_atom_mass(t, eps, 0.0, base.B, ss)
+        atom = dprime_atom_mass(t, 0.0, base.B, ss)
         return eta * float(masses[plus].sum()), (1.0 - eta) * atom * escape
 
     def test_ptf_gate_fails_at_small_t_by_model(self):
