@@ -71,8 +71,13 @@ class ReductionParams:
         step3_scales(self.psi + self.eps, self)  # the worst k; raises if infeasible
 
     @property
+    def noise_ratio(self):
+        """4((t+eps) sigma)^2, formed directly: 1 - signal_ratio rounds to 0 once it is tiny."""
+        return 4.0 * ((self.t + self.eps) * self.sigma) ** 2
+
+    @property
     def signal_ratio(self):
-        return 1.0 - 4.0 * ((self.t + self.eps) * self.sigma) ** 2
+        return 1.0 - self.noise_ratio
 
 
 def k_of_y(y, t, psi):
@@ -116,7 +121,7 @@ def step3_scales(k, params):
     sr = params.signal_ratio
     sigma_scale = sr / ((params.t + np.asarray(k, dtype=float) - params.psi)
                         * math.sqrt(params.n))
-    rad = ((1.0 - sr) * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
+    rad = (params.noise_ratio * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
     if np.any(rad < -1e-15):
         raise ValueError("negative sigma_add radicand: infeasible Step-3 scales")
     return sigma_scale, np.sqrt(np.maximum(rad, 0.0))

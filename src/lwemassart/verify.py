@@ -2,25 +2,27 @@
 
 The projection of an accepted output onto the planted direction has, per
 accepted offset k, a discrete Gaussian law on the one-dimensional lattice
-k + (t+k-psi)Z at width sigma_signal.  Mixing over the accepted-offset
-law and substituting u = it + psi + (i+1)(k - psi) per translate index i
-gives the continuous part
+k + (t+k-psi)Z at width sigma_signal.  Its point u = k + i(t+k-psi) has
+u + t - psi = j(t+k-psi), j = i+1, so translate j maps each piece of B
+onto one u-interval, its image, and the accepted-offset density
+f(k) = (t-psi) t^2 (t+k-psi)^-4 / acceptance turns there into
 
-    sum over i != -1 of  f(k*) (t + k* - psi) rho(u) / |i+1|,
-    k* = psi + (u - it - psi)/(i+1), restricted to k* in B,
+    j^2 (t-psi) t^2 rho(u) / (acceptance |u + t - psi|^3).
 
-where f is the accepted-offset density.  The i = -1 translate collapses:
-k + (t+k-psi)(-1) = psi - t for every k, so the law carries a genuine
-point mass at psi - t of size rho(psi - t) * integral of f(k)(t+k-psi).
+The continuous part is this form with j^2 replaced by count(u), the sum
+of j^2 over the images covering u: an integer step function that changes
+only at image ends.  Translate j = 0 collapses onto psi - t for every k,
+a genuine point mass of size rho(psi - t) * integral of f(k)(t+k-psi);
+no image comes within t of it, so the form's pole lies where count is 0.
 Oracles here carry that atom explicitly; dropping it is the single
 largest modeling error at desk scale (about 0.2 of the total mass).
 
 The construction adds centered Gaussian noise of width sigma_noise =
 2(t+eps)sigma.  The oracle bins the noisy law without a grid: the pdf is
-smooth between the images of B's endpoints under each translate, so each
-piece is integrated by 24-point Gauss-Legendre against the noise's ndtr
-weight, and an atom adds ndtr differences.  At the presets the bin masses
-are within L1 1e-8 of 64-point quadrature (2e-13 measured) and sum to 1.
+smooth between consecutive image ends, so each piece is integrated by
+24-point Gauss-Legendre against the noise's ndtr weight, and an atom
+adds ndtr differences.  At the presets the bin masses are within L1 1e-8
+of 64-point quadrature (2e-13 measured) and sum to 1.
 
 All statistical tests are pure functions over immutable sample buffers;
 anything that needs randomness takes an explicit generator.
@@ -170,31 +172,6 @@ def gaussian_oracle():
     return QuadratureOracle(np.zeros_like, (), ((0.0, 1.0),), 1.0)
 
 
-def dprime_pdf(u, t, eps, psi, B, sigma_signal):
-    """Continuous part of the projected law at the array u (the i = -1 atom is separate).
-
-    The accepted-offset density f is the exact law of the rejection core,
-    (t-psi) t^2 (t+k-psi)^-4 on B over the branch acceptance.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape, dtype=float)
-    w_max = float(np.max(np.abs(u))) if u.size else 0.0
-    reach = int(math.ceil((w_max + abs(psi) + t) / (t - eps))) + 2
-    rho_u = _rho1(u, sigma_signal)
-    acc = branch_acceptance(t, psi, B)
-    for i in range(-reach, reach + 1):
-        if i == -1:
-            continue
-        k_star = psi + (u - i * t - psi) / (i + 1)
-        inside = B.contains(k_star)
-        if not np.any(inside):
-            continue
-        ks = k_star[inside]
-        f = (t - psi) * t**2 / (t + ks - psi) ** 4 / acc
-        out[inside] += f * (t + ks - psi) * rho_u[inside] / abs(i + 1)
-    return out
-
-
 def dprime_atom_mass(t, psi, B, sigma_signal):
     """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi).
 
@@ -209,18 +186,32 @@ def dprime_atom_mass(t, psi, B, sigma_signal):
     return float(_rho1(psi - t, sigma_signal) * mean / (2.0 * acc))
 
 
-def dprime_breakpoints(t, eps, psi, B, half):
-    """Sorted jumps of dprime_pdf on [-half, half], both ends included.
+def branch_density(t, psi, B, sigma_signal, half):
+    """(breakpoints, pdf) of one branch's continuous part, 0 outside [-half, half].
 
-    Translate i maps B's piece [a, b) onto the u-interval between
-    i t + psi + (i+1)(a - psi) and i t + psi + (i+1)(b - psi); between
-    the ends of all these images the pdf is smooth.
+    The breakpoints are the image ends, clipped to [-half, half] with both
+    ends included; count is built once from them, as the running sum of
+    +j^2 at each image's lower end and -j^2 at its upper end.
     """
-    reach = int(math.ceil((half + abs(psi) + t) / (t - eps))) + 2
-    i = np.arange(-reach, reach + 1, dtype=float)[:, None]
-    ends = i * t + psi + (i + 1.0) * (B.pairs.ravel() - psi)
-    ends = np.concatenate((ends[i[:, 0] != -1].ravel(), [-half, half]))
-    return np.unique(np.clip(ends, -half, half))
+    reach = int(math.ceil((half + abs(psi) + t) / t)) + 1
+    j = np.arange(-reach, reach + 1.0)
+    j = j[j != 0][:, None]
+    ends = (j - 1.0) * t + psi + j * (B.pairs.ravel() - psi)
+    lo, hi = np.clip(np.sort(ends.reshape(-1, 2), axis=1), -half, half).T
+    jump = np.repeat(j[:, 0] ** 2, len(B.pairs))
+    xs, at = np.unique(np.concatenate((lo, hi, [-half, half])), return_inverse=True)
+    count = np.append(0.0, np.cumsum(np.bincount(at, np.concatenate((jump, -jump, [0, 0])))))
+    scale = (t - psi) * t**2 / branch_acceptance(t, psi, B)
+
+    def pdf(u):
+        u = np.asarray(u, dtype=float)
+        c = count[np.searchsorted(xs, u, side="right")]  # count on [xs[m-1], xs[m])
+        out = np.zeros(u.shape)
+        on = c > 0
+        out[on] = c[on] * scale * _rho1(u[on], sigma_signal) / np.abs(u[on] + t - psi) ** 3
+        return out
+
+    return xs, pdf
 
 
 def mixture_oracle(config):
@@ -228,25 +219,21 @@ def mixture_oracle(config):
 
     The instance builder draws the -1 branch with probability eta, so the
     unconditional projected law is the eta-weighted mixture of the two
-    branch laws, atoms included, blurred by the width-sigma_noise noise.
-    The support is cut at 4.5 sigma_signal past the outermost translate,
-    where the Gaussian factor of the pdf is below 1e-27.
+    branch laws, atoms included, blurred by noise of width
+    2(t+eps)sigma = sqrt(noise_ratio).  The support is cut at
+    4.5 sigma_signal past the outermost translate, where the Gaussian
+    factor of the pdf is below 1e-27.
     """
     pp, pm, eta = config.params_plus, config.params_minus, config.eta
-    t, eps = pp.t, pp.eps
-    ss = math.sqrt(pp.signal_ratio)
-
-    def pdf(u):
-        return (1.0 - eta) * dprime_pdf(u, t, eps, pp.psi, pp.B, ss) \
-            + eta * dprime_pdf(u, t, eps, pm.psi, pm.B, ss)
-
+    t, ss = pp.t, math.sqrt(pp.signal_ratio)
+    half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
+    (xp, fp), (xm, fm) = (branch_density(t, p.psi, p.B, ss, half) for p in (pp, pm))
     atoms = [
         (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, pp.psi, pp.B, ss)),
         (pm.psi - t, eta * dprime_atom_mass(t, pm.psi, pm.B, ss)),
     ]
-    half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
-    xs = np.concatenate([dprime_breakpoints(t, eps, p.psi, p.B, half) for p in (pp, pm)])
-    return QuadratureOracle(pdf, xs, atoms, math.sqrt(1.0 - pp.signal_ratio))
+    return QuadratureOracle(lambda u: (1.0 - eta) * fp(u) + eta * fm(u),
+                            np.concatenate((xp, xm)), atoms, math.sqrt(pp.noise_ratio))
 
 
 # -------------------------------------------------------- projection tests

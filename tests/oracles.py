@@ -6,7 +6,9 @@ the one-shot batch reduction, the offset inversion and its density, the
 g map, the exact Fraction carving of B_minus with the list-based pair
 algebra it runs on, interval intersection, the grid oracle with its FFT noise
 convolution (the reference the library's quadrature replaced), the
-uniform-offset law, single-branch oracles, a second quadrature of the
+per-translate loop over the projected law (the reference the library's
+closed form replaced), the uniform-offset law, single-branch oracles built
+on that loop, a second quadrature of the
 mixture's bin masses, the per-bin Massart audit, the acceptance-rate
 check, the uniform-offset reference sampler, and whole-array copies of
 the continuization chain and of the instance builder, both of which the
@@ -42,8 +44,6 @@ from lwemassart.verify import (
     QuadratureOracle,
     TestReport,
     dprime_atom_mass,
-    dprime_breakpoints,
-    dprime_pdf,
 )
 
 # ---------------------------------------------------------------- gaussians
@@ -527,8 +527,49 @@ def convolve_with_gaussian(oracle, sigma_noise):
     return DensityOracle1D(interp, (xs[0], xs[-1], step))
 
 
+def dprime_pdf(u, t, eps, psi, B, sigma_signal):
+    """Continuous part of the projected law at the array u (the i = -1 atom is separate).
+
+    The reference for verify.branch_density: a loop over every translate i
+    that tests each point's offset k* = psi + (u - it - psi)/(i+1) against
+    B, with the accepted-offset density f, (t-psi) t^2 (t+k-psi)^-4 on B
+    over the branch acceptance, evaluated at k*.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape, dtype=float)
+    w_max = float(np.max(np.abs(u))) if u.size else 0.0
+    reach = int(math.ceil((w_max + abs(psi) + t) / (t - eps))) + 2
+    rho_u = np.exp(-math.pi * (u / sigma_signal) ** 2) / sigma_signal
+    acc = branch_acceptance(t, psi, B)
+    for i in range(-reach, reach + 1):
+        if i == -1:
+            continue
+        k_star = psi + (u - i * t - psi) / (i + 1)
+        inside = B.contains(k_star)
+        if not np.any(inside):
+            continue
+        ks = k_star[inside]
+        f = (t - psi) * t**2 / (t + ks - psi) ** 4 / acc
+        out[inside] += f * (t + ks - psi) * rho_u[inside] / abs(i + 1)
+    return out
+
+
+def dprime_breakpoints(t, eps, psi, B, half):
+    """Sorted jumps of dprime_pdf on [-half, half], both ends included.
+
+    Translate i maps B's piece [a, b) onto the u-interval between
+    i t + psi + (i+1)(a - psi) and i t + psi + (i+1)(b - psi); between
+    the ends of all these images the pdf is smooth.
+    """
+    reach = int(math.ceil((half + abs(psi) + t) / (t - eps))) + 2
+    i = np.arange(-reach, reach + 1, dtype=float)[:, None]
+    ends = i * t + psi + (i + 1.0) * (B.pairs.ravel() - psi)
+    ends = np.concatenate((ends[i[:, 0] != -1].ravel(), [-half, half]))
+    return np.unique(np.clip(ends, -half, half))
+
+
 def uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal):
-    """verify.dprime_pdf with the offset k uniform on B instead of accepted.
+    """dprime_pdf with the offset k uniform on B instead of accepted.
 
     The reference construction's idealization, which the accepted law
     approaches only as eps/t -> 0.
@@ -595,8 +636,8 @@ def reference_bin_masses(config, edges, points=64):
     """
     edges = np.asarray(edges, dtype=float)
     t, eps, eta = config.t, config.eps, config.eta
-    sr = config.params_plus.signal_ratio
-    ss, sd = math.sqrt(sr), math.sqrt((1.0 - sr) / (2.0 * math.pi))
+    pp = config.params_plus
+    ss, sd = math.sqrt(pp.signal_ratio), math.sqrt(pp.noise_ratio / (2.0 * math.pi))
     rho = lambda u: np.exp(-math.pi * (u / ss) ** 2) / ss
     cuts = np.concatenate((edges, edges - 8.0 * sd, edges + 8.0 * sd))
     x, w = np.polynomial.legendre.leggauss(points)

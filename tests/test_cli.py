@@ -826,6 +826,18 @@ class TestPreset:
         assert res.output == ("parameter condition: infeasible at this scale "
                               f"(sigma must be finite and positive)\nwrote {out}\n")
 
+    def test_theorem_d_instance_verifies_without_exit_2(self, tmp_path):
+        # at n = 64, 1 - signal_ratio rounds to 0, so the oracle's noise width
+        # must come from noise_ratio; the small-m' L1 gate may still fail (exit 4)
+        cfg, inst = tmp_path / "thm.json", tmp_path / "thm.inst"
+        res = invoke(["preset", "apply", "theorem-d", "--n", "64", "--m-prime", "3000",
+                      "--out", str(cfg)])
+        assert res.exit_code == 0, res.output
+        res = invoke(["gen-instance", "--config", str(cfg), "--seed", "1", "--out", str(inst)])
+        assert res.exit_code == 0, res.output
+        res = CliRunner().invoke(main, ["verify", str(inst)])
+        assert res.exit_code in (0, 4), res.output
+
     def test_bindings_scale_with_n(self):
         a, b = (theorem_d_bindings(n, 0.5, 100_000, 0.01) for n in (16, 64))
         assert b.t < a.t and b.eps < a.eps and b.sigma < a.sigma

@@ -122,7 +122,7 @@ def test_signal_ratio_frozen():
     assert p.signal_ratio == pytest.approx(0.9375, rel=1e-12)
 
 
-def test_validate_condition_clauses():
+def test_clauses():
     # t/eps = 7: odd ratio violates clause (i)
     clauses = desk_config(10**4, t=0.21, eps=0.03, sigma=0.5).clauses
     assert clauses[0]["ok"] is False

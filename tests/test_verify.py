@@ -32,8 +32,8 @@ from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
     QuadratureOracle,
     atom_safe_edges,
+    branch_density,
     dprime_atom_mass,
-    dprime_pdf,
     folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
@@ -57,6 +57,7 @@ from oracles import (
     convolve_with_gaussian,
     dk21_reference_sample,
     dprime_oracle,
+    dprime_pdf,
     exact_piece_integrals,
     grid_gaussian,
     massart_reference,
@@ -72,6 +73,7 @@ SS = math.sqrt(0.9375)
 SN = 0.25
 BP = b_plus(EPS)
 RAW = 1e-9  # a sigma_noise that stands in for the unblurred law
+DESK_PDF = branch_density(T, PSI, BP, SS, 4.5 * SS + T + PSI)[1]
 
 # frozen desk-scale oracle values (quadrature over the literal forms)
 ACCEPT_EXACT = 0.09922267946959307
@@ -160,7 +162,7 @@ class TestDensityOracle:
 
 class TestProjectedLaw:
     def test_pdf_frozen_points(self):
-        got = dprime_pdf(np.array(list(DENS_ACC)), T, EPS, PSI, BP, SS)
+        got = DESK_PDF(np.array(list(DENS_ACC)))
         assert got == pytest.approx(list(DENS_ACC.values()), rel=1e-10)
         assert uniform_dprime_pdf(np.array([0.21]), T, EPS, PSI, BP, SS) == pytest.approx(
             [DENS_UNI_021], rel=1e-10)
@@ -168,13 +170,13 @@ class TestProjectedLaw:
     def test_pdf_zero_in_gaps(self):
         # between the i=0 image [0, eps) and the i=1 image [t, t+2 eps)
         gaps = np.array([0.05, 0.1, 0.15, 0.19, 0.26, -0.3])
-        assert np.all(dprime_pdf(gaps, T, EPS, PSI, BP, SS) == 0.0)
+        assert np.all(DESK_PDF(gaps) == 0.0)
 
     def test_pdf_scalar_and_vector_agree(self):
         u = np.array([0.21, 0.0125, 0.1])
-        vec = dprime_pdf(u, T, EPS, PSI, BP, SS)
+        vec = DESK_PDF(u)
         for j in range(3):
-            assert vec[j] == dprime_pdf(u[j : j + 1], T, EPS, PSI, BP, SS)[0]
+            assert vec[j] == DESK_PDF(u[j : j + 1])[0]
 
     def test_atom_mass_frozen(self):
         acc = dprime_atom_mass(T, PSI, BP, SS)
@@ -216,7 +218,7 @@ class TestProjectedLaw:
     def test_pdf_matches_literal_form(self):
         rng = np.random.default_rng(7)
         u = rng.uniform(-2.7, 2.7, size=400)
-        got = dprime_pdf(u, T, EPS, PSI, BP, SS)
+        got = DESK_PDF(u)
         f_un = lambda k: (T - PSI) * T**2 / (T + k - PSI) ** 4
         acc = integrate.quad(f_un, 0.0, EPS, epsabs=1e-14)[0]
         want = np.zeros_like(u)
@@ -230,6 +232,38 @@ class TestProjectedLaw:
                                 * math.exp(-math.pi * (uj / SS) ** 2) / SS
                                 / abs(i + 1))
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("branch", ["params_plus", "params_minus"])
+    def test_closed_form_matches_translate_loop(self, branch):
+        # theorem-d n = 32, where B_minus has 32 pieces, at the oracle's 24
+        # Gauss-Legendre nodes per piece.  At a node that equals a breakpoint
+        # (the nodes of a piece one ulp wide round onto its ends) which side
+        # of an image end it falls on is a rounding convention, so those
+        # nodes are left out
+        cfg = config.massart_config(config.preset("theorem-d", 32, 0.5, 3000, 0.01))
+        pp, pm, p = cfg.params_plus, cfg.params_minus, getattr(cfg, branch)
+        assert len(cfg.params_minus.B.pairs) == 32
+        ss = math.sqrt(pp.signal_ratio)
+        half = 4.5 * ss + cfg.t + max(abs(pp.psi), abs(pm.psi))
+        xs, pdf = branch_density(cfg.t, p.psi, p.B, ss, half)
+        nodes = np.polynomial.legendre.leggauss(24)[0]
+        u = ((xs[:-1] + xs[1:])[:, None] + np.diff(xs)[:, None] * nodes).ravel() / 2.0
+        u = u[~np.isin(u, xs)]
+        got, want = pdf(u), dprime_pdf(u, cfg.t, cfg.eps, p.psi, p.B, ss)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        on = want != 0.0
+        assert np.count_nonzero(on) > 1_000
+        assert np.max(np.abs(got[on] - want[on]) / want[on]) <= 1e-13
+
+    @pytest.mark.parametrize("sigma", [5.5556e-4, SIGMA], ids=["bench", "desk"])
+    def test_pole_at_the_atom_is_zero(self, sigma):
+        # the closed form divides by |u + t - psi|^3, which is 0 at the atom
+        # psi - t; no image reaches it, so the density there is 0, not NaN
+        cfg = desk_config(1, 0.05, sigma=sigma)
+        ss = math.sqrt(cfg.params_plus.signal_ratio)
+        for p in (cfg.params_plus, cfg.params_minus):
+            pdf = branch_density(T, p.psi, p.B, ss, 4.5 * ss + T + p.psi)[1]
+            assert pdf(np.array([p.psi - T])).tolist() == [0.0]
 
     def test_oracle_grid_covers_the_mass(self):
         o = dprime_oracle(T, EPS, PSI, BP, SS)
@@ -312,7 +346,7 @@ class TestMixtureOracle:
         # the bench preset: sigma_noise = 2.5e-4
         cfg = desk_config(1, eta, sigma=5.5556e-4)
         pp, pm = cfg.params_plus, cfg.params_minus
-        ss, sn = math.sqrt(pp.signal_ratio), math.sqrt(1.0 - pp.signal_ratio)
+        ss, sn = math.sqrt(pp.signal_ratio), math.sqrt(pp.noise_ratio)
         oracle = mixture_oracle(cfg)
         edges = atom_safe_edges(-0.8, 0.8, 64, [pp.psi - T, pm.psi - T])
         got = oracle.bin_masses(edges)
@@ -336,6 +370,13 @@ class TestMixtureOracle:
         got = oracle.bin_masses(edges)
         assert np.abs(got - reference_bin_masses(cfg, edges)).sum() <= 1e-8
         assert abs(oracle.mass - 1.0) <= 1e-12 and abs(got.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_noise_width_at_theorem_d(self, n):
+        # 1 - signal_ratio loses the noise ratio to rounding, to 0 from n = 48
+        cfg = config.massart_config(config.preset("theorem-d", n, 0.5, 3000, 0.01))
+        want = 2.0 * (cfg.t + cfg.eps) * cfg.sigma
+        assert mixture_oracle(cfg).sigma_noise == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_grid_reference_converges_at_first_order(self):
         # the grid oracle's trapezoid CDF cuts across the law's jumps, so its
@@ -666,7 +707,7 @@ class TestLabelNoise:
                             c_prime=c_prime, c_dprime=4.0, delta=0.01, mode="desk-scale")
         base, pm = cfg.params_plus, cfg.params_minus
         ss = math.sqrt(base.signal_ratio)
-        sigma_noise = math.sqrt(1.0 - base.signal_ratio)
+        sigma_noise = math.sqrt(base.noise_ratio)
         oracle = branch_oracle(t, eps, pm.psi, pm.B, ss, sigma_noise)
         edges = region_aligned_edges(t, eps, c_prime, (oracle.xs[0], oracle.xs[-1]))
         masses = oracle.bin_masses(edges)
