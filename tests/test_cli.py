@@ -308,9 +308,9 @@ class TestVerify:
         calls = []
         bin_masses = QuadratureOracle.bin_masses
 
-        def counted(self, edges, lump_tails=True):
+        def counted(self, edges):
             calls.append(len(edges))
-            return bin_masses(self, edges, lump_tails)
+            return bin_masses(self, edges)
 
         monkeypatch.setattr(QuadratureOracle, "bin_masses", counted)
         res = invoke(["verify", str(work / inst), "--bins", "32",

@@ -108,7 +108,7 @@ def second_moment(oracle):
 class TestDensityOracle:
     def test_gaussian_oracle_is_normalized(self):
         o = gaussian_oracle()
-        assert o.mass == 1.0 and o.xs.size == 0
+        assert o.xs.size == 0
         edges = np.linspace(-5.0, 5.0, 33)
         assert abs(o.bin_masses(edges).sum() - 1.0) <= 1e-12
         # the grid reference's CDF is scipy's cumulative trapezoid, bit for bit
@@ -120,9 +120,10 @@ class TestDensityOracle:
         o = gaussian_oracle()
         edges = np.linspace(-3.0, 3.0, 25)
         std = 1.0 / math.sqrt(2.0 * math.pi)
-        want = np.diff(stats.norm.cdf(edges, 0.0, std))
-        got = o.bin_masses(edges, lump_tails=False)
-        assert np.max(np.abs(got - want)) <= 1e-15
+        cdf = stats.norm.cdf(edges, 0.0, std)
+        want = np.diff(cdf)
+        want[[0, -1]] += [cdf[0], 1.0 - cdf[-1]]
+        assert np.max(np.abs(o.bin_masses(edges) - want)) <= 1e-15
         # the null battery's bins, tails folded in
         edges = np.linspace(-1.2, 1.2, 65)
         cdf = stats.norm.cdf(edges, 0.0, std)
@@ -130,9 +131,18 @@ class TestDensityOracle:
         want[[0, -1]] += [cdf[0], 1.0 - cdf[-1]]
         assert np.abs(o.bin_masses(edges) - want).sum() <= 1e-14
 
+    def test_gaussian_tail_bins_to_relative_precision(self):
+        # a tail bin's mass is the difference of two small ndtr transfers,
+        # not of two CDF values near 1
+        edges = np.linspace(2.4, 3.0, 7)
+        want = -np.diff(stats.norm.sf(edges, 0.0, 1.0 / math.sqrt(2.0 * math.pi)))
+        got = gaussian_oracle().bin_masses(edges)
+        assert np.allclose(got[1:-1], want[1:-1], rtol=1e-12, atol=0.0)
+
     def test_negative_density_rejected(self):
+        # the pdf is first evaluated when the law is binned
         with pytest.raises(ValueError, match="nonnegative"):
-            QuadratureOracle(np.sin, (-4.0, 4.0), (), 1.0)
+            QuadratureOracle(np.sin, (-4.0, 4.0), (), 1.0).bin_masses(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, -0.1),), 1.0)
         with pytest.raises(ValueError, match="positive"):
@@ -143,16 +153,15 @@ class TestDensityOracle:
         def evaluator(u):
             return np.where(np.abs(u) < 0.1, np.nan, 1.0)
 
+        o = QuadratureOracle(evaluator, (-1.0, 0.0, 1.0), (), 1.0)
         with pytest.raises(ValueError, match="finite"):
-            QuadratureOracle(evaluator, (-1.0, 0.0, 1.0), (), 1.0)
+            o.bin_masses(np.array([-1.0, 1.0]))
 
     def test_pure_atom_binning(self):
         o = QuadratureOracle(np.zeros_like, (-1.0, 1.0), ((0.3, 1.0),), RAW)
-        assert o.atoms == ((0.3, 1.0),) and o.mass == 1.0
+        assert o.atoms == ((0.3, 1.0),)
         edges = np.array([-1.0, 0.0, 0.5, 1.0])
         assert np.array_equal(o.bin_masses(edges), [0.0, 1.0, 0.0])
-        # without tail lumping an atom outside the edges is dropped
-        assert np.array_equal(o.bin_masses(np.array([0.5, 1.0]), lump_tails=False), [0.0])
 
     def test_bad_edges_rejected(self):
         o = gaussian_oracle()
@@ -327,7 +336,10 @@ class TestConvolution:
         # residual is the trapezoid CDF error at this grid step
         assert np.max(np.abs(c.bin_masses(edges, lump_tails=False) - target)) <= 2e-5
         q = QuadratureOracle(np.zeros_like, (), ((0.3, 1.0),), 0.5)
-        assert np.max(np.abs(q.bin_masses(edges, lump_tails=False) - target)) <= 1e-15
+        cdf = stats.norm.cdf(edges, 0.3, std)
+        folded = np.diff(cdf)
+        folded[[0, -1]] += [cdf[0], 1.0 - cdf[-1]]
+        assert np.max(np.abs(q.bin_masses(edges) - folded)) <= 1e-15
 
     def test_quadrature_matches_convolution_at_desk_scale(self):
         # sigma_noise = 0.25 took the FFT path; the quadrature agrees with it
@@ -360,6 +372,20 @@ class TestMixtureOracle:
             assert mass == pytest.approx(w * dprime_atom_mass(T, p.psi, p.B, ss),
                                          rel=1e-12)
 
+    def test_near_empty_bins_match_branch_sum(self):
+        # the bench preset's bins below 1e-9 (none at eta = 0) hold to
+        # relative precision, not just within the L1 bound
+        cfg = desk_config(1, 0.05, sigma=5.5556e-4)
+        pp, pm = cfg.params_plus, cfg.params_minus
+        ss, sn = math.sqrt(pp.signal_ratio), math.sqrt(pp.noise_ratio)
+        edges = atom_safe_edges(-0.8, 0.8, 64, [pp.psi - T, pm.psi - T])
+        got = mixture_oracle(cfg).bin_masses(edges)
+        want = sum(w * branch_oracle(T, EPS, p.psi, p.B, ss, sn).bin_masses(edges)
+                   for w, p in ((0.95, pp), (0.05, pm)))
+        small = (want > 0) & (want < 1e-9)
+        assert small.sum() >= 2
+        assert np.allclose(got[small], want[small], rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("sigma", [5.5556e-4, SIGMA], ids=["bench", "desk"])
     def test_matches_64_point_reference(self, sigma):
         # the 64 atom-safe bins of verify's alternative window; the null
@@ -369,7 +395,7 @@ class TestMixtureOracle:
         edges = atom_safe_edges(-0.8, 0.8, 64, [loc for loc, _ in oracle.atoms])
         got = oracle.bin_masses(edges)
         assert np.abs(got - reference_bin_masses(cfg, edges)).sum() <= 1e-8
-        assert abs(oracle.mass - 1.0) <= 1e-12 and abs(got.sum() - 1.0) <= 1e-12
+        assert abs(got.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_noise_width_at_theorem_d(self, n):
