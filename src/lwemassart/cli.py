@@ -200,7 +200,7 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
 
 
 def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
-    t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
+    eta, region = mconfig.eta, mconfig.region
     oracle = mixture_oracle(mconfig)
     edges = atom_safe_edges(HIDDEN_WINDOW[0], HIDDEN_WINDOW[1], bins,
                             [loc for loc, _ in oracle.atoms])
@@ -210,10 +210,9 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
         hidden_direction_test(proj, model, edges, tol_l1),
         orthogonal_gaussianity_test(coords, secret),
     ]
-    medges = region_aligned_edges(t, eps, c_prime, MASSART_WINDOW, max_width=0.05)
-    est = massart_condition_estimate(
-        proj, labels, medges, eta=eta,
-        target=lambda u: ptf_region(u, t, eps, c_prime))
+    medges = region_aligned_edges(region, MASSART_WINDOW, max_width=0.05)
+    est = massart_condition_estimate(proj, labels, medges, eta=eta,
+                                     target=lambda u: ptf_region(u, region))
     reports.append(TestReport(
         name="massart-violating-mass",
         statistic=est.violating_mass,
@@ -223,7 +222,7 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
         description=f"mass in bins with minority rate > {est.threshold:.3g}",
         params={"eta": eta, "min_count": est.min_count},
     ))
-    err = ptf_error_estimate(proj, labels, t, eps, c_prime)
+    err = ptf_error_estimate(proj, labels, region)
     reports.append(TestReport(
         name="ptf-disagreement",
         statistic=err,
@@ -237,7 +236,7 @@ def _alternative_reports(coords, labels, secret, mconfig, bins, tol_l1):
 
 
 def _null_reports(coords, labels, mconfig, bins, tol_l1):
-    t, eps, c_prime, eta = mconfig.t, mconfig.eps, mconfig.c_prime, mconfig.eta
+    eta = mconfig.eta
     edges = np.linspace(NULL_WINDOW[0], NULL_WINDOW[1], bins + 1)
     proj = project(coords, np.ones(coords.shape[1]))
     model = gaussian_oracle().bin_masses(edges)
@@ -257,7 +256,7 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
         description=f"max per-bin |Pr[y=+1] - {1 - eta:.3g}|",
         params={"eta": eta, "min_count": BALANCE_MIN_COUNT},
     ))
-    err = ptf_error_estimate(proj, labels, t, eps, c_prime)
+    err = ptf_error_estimate(proj, labels, mconfig.region)
     reports.append(TestReport(
         name="planted-null-error",
         statistic=err,
@@ -330,7 +329,7 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
         return x, y
 
     build = LEARNERS[cfg.learner]
-    rep = distinguish(make_instance, lambda: build(secret, cfg.t, cfg.eps, cfg.c_prime),
+    rep = distinguish(make_instance, lambda: build(secret, mconfig.region),
                       tau=cfg.tau, trials=cfg.trials, rng=rng)
     payload = dataclasses.asdict(rep)
     payload["seed"] = config.resolve_seed(cfg.seed)

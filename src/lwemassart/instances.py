@@ -141,21 +141,20 @@ def region_plus_intervals(t, eps, c_prime):
     return IntervalSet(merge_pairs(np.concatenate(pairs)))
 
 
-def ptf_region(u, t, eps, c_prime):
+def ptf_region(u, region):
     """Sign (+1/-1, int8) of the threshold polynomial at each projection value in u.
 
-    Inside the built horizon membership in the interval union decides;
-    beyond it the +1 intervals overlap into a cover of the whole line,
-    so anything past the outermost edge is +1.
+    region is its +1 region (MassartConfig.region); inside the built
+    horizon membership decides, and beyond it the +1 intervals cover the
+    whole line, so anything past the outermost edge is +1.
     """
-    region = region_plus_intervals(t, eps, c_prime)
     u = np.asarray(u, dtype=float)
     plus = region.contains(u) | (u < region.lo) | (u >= region.hi)
     return np.where(plus, 1, -1).astype(np.int8)
 
 
-def region_aligned_edges(t, eps, c_prime, window, max_width=None):
-    """Bin edges inside window aligned to the +1/-1 region boundaries.
+def region_aligned_edges(region, window, max_width=None):
+    """Bin edges inside window aligned to the boundaries of the +1 region.
 
     Every resulting bin lies entirely in one region, so a per-bin label
     mix estimates the actual flip rate instead of boundary mixing.
@@ -164,7 +163,7 @@ def region_aligned_edges(t, eps, c_prime, window, max_width=None):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must be nonempty")
-    ends = region_plus_intervals(t, eps, c_prime).pairs.ravel()
+    ends = region.pairs.ravel()
     edges = np.unique(np.append(ends[(ends > lo) & (ends < hi)], (lo, hi)))
     if max_width is None:
         return edges
@@ -231,6 +230,11 @@ class MassartConfig:
     def params_minus(self):
         return replace(self.params_plus, psi=self.t / 2.0,
                        B=build_b_minus(self.t, self.eps, self.c_prime))
+
+    @cached_property
+    def region(self):
+        """The planted +1 region of the threshold polynomial, built once per instance."""
+        return region_plus_intervals(self.t, self.eps, self.c_prime)
 
     @cached_property
     def clauses(self):

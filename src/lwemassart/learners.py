@@ -10,16 +10,15 @@ from .instances import ptf_region
 class PlantedRegionLearner:
     """Classifies by the threshold-polynomial region along the planted s."""
 
-    def __init__(self, s, t, eps, c_prime):
+    def __init__(self, s, region):
         self.s = np.asarray(s, dtype=float) / np.linalg.norm(s)
-        self.t, self.eps, self.c_prime = t, eps, c_prime
+        self.region = region
 
     def fit(self, x, y):
         return self
 
     def predict(self, x):
-        return ptf_region(np.asarray(x, dtype=float) @ self.s,
-                          self.t, self.eps, self.c_prime)
+        return ptf_region(np.asarray(x, dtype=float) @ self.s, self.region)
 
 
 class ConstantLearner:
@@ -32,8 +31,8 @@ class ConstantLearner:
         return np.ones(len(x), dtype=np.int8)
 
 
-# learner name -> builder of (secret, t, eps, c_prime); --learner admits these names,
-# and the first is the default
+# learner name -> builder of (secret, the instance's +1 region); --learner admits these
+# names, and the first is the default
 LEARNERS = {
     "planted": PlantedRegionLearner,
     "constant": lambda *_: ConstantLearner(),

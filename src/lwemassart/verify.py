@@ -245,9 +245,9 @@ def project(samples, s):
 def atom_safe_edges(lo, hi, bins, atom_locs):
     """Uniform bin edges with edges too close to a point mass removed.
 
-    A point mass on (or within blur reach of) an edge makes the sample
-    histogram split what the model books wholly on one side.  Dropping
-    the offending edge merges the two bins so the mass stays together.
+    Dropping an edge within blur reach of a point mass merges its two
+    bins, so each atom stays inside one bin and hidden_direction_test's
+    worst_bins names an atom the model lost as one bin, not half of two.
     An edge is too close within a quarter bin width; the outermost edges
     are kept regardless.
     """
@@ -430,7 +430,7 @@ def max_label_deviation(estimate, eta):
     return worst
 
 
-def ptf_error_estimate(proj, labels, t, eps, c_prime):
-    """Empirical disagreement between labels and the region classifier."""
-    pred = ptf_region(proj, t, eps, c_prime)
+def ptf_error_estimate(proj, labels, region):
+    """Empirical disagreement between labels and the classifier of the +1 region."""
+    pred = ptf_region(proj, region)
     return float(np.mean(pred != np.asarray(labels)))

@@ -210,14 +210,14 @@ def test_criterion_05_orthogonal_gaussianity(desk_alt_run, desk_null_run):
     assert rep_null.passed, rep_null.description
 
 
-def test_criterion_06_massart_condition_planted(alt_instance):
+def test_criterion_06_massart_condition_planted(alt_instance, tiny_config):
     x, y, s = alt_instance["x"], alt_instance["labels"], alt_instance["secret"]
     proj = project(x, s)
-    ptf_err = ptf_error_estimate(proj, y, T, EPS, C_PRIME)
-    edges = region_aligned_edges(T, EPS, C_PRIME, (-1.3, 1.3), max_width=0.05)
+    ptf_err = ptf_error_estimate(proj, y, tiny_config.region)
+    edges = region_aligned_edges(tiny_config.region, (-1.3, 1.3), max_width=0.05)
     est = massart_condition_estimate(
         proj, y, edges, eta=ETA,
-        target=lambda u: ptf_region(u, T, EPS, C_PRIME))
+        target=lambda u: ptf_region(u, tiny_config.region))
     ok = ptf_err <= 0.02 and est.violating_mass <= 0.01
     report(6, ok, f"ptf disagreement {ptf_err:.4f} (<= 0.02), violating mass "
                   f"{est.violating_mass:.4f} (<= 0.01) over 1e5 samples")
@@ -225,13 +225,13 @@ def test_criterion_06_massart_condition_planted(alt_instance):
     assert est.violating_mass <= 0.01
 
 
-def test_criterion_07_null_label_independence(null_instance):
+def test_criterion_07_null_label_independence(null_instance, tiny_config):
     x, y = null_instance["x"], null_instance["labels"]
     proj = project(x, np.ones(x.shape[1]))
     est = massart_condition_estimate(proj, y, np.linspace(-1.2, 1.2, 41), eta=ETA,
                                      min_count=2000)
     dev = max_label_deviation(est, ETA)
-    err = ptf_error_estimate(proj, y, T, EPS, C_PRIME)
+    err = ptf_error_estimate(proj, y, tiny_config.region)
     ok = dev <= 0.05 and err >= 0.8 * ETA
     report(7, ok, f"max per-bin label deviation {dev:.4f} (<= 0.05), planted "
                   f"classifier null error {err:.4f} (>= {0.8 * ETA:.3f})")
@@ -254,7 +254,7 @@ def test_criterion_08_distinguisher_advantage(tiny_config):
 
     planted = distinguish(
         make_instance,
-        lambda: PlantedRegionLearner(secret, T, EPS, C_PRIME),
+        lambda: PlantedRegionLearner(secret, cfg.region),
         tau=0.25, trials=50, rng=np.random.default_rng(108))
     constant = distinguish(make_instance, ConstantLearner, tau=0.25, trials=50,
                            rng=np.random.default_rng(1080))

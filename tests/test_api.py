@@ -8,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import lwemassart
+from lwemassart import instances, learners, verify
 from lwemassart.config import RunConfig
 from lwemassart.instances import MassartConfig
 from lwemassart.rejection import ReductionParams
@@ -74,6 +75,34 @@ def test_verify_shares_two_names_with_the_generator():
     # the exact branch acceptance and the planted region are shared
     shared = {(m, name) for m, name in _imports(SRC / "verify.py") if m in GENERATOR_MODULES}
     assert shared == {("rejection", "branch_acceptance"), ("instances", "ptf_region")}
+
+
+def _callers(path, name):
+    """Dotted scope (module, class, function) of each call of name in path."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(path.read_text()), (path.stem,))
+    return found
+
+
+def test_massart_config_region_alone_builds_the_region():
+    # one region per instance: the gates and the planted learner take it, never (t, eps, c')
+    callers = [c for path in sorted(SRC.glob("*.py"))
+               for c in _callers(path, "region_plus_intervals")]
+    assert callers == ["instances.MassartConfig.region"]
+    readers = (instances.ptf_region, instances.region_aligned_edges,
+               verify.ptf_error_estimate, learners.PlantedRegionLearner)
+    for fn in readers:
+        params = inspect.signature(fn).parameters
+        assert "region" in params and not params.keys() & {"t", "eps", "c_prime"}, fn
 
 
 def test_config_imports_neither_click_nor_scipy():

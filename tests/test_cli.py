@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lwemassart import cli, config
+from lwemassart import cli, config, instances
 from lwemassart.cli import main
 from lwemassart.config import RunConfig, theorem_d_bindings
 from lwemassart.instances import (
@@ -679,6 +679,28 @@ class TestDistinguish:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "'sgd' is not one of" in res.output
         assert "planted" in res.output and "constant" in res.output
+
+
+@pytest.mark.parametrize("command", ["verify", "distinguish"])
+def test_one_run_builds_the_region_once(work, monkeypatch, command):
+    # every reader of the planted region takes MassartConfig.region, so a verify
+    # (massart audit, its target and the ptf gate) and a distinguish (two planted
+    # predictions per trial) build it once, not once per reader or per prediction
+    builds = []
+    build = instances.region_plus_intervals
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(instances, "region_plus_intervals", counted)
+    if command == "verify":
+        res = invoke(["verify", str(work / "alt.inst"), "--bins", "32"])
+    else:
+        res = invoke(["distinguish", *BASE_ARGS, "--m-prime", "300", "--trials", "5",
+                      "--learner", "planted", "--seed", "3"])
+    assert res.exit_code == 0, res.output
+    assert builds == [(T, EPS, 0.04)]
 
 
 # each command's options in order, "--flag type"; the RunConfig fields among

@@ -245,16 +245,17 @@ def test_ptf_region_frozen_points():
     far = T**2 / EPS + T + 0.1
     # the last point, -T, sits on the i=-1 island that catches the atom
     u = np.array([0.0, T / 2, far, -far, -T])
-    assert ptf_region(u, T, EPS, CP).tolist() == [1, -1, 1, 1, 1]
-    assert ptf_region(np.array([-T]), T, EPS, 0.0).tolist() == [-1]  # degenerate island at c'=0
+    assert ptf_region(u, region_plus_intervals(T, EPS, CP)).tolist() == [1, -1, 1, 1, 1]
+    # degenerate island at c'=0
+    assert ptf_region(np.array([-T]), region_plus_intervals(T, EPS, 0.0)).tolist() == [-1]
 
 
 def test_ptf_region_vectorized_and_interval_count():
     u = np.array([0.0, T / 2, -T, 3.0])
-    out = ptf_region(u, T, EPS, CP)
+    region = region_plus_intervals(T, EPS, CP)
+    out = ptf_region(u, region)
     assert out.dtype == np.int8
     assert out.tolist() == [1, -1, 1, 1]
-    region = region_plus_intervals(T, EPS, CP)
     # ratio 8: positive side merges from i+1 >= 8, giving 8 blocks, the
     # negative side mirrors it, plus the island
     assert len(region.pairs) == 17
@@ -309,13 +310,14 @@ def test_plus_support_inside_plus_region():
 
 
 def test_region_aligned_edges_pure_bins():
-    edges = region_aligned_edges(T, EPS, CP, (-0.8, 0.8), max_width=0.05)
+    region = region_plus_intervals(T, EPS, CP)
+    edges = region_aligned_edges(region, (-0.8, 0.8), max_width=0.05)
     assert edges[0] == -0.8 and edges[-1] == 0.8
     assert np.all(np.diff(edges) > 0)
     assert np.max(np.diff(edges)) <= 0.05 + 1e-12
     for a, b in zip(edges[:-1], edges[1:]):
         probes = np.array([a + (b - a) * f for f in (0.25, 0.5, 0.75)])
-        signs = ptf_region(probes, T, EPS, CP)
+        signs = ptf_region(probes, region)
         assert len(set(signs.tolist())) == 1
 
 

@@ -25,6 +25,7 @@ from lwemassart.instances import (
     generate_instance,
     ptf_region,
     region_aligned_edges,
+    region_plus_intervals,
 )
 from lwemassart.learners import ConstantLearner, PlantedRegionLearner, distinguish
 from lwemassart.lwe import gen_continuous_lwe
@@ -641,6 +642,7 @@ class TestReferenceMixture:
 
 
 SIGMA_TINY = 2.5e-4 / (2.0 * (T + EPS))  # sigma_noise = 2.5e-4 = c' eps / 4
+REGION = region_plus_intervals(T, EPS, 0.04)  # the planted +1 region of desk_config
 
 
 @pytest.fixture(scope="module")
@@ -656,7 +658,7 @@ def tiny_noise_instance():
 class TestLabelNoise:
     def test_clean_instance_satisfies_bound(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
-        edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
+        edges = region_aligned_edges(REGION, (-1.3, 1.3), max_width=0.05)
         est = massart_condition_estimate(project(x, s), y, edges, eta=0.1)
         assert est.violating_mass == 0.0
         worst = max((r[4] for r in est.bins if r[2] + r[3] >= est.min_count),
@@ -665,24 +667,24 @@ class TestLabelNoise:
 
     def test_clean_instance_ptf_error(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
-        assert ptf_error_estimate(project(x, s), y, T, EPS, 0.04) <= 0.005
+        assert ptf_error_estimate(project(x, s), y, REGION) <= 0.005
 
     def test_shuffled_labels_are_flagged(self, tiny_noise_instance):
         x, y, s = tiny_noise_instance
         perm = np.random.default_rng(11).permutation(len(y))
-        edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
+        edges = region_aligned_edges(REGION, (-1.3, 1.3), max_width=0.05)
         proj = project(x, s)
         est = massart_condition_estimate(proj, y[perm], edges, eta=0.03,
                                          min_count=150)
         assert est.violating_mass > 0.3
-        assert ptf_error_estimate(proj, y[perm], T, EPS, 0.04) > 0.05
+        assert ptf_error_estimate(proj, y[perm], REGION) > 0.05
 
     def test_target_audit_catches_global_flip(self, tiny_noise_instance):
         # the minority rate per bin is flip-invariant; the rate against the
         # planted region is not, and is the audit the instances must pass
         x, y, s = tiny_noise_instance
-        edges = region_aligned_edges(T, EPS, 0.04, (-1.3, 1.3), max_width=0.05)
-        region = lambda u: ptf_region(u, T, EPS, 0.04)
+        edges = region_aligned_edges(REGION, (-1.3, 1.3), max_width=0.05)
+        region = lambda u: ptf_region(u, REGION)
         proj = project(x, s)
         flipped = massart_condition_estimate(proj, -y, edges, eta=0.1,
                                              target=region)
@@ -707,7 +709,7 @@ class TestLabelNoise:
         proj = np.concatenate([rng.uniform(edges[j], edges[j + 1], size=counts[j].sum())
                                for j in range(80)])
         labels = np.concatenate([np.repeat([1, -1], counts[j]) for j in range(80)])
-        target = (lambda u: ptf_region(u, T, EPS, 0.04)) if with_target else None
+        target = (lambda u: ptf_region(u, REGION)) if with_target else None
         est = massart_condition_estimate(proj, labels, edges, eta=0.2, min_count=10,
                                          target=target)
         ref = massart_reference(proj, labels, edges, eta=0.2, min_count=10, target=target)
@@ -735,9 +737,9 @@ class TestLabelNoise:
         ss = math.sqrt(base.signal_ratio)
         sigma_noise = math.sqrt(base.noise_ratio)
         oracle = branch_oracle(t, eps, pm.psi, pm.B, ss, sigma_noise)
-        edges = region_aligned_edges(t, eps, c_prime, (oracle.xs[0], oracle.xs[-1]))
+        edges = region_aligned_edges(cfg.region, (oracle.xs[0], oracle.xs[-1]))
         masses = oracle.bin_masses(edges)
-        plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), t, eps, c_prime) == 1
+        plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), cfg.region) == 1
         noise_sd = sigma_noise / math.sqrt(2.0 * math.pi)
         escape = 2.0 * stats.norm.sf(c_prime * eps / noise_sd)
         atom = dprime_atom_mass(t, 0.0, base.B, ss)
@@ -801,7 +803,7 @@ class TestDistinguish:
     def test_planted_learner_has_full_advantage(self):
         s = np.array([1.0, -1.0, 1.0, 1.0])
         rep = distinguish(self._make_instance(s),
-                          lambda: PlantedRegionLearner(s, T, EPS, 0.04),
+                          lambda: PlantedRegionLearner(s, REGION),
                           tau=0.25, trials=4, rng=np.random.default_rng(44))
         assert rep.advantage == 1.0
         assert max(rep.alt_errors) < 0.05
@@ -844,7 +846,7 @@ class TestDistinguish:
                                size=(m_prime, 4))
                 return x, np.where(rng.random(m_prime) < 0.2, -1, 1).astype(np.int8)
 
-            rep = distinguish(make, lambda: PlantedRegionLearner(s, T, EPS, 0.04),
+            rep = distinguish(make, lambda: PlantedRegionLearner(s, REGION),
                               tau=0.25, trials=12,
                               rng=np.random.default_rng(100 + j))
             advantages.append(rep.advantage)
