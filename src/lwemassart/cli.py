@@ -46,7 +46,6 @@ from .verify import (
     project,
     ptf_error_estimate,
     write_histogram_csv,
-    write_reports_json,
 )
 
 # verification thresholds at the desk-scale presets
@@ -193,8 +192,8 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     mconfig = config.massart_config(cfg)
     rng = np.random.default_rng(config.resolve_seed(cfg.seed))
     batch, inst = _instance(cfg, mconfig, rng, cfg.tag, batch)
-    write_labeled_file(out, inst.x, inst.labels,
-                       sidecar=config.instance_sidecar(cfg, batch, inst.consumed))
+    write_labeled_file(out, inst.x, inst.labels)
+    write_sidecar(out, config.instance_sidecar(cfg, batch, inst.consumed))
     click.echo(f"wrote {cfg.m_prime} labeled samples to {out} "
                f"(consumed {inst.consumed} of {batch.m})")
 
@@ -289,7 +288,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     else:
         reports, hist = _null_reports(x, labels, mconfig, bins, tol_l1)
     if report_path:
-        write_reports_json(report_path, reports)
+        write_json(report_path, [r.to_dict() for r in reports])
     if hist_path:
         proj, model, edges = hist  # model is the array the L1 gate read: one binning
         emp = folded_histogram(proj, edges) / len(proj)

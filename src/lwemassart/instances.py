@@ -346,8 +346,6 @@ def generate_instance(batch, config, rng):
     x = np.empty((m_prime, batch.n))
     for params, sign in ((p_plus, 1), (p_minus, -1)):
         rows = np.flatnonzero(labels == sign)
-        if rows.size == 0:
-            continue
         take = hits[rows]
         k = k_of_y(batch.y[take], params.t, params.psi)
         x[rows] = transform_accepted(batch.x[take], k, params, rng)
@@ -367,8 +365,8 @@ def secret_digest(secret):
     return hashlib.sha256(np.asarray(secret, dtype="<f8").tobytes()).hexdigest()
 
 
-def write_labeled_file(path, x, labels, sidecar=None):
-    """Binary labeled-sample file plus optional JSON sidecar.
+def write_labeled_file(path, x, labels):
+    """Binary labeled-sample file; its sidecar is written by write_sidecar.
 
     A framed file (see frames.py) with header {magic, version, n, m_prime}
     whose payload is m_prime packed records of n little-endian f8 followed
@@ -389,8 +387,6 @@ def write_labeled_file(path, x, labels, sidecar=None):
     with open(path, "wb") as fh:
         fh.write(frames.pack(LABELED_MAGIC, header))
         fh.write(rec)
-    if sidecar is not None:
-        write_sidecar(path, sidecar)
 
 
 def read_labeled_file(path):

@@ -3,10 +3,11 @@
 One input sample (x, y) with y = mod_1(<x, s> + z) either dies in one of
 two rejection steps or is reshaped into x' whose projection onto the
 hidden direction carries a discrete-Gaussian island structure determined
-by the recovered offset k, while the orthogonal part stays a plain
-Gaussian.  On null inputs (y independent of x) the same machinery outputs
-a plain standard Gaussian vector, which is what makes the construction a
-distribution-matching reduction rather than a heuristic.
+by the recovered offset k, while the orthogonal part stays Gaussian.  On
+null inputs (y independent of x) it outputs a Gaussian vector up to
+Step 3's smoothing error, a theta-function ripple of amplitude about
+2 exp(-pi sigma_scale^2) kept small by clause (iii), which is what makes
+the construction a distribution-matching reduction, not a heuristic.
 
 Steps, for one branch (t, eps, psi, B) with B inside [psi, psi+eps], a
 ReductionParams; instances.MassartConfig builds the instance's two branches
@@ -134,8 +135,6 @@ def transform_accepted(x, k, params, rng):
     over a shared sample stream before transforming each label group.
     """
     m, n = x.shape
-    if m == 0:
-        return np.empty((0, n))
     sigma_scale, sigma_add = step3_scales(k, params)
     x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
     shift = mod_1(x + x_add)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import kolmogorov, ndtr, smirnov
 
-from . import frames
 from .instances import ptf_region
 from .rejection import branch_acceptance
 
@@ -79,10 +78,6 @@ class TestReport:
         }
 
 
-def write_reports_json(path, reports):
-    frames.write_json(path, [r.to_dict() for r in reports])
-
-
 def write_histogram_csv(path, edges, columns):
     """Per-bin CSV dump: lo, hi, then one column per named series."""
     names = list(columns)
@@ -104,14 +99,16 @@ class QuadratureOracle:
 
     The law is a pdf, smooth between consecutive sorted breakpoints xs and
     zero outside [xs[0], xs[-1]], plus (location, mass) atoms; the noise
-    has width sigma_noise.  Nothing is integrated until bin_masses.
+    has width sigma_noise.  Breakpoints within 4 ulps merge, as exact ties
+    that rounding split; nothing is integrated until bin_masses.
     """
 
     def __init__(self, pdf, breakpoints, atoms, sigma_noise):
         if not (sigma_noise > 0 and all(m >= 0 for _, m in atoms)):
             raise ValueError("sigma_noise must be positive and atom masses nonnegative")
         self.pdf, self.sigma_noise = pdf, float(sigma_noise)
-        self.xs = np.unique(np.asarray(breakpoints, dtype=float))
+        xs = np.unique(np.asarray(breakpoints, dtype=float))
+        self.xs = xs[np.diff(xs, prepend=-np.inf) > 4.0 * np.spacing(np.abs(xs))]
         self.atoms = tuple((float(loc), float(m)) for loc, m in atoms)
 
     def bin_masses(self, edges):
@@ -253,9 +250,7 @@ def atom_safe_edges(lo, hi, bins, atom_locs):
     """
     edges = np.linspace(lo, hi, bins + 1)
     locs = np.asarray(atom_locs, dtype=float)
-    if locs.size == 0:
-        return edges
-    near = np.min(np.abs(edges[:, None] - locs[None, :]), axis=1) < (hi - lo) / bins / 4.0
+    near = np.min(np.abs(edges[:, None] - locs), axis=1, initial=np.inf) < (hi - lo) / bins / 4.0
     near[0] = near[-1] = False
     return edges[~near]
 

@@ -105,6 +105,17 @@ def test_massart_config_region_alone_builds_the_region():
         assert "region" in params and not params.keys() & {"t", "eps", "c_prime"}, fn
 
 
+def test_each_file_and_its_sidecar_are_written_one_way():
+    # a file writer writes its file and each command writes the sidecar beside
+    # it; reports go through frames.write_json from cli.py, never a verify wrapper
+    assert [m for m, _ in _imports(SRC / "verify.py") if m == "frames"] == []
+    (writer,) = [node for node in ast.parse((SRC / "instances.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "write_labeled_file"]
+    assert [a.arg for a in writer.args.args + writer.args.kwonlyargs] == ["path", "x", "labels"]
+    callers = [c for path in sorted(SRC.glob("*.py")) for c in _callers(path, "write_sidecar")]
+    assert sorted(callers) == ["cli.cmd_gen_instance", "cli.cmd_gen_lwe", "cli.cmd_reduce_lwe"]
+
+
 def test_config_imports_neither_click_nor_scipy():
     # the parameter rules load without the command line or the statistics stack
     found = {m.split(".")[0] for m, _ in _imports(SRC / "config.py")}

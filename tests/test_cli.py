@@ -330,7 +330,8 @@ class TestVerify:
         x, labels, _ = read_labeled_file(work / "alt.inst")
         meta = read_sidecar(work / "alt.inst")
         bad = tmp_path / "flipped.inst"
-        write_labeled_file(bad, x, -labels, sidecar=meta)
+        write_labeled_file(bad, x, -labels)
+        write_sidecar(bad, meta)
         res = CliRunner().invoke(main, ["verify", str(bad), "--bins", "32"])
         assert res.exit_code == 4
         assert "FAIL ptf-disagreement" in res.output

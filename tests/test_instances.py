@@ -29,6 +29,7 @@ from lwemassart.instances import (
     region_plus_intervals,
     secret_digest,
     write_labeled_file,
+    write_sidecar,
 )
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
 from lwemassart.lwe import gen_continuous_lwe
@@ -517,7 +518,8 @@ def test_labeled_file_round_trip(tmp_path):
     path = tmp_path / "inst.mlab"
     meta = {"t": T, "eps": EPS, "seed": 42, "tag": "alternative",
             "secret_digest": secret_digest(np.ones(5))}
-    write_labeled_file(path, x, labels, sidecar=meta)
+    write_labeled_file(path, x, labels)
+    write_sidecar(path, meta)
     x2, labels2, header = read_labeled_file(path)
     assert np.array_equal(x, x2)
     assert np.array_equal(labels, labels2)

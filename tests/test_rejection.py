@@ -292,6 +292,15 @@ def test_accept_steps_paths():
     assert out.shape == (2, 8) and np.all(np.isfinite(out))
 
 
+def test_transform_accepted_on_no_rows_draws_nothing():
+    # an empty label group goes through the general path: zero-size draws
+    # leave the generator where it was
+    rng = np.random.default_rng(44)
+    out = transform_accepted(np.empty((0, 8)), np.empty(0), desk_params(), rng)
+    assert out.shape == (0, 8)
+    assert rng.random() == np.random.default_rng(44).random()
+
+
 # SHA-256 of the f8 bytes of transform_accepted on 256 seeded rows per
 # branch of the desk-scale MassartConfig at n = 4, pinned from the scalar
 # scale arithmetic that step3_scales replaced

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from lwemassart import config
+from lwemassart import config, frames
 from lwemassart.instances import (
     MassartConfig,
     generate_instance,
@@ -47,7 +47,6 @@ from lwemassart.verify import (
     project,
     ptf_error_estimate,
     write_histogram_csv,
-    write_reports_json,
 )
 
 from oracles import (
@@ -405,6 +404,16 @@ class TestMixtureOracle:
         want = 2.0 * (cfg.t + cfg.eps) * cfg.sigma
         assert mixture_oracle(cfg).sigma_noise == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("n", [None, 64], ids=["bench", "theorem-d-64"])
+    def test_breakpoints_lie_more_than_4_ulps_apart(self, n):
+        # both branches' image ends meet up to rounding; a piece a few ulps
+        # wide holds no mass and its quadrature nodes round onto its ends
+        cfg = (desk_config(1, 0.05, sigma=5.5556e-4) if n is None else
+               config.massart_config(config.preset("theorem-d", n, 0.5, 3000, 0.01)))
+        xs = mixture_oracle(cfg).xs
+        assert len(xs) > 1000
+        assert np.all(np.diff(xs) > 4.0 * np.spacing(np.abs(xs[1:])))
+
     def test_grid_reference_converges_at_first_order(self):
         # the grid oracle's trapezoid CDF cuts across the law's jumps, so its
         # L1 to the quadrature falls with the step, not its square
@@ -507,6 +516,12 @@ class TestReductionLaw:
         assert reps[0].statistic == reps[1].statistic
         proj = np.array([0.8, 0.0, -0.3, 0.1, 2.0, -2.0, -0.8])
         assert folded_histogram(proj, edges).tolist() == [2, 1, 2, 2]
+
+    def test_atom_safe_edges_drop_only_edges_near_an_atom(self):
+        assert np.array_equal(atom_safe_edges(-0.8, 0.8, 64, []), np.linspace(-0.8, 0.8, 65))
+        # an atom drops the edge within a quarter bin of it; the outer edges stay
+        edges = atom_safe_edges(-0.8, 0.8, 64, [0.004, -0.8])
+        assert len(edges) == 64 and edges[0] == -0.8 and np.min(np.abs(edges - 0.004)) > 0.02
 
     def test_worst_bins_name_a_dropped_atom(self, tiny_noise_instance):
         # a model that lost the +1 atom at -t fails with that atom's bin first
@@ -861,7 +876,7 @@ class TestOutputs:
         rep = acceptance_rate_test(desk_params(), 2_000,
                                    np.random.default_rng(77))
         path = tmp_path / "reports.json"
-        write_reports_json(path, [rep])
+        frames.write_json(path, [rep.to_dict()])
         loaded = json.loads(path.read_text())
         assert loaded[0]["test"] == "acceptance-rate"
         assert set(loaded[0]) >= {"statistic", "threshold", "pass", "n"}
