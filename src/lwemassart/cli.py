@@ -31,7 +31,7 @@ from .instances import (
     write_sidecar,
 )
 from .learners import LEARNERS, distinguish
-from .lwe import LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
+from .lwe import ContinuousStream, LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
 from .verify import (
     TestReport,
     atom_safe_edges,
@@ -157,10 +157,15 @@ def cmd_reduce_lwe(batch_path, seed, out):
 
 
 def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
-    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry."""
+    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry.
+
+    The inline stream, capped at the stream budget, draws from its own
+    child of rng, apart from the walk's draws; positions the walk never
+    reaches are never drawn.
+    """
     if batch is None:
-        batch = gen_continuous_lwe(cfg.n, config.stream_budget(cfg), cfg.sigma, tag,
-                                   rng=rng, secret=secret)
+        batch = ContinuousStream(cfg.n, config.stream_budget(cfg), cfg.sigma, tag,
+                                 rng.spawn(1)[0], secret)
     inst = generate_instance(batch, mconfig, rng=rng)
     if not inst.ok:
         raise StreamExhausted(

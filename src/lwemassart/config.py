@@ -98,7 +98,7 @@ def massart_config(cfg):
 
 
 def stream_budget(cfg):
-    """Stream length of an inline instance: cfg.m, or 2 (t/eps) m_prime when 0."""
+    """Stream cap of an inline instance: cfg.m, or 2 (t/eps) m_prime when 0."""
     if cfg.m < 0:
         raise ValueError("m must be >= 0 (0 derives the stream budget)")
     return cfg.m if cfg.m > 0 else math.ceil(2.0 * (cfg.t / cfg.eps) * cfg.m_prime)

@@ -13,12 +13,12 @@ from which the -1 branch would populate it; build_b_minus removes the
 g-images of the +1 danger zones in float arrays, each image widened past
 its float error, so the result lies inside the exact carved set.
 
-The builder decides acceptance for every stream position, one row chunk
-at a time and keeping one boolean per position and branch, then walks
-the label sequence run by run: a run of equal labels takes the next
+The builder reads the stream one block at a time, only as far as it
+needs: it decides acceptance for the block's positions and walks the
+label sequence run by run, where a run of equal labels takes the next
 accepted positions of its branch in one slice, so consumption order (and
 with it the FAIL contract) is that of a draw-by-draw scan.  The lattice
-transform is vectorized per label group.
+transform is vectorized per label group, in bounded row blocks.
 """
 
 import hashlib
@@ -31,7 +31,6 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
-from .lwe import row_chunks
 from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
                         transform_accepted)
 
@@ -286,72 +285,82 @@ class InstanceResult:
     draws: int
 
 
-def generate_instance(batch, config, rng):
-    """Emit m' labeled samples from a torus batch, or FAIL if it runs dry.
+def generate_instance(stream, config, rng):
+    """Emit m' labeled samples from a torus stream, or FAIL if it runs dry.
 
-    Per draw: label -1 with probability eta (branch psi = t/2, B_minus),
-    else +1 (psi = 0, B_plus); stream positions are consumed in order
-    until the branch accepts.  A position rejected by one draw is spent
-    and never revisited.  If a draw needs a position past the end of the
-    batch the result is FAIL with the full batch consumed and draws the
-    number of labeled samples completed before it.
+    stream is an LweBatch or an lwe.ContinuousStream: anything on the unit
+    torus with n, m, sigma and chunks(), which yields its (x, y) rows in
+    blocks.  Per draw: label -1 with probability eta (branch psi = t/2,
+    B_minus), else +1 (psi = 0, B_plus); stream positions are consumed in
+    order until the branch accepts.  A position rejected by one draw is
+    spent and never revisited.  If a draw needs a position past the end of
+    the stream the result is FAIL with the full stream consumed and draws
+    the number of labeled samples completed before it.
 
-    The walk goes run by run over maximal runs of equal labels: a run of
-    L draws takes the first L accepted positions of its branch at or past
-    the current position, which is exactly what L single draws would take.
-    Steps 1-2 run per row chunk, so the pass keeps two booleans per
-    stream position and no float; the offsets k are recomputed at the
-    taken positions only.
+    The walk goes block by block and, inside a block, run by run over
+    maximal runs of equal labels: a run of L draws takes the first L
+    accepted positions of its branch at or past the current position,
+    which is exactly what L single draws would take.  A block's taken x
+    and y rows are gathered in one index; no array as long as the stream
+    is held, and no block past the one that completes draw m' is read.
 
-    Randomness order is fixed (labels, per-position keep uniforms, +1
-    group transform, -1 group transform) so one seed reproduces the
-    instance bit for bit.
+    Randomness order is fixed so one seed reproduces the instance bit for
+    bit: labels, then one keep uniform per position of each block the walk
+    reaches, in stream order, then the +1 group transform and the -1 group
+    transform (transform_accepted's order, block by block).  A stream's
+    own draws come from its own generator.
     """
     p_plus = config.params_plus
     p_minus = config.params_minus
-    if batch.domain != "unit_torus":
+    if stream.domain != "unit_torus":
         raise ValueError("instance builder needs a unit_torus batch")
-    if not math.isclose(batch.sigma, p_plus.sigma, rel_tol=1e-9):
+    if not math.isclose(stream.sigma, p_plus.sigma, rel_tol=1e-9):
         raise ValueError(
-            f"batch sigma {batch.sigma} does not match params sigma {p_plus.sigma}"
+            f"batch sigma {stream.sigma} does not match params sigma {p_plus.sigma}"
         )
-    if batch.n != p_plus.n:
+    if stream.n != p_plus.n:
         raise ValueError("batch dimension does not match params")
 
     m_prime = config.m_prime
     labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
-    ok_plus = np.empty(batch.m, dtype=bool)
-    ok_minus = np.empty(batch.m, dtype=bool)
-    for c in row_chunks(batch.m):
-        y = batch.y[c]
-        u_keep = rng.random(len(y))
-        ok_plus[c] = accept_steps(y, u_keep, p_plus)[1]
-        ok_minus[c] = accept_steps(y, u_keep, p_minus)[1]
-    accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
-
-    hits = np.empty(m_prime, dtype=np.int64)
-    pos = 0
     cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
-    for a, b in zip([0] + cuts, cuts + [m_prime]):
-        idx = accepted[int(labels[a])]
-        j = int(idx.searchsorted(pos))
-        if j + (b - a) > len(idx):
-            return InstanceResult(
-                ok=False, x=None, labels=None, consumed=batch.m,
-                draws=a + len(idx) - j,
-            )
-        hits[a:b] = idx[j : j + (b - a)]
-        pos = int(hits[b - 1]) + 1
+    runs = iter(zip([0] + cuts, cuts + [m_prime]))
+    a, b = next(runs)
+    # the taken rows in draw order; Step 3 replaces x's rows group by group
+    x = np.empty((m_prime, stream.n))
+    y = np.empty(m_prime)
+    done = 0  # draws completed
+    base = 0  # stream position of the block's first row
+    for xb, yb in stream.chunks():
+        u_keep = rng.random(len(yb))
+        accepted = {1: np.flatnonzero(accept_steps(yb, u_keep, p_plus)[1]),
+                    -1: np.flatnonzero(accept_steps(yb, u_keep, p_minus)[1])}
+        hits, pos, first = [], 0, done
+        while done < m_prime:
+            idx = accepted[int(labels[a])]
+            j = int(idx.searchsorted(pos))
+            take = idx[j : j + (b - done)]
+            hits.append(take)
+            done += len(take)
+            if done < b:  # the run goes on in the next block
+                break
+            pos = int(take[-1]) + 1
+            if b < m_prime:
+                a, b = next(runs)
+        hits = np.concatenate(hits)
+        x[first:done] = xb[hits]
+        y[first:done] = yb[hits]
+        if done == m_prime:
+            break
+        base += len(yb)
+    else:
+        return InstanceResult(ok=False, x=None, labels=None, consumed=stream.m, draws=done)
 
-    x = np.empty((m_prime, batch.n))
     for params, sign in ((p_plus, 1), (p_minus, -1)):
         rows = np.flatnonzero(labels == sign)
-        take = hits[rows]
-        k = k_of_y(batch.y[take], params.t, params.psi)
-        x[rows] = transform_accepted(batch.x[take], k, params, rng)
-    return InstanceResult(
-        ok=True, x=x, labels=labels, consumed=pos, draws=m_prime
-    )
+        k = k_of_y(y[rows], params.t, params.psi)
+        x[rows] = transform_accepted(x[rows], k, params, rng)
+    return InstanceResult(ok=True, x=x, labels=labels, consumed=base + pos, draws=m_prime)
 
 
 # ---------------------------------------------------------------- file I/O

@@ -7,6 +7,11 @@ y = mod(<x, s> + noise) stays exactly checkable after every transform.
 Every <x, s> is signed_sum's fixed left-to-right sum, never BLAS's, so a
 seed gives the same bytes under any BLAS build or CPU kernel.
 
+ContinuousStream draws continuous unit-torus samples block by block, only
+as far as a reader takes them, so an instance built from it holds no array
+as long as the stream; gen_continuous_lwe writes the same blocks into one
+batch.
+
 run_chain turns classic modular LWE with a {±1}^n secret into
 continuous unit-torus LWE in one pass of three steps, recorded in the
 batch history as noise-add (blur the label), sample-add (blur the
@@ -15,6 +20,7 @@ indistinguishable from direct continuous generation at the matched scale,
 which is the module's master property and is tested as such.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,8 +40,9 @@ from .gaussians import (
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
 
-# Rows per step of a pass over a whole stream (run_chain here, the
-# instance builder's accept pass): scratch stays O(CHUNK_ROWS) rows.
+# Rows per step of a pass over a whole stream (run_chain and the stream's
+# blocks here, the instance builder's accept walk): scratch stays
+# O(CHUNK_ROWS) rows.
 CHUNK_ROWS = 1 << 16
 
 
@@ -130,6 +137,11 @@ class LweBatch:
     def m(self):
         return self.x.shape[0]
 
+    def chunks(self):
+        """(x, y) row views of the batch, CHUNK_ROWS rows at a time, as a stream yields them."""
+        for c in row_chunks(self.m):
+            yield self.x[c], self.y[c]
+
     # ------------------------------------------------------------- file io
     #
     # A framed file (see frames.py) whose payload is secret (n values, when
@@ -208,32 +220,91 @@ def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
     if tag == "alternative":
         s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
         z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
-        y = mod_q(signed_sum(x, s) + z, q)
+        y = np.empty(m)
+        for c in row_chunks(m):  # a chunk's columns stay in cache across the sum
+            y[c] = mod_q(signed_sum(x[c], s) + z[c], q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
     y = rng.integers(0, q, size=m).astype(float)
     return LweBatch(x, y, "mod_q", tag, sigma, q=q)
 
 
-def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
-    """Continuous unit-torus LWE batch.
+class ContinuousStream:
+    """Continuous unit-torus LWE samples, drawn CHUNK_ROWS positions at a time on demand.
 
     Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
-    z continuous Gaussian at scale sigma, y = mod_1(<x, s> + z).
-    Null: x and y uniform and independent.
+    z continuous Gaussian at scale sigma, y = mod_1(<x, s> + z).  Null: x
+    and y uniform and independent.  m caps the stream; nothing here costs
+    O(m).
+
+    The values are those of one whole-array draw from rng: x (m n
+    uniforms), then the secret, then z (or the null y).  A uniform takes
+    one step of rng's PCG64, so at construction x gets a copy of rng and
+    rng jumps m n steps (PCG64.advance) to draw the secret; chunks() then
+    reads each block's x from the copy and its z from rng.  After a full
+    read rng stands where the whole-array draw leaves it.  The stream is
+    read once.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    x = rng.uniform(size=(m, n))
-    if tag == "alternative":
-        s = (2.0 * rng.integers(0, 2, size=n) - 1.0 if secret is None
-             else np.asarray(secret, dtype=float))  # LweBatch checks it
-        z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
-        y = mod_1(signed_sum(x, s) + z)
-        return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
-    y = rng.uniform(size=m)
-    return LweBatch(x, y, "unit_torus", tag, sigma)
+
+    domain = "unit_torus"
+
+    def __init__(self, n, m, sigma, tag, rng, secret=None):
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError("sigma must be positive")
+        if n < 1 or m < 1:
+            raise ValueError("n and m must be >= 1")
+        if tag not in ("null", "alternative"):
+            raise ValueError("tag must be 'null' or 'alternative'")
+        bits = rng.bit_generator
+        if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+            raise ValueError("a continuous stream needs a PCG64 generator, as default_rng makes")
+        self.n, self.m, self.sigma, self.tag = n, m, sigma, tag
+        self._x_rng = np.random.Generator(copy.deepcopy(bits))
+        self._rng = rng
+        state = bits.state
+        bits.advance(int(m) * int(n))
+        # advance drops the buffered 32-bit half-word, which uniforms never touch
+        bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                      "uinteger": state["uinteger"]}
+        self.secret = None
+        if tag == "alternative":
+            self.secret = (2.0 * rng.integers(0, 2, size=n) - 1.0 if secret is None
+                           else np.asarray(secret, dtype=float))
+            if self.secret.shape != (n,) or not np.all(np.abs(self.secret) == 1.0):
+                raise ValueError("secret must be a ±1 vector of length n")
+        self._read = False
+
+    def blocks(self):
+        """(x, y, z) per block of up to CHUNK_ROWS positions, each drawn when reached.
+
+        z is the alternative's noise and None on a null stream.
+        """
+        if self._read:
+            raise ValueError("a stream is read once")
+        self._read = True
+        for a in range(0, self.m, CHUNK_ROWS):
+            x = self._x_rng.uniform(size=(min(CHUNK_ROWS, self.m - a), self.n))
+            if self.secret is None:
+                yield x, self._rng.uniform(size=len(x)), None
+            else:
+                z = sample_continuous(1, self.sigma, rng=self._rng, size=len(x))[:, 0]
+                yield x, mod_1(signed_sum(x, self.secret) + z), z
+
+    def chunks(self):
+        """(x, y) blocks of up to CHUNK_ROWS positions, each drawn when reached."""
+        for x, y, _ in self.blocks():
+            yield x, y
+
+
+def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
+    """Continuous unit-torus LWE batch: a ContinuousStream's m positions in one batch."""
+    stream = ContinuousStream(n, m, sigma, tag, rng, secret)
+    x, y = np.empty((m, n)), np.empty(m)
+    noise = None if stream.secret is None else np.empty(m)
+    for c, (xb, yb, zb) in zip(row_chunks(m), stream.blocks()):
+        x[c], y[c] = xb, yb
+        if noise is not None:
+            noise[c] = zb
+    return LweBatch(x, y, "unit_torus", tag, sigma, secret=stream.secret, noise=noise)
 
 
 # ------------------------------------------------------------- the chain

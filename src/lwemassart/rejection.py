@@ -27,6 +27,7 @@ import numpy as np
 
 from .gaussians import mod_1, sample_lattice_rows
 from .intervals import IntervalSet
+from .lwe import CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,22 @@ def transform_accepted(x, k, params, rng):
 
     Used directly by the instance builder, which runs its own accept walk
     over a shared sample stream before transforming each label group.
+    Rows go through in blocks of at most CHUNK_ROWS // n, each drawing its
+    x_add, then its lattice rows, so the sampler's scratch is O(CHUNK_ROWS)
+    whatever the number of rows; up to one block the order is that of a
+    whole-array draw.
     """
     m, n = x.shape
-    sigma_scale, sigma_add = step3_scales(k, params)
-    x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
-    shift = mod_1(x + x_add)
-    sig_rows = np.repeat(sigma_scale, n)
-    w = sample_lattice_rows(shift.ravel(), sig_rows, rng=rng).reshape(m, n)
-    return w / sigma_scale[:, None]
+    step = max(1, CHUNK_ROWS // n)
+    out = np.empty((m, n))
+    for a in range(0, m, step):
+        xb, kb = x[a : a + step], k[a : a + step]
+        sigma_scale, sigma_add = step3_scales(kb, params)
+        x_add = rng.normal(size=xb.shape) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
+        shift = mod_1(xb + x_add)
+        w = sample_lattice_rows(shift.ravel(), np.repeat(sigma_scale, n), rng=rng)
+        out[a : a + step] = w.reshape(-1, n) / sigma_scale[:, None]
+    return out
 
 
 def branch_acceptance(t, psi, B):

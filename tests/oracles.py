@@ -11,8 +11,9 @@ closed form replaced), the uniform-offset law, single-branch oracles built
 on that loop, a second quadrature of the
 mixture's bin masses, the per-bin Massart audit, the acceptance-rate
 check, the uniform-offset reference sampler, and whole-array copies of
-the continuization chain and of the instance builder, both of which the
-library runs in row chunks.  They call the library's row sampler and accept/transform
+the continuous LWE draw, the continuization chain, the instance
+builder's walk and the Step-3 transform, all of which the library runs in
+row chunks.  They call the library's row sampler and accept/transform
 steps, so a test that compares them with a command's output checks the
 command's own walk against a second, simpler one.
 """
@@ -33,10 +34,17 @@ from lwemassart.gaussians import (
     sample_lattice_rows,
 )
 from lwemassart.instances import InstanceResult
-from lwemassart.lwe import ContinuizationStep, LweBatch, default_chain_scales, gen_continuous_lwe
+from lwemassart.lwe import (
+    CHUNK_ROWS,
+    ContinuizationStep,
+    LweBatch,
+    default_chain_scales,
+    gen_continuous_lwe,
+)
 from lwemassart.rejection import (
     accept_steps,
     branch_acceptance,
+    step3_scales,
     transform_accepted,
 )
 from lwemassart.verify import (
@@ -149,29 +157,58 @@ def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
     )
 
 
-def generate_instance_reference(batch, config, rng):
-    """instances.generate_instance with Steps 1-2 over the whole stream at once.
+def gen_continuous_lwe_reference(n, m, sigma, tag, rng):
+    """gen_continuous_lwe as one whole-array draw: x, then s, then z (or the null y)."""
+    x = rng.uniform(size=(m, n))
+    if tag == "alternative":
+        s = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
+        y = mod_1(sum(x[:, j] * s[j] for j in range(n)) + z)
+        return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
+    return LweBatch(x, rng.uniform(size=m), "unit_torus", tag, sigma)
 
-    One draw of all the keep uniforms, and both branches' offsets k kept
-    for every position; the run-by-run walk and the transforms are the
-    library's, so the outcome matches it bit for bit.
+
+def transform_accepted_reference(x, k, params, rng):
+    """Step 3 over all rows in one draw: x_add for every row, then every lattice row."""
+    m, n = x.shape
+    sigma_scale, sigma_add = step3_scales(k, params)
+    x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
+    w = sample_lattice_rows(mod_1(x + x_add).ravel(), np.repeat(sigma_scale, n), rng=rng)
+    return w.reshape(m, n) / sigma_scale[:, None]
+
+
+def generate_instance_reference(batch, config, rng):
+    """instances.generate_instance with Steps 1-2 over the reached prefix at once.
+
+    Whenever a run needs more accepted positions than the prefix holds,
+    the keep uniforms of one more CHUNK_ROWS block are drawn and both
+    branches' offsets k and decisions are recomputed over the whole
+    prefix; the walk then searches prefix-wide index arrays.  Only the
+    transforms are the library's, so the outcome matches it bit for bit.
     """
     p_plus, p_minus = config.params_plus, config.params_minus
     m_prime = config.m_prime
     labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
-    u_keep = rng.random(batch.m)
-    k_plus, ok_plus = accept_steps(batch.y, u_keep, p_plus)
-    k_minus, ok_minus = accept_steps(batch.y, u_keep, p_minus)
-    accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
+    u_keep = np.empty(0)
+    accepted = {1: np.empty(0, dtype=np.int64), -1: np.empty(0, dtype=np.int64)}
     hits = np.empty(m_prime, dtype=np.int64)
     pos = 0
     cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
     for a, b in zip([0] + cuts, cuts + [m_prime]):
-        idx = accepted[int(labels[a])]
-        j = int(idx.searchsorted(pos))
-        if j + (b - a) > len(idx):
-            return InstanceResult(ok=False, x=None, labels=None, consumed=batch.m,
-                                  draws=a + len(idx) - j)
+        while True:
+            idx = accepted[int(labels[a])]
+            j = int(idx.searchsorted(pos))
+            if j + (b - a) <= len(idx):
+                break
+            if len(u_keep) == batch.m:
+                return InstanceResult(ok=False, x=None, labels=None, consumed=batch.m,
+                                      draws=a + len(idx) - j)
+            u_keep = np.concatenate(
+                (u_keep, rng.random(min(CHUNK_ROWS, batch.m - len(u_keep)))))
+            y = batch.y[: len(u_keep)]
+            k_plus, ok_plus = accept_steps(y, u_keep, p_plus)
+            k_minus, ok_minus = accept_steps(y, u_keep, p_minus)
+            accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
         hits[a:b] = idx[j : j + (b - a)]
         pos = int(hits[b - 1]) + 1
     x = np.empty((m_prime, batch.n))

@@ -1,10 +1,11 @@
 """The row-chunked stream passes against their whole-array references.
 
-run_chain and the instance builder's Steps 1-2 pass walk the stream in
-row chunks of lwe.CHUNK_ROWS.  Split normal/uniform draws and per-chunk
-sums must reproduce the whole-array values exactly, at every stream
-length around a chunk boundary, and the passes must not hold
-whole-stream float temporaries.
+run_chain, the continuous stream, the instance builder's walk and the
+Step-3 transform go in row chunks of lwe.CHUNK_ROWS.  Split
+normal/uniform draws and per-chunk sums must reproduce the whole-array
+values exactly, at every stream length around a chunk boundary, and the
+passes must not hold whole-stream float temporaries.  An instance drawn
+from a ContinuousStream must hold no memory that grows with the cap.
 """
 
 import tracemalloc
@@ -15,12 +16,19 @@ import pytest
 from lwemassart.instances import MassartConfig, generate_instance
 from lwemassart.lwe import (
     CHUNK_ROWS,
+    ContinuousStream,
     gen_classic_lwe,
     gen_continuous_lwe,
     row_chunks,
     run_chain,
 )
-from oracles import generate_instance_reference, run_chain_reference
+from lwemassart.rejection import transform_accepted
+from oracles import (
+    gen_continuous_lwe_reference,
+    generate_instance_reference,
+    run_chain_reference,
+    transform_accepted_reference,
+)
 
 C = CHUNK_ROWS
 SIZES = [1, C - 1, C, C + 1, C + 2, 2 * C + 7]
@@ -99,11 +107,98 @@ def test_run_chain_peak_is_output_plus_chunk_scratch():
 
 def test_accept_pass_holds_no_float_per_stream_position():
     # a float64 array of the stream's length alone is 8 m bytes; the
-    # chunked pass keeps two booleans per position, the accepted indices
-    # and O(CHUNK_ROWS) scratch
+    # walk keeps one block's accepted indices and O(CHUNK_ROWS) scratch
     m = 2_000_000
     batch = gen_continuous_lwe(2, m, SIGMA, "null", rng=np.random.default_rng(4))
     res, peak = traced_peak(generate_instance, batch, desk_config(2, 200),
                             rng=np.random.default_rng(5))
     assert res.ok
     assert peak < 8 * m, peak / (8 * m)
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", SIZES)
+def test_stream_blocks_are_the_whole_array_draw(tag, m):
+    rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+    # three 32-bit draws leave half of a 64-bit step buffered for the secret
+    for g in (rng, ref_rng):
+        g.integers(0, 2, size=3)
+    stream = ContinuousStream(3, m, SIGMA, tag, rng)
+    ref = gen_continuous_lwe_reference(3, m, SIGMA, tag, ref_rng)
+    assert (stream.secret is None) == (ref.secret is None)
+    if ref.secret is not None:
+        assert stream.secret.tobytes() == ref.secret.tobytes()
+    blocks = list(stream.blocks())
+    assert [len(x) for x, _, _ in blocks] == [c.stop - c.start for c in row_chunks(m)]
+    for c, (x, y, z) in zip(row_chunks(m), blocks):
+        assert x.tobytes() == ref.x[c].tobytes()
+        assert y.tobytes() == ref.y[c].tobytes()
+        assert (z is None) == (ref.noise is None)
+        if z is not None:
+            assert z.tobytes() == ref.noise[c].tobytes()
+    # a full read leaves the generator where the whole-array draw does
+    assert rng.random() == ref_rng.random()
+    with pytest.raises(ValueError, match="read once"):
+        next(stream.chunks())
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", SIZES)
+def test_on_demand_instance_equals_materialized(tag, m):
+    # the build on a stream read block by block is the build on the batch
+    # that gen_continuous_lwe writes from the same seed, FAIL included
+    for m_prime in (max(1, m // 20), max(1, m // 8)):
+        cfg = desk_config(2, m_prime)
+        lazy = generate_instance(ContinuousStream(2, m, SIGMA, tag, np.random.default_rng(m)),
+                                 cfg, rng=np.random.default_rng(3))
+        full = generate_instance(gen_continuous_lwe(2, m, SIGMA, tag,
+                                                    rng=np.random.default_rng(m)),
+                                 cfg, rng=np.random.default_rng(3))
+        assert (lazy.ok, lazy.consumed, lazy.draws) == (full.ok, full.consumed, full.draws)
+        if full.ok:
+            assert lazy.labels.tobytes() == full.labels.tobytes()
+            assert lazy.x.tobytes() == full.x.tobytes()
+
+
+def test_stream_refuses_a_generator_it_cannot_jump():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(ValueError, match="PCG64"):
+        ContinuousStream(2, 10, SIGMA, "null", rng)
+
+
+def test_inline_build_peak_does_not_grow_with_the_cap():
+    # the walk reads about 26k positions either way; the cap only moves
+    # where the noise draws start
+    cfg = desk_config(4, 2000)
+    peaks = []
+    for cap in (200_000, 2_000_000):
+        def build():
+            stream = ContinuousStream(4, cap, SIGMA, "alternative", np.random.default_rng(6))
+            return generate_instance(stream, cfg, rng=np.random.default_rng(7))
+
+        res, peak = traced_peak(build)
+        assert res.ok and res.consumed < C
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_transform_runs_in_chunk_blocks():
+    # 2 C rows at n = 4 are 8 blocks of C // 4 rows: the same values as
+    # the whole-array draw on each block in turn, in O(C) scratch where
+    # the whole-array draw's scratch grows with the rows
+    n, step = 4, C // 4
+    params = desk_config(n, 10).params_plus
+    data = np.random.default_rng(8)
+    x = data.random((2 * C, n))
+    k = params.eps * data.random(2 * C)
+    out, peak = traced_peak(transform_accepted, x, k, params, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    ref = np.concatenate([transform_accepted_reference(x[a : a + step], k[a : a + step],
+                                                       params, rng)
+                          for a in range(0, 2 * C, step)])
+    assert out.tobytes() == ref.tobytes()
+    slack = 24 * C * 8
+    assert peak <= out.nbytes + slack, (peak - out.nbytes) / slack
+    _, whole = traced_peak(transform_accepted_reference, x, k, params,
+                           np.random.default_rng(9))
+    assert whole > out.nbytes + slack

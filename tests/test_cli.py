@@ -9,6 +9,7 @@ import errno
 import json
 import math
 import shutil
+import time
 
 import click
 import numpy as np
@@ -198,6 +199,18 @@ class TestGenInstance:
         assert res.exit_code == 3
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
+
+    def test_huge_cap_draws_only_what_the_walk_reads(self, tmp_path):
+        # the inline stream is drawn on demand: a cap of 10^15 positions
+        # costs nothing until the walk reaches it, and the sidecar records it
+        out = tmp_path / "i.inst"
+        t0 = time.perf_counter()
+        res = invoke(["gen-instance", *BASE_ARGS, "--m", str(10**15), "--m-prime", "2000",
+                      "--seed", "1", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert time.perf_counter() - t0 < 10.0
+        meta = read_sidecar(out)
+        assert meta["m"] == 10**15 and meta["consumed"] < 10**5
 
     def test_exhausted_stream_states_the_expected_use(self, tmp_path):
         res = CliRunner().invoke(

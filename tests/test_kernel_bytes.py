@@ -49,7 +49,7 @@ COMMANDS = [
 PINNED = {
     "continuous.lwe": "98451b3b9d6d9c3bfde4201fe1f2186cd3f1c7fa10c82fb7f29ac8ca73cdc3a1",
     "torus.lwe": "e147031307f03cdcc7f4f6505d6fc1e8f67f277c825aa55ef0c93a71b7edb4f7",
-    "alternative.inst": "caa7c2e3315c764dfa8b4d11c4420d5c5406a541eca3f5a5dcd6a26b6fd244fa",
+    "alternative.inst": "b985f2dde85f7f7da3b32dd483f8e424c9083de7bc3052f0aadd86cea9124964",
 }
 
 
