@@ -13,6 +13,7 @@ outcome of the generator, distinct from an error), 4 verification failed.
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import click
@@ -74,6 +75,16 @@ class _FloatRange(click.FloatRange):
         return value
 
 
+class _OutPath(click.Path):
+    """An output file: a missing or unwritable directory fails as the flags are parsed."""
+
+    def convert(self, value, param, ctx):
+        parent = os.path.dirname(os.path.abspath(super().convert(value, param, ctx)))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            self.fail(f"directory {parent} does not exist or is not writable", param, ctx)
+        return value
+
+
 _CONFIG_OPT = click.option("--config", "config_path",
                            type=click.Path(exists=True, dir_okay=False),
                            default=None, help="RunConfig JSON; flags override it.")
@@ -125,7 +136,7 @@ def main():
 @_CONFIG_OPT
 @_config_options("kind", "tag", "n", "m", "q", "sigma")
 @_SEED_OPT
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OutPath(), required=True)
 def cmd_gen_lwe(config_path, out, **flags):
     """Write an LWE sample batch (binary) plus a JSON metadata sidecar."""
     cfg = config.RunConfig.load(config_path, **flags)
@@ -143,7 +154,7 @@ def cmd_gen_lwe(config_path, out, **flags):
 @main.command("reduce-lwe")
 @click.argument("batch_path", type=click.Path(exists=True, dir_okay=False))
 @_SEED_OPT
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OutPath(), required=True)
 def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     seed = config.resolve_seed(seed)
@@ -157,21 +168,18 @@ def cmd_reduce_lwe(batch_path, seed, out):
 
 
 def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
-    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry.
-
-    The inline stream, capped at the stream budget, draws from its own
-    child of rng, apart from the walk's draws; positions the walk never
-    reaches are never drawn.
-    """
+    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry."""
+    more = "a longer batch that starts with this one"
     if batch is None:
-        batch = ContinuousStream(cfg.n, config.stream_budget(cfg), cfg.sigma, tag,
-                                 rng.spawn(1)[0], secret)
+        batch = ContinuousStream(cfg.n, config.stream_budget(cfg), cfg.sigma, tag, rng, secret)
+        more = "a larger --m"
     inst = generate_instance(batch, mconfig, rng=rng)
     if not inst.ok:
         raise StreamExhausted(
             f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
             f"({inst.draws} of {cfg.m_prime} labeled samples produced); expected use "
-            f"m'((1-eta)/p+ + eta/p-) = {mconfig.expected_use:,.0f}"
+            f"m'((1-eta)/p+ + eta/p-) = {mconfig.expected_use:,.0f}; the same seed with "
+            f"{more} replays this walk and carries it on"
         )
     return batch, inst
 
@@ -183,7 +191,7 @@ def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
               help="Unit-torus batch file; omitted: generate inline from config.")
 @_config_options("tag", "n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime")
 @_SEED_OPT
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OutPath(), required=True)
 def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     batch = None
@@ -275,9 +283,9 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
 
 @main.command("verify")
 @click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--report", "report_path", type=click.Path(), default=None,
+@click.option("--report", "report_path", type=_OutPath(), default=None,
               help="Write the JSON report array here (default: stdout only).")
-@click.option("--hist", "hist_path", type=click.Path(), default=None,
+@click.option("--hist", "hist_path", type=_OutPath(), default=None,
               help="Write the projection histogram (empirical vs model) CSV.")
 @click.option("--bins", type=int, default=64, help="Histogram bins, from 1 to m'.")
 @click.option("--tol-l1", type=_FloatRange(min=0.0), default=TOL_L1)
@@ -312,7 +320,7 @@ def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
                  "trials", "learner")
 @click.option("--min-advantage", type=_FloatRange(-1.0, 1.0), default=None,
               help="Exit 4 when the advantage falls below this.")
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@click.option("--report", "report_path", type=_OutPath(), default=None)
 @_SEED_OPT
 def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     """Paired-trial advantage of a learner between the two hypotheses."""
@@ -367,7 +375,7 @@ def cmd_preset_list():
 @click.option("--m-prime", type=click.IntRange(min=1), default=100_000)
 @click.option("--delta", type=_FloatRange(0.0, 1.0, min_open=True, max_open=True),
               default=0.01)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=_OutPath(), required=True)
 def cmd_preset_apply(name, n, zeta, m_prime, delta, out):
     """Write the preset's RunConfig JSON; report its parameter condition and stream use."""
     cfg = config.preset(name, n, zeta, m_prime, delta)

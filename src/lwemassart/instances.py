@@ -31,6 +31,7 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
+from .lwe import CHUNK_ROWS
 from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
                         transform_accepted)
 
@@ -290,12 +291,12 @@ def generate_instance(stream, config, rng):
 
     stream is an LweBatch or an lwe.ContinuousStream: anything on the unit
     torus with n, m, sigma and chunks(), which yields its (x, y) rows in
-    blocks.  Per draw: label -1 with probability eta (branch psi = t/2,
-    B_minus), else +1 (psi = 0, B_plus); stream positions are consumed in
-    order until the branch accepts.  A position rejected by one draw is
-    spent and never revisited.  If a draw needs a position past the end of
-    the stream the result is FAIL with the full stream consumed and draws
-    the number of labeled samples completed before it.
+    CHUNK_ROWS-row blocks.  Per draw: label -1 with probability eta (branch
+    psi = t/2, B_minus), else +1 (psi = 0, B_plus); stream positions are
+    consumed in order until the branch accepts.  A position rejected by one
+    draw is spent and never revisited.  If a draw needs a position past the
+    end of the stream the result is FAIL with the full stream consumed and
+    draws the number of labeled samples completed before it.
 
     The walk goes block by block and, inside a block, run by run over
     maximal runs of equal labels: a run of L draws takes the first L
@@ -305,10 +306,10 @@ def generate_instance(stream, config, rng):
     is held, and no block past the one that completes draw m' is read.
 
     Randomness order is fixed so one seed reproduces the instance bit for
-    bit: labels, then one keep uniform per position of each block the walk
-    reaches, in stream order, then the +1 group transform and the -1 group
-    transform (transform_accepted's order, block by block).  A stream's
-    own draws come from its own generator.
+    bit: labels, then CHUNK_ROWS keep uniforms per block reached (a short
+    last block uses a prefix), then the +1 and the -1 group transforms
+    (transform_accepted's order), so the instance does not depend on the
+    stream's length past `consumed`.  A stream draws from its own generator.
     """
     p_plus = config.params_plus
     p_minus = config.params_minus
@@ -332,7 +333,7 @@ def generate_instance(stream, config, rng):
     done = 0  # draws completed
     base = 0  # stream position of the block's first row
     for xb, yb in stream.chunks():
-        u_keep = rng.random(len(yb))
+        u_keep = rng.random(CHUNK_ROWS)[: len(yb)]
         accepted = {1: np.flatnonzero(accept_steps(yb, u_keep, p_plus)[1]),
                     -1: np.flatnonzero(accept_steps(yb, u_keep, p_minus)[1])}
         hits, pos, first = [], 0, done

@@ -20,7 +20,6 @@ indistinguishable from direct continuous generation at the matched scale,
 which is the module's master property and is tested as such.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -236,13 +235,11 @@ class ContinuousStream:
     and y uniform and independent.  m caps the stream; nothing here costs
     O(m).
 
-    The values are those of one whole-array draw from rng: x (m n
-    uniforms), then the secret, then z (or the null y).  A uniform takes
-    one step of rng's PCG64, so at construction x gets a copy of rng and
-    rng jumps m n steps (PCG64.advance) to draw the secret; chunks() then
-    reads each block's x from the copy and its z from rng.  After a full
-    read rng stands where the whole-array draw leaves it.  The stream is
-    read once.
+    x and z (or the null y) each come from their own child of rng
+    (rng.spawn(2)), read in stream order, and the secret from rng itself.
+    So position i's values do not depend on m or on where the blocks
+    split: a stream with a larger cap starts with this one's positions.
+    The stream is read once.
     """
 
     domain = "unit_torus"
@@ -254,17 +251,8 @@ class ContinuousStream:
             raise ValueError("n and m must be >= 1")
         if tag not in ("null", "alternative"):
             raise ValueError("tag must be 'null' or 'alternative'")
-        bits = rng.bit_generator
-        if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-            raise ValueError("a continuous stream needs a PCG64 generator, as default_rng makes")
         self.n, self.m, self.sigma, self.tag = n, m, sigma, tag
-        self._x_rng = np.random.Generator(copy.deepcopy(bits))
-        self._rng = rng
-        state = bits.state
-        bits.advance(int(m) * int(n))
-        # advance drops the buffered 32-bit half-word, which uniforms never touch
-        bits.state = {**bits.state, "has_uint32": state["has_uint32"],
-                      "uinteger": state["uinteger"]}
+        self._x_rng, self._z_rng = rng.spawn(2)
         self.secret = None
         if tag == "alternative":
             self.secret = (2.0 * rng.integers(0, 2, size=n) - 1.0 if secret is None
@@ -284,9 +272,9 @@ class ContinuousStream:
         for a in range(0, self.m, CHUNK_ROWS):
             x = self._x_rng.uniform(size=(min(CHUNK_ROWS, self.m - a), self.n))
             if self.secret is None:
-                yield x, self._rng.uniform(size=len(x)), None
+                yield x, self._z_rng.uniform(size=len(x)), None
             else:
-                z = sample_continuous(1, self.sigma, rng=self._rng, size=len(x))[:, 0]
+                z = sample_continuous(1, self.sigma, rng=self._z_rng, size=len(x))[:, 0]
                 yield x, mod_1(signed_sum(x, self.secret) + z), z
 
     def chunks(self):
@@ -329,7 +317,7 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
     The three steps, each recorded in history:
 
     - noise-add: y <- mod_q(y + e), e continuous at the scale that lifts
-      the batch noise from sigma to sigma_target (drawn first);
+      the batch noise from sigma to sigma_target;
     - sample-add: x <- mod_q(x + x'), x' per-coordinate Gaussian at
       sigma_coord.  Through the ±1 secret the displacement feeds the label
       relation, so the noise becomes sqrt(sigma_target^2 + n sigma_coord^2)
@@ -338,10 +326,10 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
       untouched, so y = mod_1(<x, s> + noise) holds verbatim.
 
     Omitted scales come from default_chain_scales.  The input batch is
-    left as it was; one LweBatch is built.  x' is drawn and added one row
-    chunk at a time into the output, so beside the input and the output
-    the pass holds e (m values, dropped once y is made) and O(CHUNK_ROWS)
-    rows of scratch.
+    left as it was; one LweBatch is built.  e and x' each come from their
+    own child of rng (rng.spawn(2)), read in row order, and are drawn and
+    added one row chunk at a time into the output, so beside the input and
+    the output the pass holds O(CHUNK_ROWS) rows of scratch.
     """
     if batch.domain != "mod_q":
         raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
@@ -357,17 +345,19 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
         raise ValueError("the chain needs integer sample support")
     q = float(batch.q)
     sigma_add = math.sqrt(st**2 - batch.sigma**2)
-    e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
-    noise = None if batch.noise is None else batch.noise + e
+    e_rng, x_rng = rng.spawn(2)
     # the sums go into fresh buffers, never into the input's
-    e += batch.y
-    y = mod_q(e, batch.q)
-    del e
-    x = np.empty((batch.m, batch.n))
+    x, y = np.empty((batch.m, batch.n)), np.empty(batch.m)
+    noise = None if batch.noise is None else np.empty(batch.m)
     for c in chunks:
-        xp = sample_continuous(batch.n, sc, rng=rng, size=c.stop - c.start)
-        if noise is not None and batch.secret is not None:
-            noise[c] -= signed_sum(xp, batch.secret)
+        e = sample_continuous(1, sigma_add, rng=e_rng, size=c.stop - c.start)[:, 0]
+        xp = sample_continuous(batch.n, sc, rng=x_rng, size=c.stop - c.start)
+        if noise is not None:
+            noise[c] = batch.noise[c] + e
+            if batch.secret is not None:
+                noise[c] -= signed_sum(xp, batch.secret)
+        e += batch.y[c]
+        y[c] = mod_q(e, batch.q)
         xp += batch.x[c]
         x[c] = mod_q(xp, batch.q)
     x /= q

@@ -127,9 +127,10 @@ def collapsed_density(u, sigma):
 def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
     """lwe.run_chain with every draw and sum over the whole stream at once.
 
-    The same draws in the same order (e, then x' row-major), so one seed
-    gives the library's output bit for bit.  It holds x', x + x' and the
-    rounded copy of x, each as large as the batch's x.
+    The same draws from the same children of rng (e from the first, x'
+    row-major from the second), so one seed gives the library's output bit
+    for bit.  It holds e, x', x + x' and the rounded copy of x, each as
+    large as the batch's x or its y.
     """
     ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
     st = ref_t if sigma_target is None else sigma_target
@@ -138,8 +139,9 @@ def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
         raise ValueError("the chain needs integer sample support")
     q = float(batch.q)
     sigma_add = math.sqrt(st**2 - batch.sigma**2)
-    e = sample_continuous(1, sigma_add, rng=rng, size=batch.m)[:, 0]
-    xp = sample_continuous(batch.n, sc, rng=rng, size=batch.m)
+    e_rng, x_rng = rng.spawn(2)
+    e = sample_continuous(1, sigma_add, rng=e_rng, size=batch.m)[:, 0]
+    xp = sample_continuous(batch.n, sc, rng=x_rng, size=batch.m)
     noise = None if batch.noise is None else batch.noise + e
     if noise is not None:
         if batch.secret is not None:
@@ -158,14 +160,19 @@ def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
 
 
 def gen_continuous_lwe_reference(n, m, sigma, tag, rng):
-    """gen_continuous_lwe as one whole-array draw: x, then s, then z (or the null y)."""
-    x = rng.uniform(size=(m, n))
+    """gen_continuous_lwe as one whole-array draw from each child of rng.
+
+    x from the first child, z (or the null y) from the second, and the
+    secret from rng itself.
+    """
+    x_rng, z_rng = rng.spawn(2)
+    x = x_rng.uniform(size=(m, n))
     if tag == "alternative":
         s = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        z = sample_continuous(1, sigma, rng=rng, size=m)[:, 0]
+        z = sample_continuous(1, sigma, rng=z_rng, size=m)[:, 0]
         y = mod_1(sum(x[:, j] * s[j] for j in range(n)) + z)
         return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
-    return LweBatch(x, rng.uniform(size=m), "unit_torus", tag, sigma)
+    return LweBatch(x, z_rng.uniform(size=m), "unit_torus", tag, sigma)
 
 
 def transform_accepted_reference(x, k, params, rng):
@@ -181,10 +188,11 @@ def generate_instance_reference(batch, config, rng):
     """instances.generate_instance with Steps 1-2 over the reached prefix at once.
 
     Whenever a run needs more accepted positions than the prefix holds,
-    the keep uniforms of one more CHUNK_ROWS block are drawn and both
-    branches' offsets k and decisions are recomputed over the whole
-    prefix; the walk then searches prefix-wide index arrays.  Only the
-    transforms are the library's, so the outcome matches it bit for bit.
+    CHUNK_ROWS more keep uniforms are drawn (the stream's last block keeps
+    their prefix, as the library does) and both branches' offsets k and
+    decisions are recomputed over the whole prefix; the walk then searches
+    prefix-wide index arrays.  Only the transforms are the library's, so
+    the outcome matches it bit for bit.
     """
     p_plus, p_minus = config.params_plus, config.params_minus
     m_prime = config.m_prime
@@ -204,7 +212,7 @@ def generate_instance_reference(batch, config, rng):
                 return InstanceResult(ok=False, x=None, labels=None, consumed=batch.m,
                                       draws=a + len(idx) - j)
             u_keep = np.concatenate(
-                (u_keep, rng.random(min(CHUNK_ROWS, batch.m - len(u_keep)))))
+                (u_keep, rng.random(CHUNK_ROWS)[: batch.m - len(u_keep)]))
             y = batch.y[: len(u_keep)]
             k_plus, ok_plus = accept_steps(y, u_keep, p_plus)
             k_minus, ok_minus = accept_steps(y, u_keep, p_minus)

@@ -166,6 +166,13 @@ def test_criterion_02_expanded_collapsed_gaussians():
 
 
 def test_criterion_03_acceptance_rate_both_branches():
+    """Each branch's 1M-sample acceptance rate lies in a two-sided 3-sigma band.
+
+    A 3-sigma band misses with probability 0.27%, so the two bands at one
+    seed fail correct code with probability about 0.54% whenever the null
+    batch's draws change.  A failure after such a change is a finding, not
+    a reason to move the band or the seed.
+    """
     t0 = time.perf_counter()
     base = desk_params(8, DESK_SIGMA)
     minus = replace(base, psi=T / 2.0, B=build_b_minus(T, EPS, C_PRIME))

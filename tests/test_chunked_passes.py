@@ -4,8 +4,9 @@ run_chain, the continuous stream, the instance builder's walk and the
 Step-3 transform go in row chunks of lwe.CHUNK_ROWS.  Split
 normal/uniform draws and per-chunk sums must reproduce the whole-array
 values exactly, at every stream length around a chunk boundary, and the
-passes must not hold whole-stream float temporaries.  An instance drawn
-from a ContinuousStream must hold no memory that grows with the cap.
+passes must not hold whole-stream float temporaries.  A ContinuousStream's
+positions, and an instance drawn from it, must not depend on its cap, and
+the instance must hold no memory that grows with the cap.
 """
 
 import tracemalloc
@@ -120,7 +121,8 @@ def test_accept_pass_holds_no_float_per_stream_position():
 @pytest.mark.parametrize("m", SIZES)
 def test_stream_blocks_are_the_whole_array_draw(tag, m):
     rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
-    # three 32-bit draws leave half of a 64-bit step buffered for the secret
+    # the secret comes from rng itself, wherever it stands: three 32-bit
+    # draws leave half of a 64-bit step buffered
     for g in (rng, ref_rng):
         g.integers(0, 2, size=3)
     stream = ContinuousStream(3, m, SIGMA, tag, rng)
@@ -136,7 +138,7 @@ def test_stream_blocks_are_the_whole_array_draw(tag, m):
         assert (z is None) == (ref.noise is None)
         if z is not None:
             assert z.tobytes() == ref.noise[c].tobytes()
-    # a full read leaves the generator where the whole-array draw does
+    # x and z come from children: only the secret moved the generator
     assert rng.random() == ref_rng.random()
     with pytest.raises(ValueError, match="read once"):
         next(stream.chunks())
@@ -160,17 +162,38 @@ def test_on_demand_instance_equals_materialized(tag, m):
             assert lazy.x.tobytes() == full.x.tobytes()
 
 
-def test_stream_refuses_a_generator_it_cannot_jump():
-    rng = np.random.Generator(np.random.MT19937(1))
-    with pytest.raises(ValueError, match="PCG64"):
-        ContinuousStream(2, 10, SIGMA, "null", rng)
+def test_stream_runs_on_any_bit_generator():
+    rng, ref_rng = (np.random.Generator(np.random.MT19937(1)) for _ in range(2))
+    stream = ContinuousStream(2, C + 3, SIGMA, "alternative", rng)
+    ref = gen_continuous_lwe_reference(2, C + 3, SIGMA, "alternative", ref_rng)
+    x, y, z = (np.concatenate(a) for a in zip(*stream.blocks()))
+    assert stream.secret.tobytes() == ref.secret.tobytes()
+    assert (x.tobytes(), y.tobytes(), z.tobytes()) == (ref.x.tobytes(), ref.y.tobytes(),
+                                                      ref.noise.tobytes())
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", SIZES)
+def test_stream_prefix_does_not_depend_on_the_cap(tag, m):
+    # a stream capped at m is the first m positions of one capped at 3 C,
+    # whatever the block its cap falls in
+    short = ContinuousStream(3, m, SIGMA, tag, np.random.default_rng(5))
+    long = ContinuousStream(3, 3 * C, SIGMA, tag, np.random.default_rng(5))
+    if tag == "alternative":
+        assert short.secret.tobytes() == long.secret.tobytes()
+    for (x, y, z), (lx, ly, lz) in zip(short.blocks(), long.blocks()):
+        assert x.tobytes() == lx[: len(x)].tobytes()
+        assert y.tobytes() == ly[: len(y)].tobytes()
+        assert (z is None) == (lz is None)
+        if z is not None:
+            assert z.tobytes() == lz[: len(z)].tobytes()
 
 
 def test_inline_build_peak_does_not_grow_with_the_cap():
-    # the walk reads about 26k positions either way; the cap only moves
-    # where the noise draws start
+    # the walk reads about 26k positions either way, and the same ones:
+    # both caps give the same instance
     cfg = desk_config(4, 2000)
-    peaks = []
+    peaks, results = [], []
     for cap in (200_000, 2_000_000):
         def build():
             stream = ContinuousStream(4, cap, SIGMA, "alternative", np.random.default_rng(6))
@@ -179,7 +202,9 @@ def test_inline_build_peak_does_not_grow_with_the_cap():
         res, peak = traced_peak(build)
         assert res.ok and res.consumed < C
         peaks.append(peak)
+        results.append((res.consumed, res.labels.tobytes(), res.x.tobytes()))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert results[0] == results[1]
 
 
 def test_transform_runs_in_chunk_blocks():

@@ -26,7 +26,7 @@ from lwemassart.instances import (
     write_labeled_file,
     write_sidecar,
 )
-from lwemassart.lwe import LweBatch
+from lwemassart.lwe import CHUNK_ROWS, LweBatch
 from lwemassart.verify import QuadratureOracle
 
 T = 0.2
@@ -35,6 +35,9 @@ TINY_SIGMA = 2.5e-4 / (2.0 * (T + EPS))
 
 BASE_ARGS = ["--n", "4", "--sigma", repr(TINY_SIGMA), "--t", str(T),
              "--eps", str(EPS), "--eta", "0.05"]
+# the benchmark's preset, as bench/run.py passes it
+BENCH_PRESET = ["--n", "4", "--sigma", "5.5556e-4", "--t", "0.2", "--eps", "0.025",
+                "--eta", "0.05", "--c-prime", "0.04"]
 
 
 def invoke(args):
@@ -221,6 +224,47 @@ class TestGenInstance:
         want = config.massart_config(cfg).expected_use
         assert want > 300  # the stream is far shorter than the expected use
         assert f"; expected use m'((1-eta)/p+ + eta/p-) = {want:,.0f}" in res.output
+
+    @pytest.mark.parametrize("tag", ["alternative", "null"])
+    def test_instance_does_not_depend_on_the_cap(self, tmp_path, tag):
+        # the benchmark preset at m' = 10k reads about 109k positions, into the
+        # stream's second block; every cap at least `consumed` long, the
+        # derived 160k and `consumed` itself included, writes the same bytes
+        def run(cap):
+            out = tmp_path / f"{cap}.inst"
+            res = CliRunner().invoke(main, ["gen-instance", *BENCH_PRESET, "--m-prime", "10000",
+                                            "--tag", tag, "--m", str(cap), "--seed", "1",
+                                            "--out", str(out)])
+            return res, out
+
+        res, first = run(0)
+        assert res.exit_code == 0, res.output
+        consumed = read_sidecar(first)["consumed"]
+        assert CHUNK_ROWS < consumed < 160_000
+        for cap in (1_600_000, 1_700_000, consumed):
+            res, out = run(cap)
+            assert res.exit_code == 0, res.output
+            assert out.read_bytes() == first.read_bytes(), cap
+            assert read_sidecar(out)["consumed"] == consumed
+        res, _ = run(consumed - 1)
+        assert res.exit_code == 3, res.output
+        assert "the same seed with a larger --m" in res.output
+
+    def test_exhausted_batch_names_a_longer_batch(self, tmp_path):
+        # a batch file is its own cap: the rerun that carries the walk on is
+        # the same seed on a longer gen-lwe batch, which starts with this one
+        for m in (300, 30_000):
+            invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative", "--n", "4",
+                    "--m", str(m), "--sigma", repr(TINY_SIGMA), "--seed", "8",
+                    "--out", str(tmp_path / f"{m}.lwe")])
+        args = [*BASE_ARGS, "--m-prime", "200", "--seed", "8", "--out", str(tmp_path / "i")]
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(tmp_path / "300.lwe"),
+                                        *args])
+        assert res.exit_code == 3, res.output
+        assert "the same seed with a longer batch that starts with this one" in res.output
+        res = CliRunner().invoke(main, ["gen-instance", "--batch",
+                                        str(tmp_path / "30000.lwe"), *args])
+        assert res.exit_code == 0, res.output
 
     def test_ratio_past_the_carving_cap_exits_2(self, tmp_path):
         # t/eps = 8e6 > 2^18: refused before the -1 carving allocates anything
@@ -572,9 +616,15 @@ def test_number_outside_its_domain_exits_2(tmp_path, args):
     ["preset", "apply", "desk-scale", "--out", "{missing}/c.json"],
 ], ids=["gen-lwe", "reduce-lwe", "gen-instance", "verify-report", "verify-hist",
         "distinguish", "preset-apply"])
-def test_unwritable_output_path_exits_2(work, tmp_path, args):
+def test_unwritable_output_path_exits_2(work, tmp_path, monkeypatch, args):
     invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4",
             "--m", "50", "--q", "257", "--sigma", "2.0", "--out", str(tmp_path / "cls.lwe")])
+
+    def no_stream(*_, **__):
+        raise AssertionError("the inline stream was drawn")
+
+    # the path is refused as the flags are parsed, before any stream is drawn
+    monkeypatch.setattr(cli, "ContinuousStream", no_stream)
     paths = {"dir": tmp_path, "missing": tmp_path / "missing", "work": work}
     res = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert res.exit_code == 2, res.output
@@ -589,7 +639,7 @@ def test_gen_instance_checks_flags_before_the_stream(tmp_path, monkeypatch, args
     def no_stream(*_, **__):
         raise AssertionError("the inline stream was drawn")
 
-    monkeypatch.setattr(cli, "gen_continuous_lwe", no_stream)
+    monkeypatch.setattr(cli, "ContinuousStream", no_stream)
     (tmp_path / "strict.json").write_text(json.dumps(
         {"mode": "strict", "n": 4, "sigma": 5.5556e-4, "m_prime": 1_000_000}))
     res = CliRunner().invoke(main, ["gen-instance", *[a.format(dir=tmp_path) for a in args],
@@ -609,7 +659,7 @@ def test_distinguish_checks_flags_before_the_stream(monkeypatch, args, message):
     def no_stream(*_, **__):
         raise AssertionError("the inline stream was drawn")
 
-    monkeypatch.setattr(cli, "gen_continuous_lwe", no_stream)
+    monkeypatch.setattr(cli, "ContinuousStream", no_stream)
     res = CliRunner().invoke(main, ["distinguish", *BASE_ARGS, "--m-prime", "200",
                                     "--trials", "2", *args])
     assert res.exit_code == 2, res.output

@@ -32,7 +32,7 @@ from lwemassart.instances import (
     write_sidecar,
 )
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
-from lwemassart.lwe import gen_continuous_lwe
+from lwemassart.lwe import CHUNK_ROWS, gen_continuous_lwe
 from lwemassart.rejection import keep_probability, transform_accepted
 
 from oracles import _g_image_exact, b_minus_exact, g_map, intersect_pairs, invert_y, reduce_batch
@@ -371,12 +371,13 @@ def test_fail_on_starved_stream():
 def naive_walk(batch, cfg, seed):
     """Per-draw, per-position replay of the documented rng order.
 
-    Labels first, then one keep uniform per stream position, then the +1
-    and -1 group transforms.  Returns an InstanceResult built the slow way.
+    Labels first, then CHUNK_ROWS keep uniforms each time the walk reaches
+    a new block of the stream, then the +1 and -1 group transforms.
+    Returns an InstanceResult built the slow way.
     """
     rng = np.random.default_rng(seed)
     labels = np.where(rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
-    u_keep = rng.random(batch.m)
+    u_keep = np.empty(0)
     pos = 0
     hits = []
     for r, lab in enumerate(labels):
@@ -385,6 +386,8 @@ def naive_walk(batch, cfg, seed):
             if pos >= batch.m:
                 return InstanceResult(ok=False, x=None, labels=None,
                                       consumed=batch.m, draws=r)
+            if pos == len(u_keep):
+                u_keep = np.append(u_keep, rng.random(CHUNK_ROWS))
             k = float(invert_y(batch.y[pos], params.t, params.psi))
             ok = bool(params.B.contains(np.array([k]))[0])
             ok = ok and u_keep[pos] < keep_probability(k, params)
@@ -453,10 +456,10 @@ def test_run_walk_matches_naive_oracle_at_stream_edges(eta):
 # SHA-256 of (x, labels) from a seeded n = 2, m' = 2,000 instance; at n = 2
 # <x, s> is one exact addition, so the bytes do not depend on the BLAS
 INSTANCE_SHA256 = {
-    "alternative": ("405106069198f8eee299f0ea4c6ec272e104b3ccee335b7555b17b9981cdb008",
-                    "52ff19157c0be0e2d5db42a55db1b11a17e33d8b3d0041824c3e2c1da4c3a010"),
-    "null": ("27328caa692102fc6dd8a121194891453e4b3965e355ae2e451f211ce851df00",
-             "6636b7eb693cee74bd01b6f438aec096b485aa0758bc96c8e05cafe0d26792d9"),
+    "alternative": ("adda558a99b0832b7bdb1b70d02a47c6043742181a930753e15af2fcf09d74d9",
+                    "101539456ff63a46c92e588d3388f261f4ecc432180635936b284460b438590a"),
+    "null": ("2110769aaba92f93ad5ba402c4069e0b64a4b3db3061e8459b022f08c377e17a",
+             "9d30604b216feb753352ef673686d8f449a5c5e845570819c1ac1e411a58f6d4"),
 }
 
 

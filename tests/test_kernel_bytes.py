@@ -47,9 +47,9 @@ COMMANDS = [
 
 # SHA-256 of the files the commands write at n = 4
 PINNED = {
-    "continuous.lwe": "98451b3b9d6d9c3bfde4201fe1f2186cd3f1c7fa10c82fb7f29ac8ca73cdc3a1",
-    "torus.lwe": "e147031307f03cdcc7f4f6505d6fc1e8f67f277c825aa55ef0c93a71b7edb4f7",
-    "alternative.inst": "b985f2dde85f7f7da3b32dd483f8e424c9083de7bc3052f0aadd86cea9124964",
+    "continuous.lwe": "bf5469b50a1b64a06d257c91071441aea3944f0e0544b3b35431decd50861f06",
+    "torus.lwe": "431f14f0bd5f32d7f8a5aba61dd5ee76f518a0a5de6e6c81332a028cfb4d78c9",
+    "alternative.inst": "49c5092bbfbaef51e9f1fc519a00134945c2081140f1d0d017606155e9d0607f",
 }
 
 

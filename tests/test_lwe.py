@@ -189,10 +189,11 @@ def test_rescale_frozen_example_and_inverse():
         q=2,
     )
     out = run_chain(b, 1.0, 2.2, rng=np.random.default_rng(0))
-    # replay the documented draws: e (one per sample), then x' (n per sample)
-    replay = np.random.default_rng(0)
-    e = replay.normal(0.0, math.sqrt(1.0**2 - 0.5**2) / math.sqrt(TWO_PI), size=1)
-    xp = replay.normal(0.0, 2.2 / math.sqrt(TWO_PI), size=(1, 2))
+    # replay the documented draws: e (one per sample) from the first child
+    # of the generator, x' (n per sample) from the second
+    e_rng, x_rng = np.random.default_rng(0).spawn(2)
+    e = e_rng.normal(0.0, math.sqrt(1.0**2 - 0.5**2) / math.sqrt(TWO_PI), size=1)
+    xp = x_rng.normal(0.0, 2.2 / math.sqrt(TWO_PI), size=(1, 2))
     assert out.domain == "unit_torus" and out.q is None
     assert np.array_equal(out.y, mod_q(b.y + e, 2) / 2)
     assert np.array_equal(out.x, mod_q(b.x + xp, 2) / 2)
@@ -293,7 +294,8 @@ def test_load_rejects_garbage():
 # A small alternative batch (n = 2, so <x', s> in the chain is one exact
 # addition on every BLAS), its chain output and a null batch.  The digests
 # pin the LWEB layout; they were taken from the earlier writer, which
-# serialized each array with tobytes() and joined the parts.
+# serialized each array with tobytes() and joined the parts (the chained
+# one again when the chain's e and x' moved to their own generators).
 PINNED = gen_classic_lwe(2, 64, 257, 2.0, "alternative", rng=np.random.default_rng(2024))
 PINNED_BYTES = file_bytes(PINNED)
 HEADER_KEYS = ("magic", "version", "n", "m", "domain", "q", "tag", "sigma",
@@ -314,7 +316,7 @@ def join_file(header, payload):
     (lambda: PINNED,
      "067b3b2253fe883871ee0bdb8f9228d6aff93ebb0a03228e6323c1e638bef490"),
     (lambda: run_chain(PINNED, rng=np.random.default_rng(2025)),
-     "eddfc32c521ad0cf28098a36bbb8b6e26011a75977163bf567d6bdccf0dd2322"),
+     "d7fc07cb328c8740b6ae8d0467b880e75d9f96e86d09bab702dd90dae7ab9978"),
     (lambda: gen_classic_lwe(2, 64, 257, 2.0, "null", rng=np.random.default_rng(2026)),
      "ba4be32efe958d5edd486130dcf3ad4fa8a4cafe9133779f3b2f054698e7779b"),
 ], ids=["classic", "chained", "null"])
