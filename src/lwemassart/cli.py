@@ -32,7 +32,10 @@ from .instances import (
     write_sidecar,
 )
 from .learners import LEARNERS, distinguish
-from .lwe import ContinuousStream, LweBatch, gen_classic_lwe, gen_continuous_lwe, run_chain
+# bench/tracing.py probes gen_classic_lwe, gen_continuous_lwe and run_chain where this
+# module binds them, though the commands stream their files through the block sources
+from .lwe import (BatchFile, ChainStream, ClassicStream, ContinuousStream,  # noqa: F401
+                  gen_classic_lwe, gen_continuous_lwe, run_chain, write_batch)
 from .verify import (
     TestReport,
     atom_safe_edges,
@@ -143,10 +146,10 @@ def cmd_gen_lwe(config_path, out, **flags):
     seed = config.resolve_seed(cfg.seed)
     rng = np.random.default_rng(seed)
     if cfg.kind == "classic":
-        batch = gen_classic_lwe(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng=rng)
+        batch = ClassicStream(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng)
     else:
-        batch = gen_continuous_lwe(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng=rng)
-    batch.save(out)
+        batch = ContinuousStream(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng)
+    write_batch(out, batch)
     write_sidecar(out, config.batch_sidecar("gen-lwe", batch, seed, kind=cfg.kind, q=batch.q))
     click.echo(f"wrote {batch.m} samples to {out}")
 
@@ -158,9 +161,10 @@ def cmd_gen_lwe(config_path, out, **flags):
 def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     seed = config.resolve_seed(seed)
-    batch = LweBatch.load(batch_path)
-    reduced = run_chain(batch, rng=np.random.default_rng(seed))
-    reduced.save(out)
+    if os.path.exists(out) and os.path.samefile(batch_path, out):
+        raise ValueError("--out is the input batch, which reduce-lwe reads as it writes")
+    reduced = ChainStream(BatchFile(batch_path), rng=np.random.default_rng(seed))
+    write_batch(out, reduced)
     history = [dataclasses.asdict(step) for step in reduced.history]
     write_sidecar(out, config.batch_sidecar("reduce-lwe", reduced, seed,
                                             source=str(batch_path), history=history))
@@ -196,7 +200,7 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     batch = None
     if batch_path is not None:
-        batch = LweBatch.load(batch_path)
+        batch = BatchFile(batch_path)
         if batch.domain != "unit_torus":
             raise ValueError(f"--batch needs a unit-torus batch, not a {batch.domain} "
                              "one: reduce-lwe makes one from it")

@@ -2,7 +2,8 @@
 
 A framed file (LWEB batches, MLAB instances) is a 4-byte magic, the
 header length as a little-endian u32, the header as sort-keyed JSON with
-at least "magic" and "version", then a little-endian payload.  File
+at least "magic" and "version", then a little-endian payload.  A reader
+takes the header alone and then the parts of the payload it needs.  File
 headers, sidecars and --config files all pass check_fields, so a damaged
 input is a ValueError, never a TypeError or OverflowError further on.
 """
@@ -78,44 +79,34 @@ def pack(magic, header):
     return magic + len(hb).to_bytes(4, "little") + hb
 
 
-def _payload_start(prefix, magic):
-    """Payload offset of a framed file from its first 8 bytes."""
-    prefix = bytes(prefix)
-    if len(prefix) < _PREFIX or prefix[:4] != magic:
-        raise ValueError(f"not a {magic.decode()} file (bad magic)")
-    return _PREFIX + int.from_bytes(prefix[4:], "little")
+def read_header(path, magic, version, fields):
+    """(header, payload offset, payload length) of the framed file at path.
 
-
-def read(path, magic):
-    """The whole file, read once into a writable uint8 buffer.
-
-    The buffer start is shifted so that the payload is 8-byte aligned
-    and f8 views into it need no copy.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        pad = -_payload_start(fh.read(_PREFIX), magic) % 8
-        buf = np.empty((pad + size + 7) // 8, dtype="<f8").view(np.uint8)[pad : pad + size]
-        fh.seek(0)
-        if fh.readinto(buf) != size:
-            raise ValueError(f"{magic.decode()} file changed size while being read")
-    return buf
-
-
-def unpack(buf, magic, version, fields):
-    """(header, payload view) of the framed file held in buf.
-
-    The header must carry this magic and version and pass check_fields
-    with fields; the caller checks the payload length.
+    Reads the prefix and the header alone.  The header must carry this
+    magic and version and pass check_fields with fields; the caller checks
+    the payload length and reads the payload with read_array.
     """
     name = magic.decode()
-    start = _payload_start(buf[:_PREFIX], magic)
-    if len(buf) < start:
-        raise ValueError(f"{name} file is shorter than its header")
-    header = decode_json(buf[_PREFIX:start].tobytes())
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX)
+        if len(prefix) < _PREFIX or prefix[:4] != magic:
+            raise ValueError(f"not a {name} file (bad magic)")
+        start = _PREFIX + int.from_bytes(prefix[4:], "little")
+        if size < start:
+            raise ValueError(f"{name} file is shorter than its header")
+        header = decode_json(fh.read(start - _PREFIX))
     check_fields(header, {"magic": str, "version": int, **fields}, f"{name} header")
     if header["magic"] != name:
         raise ValueError(f"{name} header magic is {header['magic']!r}")
     if header["version"] != version:
         raise ValueError(f"unsupported {name} version {header['version']}")
-    return header, buf[start:]
+    return header, start, size - start
+
+
+def read_array(path, dtype, count, offset):
+    """count items of dtype read from path at byte offset into a fresh array."""
+    a = np.fromfile(path, dtype=dtype, count=count, offset=offset)
+    if len(a) != count:
+        raise ValueError(f"{path} changed size while being read")
+    return a

@@ -407,18 +407,17 @@ def read_labeled_file(path):
     format.  The records must fill the rest of the file exactly, with
     finite x and +1/-1 labels.
     """
-    header, payload = frames.unpack(
-        frames.read(path, LABELED_MAGIC), LABELED_MAGIC, LABELED_VERSION,
-        {"n": "count", "m_prime": "count"})
+    header, start, size = frames.read_header(path, LABELED_MAGIC, LABELED_VERSION,
+                                             {"n": "count", "m_prime": "count"})
     if header.get("lifted", False) is not False:
         raise ValueError("MLAB file holds lifted features: gen-instance --lifted "
                          "was removed, so regenerate the instance without it")
     dtype = _record_dtype(header["n"])
-    if len(payload) != header["m_prime"] * dtype.itemsize:
+    if size != header["m_prime"] * dtype.itemsize:
         raise ValueError(
-            f"MLAB payload holds {len(payload)} bytes; its header implies "
+            f"MLAB payload holds {size} bytes; its header implies "
             f"{header['m_prime'] * dtype.itemsize}")
-    rec = payload.view(dtype)
+    rec = frames.read_array(path, dtype, header["m_prime"], start)
     x = rec["x"].astype(float)
     labels = rec["label"].astype(np.int8)
     if not np.all(np.isfinite(x)):

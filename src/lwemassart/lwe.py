@@ -7,20 +7,28 @@ y = mod(<x, s> + noise) stays exactly checkable after every transform.
 Every <x, s> is signed_sum's fixed left-to-right sum, never BLAS's, so a
 seed gives the same bytes under any BLAS build or CPU kernel.
 
-ContinuousStream draws continuous unit-torus samples block by block, only
-as far as a reader takes them, so an instance built from it holds no array
-as long as the stream; gen_continuous_lwe writes the same blocks into one
-batch.
+Every batch is a block source (BlockSource): its metadata and blocks(),
+which yields its rows CHUNK_ROWS at a time.  ClassicStream and
+ContinuousStream draw a block when a reader reaches it, BatchFile reads it
+from an LWEB file, ChainStream maps the chain over another source's
+blocks, and LweBatch slices its arrays.  write_batch writes any source to
+a file block by block, so gen-lwe, reduce-lwe and gen-instance --batch
+hold O(CHUNK_ROWS) rows whatever m is.  LweBatch.collect gathers a source
+into memory: gen_classic_lwe, gen_continuous_lwe, run_chain and
+LweBatch.load are such gatherings.
 
-run_chain turns classic modular LWE with a {±1}^n secret into
-continuous unit-torus LWE in one pass of three steps, recorded in the
-batch history as noise-add (blur the label), sample-add (blur the
-sample) and rescale (divide by q).  Its output should be statistically
-indistinguishable from direct continuous generation at the matched scale,
-which is the module's master property and is tested as such.
+ChainStream (and run_chain, its gathering) turns classic modular LWE
+with a {±1}^n secret into continuous unit-torus LWE in one pass of three
+steps, recorded in the batch history as noise-add (blur the label),
+sample-add (blur the sample) and rescale (divide by q).  Its output
+should be statistically indistinguishable from direct continuous
+generation at the matched scale, which is the module's master property
+and is tested as such.
 """
 
+import copy
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,9 +47,8 @@ from .gaussians import (
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
 
-# Rows per step of a pass over a whole stream (run_chain and the stream's
-# blocks here, the instance builder's accept walk): scratch stays
-# O(CHUNK_ROWS) rows.
+# Rows per block of a source and per step of the instance builder's accept
+# walk: scratch stays O(CHUNK_ROWS) rows.
 CHUNK_ROWS = 1 << 16
 
 
@@ -74,9 +81,73 @@ class ContinuizationStep:
             raise ValueError("rescale carries no scale")
 
 
+def _check_meta(src):
+    """(secret, hi): src's secret as floats (or None) and the upper end of its domain.
+
+    ValueError when src's tag, domain, q, secret or sigma is not one a
+    batch may hold.
+    """
+    if src.tag not in ("null", "alternative"):
+        raise ValueError("tag must be 'null' or 'alternative'")
+    if src.domain == "mod_q":
+        if not (isinstance(src.q, (int, np.integer)) and 2 <= src.q < 2**63):
+            raise ValueError("mod_q domain needs an integer q in [2, 2**63)")
+        hi = float(src.q)
+    elif src.domain == "unit_torus":
+        if src.q is not None:
+            raise ValueError("unit_torus domain carries no q")
+        hi = 1.0
+    else:
+        raise ValueError("unknown domain %r" % (src.domain,))
+    secret = src.secret
+    if src.tag == "alternative":
+        if secret is None:
+            raise ValueError("alternative batches must carry their secret")
+        secret = np.asarray(secret, dtype=float)
+        if secret.shape != (src.n,) or not np.all(np.abs(secret) == 1.0):
+            raise ValueError("secret must be a ±1 vector of length n")
+    if not (math.isfinite(src.sigma) and src.sigma >= 0.0):
+        raise ValueError("sigma must be finite and nonnegative")
+    return secret, hi
+
+
+def _check_rows(x, y, noise, hi):
+    """ValueError unless every x and y component lies in [0, hi) and the noise is finite."""
+    if x.size and not (x.min() >= 0.0 and x.max() < hi):
+        raise ValueError("x components outside [0, %g)" % hi)
+    if y.size and not (y.min() >= 0.0 and y.max() < hi):
+        raise ValueError("y components outside [0, %g)" % hi)
+    if noise is not None and not np.isfinite(noise).all():
+        raise ValueError("noise values must be finite")
+
+
+class BlockSource:
+    """A batch's metadata and its rows, one block at a time.
+
+    A source has n, m, domain, q, tag, sigma, secret, has_noise and
+    history, and blocks(), which yields (x, y, noise) for each
+    row_chunks(m) slice in order; noise is None when has_noise is false.
+    """
+
+    q = None
+    history = ()
+    _read = False
+
+    def chunks(self):
+        """(x, y) blocks of up to CHUNK_ROWS rows, as the instance builder reads them."""
+        for x, y, _ in self.blocks():
+            yield x, y
+
+    def _start_read(self):
+        """ValueError on a second read of a source that draws as it is read."""
+        if self._read:
+            raise ValueError("a stream is read once")
+        self._read = True
+
+
 @dataclass(frozen=True)
-class LweBatch:
-    """m LWE samples plus generation metadata.
+class LweBatch(BlockSource):
+    """m LWE samples plus generation metadata, held in memory.
 
     x: (m, n) float64, y: (m,) float64, both inside the domain range.
     sigma is the current noise scale in domain units.  noise is the running
@@ -99,34 +170,13 @@ class LweBatch:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.ndim != 2 or self.y.ndim != 1 or len(self.x) != len(self.y):
             raise ValueError("x must be (m, n) and y (m,) with matching m")
-        if self.tag not in ("null", "alternative"):
-            raise ValueError("tag must be 'null' or 'alternative'")
-        if self.domain == "mod_q":
-            if not (isinstance(self.q, (int, np.integer)) and 2 <= self.q < 2**63):
-                raise ValueError("mod_q domain needs an integer q in [2, 2**63)")
-            hi = float(self.q)
-        elif self.domain == "unit_torus":
-            if self.q is not None:
-                raise ValueError("unit_torus domain carries no q")
-            hi = 1.0
-        else:
-            raise ValueError("unknown domain %r" % (self.domain,))
-        if self.x.size and not (self.x.min() >= 0.0 and self.x.max() < hi):
-            raise ValueError("x components outside [0, %g)" % hi)
-        if self.y.size and not (self.y.min() >= 0.0 and self.y.max() < hi):
-            raise ValueError("y components outside [0, %g)" % hi)
-        if self.tag == "alternative":
-            if self.secret is None:
-                raise ValueError("alternative batches must carry their secret")
-            object.__setattr__(self, "secret", np.asarray(self.secret, dtype=float))
-            if self.secret.shape != (self.n,) or not np.all(np.abs(self.secret) == 1.0):
-                raise ValueError("secret must be a ±1 vector of length n")
         if self.noise is not None:
             object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
             if self.noise.shape != (self.m,):
                 raise ValueError("noise must be (m,)")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError("sigma must be finite and nonnegative")
+        secret, hi = _check_meta(self)
+        object.__setattr__(self, "secret", secret)
+        _check_rows(self.x, self.y, self.noise, hi)
 
     @property
     def n(self):
@@ -136,98 +186,196 @@ class LweBatch:
     def m(self):
         return self.x.shape[0]
 
-    def chunks(self):
-        """(x, y) row views of the batch, CHUNK_ROWS rows at a time, as a stream yields them."""
-        for c in row_chunks(self.m):
-            yield self.x[c], self.y[c]
+    @property
+    def has_noise(self):
+        return self.noise is not None
 
-    # ------------------------------------------------------------- file io
-    #
-    # A framed file (see frames.py) whose payload is secret (n values, when
-    # has_secret), noise (m, when has_noise), x (m*n, row-major) and y (m),
-    # all little-endian f8.
+    def blocks(self):
+        """(x, y, noise) row views of the batch, CHUNK_ROWS rows at a time."""
+        for c in row_chunks(self.m):
+            yield self.x[c], self.y[c], None if self.noise is None else self.noise[c]
+
+    @classmethod
+    def collect(cls, src):
+        """The rows of the block source src gathered into one batch."""
+        x, y = np.empty((src.m, src.n)), np.empty(src.m)
+        noise = np.empty(src.m) if src.has_noise else None
+        blocks = src.blocks()
+        for c in row_chunks(src.m):
+            # no name holds a block while the next one is made
+            for out, block in zip((x, y, noise), next(blocks)):
+                if out is not None:
+                    out[c] = block
+        return cls(x, y, src.domain, src.tag, src.sigma, q=src.q, secret=src.secret,
+                   noise=noise, history=src.history)
 
     def save(self, path):
-        header = {
-            "magic": MAGIC.decode(),
-            "version": FORMAT_VERSION,
-            "n": int(self.n),
-            "m": int(self.m),
-            "domain": self.domain,
-            "q": None if self.q is None else int(self.q),
-            "tag": self.tag,
-            "sigma": self.sigma,
-            "has_secret": self.secret is not None,
-            "has_noise": self.noise is not None,
-            "history": [[s.kind, s.sigma_add] for s in self.history],
-        }
-        with open(path, "wb") as fh:
-            fh.write(frames.pack(MAGIC, header))
-            for a in (self.secret, self.noise, self.x, self.y):
-                if a is not None:
-                    fh.write(np.ascontiguousarray(a, dtype="<f8"))
+        """Write the batch to path as an LWEB file (write_batch)."""
+        write_batch(path, self)
 
     @classmethod
     def load(cls, path):
-        """Read the file once into one buffer; the arrays are views into it.
+        """The LWEB file at path in memory; ValueError if it is damaged (see BatchFile)."""
+        return cls.collect(BatchFile(path))
 
-        Raises ValueError on a bad prefix or header and on any payload
-        length other than the one the header implies.
-        """
-        header, payload = frames.unpack(frames.read(path, MAGIC), MAGIC, FORMAT_VERSION, {
-            "n": "count", "m": "count", "domain": str, "q": Optional[int], "tag": str,
-            "sigma": float, "has_secret": bool, "has_noise": bool, "history": "steps"})
-        n, m = header["n"], header["m"]
-        counts = [n * header["has_secret"], m * header["has_noise"], m * n, m]
-        if len(payload) != 8 * sum(counts):
-            raise ValueError(
-                "LWE batch payload holds %d bytes; its header implies %d"
-                % (len(payload), 8 * sum(counts))
-            )
-        secret, noise, x, y = np.split(payload.view("<f8"), np.cumsum(counts[:-1]))
-        return cls(
-            x=x.reshape(m, n),
-            y=y,
-            domain=header["domain"],
-            tag=header["tag"],
-            sigma=header["sigma"],
-            q=header["q"],
-            secret=secret if header["has_secret"] else None,
-            noise=noise if header["has_noise"] else None,
-            history=tuple(ContinuizationStep(k, s) for k, s in header["history"]),
-        )
+
+# ------------------------------------------------------------- file io
+#
+# A framed file (see frames.py) whose payload is secret (n values, when
+# has_secret), noise (m, when has_noise), x (m*n, row-major) and y (m),
+# all little-endian f8.  So a block of rows is three contiguous slices.
+
+_HEADER_FIELDS = {"n": "count", "m": "count", "domain": str, "q": Optional[int], "tag": str,
+                  "sigma": float, "has_secret": bool, "has_noise": bool, "history": "steps"}
+
+
+def _offsets(n, m, has_secret, has_noise, row):
+    """Payload byte offsets of row's x, y and noise values (the secret's is 0).
+
+    Row m's y offset is the payload length.
+    """
+    noise = 8 * n * has_secret
+    x = noise + 8 * m * has_noise
+    y = x + 8 * m * n
+    return x + 8 * n * row, y + 8 * row, noise + 8 * row
+
+
+def write_batch(path, src):
+    """Write the block source src to path as an LWEB file, one block at a time.
+
+    The source gives its sizes up front, so the header is packed first;
+    then the secret, then each block's x, y and noise at their offsets.
+    A failure part way (a bad block of the source, a full disk) removes
+    the file: no part-written batch is left at path.
+    """
+    has_secret = src.secret is not None
+    header = {
+        "magic": MAGIC.decode(),
+        "version": FORMAT_VERSION,
+        "n": int(src.n),
+        "m": int(src.m),
+        "domain": src.domain,
+        "q": None if src.q is None else int(src.q),
+        "tag": src.tag,
+        "sigma": src.sigma,
+        "has_secret": has_secret,
+        "has_noise": src.has_noise,
+        "history": [[s.kind, s.sigma_add] for s in src.history],
+    }
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(frames.pack(MAGIC, header))
+            start = fh.tell()
+            if has_secret:
+                fh.write(np.ascontiguousarray(src.secret, dtype="<f8"))
+            for c, block in zip(row_chunks(src.m), src.blocks()):
+                ats = _offsets(src.n, src.m, has_secret, src.has_noise, c.start)
+                for at, a in zip(ats, block):
+                    if a is not None:
+                        fh.seek(start + at)
+                        fh.write(np.ascontiguousarray(a, dtype="<f8"))
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
+class BatchFile(BlockSource):
+    """An LWEB file as a block source: its header and secret read at once, its rows on demand.
+
+    Opening checks the header, the payload length the header implies and
+    the metadata (as LweBatch does).  blocks() reads each block's x, y
+    and noise slices from the file when it is reached and checks their
+    ranges then, so a reader holds O(CHUNK_ROWS) rows, and a block it
+    never reaches is never checked.
+    """
+
+    def __init__(self, path):
+        header, self._start, size = frames.read_header(path, MAGIC, FORMAT_VERSION,
+                                                       _HEADER_FIELDS)
+        self.path, self._has_secret = path, header["has_secret"]
+        self.n, self.m, self.domain, self.q, self.tag, self.sigma, self.has_noise = (
+            header[k] for k in ("n", "m", "domain", "q", "tag", "sigma", "has_noise"))
+        self.history = tuple(ContinuizationStep(k, s) for k, s in header["history"])
+        length = self._offsets(self.m)[1]
+        if size != length:
+            raise ValueError("LWE batch payload holds %d bytes; its header implies %d"
+                             % (size, length))
+        self.secret = self._read(0, self.n) if self._has_secret else None
+        self.secret, self._hi = _check_meta(self)
+
+    def _offsets(self, row):
+        return _offsets(self.n, self.m, self._has_secret, self.has_noise, row)
+
+    def _read(self, at, count):
+        return frames.read_array(self.path, "<f8", count, self._start + at)
+
+    def blocks(self):
+        for c in row_chunks(self.m):
+            k = c.stop - c.start
+            x_at, y_at, noise_at = self._offsets(c.start)
+            x = self._read(x_at, k * self.n).reshape(k, self.n)
+            y = self._read(y_at, k)
+            noise = self._read(noise_at, k) if self.has_noise else None
+            _check_rows(x, y, noise, self._hi)
+            yield x, y, noise
 
 
 # ------------------------------------------------------------- generators
 
 
-def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
-    """Classic modular LWE batch.
+class ClassicStream(BlockSource):
+    """Classic modular LWE samples, drawn CHUNK_ROWS rows at a time.
 
     Alternative: x ~ U(Z_q^n), s ~ U({±1}^n) (the post-secret-reduction
     form the continuization chain's noise accounting assumes), z discrete
     Gaussian on Z at scale sigma, y = mod_q(<x, s> + z).
     Null: x ~ U(Z_q^n) and y ~ U(Z_q) independent.
+
+    rng draws all of x, then the secret, then z (or the null y), the order
+    of the whole-array draw; split into blocks, each draw gives the same
+    values (tests/test_chunked_passes.py pins this).  So the constructor
+    steps rng over x block by block to reach the secret, and blocks()
+    draws x again, beside z, from a copy of rng taken first: x is drawn
+    twice and never held whole.  The stream is read once.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    x = rng.integers(0, q, size=(m, n)).astype(float)
-    if tag == "alternative":
-        s = (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(float)
-        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
-        y = np.empty(m)
-        for c in row_chunks(m):  # a chunk's columns stay in cache across the sum
-            y[c] = mod_q(signed_sum(x[c], s) + z[c], q)
-        return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
-    y = rng.integers(0, q, size=m).astype(float)
-    return LweBatch(x, y, "mod_q", tag, sigma, q=q)
+
+    domain = "mod_q"
+
+    def __init__(self, n, m, q, sigma, tag, rng):
+        if q < 2:
+            raise ValueError("q must be >= 2")
+        if n < 1 or m < 1:
+            raise ValueError("n and m must be >= 1")
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if tag not in ("null", "alternative"):
+            raise ValueError("tag must be 'null' or 'alternative'")
+        self.n, self.m, self.q, self.sigma, self.tag = n, m, q, sigma, tag
+        self.has_noise = tag == "alternative"
+        self._x_rng, self._rng = copy.deepcopy(rng), rng
+        for c in row_chunks(m):
+            rng.integers(0, q, size=(c.stop - c.start, n))
+        self.secret = 2.0 * rng.integers(0, 2, size=n) - 1.0 if self.has_noise else None
+
+    def blocks(self):
+        self._start_read()
+        for c in row_chunks(self.m):
+            x = self._x_rng.integers(0, self.q, size=(c.stop - c.start, self.n)).astype(float)
+            if self.secret is None:
+                yield x, self._rng.integers(0, self.q, size=len(x)).astype(float), None
+            else:
+                z = sample_discrete_gaussian_1d(ShiftedLattice1D(), self.sigma, rng=self._rng,
+                                                size=len(x))
+                yield x, mod_q(signed_sum(x, self.secret) + z, self.q), z
 
 
-class ContinuousStream:
+def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
+    """Classic modular LWE batch: a ClassicStream's m rows in one batch."""
+    return LweBatch.collect(ClassicStream(n, m, q, sigma, tag, rng))
+
+
+class ContinuousStream(BlockSource):
     """Continuous unit-torus LWE samples, drawn CHUNK_ROWS positions at a time on demand.
 
     Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
@@ -252,6 +400,7 @@ class ContinuousStream:
         if tag not in ("null", "alternative"):
             raise ValueError("tag must be 'null' or 'alternative'")
         self.n, self.m, self.sigma, self.tag = n, m, sigma, tag
+        self.has_noise = tag == "alternative"
         self._x_rng, self._z_rng = rng.spawn(2)
         self.secret = None
         if tag == "alternative":
@@ -259,16 +408,13 @@ class ContinuousStream:
                            else np.asarray(secret, dtype=float))
             if self.secret.shape != (n,) or not np.all(np.abs(self.secret) == 1.0):
                 raise ValueError("secret must be a ±1 vector of length n")
-        self._read = False
 
     def blocks(self):
         """(x, y, z) per block of up to CHUNK_ROWS positions, each drawn when reached.
 
         z is the alternative's noise and None on a null stream.
         """
-        if self._read:
-            raise ValueError("a stream is read once")
-        self._read = True
+        self._start_read()
         for a in range(0, self.m, CHUNK_ROWS):
             x = self._x_rng.uniform(size=(min(CHUNK_ROWS, self.m - a), self.n))
             if self.secret is None:
@@ -277,22 +423,10 @@ class ContinuousStream:
                 z = sample_continuous(1, self.sigma, rng=self._z_rng, size=len(x))[:, 0]
                 yield x, mod_1(signed_sum(x, self.secret) + z), z
 
-    def chunks(self):
-        """(x, y) blocks of up to CHUNK_ROWS positions, each drawn when reached."""
-        for x, y, _ in self.blocks():
-            yield x, y
-
 
 def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):
     """Continuous unit-torus LWE batch: a ContinuousStream's m positions in one batch."""
-    stream = ContinuousStream(n, m, sigma, tag, rng, secret)
-    x, y = np.empty((m, n)), np.empty(m)
-    noise = None if stream.secret is None else np.empty(m)
-    for c, (xb, yb, zb) in zip(row_chunks(m), stream.blocks()):
-        x[c], y[c] = xb, yb
-        if noise is not None:
-            noise[c] = zb
-    return LweBatch(x, y, "unit_torus", tag, sigma, secret=stream.secret, noise=noise)
+    return LweBatch.collect(ContinuousStream(n, m, sigma, tag, rng, secret))
 
 
 # ------------------------------------------------------------- the chain
@@ -311,8 +445,8 @@ def default_chain_scales(sigma, m):
     return sigma_target, sigma_coord
 
 
-def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
-    """Continuize a classic mod_q batch onto the unit torus in one pass.
+class ChainStream(BlockSource):
+    """A classic mod_q source continuized onto the unit torus, block by block.
 
     The three steps, each recorded in history:
 
@@ -325,56 +459,69 @@ def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
     - rescale: x, y, noise and sigma are divided by q.  The secret is
       untouched, so y = mod_1(<x, s> + noise) holds verbatim.
 
-    Omitted scales come from default_chain_scales.  The input batch is
-    left as it was; one LweBatch is built.  e and x' each come from their
-    own child of rng (rng.spawn(2)), read in row order, and are drawn and
-    added one row chunk at a time into the output, so beside the input and
-    the output the pass holds O(CHUNK_ROWS) rows of scratch.
+    Omitted scales come from default_chain_scales.  Each source block
+    must hold integer x.  e and x' each come from their own child of rng
+    (rng.spawn(2)), read in row order, and are drawn and added one block
+    at a time, so the map holds O(CHUNK_ROWS) rows of scratch; the source
+    is left as it was.  The stream is read once.
     """
-    if batch.domain != "mod_q":
-        raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
-    ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
-    st = ref_t if sigma_target is None else sigma_target
-    sc = ref_c if sigma_coord is None else sigma_coord
-    if not st > batch.sigma:
-        raise ValueError("sigma_target must exceed the batch noise scale")
-    if not sc > 0:
-        raise ValueError("sigma_coord must be positive")
-    chunks = row_chunks(batch.m)
-    if not all(np.array_equal(batch.x[c], np.round(batch.x[c])) for c in chunks):
-        raise ValueError("the chain needs integer sample support")
-    q = float(batch.q)
-    sigma_add = math.sqrt(st**2 - batch.sigma**2)
-    e_rng, x_rng = rng.spawn(2)
-    # the sums go into fresh buffers, never into the input's
-    x, y = np.empty((batch.m, batch.n)), np.empty(batch.m)
-    noise = None if batch.noise is None else np.empty(batch.m)
-    for c in chunks:
-        e = sample_continuous(1, sigma_add, rng=e_rng, size=c.stop - c.start)[:, 0]
-        xp = sample_continuous(batch.n, sc, rng=x_rng, size=c.stop - c.start)
-        if noise is not None:
-            noise[c] = batch.noise[c] + e
-            if batch.secret is not None:
-                noise[c] -= signed_sum(xp, batch.secret)
-        e += batch.y[c]
-        y[c] = mod_q(e, batch.q)
-        xp += batch.x[c]
-        x[c] = mod_q(xp, batch.q)
-    x /= q
-    y /= q
-    if noise is not None:
-        noise /= q
-    return LweBatch(
-        x,
-        y,
-        "unit_torus",
-        batch.tag,
-        math.sqrt(st**2 + batch.n * sc**2) / q,
-        secret=batch.secret,
-        noise=noise,
-        history=batch.history + (
-            ContinuizationStep("noise-add", sigma_add),
+
+    domain = "unit_torus"
+
+    def __init__(self, source, sigma_target=None, sigma_coord=None, *, rng):
+        if source.domain != "mod_q":
+            raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
+        ref_t, ref_c = default_chain_scales(source.sigma, source.m)
+        st = ref_t if sigma_target is None else sigma_target
+        sc = ref_c if sigma_coord is None else sigma_coord
+        if not st > source.sigma:
+            raise ValueError("sigma_target must exceed the batch noise scale")
+        if not sc > 0:
+            raise ValueError("sigma_coord must be positive")
+        self.n, self.m, self.tag, self.secret, self.has_noise = (
+            source.n, source.m, source.tag, source.secret, source.has_noise)
+        self._source, self._sigma_coord = source, sc
+        self._sigma_add = math.sqrt(st**2 - source.sigma**2)
+        self.sigma = math.sqrt(st**2 + source.n * sc**2) / float(source.q)
+        self.history = source.history + (
+            ContinuizationStep("noise-add", self._sigma_add),
             ContinuizationStep("sample-add", sc),
             ContinuizationStep("rescale"),
-        ),
-    )
+        )
+        self._e_rng, self._x_rng = rng.spawn(2)
+
+    def blocks(self):
+        self._start_read()
+        for block in self._source.blocks():
+            yield self._continuize(*block)
+
+    def _continuize(self, x, y, noise):
+        """One source block through the three steps.
+
+        x' is drawn and spent before e, so at most one x-sized temporary
+        lives beside mod_q's.
+        """
+        if not np.array_equal(x, np.round(x)):
+            raise ValueError("the chain needs integer sample support")
+        q = float(self._source.q)
+        xp = sample_continuous(self.n, self._sigma_coord, rng=self._x_rng, size=len(y))
+        shift = None if noise is None or self.secret is None else signed_sum(xp, self.secret)
+        xp += x
+        x = mod_q(xp, self._source.q)
+        del xp
+        x /= q
+        e = sample_continuous(1, self._sigma_add, rng=self._e_rng, size=len(y))[:, 0]
+        if noise is not None:
+            noise = noise + e
+            if shift is not None:
+                noise -= shift
+            noise /= q
+        e += y
+        y = mod_q(e, self._source.q)
+        y /= q
+        return x, y, noise
+
+
+def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
+    """A ChainStream over batch, gathered into one LweBatch; batch is left as it was."""
+    return LweBatch.collect(ChainStream(batch, sigma_target, sigma_coord, rng=rng))

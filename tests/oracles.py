@@ -11,13 +11,15 @@ closed form replaced), the uniform-offset law, single-branch oracles built
 on that loop, a second quadrature of the
 mixture's bin masses, the per-bin Massart audit, the acceptance-rate
 check, the uniform-offset reference sampler, and whole-array copies of
-the continuous LWE draw, the continuization chain, the instance
-builder's walk and the Step-3 transform, all of which the library runs in
-row chunks.  They call the library's row sampler and accept/transform
-steps, so a test that compares them with a command's output checks the
-command's own walk against a second, simpler one.
+the classic and the continuous LWE draw, the LWEB writer, the
+continuization chain, the instance builder's walk and the Step-3
+transform, all of which the library runs in row chunks.  They call the
+library's row sampler and accept/transform steps, so a test that
+compares them with a command's output checks the command's own walk
+against a second, simpler one.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +29,12 @@ from scipy.special import ndtr
 
 from lwemassart.gaussians import (
     DEFAULT_TRUNCATION,
+    ShiftedLattice1D,
     _check_sigma,
     mod_1,
     mod_q,
     sample_continuous,
+    sample_discrete_gaussian_1d,
     sample_lattice_rows,
 )
 from lwemassart.instances import InstanceResult
@@ -173,6 +177,32 @@ def gen_continuous_lwe_reference(n, m, sigma, tag, rng):
         y = mod_1(sum(x[:, j] * s[j] for j in range(n)) + z)
         return LweBatch(x, y, "unit_torus", tag, sigma, secret=s, noise=z)
     return LweBatch(x, z_rng.uniform(size=m), "unit_torus", tag, sigma)
+
+
+def gen_classic_lwe_reference(n, m, q, sigma, tag, rng):
+    """gen_classic_lwe as one whole-array draw of each kind from rng.
+
+    All of x, then the secret, then z (or the null y), all from rng itself.
+    """
+    x = rng.integers(0, q, size=(m, n)).astype(float)
+    if tag == "alternative":
+        s = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
+        y = mod_q(sum(x[:, j] * s[j] for j in range(n)) + z, q)
+        return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
+    return LweBatch(x, rng.integers(0, q, size=m).astype(float), "mod_q", tag, sigma, q=q)
+
+
+def lweb_bytes_reference(batch):
+    """The LWEB file of batch written whole: framed header, then secret, noise, x and y joined."""
+    header = {"magic": "LWEB", "version": 1, "n": batch.n, "m": batch.m,
+              "domain": batch.domain, "q": batch.q, "tag": batch.tag, "sigma": batch.sigma,
+              "has_secret": batch.secret is not None, "has_noise": batch.noise is not None,
+              "history": [[s.kind, s.sigma_add] for s in batch.history]}
+    hb = json.dumps(header, sort_keys=True).encode()
+    parts = [a for a in (batch.secret, batch.noise, batch.x, batch.y) if a is not None]
+    return (b"LWEB" + len(hb).to_bytes(4, "little") + hb
+            + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts))
 
 
 def transform_accepted_reference(x, k, params, rng):

@@ -1,12 +1,13 @@
 """The row-chunked stream passes against their whole-array references.
 
-run_chain, the continuous stream, the instance builder's walk and the
-Step-3 transform go in row chunks of lwe.CHUNK_ROWS.  Split
-normal/uniform draws and per-chunk sums must reproduce the whole-array
-values exactly, at every stream length around a chunk boundary, and the
-passes must not hold whole-stream float temporaries.  A ContinuousStream's
-positions, and an instance drawn from it, must not depend on its cap, and
-the instance must hold no memory that grows with the cap.
+The classic and the continuous stream, the LWEB writer, run_chain, the
+instance builder's walk and the Step-3 transform go in row chunks of
+lwe.CHUNK_ROWS.  Split draws and per-chunk sums must reproduce the
+whole-array values exactly, at every stream length around a chunk
+boundary, and the passes must not hold whole-stream float temporaries.
+A ContinuousStream's positions, and an instance drawn from it, must not
+depend on its cap, and the instance must hold no memory that grows with
+the cap.
 """
 
 import tracemalloc
@@ -14,6 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lwemassart.cli import main
+from lwemassart.gaussians import ShiftedLattice1D, sample_discrete_gaussian_1d
 from lwemassart.instances import MassartConfig, generate_instance
 from lwemassart.lwe import (
     CHUNK_ROWS,
@@ -25,8 +28,10 @@ from lwemassart.lwe import (
 )
 from lwemassart.rejection import transform_accepted
 from oracles import (
+    gen_classic_lwe_reference,
     gen_continuous_lwe_reference,
     generate_instance_reference,
+    lweb_bytes_reference,
     run_chain_reference,
     transform_accepted_reference,
 )
@@ -92,6 +97,47 @@ def test_generate_instance_matches_whole_array_reference(tag, m):
             # runs dry past one
             assert res.ok if m_prime == m // 20 else not res.ok
             assert res.consumed > C
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+@pytest.mark.parametrize("q", [257, 2**40 + 15])
+def test_classic_draws_split_into_blocks(n, q):
+    # ClassicStream's bytes rest on this: drawn in blocks of odd sizes, the
+    # bounded integers and the discrete Gaussian give the whole draw's values
+    # and leave the generator where the whole draw leaves it
+    sizes = [1, 7, 333, 1000]
+    whole, split = np.random.default_rng(n), np.random.default_rng(n)
+    x = whole.integers(0, q, size=(sum(sizes), n))
+    xs = np.concatenate([split.integers(0, q, size=(k, n)) for k in sizes])
+    assert xs.tobytes() == x.tobytes()
+    assert split.bit_generator.state == whole.bit_generator.state
+    z = sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=whole, size=sum(sizes))
+    zs = np.concatenate([sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=split, size=k)
+                         for k in sizes])
+    assert zs.tobytes() == z.tobytes()
+    assert split.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+@pytest.mark.parametrize("m", [C - 1, C, C + 1, 2 * C + 3])
+def test_file_commands_write_the_whole_array_bytes(tmp_path, monkeypatch, tag, m):
+    # gen-lwe (both kinds) and reduce-lwe write their files block by block;
+    # each file is the whole-array draw written whole
+    monkeypatch.chdir(tmp_path)
+    common = ["--tag", tag, "--n", "4", "--m", str(m), "--seed", str(m)]
+    for args in (["gen-lwe", "--kind", "classic", *common, "--q", "257", "--sigma", "2.0",
+                  "--out", "classic.lwe"],
+                 ["reduce-lwe", "classic.lwe", "--seed", "7", "--out", "torus.lwe"],
+                 ["gen-lwe", "--kind", "continuous", *common, "--sigma", "0.01",
+                  "--out", "continuous.lwe"]):
+        main(args, standalone_mode=False)
+    classic = gen_classic_lwe_reference(4, m, 257, 2.0, tag, np.random.default_rng(m))
+    refs = {"classic.lwe": classic,
+            "torus.lwe": run_chain_reference(classic, rng=np.random.default_rng(7)),
+            "continuous.lwe": gen_continuous_lwe_reference(4, m, 0.01, tag,
+                                                           np.random.default_rng(m))}
+    for name, batch in refs.items():
+        assert (tmp_path / name).read_bytes() == lweb_bytes_reference(batch), name
 
 
 def test_run_chain_peak_is_output_plus_chunk_scratch():

@@ -119,6 +119,16 @@ class TestReduceLwe:
         assert len(meta["history"]) == 3
         assert meta["secret_digest"] == secret_digest(np.asarray(meta["secret"], float))
 
+    def test_input_as_output_exits_2_and_keeps_the_input(self, tmp_path):
+        # the output is written while the input is read block by block
+        src = tmp_path / "cls.lwe"
+        invoke(["gen-lwe", "--kind", "classic", "--n", "4", "--m", "200", "--sigma", "2.0",
+                "--out", str(src)])
+        data = src.read_bytes()
+        res = CliRunner().invoke(main, ["reduce-lwe", str(src), "--out", str(src)])
+        assert res.exit_code == 2, res.output
+        assert "--out is the input batch" in res.output and src.read_bytes() == data
+
     def test_torus_input_is_usage_error(self, tmp_path):
         src = tmp_path / "t.lwe"
         invoke(["gen-lwe", "--kind", "continuous", "--tag", "null", "--n", "4",
@@ -153,6 +163,21 @@ def damaged_batch(src, damage):
 BATCH_DAMAGE = ["trailing-zeros", "truncated", "no-has-noise", "zero-m", "deeply-nested"]
 
 
+def spoil_row(path, row, fault):
+    """Overwrite one value of a batch file's row in place: a fault only its block shows."""
+    data = bytearray(path.read_bytes())
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8 : 8 + hlen])
+    n, m = header["n"], header["m"]
+    row %= m
+    x_at = 8 + hlen + 8 * (n * header["has_secret"] + m * header["has_noise"])
+    at, value = {"nan-x": (x_at + 8 * n * row, math.nan),
+                 "non-integer-x": (x_at + 8 * n * row, 0.5),
+                 "y-out-of-range": (x_at + 8 * (n * m + row), 1e9)}[fault]
+    data[at : at + 8] = np.float64(value).tobytes()
+    path.write_bytes(bytes(data))
+
+
 class TestDamagedBatch:
     @pytest.mark.parametrize("damage", BATCH_DAMAGE)
     def test_reduce_lwe_exits_2(self, tmp_path, damage):
@@ -180,6 +205,51 @@ class TestDamagedBatch:
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output and not (tmp_path / "i").exists()
+
+
+    @pytest.mark.parametrize("fault", ["nan-x", "y-out-of-range", "non-integer-x"])
+    def test_reduce_lwe_fault_in_the_last_block_exits_2(self, tmp_path, fault):
+        # the last block is read after the first is written: the part-written
+        # output goes, and no sidecar is written
+        src = tmp_path / "cls.lwe"
+        invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4",
+                "--m", str(CHUNK_ROWS + 5), "--q", "257", "--sigma", "2.0", "--seed", "5",
+                "--out", str(src)])
+        spoil_row(src, -1, fault)
+        out = tmp_path / "o"
+        res = CliRunner().invoke(main, ["reduce-lwe", str(src), "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert not out.exists() and not (tmp_path / "o.meta.json").exists()
+
+    @pytest.mark.parametrize("fault", ["nan-x", "y-out-of-range"])
+    def test_gen_instance_batch_checks_only_the_blocks_it_reads(self, tmp_path, fault):
+        # the walk reads under CHUNK_ROWS positions of a 2 CHUNK_ROWS + 3 row
+        # batch: a fault in its last block changes no output byte, one in its
+        # first block exits 2
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative", "--n", "4",
+                "--m", str(2 * CHUNK_ROWS + 3), "--sigma", repr(TINY_SIGMA), "--seed", "8",
+                "--out", str(src)])
+        args = [*BASE_ARGS, "--m-prime", "1000", "--seed", "8"]
+        clean = tmp_path / "clean.inst"
+        res = invoke(["gen-instance", "--batch", str(src), *args, "--out", str(clean)])
+        assert res.exit_code == 0, res.output
+        assert read_sidecar(clean)["consumed"] < CHUNK_ROWS
+        for row in (-1, 0):
+            bad, out = tmp_path / f"bad{row}.lwe", tmp_path / f"bad{row}.inst"
+            bad.write_bytes(src.read_bytes())
+            spoil_row(bad, row, fault)
+            res = CliRunner().invoke(main, ["gen-instance", "--batch", str(bad), *args,
+                                            "--out", str(out)])
+            if row == -1:
+                assert res.exit_code == 0, res.output
+                assert out.read_bytes() == clean.read_bytes()
+                assert read_sidecar(out) == read_sidecar(clean)
+            else:
+                assert res.exit_code == 2, res.output
+                assert "Traceback" not in res.output and not out.exists()
 
 
 class TestGenInstance:
