@@ -171,13 +171,16 @@ def cmd_reduce_lwe(batch_path, seed, out):
     click.echo(f"continuized {reduced.m} samples to {out} (sigma={reduced.sigma:.6g})")
 
 
-def _instance(cfg, mconfig, rng, tag, batch=None, secret=None):
-    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry."""
+def _instance(cfg, mconfig, rng, tag, batch=None, secret=None, sink=None):
+    """(batch, result) of m' samples from batch or an inline stream; exit 3 if it runs dry.
+
+    The rows go to sink, or without one to the result's x (generate_instance).
+    """
     more = "a longer batch that starts with this one"
     if batch is None:
         batch = ContinuousStream(cfg.n, config.stream_budget(cfg), cfg.sigma, tag, rng, secret)
         more = "a larger --m"
-    inst = generate_instance(batch, mconfig, rng=rng)
+    inst = generate_instance(batch, mconfig, rng=rng, sink=sink)
     if not inst.ok:
         raise StreamExhausted(
             f"FAIL: stream exhausted after {inst.consumed} of {batch.m} samples "
@@ -208,8 +211,11 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     # every check that needs only the flags runs before the inline stream is drawn
     mconfig = config.massart_config(cfg)
     rng = np.random.default_rng(config.resolve_seed(cfg.seed))
-    batch, inst = _instance(cfg, mconfig, rng, cfg.tag, batch)
-    write_labeled_file(out, inst.x, inst.labels)
+    # the records are written as the walk finishes each block; exit 3 or any
+    # failure part way writes no instance and no sidecar
+    batch, inst = write_labeled_file(
+        out, cfg.n, cfg.m_prime,
+        lambda sink: _instance(cfg, mconfig, rng, cfg.tag, batch, sink=sink))
     write_sidecar(out, config.instance_sidecar(cfg, batch, inst.consumed))
     click.echo(f"wrote {cfg.m_prime} labeled samples to {out} "
                f"(consumed {inst.consumed} of {batch.m})")

@@ -67,10 +67,18 @@ def decode_json(text):
 
 
 def write_json(path, obj):
-    """Write obj to path as sort-keyed JSON, indented by 2, with a final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write obj to path as sort-keyed JSON, indented by 2, with a final newline.
+
+    A failure part way removes the file.
+    """
+    fh = open(path, "w")
+    try:
+        with fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def pack(magic, header):

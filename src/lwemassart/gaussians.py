@@ -115,6 +115,10 @@ def sample_lattice_rows(shifts, sigma, *, rng):
     exp(-(|x| - a)^2 / 2s^2); over sigma in [1e-3, 200] more than half the
     proposals are accepted (pinned by the tests), so the expected work per
     row is O(1) and memory is O(rows) at any sigma.
+
+    A row's envelope constants are computed once; each round draws, in
+    order, one geometric, the side uniforms and the accept uniforms for
+    the rows still pending, and keeps those rows' constants.
     """
     shifts = np.asarray(shifts, dtype=float)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), shifts.shape)
@@ -123,23 +127,32 @@ def sample_lattice_rows(shifts, sigma, *, rng):
         raise ValueError("shifts must be finite")
     if not np.all(np.isfinite(sig) & (sig > 0)):
         raise ValueError("sigma must be finite and positive")
-    frac = shifts - np.floor(shifts)  # Z + shift == Z + frac(shift)
-    out = np.empty_like(frac)
-    todo = np.arange(frac.size)
+    f = shifts - np.floor(shifts)  # Z + shift == Z + frac(shift)
+    out = np.empty_like(f)
+    s, a, lam = _envelope(f, sig)
+    # the envelope's mass is exp(-lam*f) / (1 - e^-lam) on the points
+    # f + j, j >= 0, and exp(-lam*(1 - f)) / (1 - e^-lam) on f - 1 - j;
+    # p is the geometric's parameter and up the chance of the upper side
+    p = -np.expm1(-lam)
+    with np.errstate(over="ignore"):  # exp overflow: the logistic is 0, as it should be
+        up = 1.0 / (1.0 + np.exp(-lam * (1.0 - 2.0 * f)))
+    radius = np.maximum(DEFAULT_TRUNCATION.radius_multiplier * sig, np.minimum(f, 1.0 - f))
+    todo = np.arange(f.size)
     while todo.size:
-        f, sg = frac[todo], sig[todo]
-        s, a, lam = _envelope(f, sg)
-        # the envelope's mass is exp(-lam*f) / (1 - e^-lam) on the points
-        # f + j, j >= 0, and exp(-lam*(1 - f)) / (1 - e^-lam) on f - 1 - j
-        j = rng.geometric(-np.expm1(-lam)) - 1.0
-        with np.errstate(over="ignore"):  # exp overflow: the logistic is 0, as it should be
-            up = 1.0 / (1.0 + np.exp(-lam * (1.0 - 2.0 * f)))
-        x = f + np.where(rng.uniform(size=f.size) < up, j, -1.0 - j)
+        j = rng.geometric(p) - 1.0
+        x = np.where(rng.uniform(size=j.size) < up, j, -1.0 - j)
+        x += f
         ax = np.abs(x)
-        radius = np.maximum(DEFAULT_TRUNCATION.radius_multiplier * sg, np.minimum(f, 1.0 - f))
-        keep = (rng.uniform(size=f.size) < np.exp(-0.5 * ((ax - a) / s) ** 2)) & (ax <= radius)
-        out[todo[keep]] = x[keep]
-        todo = todo[~keep]
+        w = ax - a
+        w /= s
+        np.square(w, out=w)
+        w *= -0.5
+        keep = rng.uniform(size=x.size) < np.exp(w, out=w)
+        keep &= ax <= radius
+        # index arrays gather faster than boolean masks
+        hit, rest = np.flatnonzero(keep), np.flatnonzero(~keep)
+        out[todo[hit]] = x[hit]
+        todo, f, s, a, p, up, radius = (v[rest] for v in (todo, f, s, a, p, up, radius))
     return out
 
 

@@ -18,11 +18,13 @@ needs: it decides acceptance for the block's positions and walks the
 label sequence run by run, where a run of equal labels takes the next
 accepted positions of its branch in one slice, so consumption order (and
 with it the FAIL contract) is that of a draw-by-draw scan.  The lattice
-transform is vectorized per label group, in bounded row blocks.
+transform runs on each block's taken rows, per label group, as the walk
+leaves the block, and the finished rows go to a sink in draw order.
 """
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
-from .lwe import CHUNK_ROWS
+from .lwe import CHUNK_ROWS, row_chunks
 from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
                         transform_accepted)
 
@@ -277,7 +279,10 @@ class MassartConfig:
 
 @dataclass(frozen=True)
 class InstanceResult:
-    """Outcome of a builder run.  FAIL is a value, not an exception."""
+    """Outcome of a builder run.  FAIL is a value, not an exception.
+
+    x is None on FAIL and when a sink took the rows.
+    """
 
     ok: bool
     x: Optional[np.ndarray]
@@ -286,12 +291,35 @@ class InstanceResult:
     draws: int
 
 
-def generate_instance(stream, config, rng):
+def _label_runs(labels):
+    """(start, stop) of each maximal run of equal labels, found CHUNK_ROWS labels at a time."""
+    a = 0
+    for c in row_chunks(len(labels)):
+        piece = labels[c.start : c.stop + 1]  # one label past the chunk sees a cut at its end
+        for cut in (np.flatnonzero(piece[1:] != piece[:-1]) + 1 + c.start).tolist():
+            yield a, cut
+            a = cut
+    yield a, len(labels)
+
+
+def _filling(x):
+    """A sink that copies each block it is handed into the next rows of x."""
+    filled = 0
+
+    def sink(block, labels):
+        nonlocal filled
+        x[filled : filled + len(block)] = block
+        filled += len(block)
+
+    return sink
+
+
+def generate_instance(stream, config, rng, sink=None):
     """Emit m' labeled samples from a torus stream, or FAIL if it runs dry.
 
-    stream is an LweBatch or an lwe.ContinuousStream: anything on the unit
-    torus with n, m, sigma and chunks(), which yields its (x, y) rows in
-    CHUNK_ROWS-row blocks.  Per draw: label -1 with probability eta (branch
+    stream is an lwe.BlockSource on the unit torus (an LweBatch, a
+    BatchFile, a ContinuousStream or a ChainStream), whose blocks() yields
+    its rows in CHUNK_ROWS-row blocks.  Per draw: label -1 with probability eta (branch
     psi = t/2, B_minus), else +1 (psi = 0, B_plus); stream positions are
     consumed in order until the branch accepts.  A position rejected by one
     draw is spent and never revisited.  If a draw needs a position past the
@@ -301,15 +329,22 @@ def generate_instance(stream, config, rng):
     The walk goes block by block and, inside a block, run by run over
     maximal runs of equal labels: a run of L draws takes the first L
     accepted positions of its branch at or past the current position,
-    which is exactly what L single draws would take.  A block's taken x
-    and y rows are gathered in one index; no array as long as the stream
-    is held, and no block past the one that completes draw m' is read.
+    which is exactly what L single draws would take.  When the walk leaves
+    a block, Step 3 maps the rows it took there, and sink(x, labels) gets
+    them with their labels, in draw order; no block past the one that
+    completes draw m' is read.  Without a sink the rows fill one (m', n)
+    array, the result's x; with one (write_labeled_file's) the builder
+    holds O(CHUNK_ROWS) rows and the m' int8 labels whatever m' is.  On
+    FAIL the sink has had the blocks before the stream ran dry.
 
     Randomness order is fixed so one seed reproduces the instance bit for
-    bit: labels, then CHUNK_ROWS keep uniforms per block reached (a short
-    last block uses a prefix), then the +1 and the -1 group transforms
-    (transform_accepted's order), so the instance does not depend on the
-    stream's length past `consumed`.  A stream draws from its own generator.
+    bit.  rng draws the labels, then CHUNK_ROWS keep uniforms per block
+    reached (a short last block uses a prefix).  Step 3 draws from its own
+    child, rng.spawn(1), block by block: the block's +1 rows, then its -1
+    rows (transform_accepted's order).  Spawning draws nothing, so the
+    labels and the walk are those of a build without Step 3, and the
+    instance does not depend on the stream's length past `consumed`.  A
+    stream draws from its own generator.
     """
     p_plus = config.params_plus
     p_minus = config.params_minus
@@ -323,16 +358,19 @@ def generate_instance(stream, config, rng):
         raise ValueError("batch dimension does not match params")
 
     m_prime = config.m_prime
-    labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
-    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
-    runs = iter(zip([0] + cuts, cuts + [m_prime]))
+    labels = np.empty(m_prime, dtype=np.int8)
+    for c in row_chunks(m_prime):
+        labels[c] = np.where(rng.random(c.stop - c.start) < config.eta, -1, 1)
+    (step3,) = rng.spawn(1)
+    x = None
+    if sink is None:
+        x = np.empty((m_prime, stream.n))
+        sink = _filling(x)
+    runs = _label_runs(labels)
     a, b = next(runs)
-    # the taken rows in draw order; Step 3 replaces x's rows group by group
-    x = np.empty((m_prime, stream.n))
-    y = np.empty(m_prime)
     done = 0  # draws completed
     base = 0  # stream position of the block's first row
-    for xb, yb in stream.chunks():
+    for xb, yb, _ in stream.blocks():
         u_keep = rng.random(CHUNK_ROWS)[: len(yb)]
         accepted = {1: np.flatnonzero(accept_steps(yb, u_keep, p_plus)[1]),
                     -1: np.flatnonzero(accept_steps(yb, u_keep, p_minus)[1])}
@@ -348,19 +386,19 @@ def generate_instance(stream, config, rng):
             pos = int(take[-1]) + 1
             if b < m_prime:
                 a, b = next(runs)
-        hits = np.concatenate(hits)
-        x[first:done] = xb[hits]
-        y[first:done] = yb[hits]
+        hits, block_labels = np.concatenate(hits), labels[first:done]
+        out = np.empty((len(hits), stream.n))
+        for params, sign in ((p_plus, 1), (p_minus, -1)):
+            rows = np.flatnonzero(block_labels == sign)
+            take = hits[rows]
+            k = k_of_y(yb[take], params.t, params.psi)
+            out[rows] = transform_accepted(xb[take], k, params, step3)
+        sink(out, block_labels)
         if done == m_prime:
             break
         base += len(yb)
     else:
         return InstanceResult(ok=False, x=None, labels=None, consumed=stream.m, draws=done)
-
-    for params, sign in ((p_plus, 1), (p_minus, -1)):
-        rows = np.flatnonzero(labels == sign)
-        k = k_of_y(y[rows], params.t, params.psi)
-        x[rows] = transform_accepted(x[rows], k, params, rng)
     return InstanceResult(ok=True, x=x, labels=labels, consumed=base + pos, draws=m_prime)
 
 
@@ -375,28 +413,51 @@ def secret_digest(secret):
     return hashlib.sha256(np.asarray(secret, dtype="<f8").tobytes()).hexdigest()
 
 
-def write_labeled_file(path, x, labels):
-    """Binary labeled-sample file; its sidecar is written by write_sidecar.
+def write_labeled_file(path, n, m_prime, fill):
+    """Write a labeled-sample file block by block; returns fill(sink).
 
     A framed file (see frames.py) with header {magic, version, n, m_prime}
     whose payload is m_prime packed records of n little-endian f8 followed
-    by one signed label byte.
+    by one signed label byte.  The header is written first; then fill is
+    called once with sink(x, labels), which appends the records of a
+    (k, n) block x and its k +1/-1 labels.  The records go to path.part,
+    which replaces path once all m_prime are written.  A failure part way
+    (fill or a block raising, a full disk) or another record count removes
+    path.part and leaves path as it was, so a failed run neither leaves a
+    part-written instance nor parts an earlier one from its sidecar, which
+    write_sidecar writes.
     """
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or labels.shape != (x.shape[0],):
-        raise ValueError("x must be (m, n) with matching labels")
-    if not np.all(np.abs(labels) == 1):
-        raise ValueError("labels must be +1/-1")
-    m, n = x.shape
     header = {"magic": LABELED_MAGIC.decode(), "version": LABELED_VERSION,
-              "n": n, "m_prime": m}
-    rec = np.zeros(m, dtype=_record_dtype(n))
-    rec["x"] = x
-    rec["label"] = labels.astype(np.int8)
-    with open(path, "wb") as fh:
-        fh.write(frames.pack(LABELED_MAGIC, header))
+              "n": n, "m_prime": m_prime}
+    written = 0
+
+    def sink(x, labels):
+        nonlocal written
+        x, labels = np.asarray(x, dtype=float), np.asarray(labels)
+        if labels.ndim != 1 or x.shape != (len(labels), n):
+            raise ValueError(f"a block must be (k, {n}) samples with k labels")
+        if not np.all(np.abs(labels) == 1):
+            raise ValueError("labels must be +1/-1")
+        rec = np.empty(len(labels), dtype=_record_dtype(n))
+        rec["x"] = x
+        rec["label"] = labels
         fh.write(rec)
+        written += len(labels)
+
+    part = f"{path}.part"
+    fh = open(part, "wb")
+    try:
+        with fh:
+            fh.write(frames.pack(LABELED_MAGIC, header))
+            result = fill(sink)
+            if written != m_prime:
+                raise ValueError(f"{written} records written; the header promises "
+                                 f"m_prime = {m_prime}")
+    except BaseException:
+        os.unlink(part)
+        raise
+    os.replace(part, path)
+    return result
 
 
 def read_labeled_file(path):

@@ -133,11 +133,6 @@ class BlockSource:
     history = ()
     _read = False
 
-    def chunks(self):
-        """(x, y) blocks of up to CHUNK_ROWS rows, as the instance builder reads them."""
-        for x, y, _ in self.blocks():
-            yield x, y
-
     def _start_read(self):
         """ValueError on a second read of a source that draws as it is read."""
         if self._read:

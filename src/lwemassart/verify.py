@@ -234,9 +234,22 @@ def _unit(s):
     return s / np.linalg.norm(s)
 
 
+def ordered_dot(x, a):
+    """x @ a for an (m, n) x and an (n,) a, each row's sum taken left to right.
+
+    BLAS picks its summation order by CPU kernel; this order is fixed, so
+    a report has the same bytes under any BLAS, as lwe.signed_sum does for
+    the generator.
+    """
+    out = x[:, 0] * a[0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * a[j]
+    return out
+
+
 def project(samples, s):
     """Coordinates of the samples along the unit vector in direction s."""
-    return np.asarray(samples, dtype=float) @ _unit(s)
+    return ordered_dot(np.asarray(samples, dtype=float), _unit(s))
 
 
 def atom_safe_edges(lo, hi, bins, atom_locs):
@@ -337,9 +350,16 @@ def orthogonal_gaussianity_test(samples, s):
             passed=True, n_samples=len(x), description="n=1: no complement, vacuous",
         )
     u = _unit(s)
-    basis = np.linalg.svd(u[None, :])[2][1:].T  # orthonormal complement of u
-    coords = x @ basis
-    proj = x @ u
+    # H = I - 2ww'/w'w with w = u + sign(u_0) e_0 maps e_0 to -sign(u_0) u, so
+    # H's other columns are an orthonormal basis of u's complement, and x's
+    # coordinates in it are x[:, 1:] - c w[1:] with c = 2 x.w / w'w: O(mn)
+    # elementwise work in a fixed order, where x @ basis is O(mn^2) in BLAS's
+    w = u.copy()
+    w[0] += math.copysign(1.0, u[0])
+    c = ordered_dot(x, w) * (2.0 / math.fsum(w * w))
+    coords = np.multiply.outer(c, -w[1:])
+    coords += x[:, 1:]
+    proj = ordered_dot(x, u)
     quartiles = np.quantile(proj, [0.25, 0.5, 0.75])
     groups = np.digitize(proj, quartiles)
     std = 1.0 / math.sqrt(TWO_PI)

@@ -221,8 +221,10 @@ def generate_instance_reference(batch, config, rng):
     CHUNK_ROWS more keep uniforms are drawn (the stream's last block keeps
     their prefix, as the library does) and both branches' offsets k and
     decisions are recomputed over the whole prefix; the walk then searches
-    prefix-wide index arrays.  Only the transforms are the library's, so
-    the outcome matches it bit for bit.
+    prefix-wide index arrays.  Step 3 then goes over the stream's blocks
+    in order, the +1 and then the -1 draws whose positions lie in each,
+    from the child rng.spawn(1).  Only the transforms are the library's,
+    so the outcome matches it bit for bit.
     """
     p_plus, p_minus = config.params_plus, config.params_minus
     m_prime = config.m_prime
@@ -249,12 +251,14 @@ def generate_instance_reference(batch, config, rng):
             accepted = {1: np.flatnonzero(ok_plus), -1: np.flatnonzero(ok_minus)}
         hits[a:b] = idx[j : j + (b - a)]
         pos = int(hits[b - 1]) + 1
+    (step3,) = rng.spawn(1)
     x = np.empty((m_prime, batch.n))
-    for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
-        rows = np.flatnonzero(labels == sign)
-        if rows.size:
+    block = hits // CHUNK_ROWS
+    for blk in np.unique(block):
+        for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
+            rows = np.flatnonzero((block == blk) & (labels == sign))
             take = hits[rows]
-            x[rows] = transform_accepted(batch.x[take], k_all[take], params, rng)
+            x[rows] = transform_accepted(batch.x[take], k_all[take], params, step3)
     return InstanceResult(ok=True, x=x, labels=labels, consumed=pos, draws=m_prime)
 
 

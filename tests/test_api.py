@@ -111,7 +111,8 @@ def test_each_file_and_its_sidecar_are_written_one_way():
     assert [m for m, _ in _imports(SRC / "verify.py") if m == "frames"] == []
     (writer,) = [node for node in ast.parse((SRC / "instances.py").read_text()).body
                  if isinstance(node, ast.FunctionDef) and node.name == "write_labeled_file"]
-    assert [a.arg for a in writer.args.args + writer.args.kwonlyargs] == ["path", "x", "labels"]
+    assert [a.arg for a in writer.args.args + writer.args.kwonlyargs] == ["path", "n", "m_prime",
+                                                                         "fill"]
     callers = [c for path in sorted(SRC.glob("*.py")) for c in _callers(path, "write_sidecar")]
     assert sorted(callers) == ["cli.cmd_gen_instance", "cli.cmd_gen_lwe", "cli.cmd_reduce_lwe"]
 

@@ -7,7 +7,8 @@ whole-array values exactly, at every stream length around a chunk
 boundary, and the passes must not hold whole-stream float temporaries.
 A ContinuousStream's positions, and an instance drawn from it, must not
 depend on its cap, and the instance must hold no memory that grows with
-the cap.
+the cap; written to a file as it is built, none that grows with m' but
+its labels.
 """
 
 import tracemalloc
@@ -17,7 +18,8 @@ import pytest
 
 from lwemassart.cli import main
 from lwemassart.gaussians import ShiftedLattice1D, sample_discrete_gaussian_1d
-from lwemassart.instances import MassartConfig, generate_instance
+from lwemassart.instances import (MassartConfig, _label_runs, generate_instance,
+                                  write_labeled_file)
 from lwemassart.lwe import (
     CHUNK_ROWS,
     ContinuousStream,
@@ -187,7 +189,7 @@ def test_stream_blocks_are_the_whole_array_draw(tag, m):
     # x and z come from children: only the secret moved the generator
     assert rng.random() == ref_rng.random()
     with pytest.raises(ValueError, match="read once"):
-        next(stream.chunks())
+        next(stream.blocks())
 
 
 @pytest.mark.parametrize("tag", ["alternative", "null"])
@@ -251,6 +253,39 @@ def test_inline_build_peak_does_not_grow_with_the_cap():
         results.append((res.consumed, res.labels.tobytes(), res.x.tobytes()))
     assert peaks[1] <= 1.1 * peaks[0], peaks
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("boundary", ["cut", "run"])
+def test_label_runs_found_per_chunk_are_the_whole_array_runs(boundary):
+    # the runs of 2 C + 5 labels, found C labels at a time, with a cut exactly
+    # at a chunk boundary or a run straddling it
+    labels = np.where(np.random.default_rng(12).random(2 * C + 5) < 0.3, -1, 1).astype(np.int8)
+    labels[C - 3 : C + 3] = 1
+    if boundary == "cut":
+        labels[C:] *= -1
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    assert list(_label_runs(labels)) == list(zip([0] + cuts, cuts + [len(labels)]))
+    assert (C in cuts) == (boundary == "cut")
+
+
+def test_written_instance_peak_does_not_grow_with_m_prime(tmp_path):
+    # gen-instance's path: each finished block goes to the MLAB writer, so
+    # of all it holds only the m' int8 labels grow with m'; the walk reads
+    # about 4 blocks at m' = 20k and 40 at m' = 200k
+    peaks = []
+    for m_prime in (20_000, 200_000):
+        cfg = desk_config(4, m_prime)
+
+        def build():
+            stream = ContinuousStream(4, 10**12, SIGMA, "alternative", np.random.default_rng(6))
+            return write_labeled_file(
+                tmp_path / "i.mlab", 4, m_prime,
+                lambda sink: generate_instance(stream, cfg, np.random.default_rng(7), sink))
+
+        res, peak = traced_peak(build)
+        assert res.ok and res.x is None and res.consumed > 3 * C * m_prime // 20_000
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0] + 200_000, peaks
 
 
 def test_transform_runs_in_chunk_blocks():

@@ -251,6 +251,30 @@ class TestDamagedBatch:
                 assert res.exit_code == 2, res.output
                 assert "Traceback" not in res.output and not out.exists()
 
+    @pytest.mark.parametrize("fault", ["nan-x", "y-out-of-range"])
+    def test_gen_instance_fault_in_a_later_block_leaves_no_output(self, tmp_path, fault):
+        # the walk writes the first block's records before it reads the second;
+        # a fault there exits 2 and leaves no part-written file and no sidecar
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative", "--n", "4",
+                "--m", str(2 * CHUNK_ROWS + 3), "--sigma", repr(TINY_SIGMA), "--seed", "8",
+                "--out", str(src)])
+        args = [*BASE_ARGS, "--m-prime", "8000", "--seed", "8"]
+        clean = tmp_path / "clean.inst"
+        res = invoke(["gen-instance", "--batch", str(src), *args, "--out", str(clean)])
+        assert res.exit_code == 0, res.output
+        assert CHUNK_ROWS < read_sidecar(clean)["consumed"] < 2 * CHUNK_ROWS
+        spoil_row(src, CHUNK_ROWS + 5, fault)
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".lwe"}
+        # a new path gets nothing; the earlier instance at clean stays with its sidecar
+        for out in (tmp_path / "bad.inst", clean):
+            res = CliRunner().invoke(main, ["gen-instance", "--batch", str(src), *args,
+                                            "--out", str(out)])
+            assert res.exit_code == 2, res.output
+            assert "Traceback" not in res.output
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                    if p.suffix != ".lwe"} == files
+
 
 class TestGenInstance:
     def test_records_and_consumption(self, tmp_path):
@@ -272,6 +296,8 @@ class TestGenInstance:
         assert res.exit_code == 3
         assert "stream exhausted" in res.output
         assert "4000" in res.output  # the consumed count is reported
+        # the records written before the stream ran dry go with the file
+        assert not (tmp_path / "x").exists() and not (tmp_path / "x.meta.json").exists()
 
     def test_huge_cap_draws_only_what_the_walk_reads(self, tmp_path):
         # the inline stream is drawn on demand: a cap of 10^15 positions
@@ -332,6 +358,7 @@ class TestGenInstance:
                                         *args])
         assert res.exit_code == 3, res.output
         assert "the same seed with a longer batch that starts with this one" in res.output
+        assert not (tmp_path / "i").exists() and not (tmp_path / "i.meta.json").exists()
         res = CliRunner().invoke(main, ["gen-instance", "--batch",
                                         str(tmp_path / "30000.lwe"), *args])
         assert res.exit_code == 0, res.output
@@ -457,7 +484,7 @@ class TestVerify:
         x, labels, _ = read_labeled_file(work / "alt.inst")
         meta = read_sidecar(work / "alt.inst")
         bad = tmp_path / "flipped.inst"
-        write_labeled_file(bad, x, -labels)
+        write_labeled_file(bad, 4, len(x), lambda sink: sink(x, -labels))
         write_sidecar(bad, meta)
         res = CliRunner().invoke(main, ["verify", str(bad), "--bins", "32"])
         assert res.exit_code == 4
@@ -570,7 +597,7 @@ class TestDamagedInstance:
         inst = tmp_path / "null.inst"
         x, labels, _ = read_labeled_file(work / "null.inst")
         x[5, 1] = value
-        write_labeled_file(inst, x, labels)
+        write_labeled_file(inst, x.shape[1], len(x), lambda sink: sink(x, labels))
         shutil.copyfile(str(work / "null.inst") + ".meta.json", str(inst) + ".meta.json")
         assert "finite" in verify_exits_2(inst)
 

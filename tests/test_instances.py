@@ -372,8 +372,9 @@ def naive_walk(batch, cfg, seed):
     """Per-draw, per-position replay of the documented rng order.
 
     Labels first, then CHUNK_ROWS keep uniforms each time the walk reaches
-    a new block of the stream, then the +1 and -1 group transforms.
-    Returns an InstanceResult built the slow way.
+    a new block of the stream; then, from the child rng.spawn(1), block by
+    block, the transforms of the +1 and of the -1 draws whose positions lie
+    in the block.  Returns an InstanceResult built the slow way.
     """
     rng = np.random.default_rng(seed)
     labels = np.where(rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
@@ -396,13 +397,16 @@ def naive_walk(batch, cfg, seed):
                 hits.append(pos - 1)
                 break
     hits = np.array(hits)
+    (step3,) = rng.spawn(1)
     x = np.empty((cfg.m_prime, batch.n))
-    for params, sign in ((cfg.params_plus, 1), (cfg.params_minus, -1)):
-        rows = np.flatnonzero(labels == sign)
-        if rows.size:
-            take = hits[rows]
-            k = invert_y(batch.y[take], params.t, params.psi)
-            x[rows] = transform_accepted(batch.x[take], k, params, rng)
+    for block in range(hits[-1] // CHUNK_ROWS + 1):
+        for params, sign in ((cfg.params_plus, 1), (cfg.params_minus, -1)):
+            rows = [r for r in range(cfg.m_prime)
+                    if labels[r] == sign and hits[r] // CHUNK_ROWS == block]
+            if rows:
+                take = hits[rows]
+                k = invert_y(batch.y[take], params.t, params.psi)
+                x[rows] = transform_accepted(batch.x[take], k, params, step3)
     return InstanceResult(ok=True, x=x, labels=labels, consumed=pos, draws=cfg.m_prime)
 
 
@@ -454,11 +458,13 @@ def test_run_walk_matches_naive_oracle_at_stream_edges(eta):
 
 
 # SHA-256 of (x, labels) from a seeded n = 2, m' = 2,000 instance; at n = 2
-# <x, s> is one exact addition, so the bytes do not depend on the BLAS
+# <x, s> is one exact addition, so the bytes do not depend on the BLAS.
+# The labels digests have not changed since Step 3 moved to its own child
+# generator, block by block: the labels and the walk draw what they drew.
 INSTANCE_SHA256 = {
-    "alternative": ("adda558a99b0832b7bdb1b70d02a47c6043742181a930753e15af2fcf09d74d9",
+    "alternative": ("aa8c5e4a7063962c760646f7d133ef68e256a0f8355625822ba0e2fb565ca9d7",
                     "101539456ff63a46c92e588d3388f261f4ecc432180635936b284460b438590a"),
-    "null": ("2110769aaba92f93ad5ba402c4069e0b64a4b3db3061e8459b022f08c377e17a",
+    "null": ("f2498e033f3de10f4cf96479b01f4199130805be0e86fb59b8a1aa534eb9c038",
              "9d30604b216feb753352ef673686d8f449a5c5e845570819c1ac1e411a58f6d4"),
 }
 
@@ -514,6 +520,11 @@ def test_plus_branch_law_matches_reduce_batch():
 # ---------------------------------------------------------------- file I/O
 
 
+def write_whole(path, x, labels):
+    """An MLAB file of the rows of x and their labels, handed over as one block."""
+    return write_labeled_file(path, x.shape[1], len(x), lambda sink: sink(x, labels))
+
+
 def test_labeled_file_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     x = rng.normal(size=(123, 5))
@@ -521,7 +532,7 @@ def test_labeled_file_round_trip(tmp_path):
     path = tmp_path / "inst.mlab"
     meta = {"t": T, "eps": EPS, "seed": 42, "tag": "alternative",
             "secret_digest": secret_digest(np.ones(5))}
-    write_labeled_file(path, x, labels)
+    write_whole(path, x, labels)
     write_sidecar(path, meta)
     x2, labels2, header = read_labeled_file(path)
     assert np.array_equal(x, x2)
@@ -530,18 +541,44 @@ def test_labeled_file_round_trip(tmp_path):
     assert read_sidecar(path) == meta
 
 
+def test_labeled_file_left_as_it_was_on_a_failure_part_way(tmp_path):
+    # no part-written file, and an earlier file at the path stays whole
+    path = tmp_path / "x.mlab"
+    x, labels = np.zeros((4, 2)), np.ones(4)
+
+    def one_block_then_fail(sink):
+        sink(x[:2], labels[:2])
+        raise RuntimeError("the source broke after one block")
+
+    fails = [(one_block_then_fail, RuntimeError, "one block"),
+             (lambda sink: sink(x[:3], labels[:3]), ValueError, "3 records written"),
+             (lambda sink: sink(np.zeros((4, 3)), labels), ValueError, r"\(k, 2\)"),
+             (lambda sink: sink(x, labels[:3]), ValueError, r"\(k, 2\)")]
+    for earlier in (None, np.ones((3, 2))):
+        if earlier is not None:
+            write_whole(path, earlier, np.ones(3))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for fill, error, match in fails:
+            with pytest.raises(error, match=match):
+                write_labeled_file(path, 2, 4, fill)
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if earlier is not None:
+            assert np.array_equal(read_labeled_file(path)[0], earlier)
+
+
 def test_labeled_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.mlab"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_labeled_file(path)
     with pytest.raises(ValueError):
-        write_labeled_file(tmp_path / "x.mlab", np.zeros((2, 2)), np.array([0, 1]))
+        write_whole(tmp_path / "x.mlab", np.zeros((2, 2)), np.array([0, 1]))
+    assert not (tmp_path / "x.mlab").exists()
 
 
 def test_labeled_file_rejects_every_truncation_and_bad_label(tmp_path):
     src, bad = tmp_path / "ok.mlab", tmp_path / "bad.mlab"
-    write_labeled_file(src, np.arange(6.0).reshape(3, 2), np.array([1, -1, 1]))
+    write_whole(src, np.arange(6.0).reshape(3, 2), np.array([1, -1, 1]))
     data = src.read_bytes()
     for cut in range(len(data)):
         bad.write_bytes(data[:cut])
@@ -557,7 +594,7 @@ def test_labeled_file_rejects_every_truncation_and_bad_label(tmp_path):
                                        ("m_prime", "3"), ("lifted", 0), ("lifted", True)])
 def test_labeled_file_rejects_ill_typed_header(tmp_path, key, value):
     path = tmp_path / "h.mlab"
-    write_labeled_file(path, np.zeros((3, 2)), np.ones(3))
+    write_whole(path, np.zeros((3, 2)), np.ones(3))
     edit_labeled_header(path, **{key: value})
     with pytest.raises(ValueError):
         read_labeled_file(path)
@@ -566,7 +603,7 @@ def test_labeled_file_rejects_ill_typed_header(tmp_path, key, value):
 def test_labeled_file_reads_an_unlifted_header_with_d(tmp_path):
     # files written while --lifted existed carry d and lifted: false
     path = tmp_path / "h.mlab"
-    write_labeled_file(path, np.zeros((3, 2)), np.ones(3))
+    write_whole(path, np.zeros((3, 2)), np.ones(3))
     edit_labeled_header(path, d=1, lifted=False)
     x, labels, _ = read_labeled_file(path)
     assert x.shape == (3, 2) and np.all(labels == 1)
@@ -584,6 +621,6 @@ def test_labeled_file_same_bytes_same_input(tmp_path):
     x = np.linspace(0, 1, 12).reshape(4, 3)
     labels = np.array([1, -1, 1, 1])
     p1, p2 = tmp_path / "a.mlab", tmp_path / "b.mlab"
-    write_labeled_file(p1, x, labels)
-    write_labeled_file(p2, x, labels)
-    assert p1.read_bytes() == p2.read_bytes()
+    write_whole(p1, x, labels)
+    write_labeled_file(p2, 3, 4, lambda sink: [sink(x[:1], labels[:1]), sink(x[1:], labels[1:])])
+    assert p1.read_bytes() == p2.read_bytes()  # one block or two: the same bytes

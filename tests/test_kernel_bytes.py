@@ -49,7 +49,7 @@ COMMANDS = [
 PINNED = {
     "continuous.lwe": "bf5469b50a1b64a06d257c91071441aea3944f0e0544b3b35431decd50861f06",
     "torus.lwe": "431f14f0bd5f32d7f8a5aba61dd5ee76f518a0a5de6e6c81332a028cfb4d78c9",
-    "alternative.inst": "49c5092bbfbaef51e9f1fc519a00134945c2081140f1d0d017606155e9d0607f",
+    "alternative.inst": "f128849c75ecea30bb530c809387b26346f90fcc08e99af6821ce5f8b084ab41",
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from lwemassart import config, frames
+from lwemassart import config, frames, verify
 from lwemassart.instances import (
     MassartConfig,
     generate_instance,
@@ -44,6 +44,7 @@ from lwemassart.verify import (
     max_label_deviation,
     mixture_oracle,
     orthogonal_gaussianity_test,
+    ordered_dot,
     project,
     ptf_error_estimate,
     write_histogram_csv,
@@ -891,3 +892,37 @@ class TestOutputs:
         assert lines[0] == "lo,hi,empirical,model"
         row = lines[1].split(",")
         assert float(row[0]) == edges[0] and float(row[2]) == 0.1
+
+
+def test_ordered_dot_sums_left_to_right():
+    # the reports' projections: each entry is x[i, 0] a[0] + x[i, 1] a[1] + ...
+    # rounded term by term in that order, whatever BLAS would have done
+    rng = np.random.default_rng(40)
+    x, a = rng.normal(size=(50, 7)), rng.normal(size=7)
+    got = ordered_dot(x, a)
+    for i in range(len(x)):
+        want = x[i, 0] * a[0]
+        for j in range(1, x.shape[1]):
+            want = want + x[i, j] * a[j]
+        assert got[i] == want
+    assert np.allclose(got, x @ a, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("first", [-1.0, 1.0])
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_orthogonal_test_reads_an_orthonormal_complement(monkeypatch, n, first):
+    # the coordinates the KS battery reads are x's coordinates in an
+    # orthonormal basis of s's complement
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(300, n))
+    s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    s[0] = first  # the reflection adds sign(u_0) to u_0
+    seen = []
+    monkeypatch.setattr(verify, "ks_norm_pvalue",
+                        lambda v, std: seen.append(np.array(v)) or 0.5)
+    orthogonal_gaussianity_test(x, s)
+    coords = np.column_stack(seen[::5])  # each coordinate's marginal, then 4 quartile slices
+    assert coords.shape == (300, n - 1)
+    # [u, B] is orthogonal iff x B B'x' + (x.u)(x.u)' = x x' for an x of full column rank
+    proj = x @ (s / np.linalg.norm(s))
+    assert np.allclose(coords @ coords.T + np.outer(proj, proj), x @ x.T, rtol=0, atol=1e-9)
