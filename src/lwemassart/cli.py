@@ -79,12 +79,18 @@ class _FloatRange(click.FloatRange):
 
 
 class _OutPath(click.Path):
-    """An output file: a missing or unwritable directory fails as the flags are parsed."""
+    """An output file: a missing or unwritable directory fails as the flags are parsed.
+
+    The file is written at OUT.part and renamed onto OUT, so an existing
+    OUT that is not a regular file (a directory, /dev/null) fails too.
+    """
 
     def convert(self, value, param, ctx):
         parent = os.path.dirname(os.path.abspath(super().convert(value, param, ctx)))
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             self.fail(f"directory {parent} does not exist or is not writable", param, ctx)
+        if os.path.lexists(value) and not os.path.isfile(value):
+            self.fail(f"{value} exists and is not a regular file", param, ctx)
         return value
 
 

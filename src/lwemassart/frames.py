@@ -8,6 +8,7 @@ headers, sidecars and --config files all pass check_fields, so a damaged
 input is a ValueError, never a TypeError or OverflowError further on.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -66,19 +67,30 @@ def decode_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
-def write_json(path, obj):
-    """Write obj to path as sort-keyed JSON, indented by 2, with a final newline.
+@contextlib.contextmanager
+def part_file(path, mode="w", newline=None):
+    """A file opened at path.part that replaces path when the body finishes.
 
-    A failure part way removes the file.
+    A failure in the body (a bad input, a full disk) removes path.part and
+    leaves path as it was: a failed write neither leaves a part-written
+    file nor replaces an earlier one.
     """
-    fh = open(path, "w")
+    part = f"{path}.part"
+    fh = open(part, mode, newline=newline)
     try:
         with fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            yield fh
     except BaseException:
-        os.unlink(path)
+        os.unlink(part)
         raise
+    os.replace(part, path)
+
+
+def write_json(path, obj):
+    """Write obj to path through part_file: sort-keyed JSON, indented by 2, a final newline."""
+    with part_file(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def pack(magic, header):

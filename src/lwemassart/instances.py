@@ -24,7 +24,6 @@ leaves the block, and the finished rows go to a sink in draw order.
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -420,12 +419,11 @@ def write_labeled_file(path, n, m_prime, fill):
     whose payload is m_prime packed records of n little-endian f8 followed
     by one signed label byte.  The header is written first; then fill is
     called once with sink(x, labels), which appends the records of a
-    (k, n) block x and its k +1/-1 labels.  The records go to path.part,
-    which replaces path once all m_prime are written.  A failure part way
-    (fill or a block raising, a full disk) or another record count removes
-    path.part and leaves path as it was, so a failed run neither leaves a
-    part-written instance nor parts an earlier one from its sidecar, which
-    write_sidecar writes.
+    (k, n) block x and its k +1/-1 labels.  The file is written through
+    frames.part_file, so a failure part way (fill or a block raising, a
+    full disk) or another record count leaves path as it was: a failed run
+    neither leaves a part-written instance nor parts an earlier one from
+    its sidecar, which write_sidecar writes.
     """
     header = {"magic": LABELED_MAGIC.decode(), "version": LABELED_VERSION,
               "n": n, "m_prime": m_prime}
@@ -444,19 +442,12 @@ def write_labeled_file(path, n, m_prime, fill):
         fh.write(rec)
         written += len(labels)
 
-    part = f"{path}.part"
-    fh = open(part, "wb")
-    try:
-        with fh:
-            fh.write(frames.pack(LABELED_MAGIC, header))
-            result = fill(sink)
-            if written != m_prime:
-                raise ValueError(f"{written} records written; the header promises "
-                                 f"m_prime = {m_prime}")
-    except BaseException:
-        os.unlink(part)
-        raise
-    os.replace(part, path)
+    with frames.part_file(path, "wb") as fh:
+        fh.write(frames.pack(LABELED_MAGIC, header))
+        result = fill(sink)
+        if written != m_prime:
+            raise ValueError(f"{written} records written; the header promises "
+                             f"m_prime = {m_prime}")
     return result
 
 

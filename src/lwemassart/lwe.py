@@ -26,9 +26,7 @@ generation at the matched scale, which is the module's master property
 and is tested as such.
 """
 
-import copy
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -240,8 +238,8 @@ def write_batch(path, src):
 
     The source gives its sizes up front, so the header is packed first;
     then the secret, then each block's x, y and noise at their offsets.
-    A failure part way (a bad block of the source, a full disk) removes
-    the file: no part-written batch is left at path.
+    The file is written through frames.part_file, so a failure part way
+    (a bad block of the source, a full disk) leaves path as it was.
     """
     has_secret = src.secret is not None
     header = {
@@ -257,22 +255,17 @@ def write_batch(path, src):
         "has_noise": src.has_noise,
         "history": [[s.kind, s.sigma_add] for s in src.history],
     }
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(frames.pack(MAGIC, header))
-            start = fh.tell()
-            if has_secret:
-                fh.write(np.ascontiguousarray(src.secret, dtype="<f8"))
-            for c, block in zip(row_chunks(src.m), src.blocks()):
-                ats = _offsets(src.n, src.m, has_secret, src.has_noise, c.start)
-                for at, a in zip(ats, block):
-                    if a is not None:
-                        fh.seek(start + at)
-                        fh.write(np.ascontiguousarray(a, dtype="<f8"))
-    except BaseException:
-        os.unlink(path)
-        raise
+    with frames.part_file(path, "wb") as fh:
+        fh.write(frames.pack(MAGIC, header))
+        start = fh.tell()
+        if has_secret:
+            fh.write(np.ascontiguousarray(src.secret, dtype="<f8"))
+        for c, block in zip(row_chunks(src.m), src.blocks()):
+            ats = _offsets(src.n, src.m, has_secret, src.has_noise, c.start)
+            for at, a in zip(ats, block):
+                if a is not None:
+                    fh.seek(start + at)
+                    fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 class BatchFile(BlockSource):
@@ -319,90 +312,29 @@ class BatchFile(BlockSource):
 # ------------------------------------------------------------- generators
 
 
-class ClassicStream(BlockSource):
-    """Classic modular LWE samples, drawn CHUNK_ROWS rows at a time.
+class _GeneratedStream(BlockSource):
+    """Generated LWE samples, drawn CHUNK_ROWS positions at a time on demand.
 
-    Alternative: x ~ U(Z_q^n), s ~ U({±1}^n) (the post-secret-reduction
-    form the continuization chain's noise accounting assumes), z discrete
-    Gaussian on Z at scale sigma, y = mod_q(<x, s> + z).
-    Null: x ~ U(Z_q^n) and y ~ U(Z_q) independent.
-
-    rng draws all of x, then the secret, then z (or the null y), the order
-    of the whole-array draw; split into blocks, each draw gives the same
-    values (tests/test_chunked_passes.py pins this).  So the constructor
-    steps rng over x block by block to reach the secret, and blocks()
-    draws x again, beside z, from a copy of rng taken first: x is drawn
-    twice and never held whole.  The stream is read once.
+    x comes from one child of rng (rng.spawn(2)) and z (or the null y)
+    from the other, each read in stream order, and the secret from rng
+    itself.  So position i's values do not depend on m or on where the
+    blocks split: a stream with a larger cap starts with this one's
+    positions, and nothing here costs O(m).  A subclass draws one block
+    of k positions in _draw(k).  The stream is read once.
     """
-
-    domain = "mod_q"
-
-    def __init__(self, n, m, q, sigma, tag, rng):
-        if q < 2:
-            raise ValueError("q must be >= 2")
-        if n < 1 or m < 1:
-            raise ValueError("n and m must be >= 1")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if tag not in ("null", "alternative"):
-            raise ValueError("tag must be 'null' or 'alternative'")
-        self.n, self.m, self.q, self.sigma, self.tag = n, m, q, sigma, tag
-        self.has_noise = tag == "alternative"
-        self._x_rng, self._rng = copy.deepcopy(rng), rng
-        for c in row_chunks(m):
-            rng.integers(0, q, size=(c.stop - c.start, n))
-        self.secret = 2.0 * rng.integers(0, 2, size=n) - 1.0 if self.has_noise else None
-
-    def blocks(self):
-        self._start_read()
-        for c in row_chunks(self.m):
-            x = self._x_rng.integers(0, self.q, size=(c.stop - c.start, self.n)).astype(float)
-            if self.secret is None:
-                yield x, self._rng.integers(0, self.q, size=len(x)).astype(float), None
-            else:
-                z = sample_discrete_gaussian_1d(ShiftedLattice1D(), self.sigma, rng=self._rng,
-                                                size=len(x))
-                yield x, mod_q(signed_sum(x, self.secret) + z, self.q), z
-
-
-def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
-    """Classic modular LWE batch: a ClassicStream's m rows in one batch."""
-    return LweBatch.collect(ClassicStream(n, m, q, sigma, tag, rng))
-
-
-class ContinuousStream(BlockSource):
-    """Continuous unit-torus LWE samples, drawn CHUNK_ROWS positions at a time on demand.
-
-    Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
-    z continuous Gaussian at scale sigma, y = mod_1(<x, s> + z).  Null: x
-    and y uniform and independent.  m caps the stream; nothing here costs
-    O(m).
-
-    x and z (or the null y) each come from their own child of rng
-    (rng.spawn(2)), read in stream order, and the secret from rng itself.
-    So position i's values do not depend on m or on where the blocks
-    split: a stream with a larger cap starts with this one's positions.
-    The stream is read once.
-    """
-
-    domain = "unit_torus"
 
     def __init__(self, n, m, sigma, tag, rng, secret=None):
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError("sigma must be positive")
         if n < 1 or m < 1:
             raise ValueError("n and m must be >= 1")
-        if tag not in ("null", "alternative"):
-            raise ValueError("tag must be 'null' or 'alternative'")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError("sigma must be positive")
         self.n, self.m, self.sigma, self.tag = n, m, sigma, tag
         self.has_noise = tag == "alternative"
         self._x_rng, self._z_rng = rng.spawn(2)
-        self.secret = None
-        if tag == "alternative":
-            self.secret = (2.0 * rng.integers(0, 2, size=n) - 1.0 if secret is None
-                           else np.asarray(secret, dtype=float))
-            if self.secret.shape != (n,) or not np.all(np.abs(self.secret) == 1.0):
-                raise ValueError("secret must be a ±1 vector of length n")
+        if self.has_noise and secret is None:
+            secret = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        self.secret = secret if self.has_noise else None
+        self.secret, _ = _check_meta(self)
 
     def blocks(self):
         """(x, y, z) per block of up to CHUNK_ROWS positions, each drawn when reached.
@@ -410,13 +342,55 @@ class ContinuousStream(BlockSource):
         z is the alternative's noise and None on a null stream.
         """
         self._start_read()
+        # a range, not row_chunks' list: m may be far larger than any reader reaches
         for a in range(0, self.m, CHUNK_ROWS):
-            x = self._x_rng.uniform(size=(min(CHUNK_ROWS, self.m - a), self.n))
-            if self.secret is None:
-                yield x, self._z_rng.uniform(size=len(x)), None
-            else:
-                z = sample_continuous(1, self.sigma, rng=self._z_rng, size=len(x))[:, 0]
-                yield x, mod_1(signed_sum(x, self.secret) + z), z
+            yield self._draw(min(CHUNK_ROWS, self.m - a))
+
+
+class ClassicStream(_GeneratedStream):
+    """Classic modular LWE samples, drawn CHUNK_ROWS rows at a time.
+
+    Alternative: x ~ U(Z_q^n), s ~ U({±1}^n) (the post-secret-reduction
+    form the continuization chain's noise accounting assumes), z discrete
+    Gaussian on Z at scale sigma, y = mod_q(<x, s> + z).
+    Null: x ~ U(Z_q^n) and y ~ U(Z_q) independent.
+    """
+
+    domain = "mod_q"
+
+    def __init__(self, n, m, q, sigma, tag, rng):
+        self.q = q
+        super().__init__(n, m, sigma, tag, rng)
+
+    def _draw(self, k):
+        x = self._x_rng.integers(0, self.q, size=(k, self.n)).astype(float)
+        if self.secret is None:
+            return x, self._z_rng.integers(0, self.q, size=k).astype(float), None
+        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), self.sigma, rng=self._z_rng, size=k)
+        return x, mod_q(signed_sum(x, self.secret) + z, self.q), z
+
+
+def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
+    """Classic modular LWE batch: a ClassicStream's m rows in one batch."""
+    return LweBatch.collect(ClassicStream(n, m, q, sigma, tag, rng))
+
+
+class ContinuousStream(_GeneratedStream):
+    """Continuous unit-torus LWE samples, drawn CHUNK_ROWS positions at a time on demand.
+
+    Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
+    z continuous Gaussian at scale sigma, y = mod_1(<x, s> + z).  Null: x
+    and y uniform and independent.  m caps the stream.
+    """
+
+    domain = "unit_torus"
+
+    def _draw(self, k):
+        x = self._x_rng.uniform(size=(k, self.n))
+        if self.secret is None:
+            return x, self._z_rng.uniform(size=k), None
+        z = sample_continuous(1, self.sigma, rng=self._z_rng, size=k)[:, 0]
+        return x, mod_1(signed_sum(x, self.secret) + z), z
 
 
 def gen_continuous_lwe(n, m, sigma, tag, rng, secret=None):

@@ -102,8 +102,10 @@ def accept_steps(y, u, params):
     u holds one keep uniform per position, drawn by the caller so each
     caller keeps its own randomness order.  The keep probability is
     evaluated only where k is in B; elsewhere the position is rejected
-    whatever its uniform.  y is an LweBatch's y, which the batch has
-    already checked to lie in [0, 1), so it is not checked again here.
+    whatever its uniform.  y is one block of a source's y, already in
+    [0, 1): BatchFile checks each block it reads, LweBatch its arrays,
+    and the generated streams and ChainStream make y with mod_1 or
+    mod_q.  So it is not checked again here.
     """
     k = k_of_y(y, params.t, params.psi)
     accepted = params.B.contains(k)

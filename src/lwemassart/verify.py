@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import kolmogorov, ndtr, smirnov
 
+from .frames import part_file
 from .instances import ptf_region
 from .rejection import branch_acceptance
 
@@ -79,9 +80,9 @@ class TestReport:
 
 
 def write_histogram_csv(path, edges, columns):
-    """Per-bin CSV dump: lo, hi, then one column per named series."""
+    """Per-bin CSV dump through part_file: lo, hi, then one column per named series."""
     names = list(columns)
-    with open(path, "w", newline="") as fh:
+    with part_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lo", "hi"] + names)
         for i in range(len(edges) - 1):

@@ -180,17 +180,19 @@ def gen_continuous_lwe_reference(n, m, sigma, tag, rng):
 
 
 def gen_classic_lwe_reference(n, m, q, sigma, tag, rng):
-    """gen_classic_lwe as one whole-array draw of each kind from rng.
+    """gen_classic_lwe as one whole-array draw from each child of rng.
 
-    All of x, then the secret, then z (or the null y), all from rng itself.
+    x from the first child, z (or the null y) from the second, and the
+    secret from rng itself.
     """
-    x = rng.integers(0, q, size=(m, n)).astype(float)
+    x_rng, z_rng = rng.spawn(2)
+    x = x_rng.integers(0, q, size=(m, n)).astype(float)
     if tag == "alternative":
         s = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=rng, size=m)
+        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=z_rng, size=m)
         y = mod_q(sum(x[:, j] * s[j] for j in range(n)) + z, q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
-    return LweBatch(x, rng.integers(0, q, size=m).astype(float), "mod_q", tag, sigma, q=q)
+    return LweBatch(x, z_rng.integers(0, q, size=m).astype(float), "mod_q", tag, sigma, q=q)
 
 
 def lweb_bytes_reference(batch):

@@ -107,8 +107,12 @@ def test_massart_config_region_alone_builds_the_region():
 
 def test_each_file_and_its_sidecar_are_written_one_way():
     # a file writer writes its file and each command writes the sidecar beside
-    # it; reports go through frames.write_json from cli.py, never a verify wrapper
-    assert [m for m, _ in _imports(SRC / "verify.py") if m == "frames"] == []
+    # it; reports go through frames.write_json from cli.py, never a verify
+    # wrapper, and every file goes through frames.part_file
+    assert [n for m, n in _imports(SRC / "verify.py") if m == "frames"] == ["part_file"]
+    openers = [c for path in sorted(SRC.glob("*.py")) for c in _callers(path, "part_file")]
+    assert sorted(openers) == ["frames.write_json", "instances.write_labeled_file",
+                               "lwe.write_batch", "verify.write_histogram_csv"]
     (writer,) = [node for node in ast.parse((SRC / "instances.py").read_text()).body
                  if isinstance(node, ast.FunctionDef) and node.name == "write_labeled_file"]
     assert [a.arg for a in writer.args.args + writer.args.kwonlyargs] == ["path", "n", "m_prime",

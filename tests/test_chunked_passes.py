@@ -5,7 +5,7 @@ instance builder's walk and the Step-3 transform go in row chunks of
 lwe.CHUNK_ROWS.  Split draws and per-chunk sums must reproduce the
 whole-array values exactly, at every stream length around a chunk
 boundary, and the passes must not hold whole-stream float temporaries.
-A ContinuousStream's positions, and an instance drawn from it, must not
+A generated stream's positions, and an instance drawn from it, must not
 depend on its cap, and the instance must hold no memory that grows with
 the cap; written to a file as it is built, none that grows with m' but
 its labels.
@@ -22,6 +22,7 @@ from lwemassart.instances import (MassartConfig, _label_runs, generate_instance,
                                   write_labeled_file)
 from lwemassart.lwe import (
     CHUNK_ROWS,
+    ClassicStream,
     ContinuousStream,
     gen_classic_lwe,
     gen_continuous_lwe,
@@ -42,6 +43,21 @@ C = CHUNK_ROWS
 SIZES = [1, C - 1, C, C + 1, C + 2, 2 * C + 7]
 T, EPS = 0.2, 0.025
 SIGMA = 1.0 / (8.0 * (T + EPS))
+
+
+# each generated stream kind: its stream and its whole-array reference, both
+# called with (n, m, tag, rng)
+STREAMS = {
+    "classic": (lambda n, m, tag, rng: ClassicStream(n, m, 257, 2.0, tag, rng),
+                lambda n, m, tag, rng: gen_classic_lwe_reference(n, m, 257, 2.0, tag, rng)),
+    "continuous": (lambda n, m, tag, rng: ContinuousStream(n, m, SIGMA, tag, rng),
+                   lambda n, m, tag, rng: gen_continuous_lwe_reference(n, m, SIGMA, tag, rng)),
+}
+# (kind, tag) inputs of the stream tests; a continuous stream's ids name its tag alone
+KIND_TAGS = pytest.mark.parametrize("kind, tag", [
+    ("continuous", "alternative"), ("continuous", "null"),
+    ("classic", "alternative"), ("classic", "null"),
+], ids=["alternative", "null", "classic-alternative", "classic-null"])
 
 
 def desk_config(n, m_prime, eta=0.2):
@@ -104,9 +120,10 @@ def test_generate_instance_matches_whole_array_reference(tag, m):
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 @pytest.mark.parametrize("q", [257, 2**40 + 15])
 def test_classic_draws_split_into_blocks(n, q):
-    # ClassicStream's bytes rest on this: drawn in blocks of odd sizes, the
-    # bounded integers and the discrete Gaussian give the whole draw's values
-    # and leave the generator where the whole draw leaves it
+    # ClassicStream's bytes rest on this: each of its two children draws in
+    # blocks of odd sizes, and the bounded integers and the discrete Gaussian
+    # give the whole draw's values and leave the generator where the whole
+    # draw leaves it
     sizes = [1, 7, 333, 1000]
     whole, split = np.random.default_rng(n), np.random.default_rng(n)
     x = whole.integers(0, q, size=(sum(sizes), n))
@@ -165,16 +182,17 @@ def test_accept_pass_holds_no_float_per_stream_position():
     assert peak < 8 * m, peak / (8 * m)
 
 
-@pytest.mark.parametrize("tag", ["alternative", "null"])
+@KIND_TAGS
 @pytest.mark.parametrize("m", SIZES)
-def test_stream_blocks_are_the_whole_array_draw(tag, m):
+def test_stream_blocks_are_the_whole_array_draw(kind, tag, m):
+    make, reference = STREAMS[kind]
     rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
     # the secret comes from rng itself, wherever it stands: three 32-bit
     # draws leave half of a 64-bit step buffered
     for g in (rng, ref_rng):
         g.integers(0, 2, size=3)
-    stream = ContinuousStream(3, m, SIGMA, tag, rng)
-    ref = gen_continuous_lwe_reference(3, m, SIGMA, tag, ref_rng)
+    stream = make(3, m, tag, rng)
+    ref = reference(3, m, tag, ref_rng)
     assert (stream.secret is None) == (ref.secret is None)
     if ref.secret is not None:
         assert stream.secret.tobytes() == ref.secret.tobytes()
@@ -220,13 +238,14 @@ def test_stream_runs_on_any_bit_generator():
                                                       ref.noise.tobytes())
 
 
-@pytest.mark.parametrize("tag", ["alternative", "null"])
+@KIND_TAGS
 @pytest.mark.parametrize("m", SIZES)
-def test_stream_prefix_does_not_depend_on_the_cap(tag, m):
+def test_stream_prefix_does_not_depend_on_the_cap(kind, tag, m):
     # a stream capped at m is the first m positions of one capped at 3 C,
     # whatever the block its cap falls in
-    short = ContinuousStream(3, m, SIGMA, tag, np.random.default_rng(5))
-    long = ContinuousStream(3, 3 * C, SIGMA, tag, np.random.default_rng(5))
+    make, _ = STREAMS[kind]
+    short = make(3, m, tag, np.random.default_rng(5))
+    long = make(3, 3 * C, tag, np.random.default_rng(5))
     if tag == "alternative":
         assert short.secret.tobytes() == long.secret.tobytes()
     for (x, y, z), (lx, ly, lz) in zip(short.blocks(), long.blocks()):

@@ -8,6 +8,7 @@ track the planted region and the projected law keeps its structure.
 import errno
 import json
 import math
+import os
 import shutil
 import time
 
@@ -215,13 +216,19 @@ class TestDamagedBatch:
         invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4",
                 "--m", str(CHUNK_ROWS + 5), "--q", "257", "--sigma", "2.0", "--seed", "5",
                 "--out", str(src)])
+        earlier = tmp_path / "earlier.lwe"
+        invoke(["gen-lwe", "--n", "4", "--m", "10", "--sigma", "0.01", "--seed", "1",
+                "--out", str(earlier)])
         spoil_row(src, -1, fault)
-        out = tmp_path / "o"
-        res = CliRunner().invoke(main, ["reduce-lwe", str(src), "--out", str(out)])
-        assert res.exit_code == 2, res.output
-        assert res.exception is None or isinstance(res.exception, SystemExit)
-        assert "Traceback" not in res.output
-        assert not out.exists() and not (tmp_path / "o.meta.json").exists()
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != src.name}
+        # a new path gets nothing; an earlier batch and its sidecar stay as they were
+        for out in (tmp_path / "o", earlier):
+            res = CliRunner().invoke(main, ["reduce-lwe", str(src), "--out", str(out)])
+            assert res.exit_code == 2, res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert "Traceback" not in res.output
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                    if p.name != src.name} == files
 
     @pytest.mark.parametrize("fault", ["nan-x", "y-out-of-range"])
     def test_gen_instance_batch_checks_only_the_blocks_it_reads(self, tmp_path, fault):
@@ -711,8 +718,9 @@ def test_number_outside_its_domain_exits_2(tmp_path, args):
     ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
      "--report", "{missing}/d.json"],
     ["preset", "apply", "desk-scale", "--out", "{missing}/c.json"],
+    ["gen-lwe", "--n", "4", "--m", "10", "--sigma", "0.01", "--out", "{fifo}"],
 ], ids=["gen-lwe", "reduce-lwe", "gen-instance", "verify-report", "verify-hist",
-        "distinguish", "preset-apply"])
+        "distinguish", "preset-apply", "gen-lwe-onto-a-fifo"])
 def test_unwritable_output_path_exits_2(work, tmp_path, monkeypatch, args):
     invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "4",
             "--m", "50", "--q", "257", "--sigma", "2.0", "--out", str(tmp_path / "cls.lwe")])
@@ -722,11 +730,15 @@ def test_unwritable_output_path_exits_2(work, tmp_path, monkeypatch, args):
 
     # the path is refused as the flags are parsed, before any stream is drawn
     monkeypatch.setattr(cli, "ContinuousStream", no_stream)
-    paths = {"dir": tmp_path, "missing": tmp_path / "missing", "work": work}
+    # an output that exists and is not a regular file would be renamed over
+    os.mkfifo(tmp_path / "fifo")
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing", "work": work,
+             "fifo": tmp_path / "fifo"}
     res = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Error:" in res.output and "Traceback" not in res.output
+    assert not (tmp_path / "fifo").is_file()
 
 
 @pytest.mark.parametrize("args", [

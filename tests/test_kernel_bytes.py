@@ -48,7 +48,7 @@ COMMANDS = [
 # SHA-256 of the files the commands write at n = 4
 PINNED = {
     "continuous.lwe": "bf5469b50a1b64a06d257c91071441aea3944f0e0544b3b35431decd50861f06",
-    "torus.lwe": "431f14f0bd5f32d7f8a5aba61dd5ee76f518a0a5de6e6c81332a028cfb4d78c9",
+    "torus.lwe": "f10586483e08e532f5c4c85f436ce8b8e9dd3b0ebcd32c7253a7419ba1f24511",
     "alternative.inst": "f128849c75ecea30bb530c809387b26346f90fcc08e99af6821ce5f8b084ab41",
 }
 

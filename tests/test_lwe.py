@@ -295,7 +295,9 @@ def test_load_rejects_garbage():
 # addition on every BLAS), its chain output and a null batch.  The digests
 # pin the LWEB layout; they were taken from the earlier writer, which
 # serialized each array with tobytes() and joined the parts (the chained
-# one again when the chain's e and x' moved to their own generators).
+# one again when the chain's e and x' moved to their own generators, and
+# all three when the classic stream's x and z did), and match
+# oracles.lweb_bytes_reference of the whole-array references.
 PINNED = gen_classic_lwe(2, 64, 257, 2.0, "alternative", rng=np.random.default_rng(2024))
 PINNED_BYTES = file_bytes(PINNED)
 HEADER_KEYS = ("magic", "version", "n", "m", "domain", "q", "tag", "sigma",
@@ -314,11 +316,11 @@ def join_file(header, payload):
 
 @pytest.mark.parametrize("make, digest", [
     (lambda: PINNED,
-     "067b3b2253fe883871ee0bdb8f9228d6aff93ebb0a03228e6323c1e638bef490"),
+     "5c4ee8ca477c1825fbd42e8721928ad06555ed488b5143377025f0f368f40f8a"),
     (lambda: run_chain(PINNED, rng=np.random.default_rng(2025)),
-     "d7fc07cb328c8740b6ae8d0467b880e75d9f96e86d09bab702dd90dae7ab9978"),
+     "6fe85b6aa3918e1638458f94bc9a667ff73ac22ef632ad7841c22815804d3384"),
     (lambda: gen_classic_lwe(2, 64, 257, 2.0, "null", rng=np.random.default_rng(2026)),
-     "ba4be32efe958d5edd486130dcf3ad4fa8a4cafe9133779f3b2f054698e7779b"),
+     "671a6e14db662dc756559f8c5a2fcfbb95a45659059230b2f96c3a0429473c86"),
 ], ids=["classic", "chained", "null"])
 def test_saved_bytes_pinned(tmp_path, make, digest):
     p = tmp_path / "b.lwe"
