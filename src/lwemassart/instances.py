@@ -13,13 +13,13 @@ from which the -1 branch would populate it; build_b_minus removes the
 g-images of the +1 danger zones in float arrays, each image widened past
 its float error, so the result lies inside the exact carved set.
 
-The builder reads the stream one block at a time, only as far as it
-needs: it decides acceptance for the block's positions and walks the
-label sequence run by run, where a run of equal labels takes the next
-accepted positions of its branch in one slice, so consumption order (and
-with it the FAIL contract) is that of a draw-by-draw scan.  The lattice
-transform runs on each block's taken rows, per label group, as the walk
-leaves the block, and the finished rows go to a sink in draw order.
+The builder reads the stream one block (at most 2^18 values) at a time,
+only as far as it needs: it decides acceptance for the block's positions
+and walks the label sequence run by run, where a run of equal labels
+takes the next accepted positions of its branch in one slice, so
+consumption order (and with it the FAIL contract) is that of a
+draw-by-draw scan.  Step 3 maps each block's taken rows, per label group,
+as the walk leaves it, and the rows go to a sink in draw order.
 """
 
 import hashlib
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import frames
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
-from .lwe import CHUNK_ROWS, row_chunks
+from .lwe import CHUNK_ROWS, block_rows, row_chunks
 from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
                         transform_accepted)
 
@@ -293,7 +293,7 @@ class InstanceResult:
 def _label_runs(labels):
     """(start, stop) of each maximal run of equal labels, found CHUNK_ROWS labels at a time."""
     a = 0
-    for c in row_chunks(len(labels)):
+    for c in row_chunks(len(labels), CHUNK_ROWS):
         piece = labels[c.start : c.stop + 1]  # one label past the chunk sees a cut at its end
         for cut in (np.flatnonzero(piece[1:] != piece[:-1]) + 1 + c.start).tolist():
             yield a, cut
@@ -318,7 +318,7 @@ def generate_instance(stream, config, rng, sink=None):
 
     stream is an lwe.BlockSource on the unit torus (an LweBatch, a
     BatchFile, a ContinuousStream or a ChainStream), whose blocks() yields
-    its rows in CHUNK_ROWS-row blocks.  Per draw: label -1 with probability eta (branch
+    its rows in block_rows(n)-row blocks.  Per draw: label -1 with probability eta (branch
     psi = t/2, B_minus), else +1 (psi = 0, B_plus); stream positions are
     consumed in order until the branch accepts.  A position rejected by one
     draw is spent and never revisited.  If a draw needs a position past the
@@ -333,11 +333,11 @@ def generate_instance(stream, config, rng, sink=None):
     them with their labels, in draw order; no block past the one that
     completes draw m' is read.  Without a sink the rows fill one (m', n)
     array, the result's x; with one (write_labeled_file's) the builder
-    holds O(CHUNK_ROWS) rows and the m' int8 labels whatever m' is.  On
+    holds O(2^18) values and the m' int8 labels whatever m' and n are.  On
     FAIL the sink has had the blocks before the stream ran dry.
 
     Randomness order is fixed so one seed reproduces the instance bit for
-    bit.  rng draws the labels, then CHUNK_ROWS keep uniforms per block
+    bit.  rng draws the labels, then block_rows(n) keep uniforms per block
     reached (a short last block uses a prefix).  Step 3 draws from its own
     child, rng.spawn(1), block by block: the block's +1 rows, then its -1
     rows (transform_accepted's order).  Spawning draws nothing, so the
@@ -358,7 +358,7 @@ def generate_instance(stream, config, rng, sink=None):
 
     m_prime = config.m_prime
     labels = np.empty(m_prime, dtype=np.int8)
-    for c in row_chunks(m_prime):
+    for c in row_chunks(m_prime, CHUNK_ROWS):
         labels[c] = np.where(rng.random(c.stop - c.start) < config.eta, -1, 1)
     (step3,) = rng.spawn(1)
     x = None
@@ -369,8 +369,9 @@ def generate_instance(stream, config, rng, sink=None):
     a, b = next(runs)
     done = 0  # draws completed
     base = 0  # stream position of the block's first row
+    keep_draws = block_rows(stream.n)
     for xb, yb, _ in stream.blocks():
-        u_keep = rng.random(CHUNK_ROWS)[: len(yb)]
+        u_keep = rng.random(keep_draws)[: len(yb)]
         accepted = {1: np.flatnonzero(accept_steps(yb, u_keep, p_plus)[1]),
                     -1: np.flatnonzero(accept_steps(yb, u_keep, p_minus)[1])}
         hits, pos, first = [], 0, done

@@ -8,14 +8,14 @@ Every <x, s> is signed_sum's fixed left-to-right sum, never BLAS's, so a
 seed gives the same bytes under any BLAS build or CPU kernel.
 
 Every batch is a block source (BlockSource): its metadata and blocks(),
-which yields its rows CHUNK_ROWS at a time.  ClassicStream and
-ContinuousStream draw a block when a reader reaches it, BatchFile reads it
-from an LWEB file, ChainStream maps the chain over another source's
-blocks, and LweBatch slices its arrays.  write_batch writes any source to
-a file block by block, so gen-lwe, reduce-lwe and gen-instance --batch
-hold O(CHUNK_ROWS) rows whatever m is.  LweBatch.collect gathers a source
-into memory: gen_classic_lwe, gen_continuous_lwe, run_chain and
-LweBatch.load are such gatherings.
+which yields its rows in blocks of block_rows(n) rows, 2^18 values at
+most.  ClassicStream and ContinuousStream draw a block when a reader
+reaches it, BatchFile reads it from an LWEB file, ChainStream maps the
+chain over another source's blocks, and LweBatch slices its arrays.
+write_batch writes any source to a file block by block, so gen-lwe,
+reduce-lwe and gen-instance --batch hold O(2^18) values whatever m and n
+are.  LweBatch.collect gathers a source into memory: gen_classic_lwe,
+gen_continuous_lwe, run_chain and LweBatch.load are such gatherings.
 
 ChainStream (and run_chain, its gathering) turns classic modular LWE
 with a {±1}^n secret into continuous unit-torus LWE in one pass of three
@@ -27,6 +27,8 @@ and is tested as such.
 """
 
 import math
+import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,14 +47,20 @@ from .gaussians import (
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
 
-# Rows per block of a source and per step of the instance builder's accept
-# walk: scratch stays O(CHUNK_ROWS) rows.
+# The most rows and values in a block of a source, and so in a step of the
+# instance builder's accept walk: scratch stays O(BLOCK_VALUES) values.
 CHUNK_ROWS = 1 << 16
+BLOCK_VALUES = 1 << 18
 
 
-def row_chunks(m):
-    """Consecutive slices of CHUNK_ROWS rows covering range(m); the last takes the rest."""
-    return [slice(a, min(a + CHUNK_ROWS, m)) for a in range(0, m, CHUNK_ROWS)]
+def block_rows(n):
+    """Rows per block of n-wide samples: CHUNK_ROWS to n = 4, then BLOCK_VALUES // n, >= 1."""
+    return max(1, min(CHUNK_ROWS, BLOCK_VALUES // n))
+
+
+def row_chunks(m, rows):
+    """Slices of `rows` rows covering range(m), made as reached; the last takes the rest."""
+    return (slice(a, min(a + rows, m)) for a in range(0, m, rows))
 
 
 def signed_sum(x, s):
@@ -123,8 +131,8 @@ class BlockSource:
     """A batch's metadata and its rows, one block at a time.
 
     A source has n, m, domain, q, tag, sigma, secret, has_noise and
-    history, and blocks(), which yields (x, y, noise) for each
-    row_chunks(m) slice in order; noise is None when has_noise is false.
+    history, and blocks(), which yields (x, y, noise) for each block of
+    block_rows(n) rows in order; noise is None when has_noise is false.
     """
 
     q = None
@@ -184,8 +192,8 @@ class LweBatch(BlockSource):
         return self.noise is not None
 
     def blocks(self):
-        """(x, y, noise) row views of the batch, CHUNK_ROWS rows at a time."""
-        for c in row_chunks(self.m):
+        """(x, y, noise) row views of the batch, one block_rows(n) block at a time."""
+        for c in row_chunks(self.m, block_rows(self.n)):
             yield self.x[c], self.y[c], None if self.noise is None else self.noise[c]
 
     @classmethod
@@ -194,7 +202,7 @@ class LweBatch(BlockSource):
         x, y = np.empty((src.m, src.n)), np.empty(src.m)
         noise = np.empty(src.m) if src.has_noise else None
         blocks = src.blocks()
-        for c in row_chunks(src.m):
+        for c in row_chunks(src.m, block_rows(src.n)):
             # no name holds a block while the next one is made
             for out, block in zip((x, y, noise), next(blocks)):
                 if out is not None:
@@ -238,6 +246,7 @@ def write_batch(path, src):
 
     The source gives its sizes up front, so the header is packed first;
     then the secret, then each block's x, y and noise at their offsets.
+    A file larger than its directory's free space is a ValueError first.
     The file is written through frames.part_file, so a failure part way
     (a bad block of the source, a full disk) leaves path as it was.
     """
@@ -255,12 +264,17 @@ def write_batch(path, src):
         "has_noise": src.has_noise,
         "history": [[s.kind, s.sigma_add] for s in src.history],
     }
+    head = frames.pack(MAGIC, header)
+    size = len(head) + _offsets(src.n, src.m, has_secret, src.has_noise, src.m)[1]
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if size > free:
+        raise ValueError(f"the batch file takes {size} bytes; its directory has {free} free")
     with frames.part_file(path, "wb") as fh:
-        fh.write(frames.pack(MAGIC, header))
+        fh.write(head)
         start = fh.tell()
         if has_secret:
             fh.write(np.ascontiguousarray(src.secret, dtype="<f8"))
-        for c, block in zip(row_chunks(src.m), src.blocks()):
+        for c, block in zip(row_chunks(src.m, block_rows(src.n)), src.blocks()):
             ats = _offsets(src.n, src.m, has_secret, src.has_noise, c.start)
             for at, a in zip(ats, block):
                 if a is not None:
@@ -274,8 +288,8 @@ class BatchFile(BlockSource):
     Opening checks the header, the payload length the header implies and
     the metadata (as LweBatch does).  blocks() reads each block's x, y
     and noise slices from the file when it is reached and checks their
-    ranges then, so a reader holds O(CHUNK_ROWS) rows, and a block it
-    never reaches is never checked.
+    ranges then, so a reader holds one block, and a block it never
+    reaches is never checked.
     """
 
     def __init__(self, path):
@@ -289,22 +303,22 @@ class BatchFile(BlockSource):
         if size != length:
             raise ValueError("LWE batch payload holds %d bytes; its header implies %d"
                              % (size, length))
-        self.secret = self._read(0, self.n) if self._has_secret else None
+        self.secret = self._read_values(0, self.n) if self._has_secret else None
         self.secret, self._hi = _check_meta(self)
 
     def _offsets(self, row):
         return _offsets(self.n, self.m, self._has_secret, self.has_noise, row)
 
-    def _read(self, at, count):
+    def _read_values(self, at, count):
         return frames.read_array(self.path, "<f8", count, self._start + at)
 
     def blocks(self):
-        for c in row_chunks(self.m):
+        for c in row_chunks(self.m, block_rows(self.n)):
             k = c.stop - c.start
             x_at, y_at, noise_at = self._offsets(c.start)
-            x = self._read(x_at, k * self.n).reshape(k, self.n)
-            y = self._read(y_at, k)
-            noise = self._read(noise_at, k) if self.has_noise else None
+            x = self._read_values(x_at, k * self.n).reshape(k, self.n)
+            y = self._read_values(y_at, k)
+            noise = self._read_values(noise_at, k) if self.has_noise else None
             _check_rows(x, y, noise, self._hi)
             yield x, y, noise
 
@@ -313,7 +327,7 @@ class BatchFile(BlockSource):
 
 
 class _GeneratedStream(BlockSource):
-    """Generated LWE samples, drawn CHUNK_ROWS positions at a time on demand.
+    """Generated LWE samples, drawn a block at a time on demand.
 
     x comes from one child of rng (rng.spawn(2)) and z (or the null y)
     from the other, each read in stream order, and the secret from rng
@@ -337,18 +351,14 @@ class _GeneratedStream(BlockSource):
         self.secret, _ = _check_meta(self)
 
     def blocks(self):
-        """(x, y, z) per block of up to CHUNK_ROWS positions, each drawn when reached.
-
-        z is the alternative's noise and None on a null stream.
-        """
+        """(x, y, z) per block, drawn when reached; z is the noise, None on a null stream."""
         self._start_read()
-        # a range, not row_chunks' list: m may be far larger than any reader reaches
-        for a in range(0, self.m, CHUNK_ROWS):
-            yield self._draw(min(CHUNK_ROWS, self.m - a))
+        for c in row_chunks(self.m, block_rows(self.n)):
+            yield self._draw(c.stop - c.start)
 
 
 class ClassicStream(_GeneratedStream):
-    """Classic modular LWE samples, drawn CHUNK_ROWS rows at a time.
+    """Classic modular LWE samples, drawn a block at a time on demand.
 
     Alternative: x ~ U(Z_q^n), s ~ U({±1}^n) (the post-secret-reduction
     form the continuization chain's noise accounting assumes), z discrete
@@ -376,7 +386,7 @@ def gen_classic_lwe(n, m, q, sigma, tag, *, rng):
 
 
 class ContinuousStream(_GeneratedStream):
-    """Continuous unit-torus LWE samples, drawn CHUNK_ROWS positions at a time on demand.
+    """Continuous unit-torus LWE samples, drawn a block at a time on demand.
 
     Alternative: x ~ U([0,1)^n), s ~ U({±1}^n) (or the secret passed in),
     z continuous Gaussian at scale sigma, y = mod_1(<x, s> + z).  Null: x
@@ -431,7 +441,7 @@ class ChainStream(BlockSource):
     Omitted scales come from default_chain_scales.  Each source block
     must hold integer x.  e and x' each come from their own child of rng
     (rng.spawn(2)), read in row order, and are drawn and added one block
-    at a time, so the map holds O(CHUNK_ROWS) rows of scratch; the source
+    at a time, so the map holds O(BLOCK_VALUES) values of scratch; the source
     is left as it was.  The stream is read once.
     """
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .gaussians import mod_1, sample_lattice_rows
 from .intervals import IntervalSet
-from .lwe import CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -134,24 +133,14 @@ def step3_scales(k, params):
 def transform_accepted(x, k, params, rng):
     """Step 3 applied to already-accepted samples with per-sample offsets k.
 
-    Used directly by the instance builder, which runs its own accept walk
-    over a shared sample stream before transforming each label group.
-    Rows go through in blocks of at most CHUNK_ROWS // n, each drawing its
-    x_add, then its lattice rows, so the sampler's scratch is O(CHUNK_ROWS)
-    whatever the number of rows; up to one block the order is that of a
-    whole-array draw.
+    Used directly by the instance builder, which hands it one label group
+    of one stream block (lwe.block_rows) at a time.  Every row's x_add is
+    drawn first, then every lattice row.
     """
-    m, n = x.shape
-    step = max(1, CHUNK_ROWS // n)
-    out = np.empty((m, n))
-    for a in range(0, m, step):
-        xb, kb = x[a : a + step], k[a : a + step]
-        sigma_scale, sigma_add = step3_scales(kb, params)
-        x_add = rng.normal(size=xb.shape) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
-        shift = mod_1(xb + x_add)
-        w = sample_lattice_rows(shift.ravel(), np.repeat(sigma_scale, n), rng=rng)
-        out[a : a + step] = w.reshape(-1, n) / sigma_scale[:, None]
-    return out
+    sigma_scale, sigma_add = step3_scales(k, params)
+    x_add = rng.normal(size=x.shape) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
+    w = sample_lattice_rows(mod_1(x + x_add).ravel(), np.repeat(sigma_scale, x.shape[1]), rng=rng)
+    return w.reshape(x.shape) / sigma_scale[:, None]
 
 
 def branch_acceptance(t, psi, B):

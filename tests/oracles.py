@@ -39,16 +39,15 @@ from lwemassart.gaussians import (
 )
 from lwemassart.instances import InstanceResult
 from lwemassart.lwe import (
-    CHUNK_ROWS,
     ContinuizationStep,
     LweBatch,
+    block_rows,
     default_chain_scales,
     gen_continuous_lwe,
 )
 from lwemassart.rejection import (
     accept_steps,
     branch_acceptance,
-    step3_scales,
     transform_accepted,
 )
 from lwemassart.verify import (
@@ -207,21 +206,12 @@ def lweb_bytes_reference(batch):
             + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in parts))
 
 
-def transform_accepted_reference(x, k, params, rng):
-    """Step 3 over all rows in one draw: x_add for every row, then every lattice row."""
-    m, n = x.shape
-    sigma_scale, sigma_add = step3_scales(k, params)
-    x_add = rng.normal(size=(m, n)) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
-    w = sample_lattice_rows(mod_1(x + x_add).ravel(), np.repeat(sigma_scale, n), rng=rng)
-    return w.reshape(m, n) / sigma_scale[:, None]
-
-
 def generate_instance_reference(batch, config, rng):
     """instances.generate_instance with Steps 1-2 over the reached prefix at once.
 
     Whenever a run needs more accepted positions than the prefix holds,
-    CHUNK_ROWS more keep uniforms are drawn (the stream's last block keeps
-    their prefix, as the library does) and both branches' offsets k and
+    block_rows(n) more keep uniforms are drawn (the stream's last block
+    keeps their prefix, as the library does) and both branches' offsets k and
     decisions are recomputed over the whole prefix; the walk then searches
     prefix-wide index arrays.  Step 3 then goes over the stream's blocks
     in order, the +1 and then the -1 draws whose positions lie in each,
@@ -229,7 +219,7 @@ def generate_instance_reference(batch, config, rng):
     so the outcome matches it bit for bit.
     """
     p_plus, p_minus = config.params_plus, config.params_minus
-    m_prime = config.m_prime
+    m_prime, rows = config.m_prime, block_rows(batch.n)
     labels = np.where(rng.random(m_prime) < config.eta, -1, 1).astype(np.int8)
     u_keep = np.empty(0)
     accepted = {1: np.empty(0, dtype=np.int64), -1: np.empty(0, dtype=np.int64)}
@@ -246,7 +236,7 @@ def generate_instance_reference(batch, config, rng):
                 return InstanceResult(ok=False, x=None, labels=None, consumed=batch.m,
                                       draws=a + len(idx) - j)
             u_keep = np.concatenate(
-                (u_keep, rng.random(CHUNK_ROWS)[: batch.m - len(u_keep)]))
+                (u_keep, rng.random(rows)[: batch.m - len(u_keep)]))
             y = batch.y[: len(u_keep)]
             k_plus, ok_plus = accept_steps(y, u_keep, p_plus)
             k_minus, ok_minus = accept_steps(y, u_keep, p_minus)
@@ -255,7 +245,7 @@ def generate_instance_reference(batch, config, rng):
         pos = int(hits[b - 1]) + 1
     (step3,) = rng.spawn(1)
     x = np.empty((m_prime, batch.n))
-    block = hits // CHUNK_ROWS
+    block = hits // rows
     for blk in np.unique(block):
         for params, k_all, sign in ((p_plus, k_plus, 1), (p_minus, k_minus, -1)):
             rows = np.flatnonzero((block == blk) & (labels == sign))

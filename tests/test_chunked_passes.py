@@ -1,10 +1,12 @@
 """The row-chunked stream passes against their whole-array references.
 
-The classic and the continuous stream, the LWEB writer, run_chain, the
-instance builder's walk and the Step-3 transform go in row chunks of
-lwe.CHUNK_ROWS.  Split draws and per-chunk sums must reproduce the
-whole-array values exactly, at every stream length around a chunk
-boundary, and the passes must not hold whole-stream float temporaries.
+The classic and the continuous stream, the LWEB writer, run_chain and
+the instance builder's walk and Step 3 go in blocks of lwe.block_rows(n)
+rows: lwe.CHUNK_ROWS up to n = 4, fewer above, so that a block holds at
+most 2^18 values.  Split draws and per-block sums must reproduce the
+whole-array values exactly, at every stream length around a block
+boundary, and the passes must not hold whole-stream float temporaries
+nor scratch that grows with n.
 A generated stream's positions, and an instance drawn from it, must not
 depend on its cap, and the instance must hold no memory that grows with
 the cap; written to a file as it is built, none that grows with m' but
@@ -24,25 +26,34 @@ from lwemassart.lwe import (
     CHUNK_ROWS,
     ClassicStream,
     ContinuousStream,
+    block_rows,
     gen_classic_lwe,
     gen_continuous_lwe,
     row_chunks,
     run_chain,
 )
-from lwemassart.rejection import transform_accepted
 from oracles import (
     gen_classic_lwe_reference,
     gen_continuous_lwe_reference,
     generate_instance_reference,
     lweb_bytes_reference,
     run_chain_reference,
-    transform_accepted_reference,
 )
 
 C = CHUNK_ROWS
 SIZES = [1, C - 1, C, C + 1, C + 2, 2 * C + 7]
 T, EPS = 0.2, 0.025
 SIGMA = 1.0 / (8.0 * (T + EPS))
+# a block at n = 100 is R = 2,621 rows, 262,100 values
+R = block_rows(100)
+WIDE_SIZES = [R - 1, R + 1, 2 * R + 7]
+
+
+def with_wide(n, sizes):
+    """Parametrize (n, m): n at each m of sizes (id m), then n = 100 at WIDE_SIZES (id n100-m)."""
+    return pytest.mark.parametrize(
+        "n, m", [(n, m) for m in sizes] + [(100, m) for m in WIDE_SIZES],
+        ids=[str(m) for m in sizes] + [f"n100-{m}" for m in WIDE_SIZES])
 
 
 # each generated stream kind: its stream and its whole-array reference, both
@@ -75,12 +86,24 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("m", [1, C - 1, C, C + 1, 2 * C + 1])
+def test_block_rows_rule():
+    assert [block_rows(n) for n in (1, 2, 4)] == [C] * 3
+    assert [block_rows(n) for n in (5, 64, 100, 2**18, 2**20)] == [52428, 4096, 2621, 1, 1]
+    assert all(block_rows(n) * n <= 2**18 for n in range(4, 2000))
+
+
+@pytest.mark.parametrize("m", [1, C - 1, C, C + 1, 2 * C + 1, 10**15])
 def test_row_chunks_partition(m):
-    chunks = row_chunks(m)
-    assert [i for c in chunks for i in range(m)[c]] == list(range(m))
-    assert all(c.stop - c.start == C for c in chunks[:-1])
-    assert 0 < chunks[-1].stop - chunks[-1].start <= C
+    for rows in (C, R, 1):
+        chunks = row_chunks(m, rows)
+        if m == 10**15:
+            # slices are made as they are reached, so the first comes at once
+            assert next(chunks) == slice(0, rows)
+            continue
+        chunks = list(chunks)
+        assert [i for c in chunks for i in range(m)[c]] == list(range(m))
+        assert all(c.stop - c.start == rows for c in chunks[:-1])
+        assert 0 < chunks[-1].stop - chunks[-1].start <= rows
 
 
 @pytest.mark.parametrize("tag", ["alternative", "null"])
@@ -98,23 +121,23 @@ def test_run_chain_matches_whole_array_reference(tag, m):
 
 
 @pytest.mark.parametrize("tag", ["alternative", "null"])
-@pytest.mark.parametrize("m", SIZES)
-def test_generate_instance_matches_whole_array_reference(tag, m):
-    batch = gen_continuous_lwe(2, m, SIGMA, tag, rng=np.random.default_rng(m))
+@with_wide(2, SIZES)
+def test_generate_instance_matches_whole_array_reference(tag, n, m):
+    batch = gen_continuous_lwe(n, m, SIGMA, tag, rng=np.random.default_rng(m))
     # about 13 positions per draw: m // 20 draws fit, m // 8 run dry
     for m_prime in (max(1, m // 20), max(1, m // 8)):
-        cfg = desk_config(2, m_prime)
+        cfg = desk_config(n, m_prime)
         res = generate_instance(batch, cfg, rng=np.random.default_rng(3))
         ref = generate_instance_reference(batch, cfg, rng=np.random.default_rng(3))
         assert (res.ok, res.consumed, res.draws) == (ref.ok, ref.consumed, ref.draws)
         if ref.ok:
             assert res.labels.tobytes() == ref.labels.tobytes()
             assert res.x.tobytes() == ref.x.tobytes()
-        if m == SIZES[-1]:
-            # the walk takes positions past a chunk boundary, or (exit 3)
+        if m in (SIZES[-1], WIDE_SIZES[-1]):
+            # the walk takes positions past a block boundary, or (exit 3)
             # runs dry past one
             assert res.ok if m_prime == m // 20 else not res.ok
-            assert res.consumed > C
+            assert res.consumed > block_rows(n)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
@@ -138,22 +161,22 @@ def test_classic_draws_split_into_blocks(n, q):
 
 
 @pytest.mark.parametrize("tag", ["alternative", "null"])
-@pytest.mark.parametrize("m", [C - 1, C, C + 1, 2 * C + 3])
-def test_file_commands_write_the_whole_array_bytes(tmp_path, monkeypatch, tag, m):
+@with_wide(4, [C - 1, C, C + 1, 2 * C + 3])
+def test_file_commands_write_the_whole_array_bytes(tmp_path, monkeypatch, tag, n, m):
     # gen-lwe (both kinds) and reduce-lwe write their files block by block;
     # each file is the whole-array draw written whole
     monkeypatch.chdir(tmp_path)
-    common = ["--tag", tag, "--n", "4", "--m", str(m), "--seed", str(m)]
+    common = ["--tag", tag, "--n", str(n), "--m", str(m), "--seed", str(m)]
     for args in (["gen-lwe", "--kind", "classic", *common, "--q", "257", "--sigma", "2.0",
                   "--out", "classic.lwe"],
                  ["reduce-lwe", "classic.lwe", "--seed", "7", "--out", "torus.lwe"],
                  ["gen-lwe", "--kind", "continuous", *common, "--sigma", "0.01",
                   "--out", "continuous.lwe"]):
         main(args, standalone_mode=False)
-    classic = gen_classic_lwe_reference(4, m, 257, 2.0, tag, np.random.default_rng(m))
+    classic = gen_classic_lwe_reference(n, m, 257, 2.0, tag, np.random.default_rng(m))
     refs = {"classic.lwe": classic,
             "torus.lwe": run_chain_reference(classic, rng=np.random.default_rng(7)),
-            "continuous.lwe": gen_continuous_lwe_reference(4, m, 0.01, tag,
+            "continuous.lwe": gen_continuous_lwe_reference(n, m, 0.01, tag,
                                                            np.random.default_rng(m))}
     for name, batch in refs.items():
         assert (tmp_path / name).read_bytes() == lweb_bytes_reference(batch), name
@@ -183,22 +206,23 @@ def test_accept_pass_holds_no_float_per_stream_position():
 
 
 @KIND_TAGS
-@pytest.mark.parametrize("m", SIZES)
-def test_stream_blocks_are_the_whole_array_draw(kind, tag, m):
+@with_wide(3, SIZES)
+def test_stream_blocks_are_the_whole_array_draw(kind, tag, n, m):
     make, reference = STREAMS[kind]
     rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
     # the secret comes from rng itself, wherever it stands: three 32-bit
     # draws leave half of a 64-bit step buffered
     for g in (rng, ref_rng):
         g.integers(0, 2, size=3)
-    stream = make(3, m, tag, rng)
-    ref = reference(3, m, tag, ref_rng)
+    stream = make(n, m, tag, rng)
+    ref = reference(n, m, tag, ref_rng)
     assert (stream.secret is None) == (ref.secret is None)
     if ref.secret is not None:
         assert stream.secret.tobytes() == ref.secret.tobytes()
     blocks = list(stream.blocks())
-    assert [len(x) for x, _, _ in blocks] == [c.stop - c.start for c in row_chunks(m)]
-    for c, (x, y, z) in zip(row_chunks(m), blocks):
+    chunks = list(row_chunks(m, block_rows(n)))
+    assert [len(x) for x, _, _ in blocks] == [c.stop - c.start for c in chunks]
+    for c, (x, y, z) in zip(chunks, blocks):
         assert x.tobytes() == ref.x[c].tobytes()
         assert y.tobytes() == ref.y[c].tobytes()
         assert (z is None) == (ref.noise is None)
@@ -307,23 +331,21 @@ def test_written_instance_peak_does_not_grow_with_m_prime(tmp_path):
     assert peaks[1] <= 1.1 * peaks[0] + 200_000, peaks
 
 
-def test_transform_runs_in_chunk_blocks():
-    # 2 C rows at n = 4 are 8 blocks of C // 4 rows: the same values as
-    # the whole-array draw on each block in turn, in O(C) scratch where
-    # the whole-array draw's scratch grows with the rows
-    n, step = 4, C // 4
-    params = desk_config(n, 10).params_plus
-    data = np.random.default_rng(8)
-    x = data.random((2 * C, n))
-    k = params.eps * data.random(2 * C)
-    out, peak = traced_peak(transform_accepted, x, k, params, np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    ref = np.concatenate([transform_accepted_reference(x[a : a + step], k[a : a + step],
-                                                       params, rng)
-                          for a in range(0, 2 * C, step)])
-    assert out.tobytes() == ref.tobytes()
-    slack = 24 * C * 8
-    assert peak <= out.nbytes + slack, (peak - out.nbytes) / slack
-    _, whole = traced_peak(transform_accepted_reference, x, k, params,
-                           np.random.default_rng(9))
-    assert whole > out.nbytes + slack
+def test_written_instance_peak_does_not_grow_with_n(tmp_path):
+    # gen-instance's path at n = 8 and at n = 64: a block is 32,768 or
+    # 4,096 rows, 2^18 values either way, so the walk's and Step 3's scratch
+    # stays the same; a CHUNK_ROWS-row block at n = 64 would hold 8 times more
+    peaks = []
+    for n in (8, 64):
+        cfg = desk_config(n, 5000)
+
+        def build():
+            stream = ContinuousStream(n, 10**12, SIGMA, "alternative", np.random.default_rng(6))
+            return write_labeled_file(
+                tmp_path / "i.mlab", n, 5000,
+                lambda sink: generate_instance(stream, cfg, np.random.default_rng(7), sink))
+
+        res, peak = traced_peak(build)
+        assert res.ok and res.x is None and res.consumed > block_rows(8)
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0] + 200_000, peaks

@@ -11,6 +11,7 @@ import math
 import os
 import shutil
 import time
+import types
 
 import click
 import numpy as np
@@ -100,6 +101,22 @@ class TestGenLwe:
                                         "--out", str(tmp_path / "z")])
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "z").exists()
+
+    @pytest.mark.parametrize("m", [100, 10**15])
+    def test_file_past_the_free_space_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                                m):
+        # the file's size, header and payload, is checked before the part
+        # file is opened; at m = 10^15 no block is drawn either
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: types.SimpleNamespace(
+            total=10**9, used=10**9 - 1000, free=1000))
+        out = tmp_path / "b.lwe"
+        res = CliRunner().invoke(main, ["gen-lwe", "--kind", "classic", "--n", "4",
+                                        "--m", str(m), "--sigma", "2.0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        payload = m * (4 + 2) * 8 + 4 * 8
+        size = int(res.output.split("takes ")[1].split(" bytes")[0])
+        assert payload < size < payload + 1000 and "has 1000 free" in res.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReduceLwe:

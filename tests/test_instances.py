@@ -32,7 +32,7 @@ from lwemassart.instances import (
     write_sidecar,
 )
 from lwemassart.intervals import IntervalSet, merge_pairs, subtract_pairs
-from lwemassart.lwe import CHUNK_ROWS, gen_continuous_lwe
+from lwemassart.lwe import block_rows, gen_continuous_lwe
 from lwemassart.rejection import keep_probability, transform_accepted
 
 from oracles import _g_image_exact, b_minus_exact, g_map, intersect_pairs, invert_y, reduce_batch
@@ -371,12 +371,12 @@ def test_fail_on_starved_stream():
 def naive_walk(batch, cfg, seed):
     """Per-draw, per-position replay of the documented rng order.
 
-    Labels first, then CHUNK_ROWS keep uniforms each time the walk reaches
+    Labels first, then block_rows(n) keep uniforms each time the walk reaches
     a new block of the stream; then, from the child rng.spawn(1), block by
     block, the transforms of the +1 and of the -1 draws whose positions lie
     in the block.  Returns an InstanceResult built the slow way.
     """
-    rng = np.random.default_rng(seed)
+    rng, per_block = np.random.default_rng(seed), block_rows(batch.n)
     labels = np.where(rng.random(cfg.m_prime) < cfg.eta, -1, 1).astype(np.int8)
     u_keep = np.empty(0)
     pos = 0
@@ -388,7 +388,7 @@ def naive_walk(batch, cfg, seed):
                 return InstanceResult(ok=False, x=None, labels=None,
                                       consumed=batch.m, draws=r)
             if pos == len(u_keep):
-                u_keep = np.append(u_keep, rng.random(CHUNK_ROWS))
+                u_keep = np.append(u_keep, rng.random(per_block))
             k = float(invert_y(batch.y[pos], params.t, params.psi))
             ok = bool(params.B.contains(np.array([k]))[0])
             ok = ok and u_keep[pos] < keep_probability(k, params)
@@ -399,10 +399,10 @@ def naive_walk(batch, cfg, seed):
     hits = np.array(hits)
     (step3,) = rng.spawn(1)
     x = np.empty((cfg.m_prime, batch.n))
-    for block in range(hits[-1] // CHUNK_ROWS + 1):
+    for block in range(hits[-1] // per_block + 1):
         for params, sign in ((cfg.params_plus, 1), (cfg.params_minus, -1)):
             rows = [r for r in range(cfg.m_prime)
-                    if labels[r] == sign and hits[r] // CHUNK_ROWS == block]
+                    if labels[r] == sign and hits[r] // per_block == block]
             if rows:
                 take = hits[rows]
                 k = invert_y(batch.y[take], params.t, params.psi)
@@ -424,6 +424,16 @@ def test_walk_matches_naive_oracle():
     res = generate_instance(batch, cfg, rng=np.random.default_rng(seed))
     assert res.ok
     assert_same_outcome(res, naive_walk(batch, cfg, seed))
+
+
+def test_walk_matches_naive_oracle_across_wide_blocks():
+    # at n = 100 a block is 2,621 positions: the walk reads three, and
+    # Step 3 runs on each block's +1 rows, then its -1 rows
+    cfg = desk_config(600, eta=0.2, n=100)
+    batch = gen_continuous_lwe(100, 20_000, SIGMA, "alternative", rng=np.random.default_rng(98))
+    res = generate_instance(batch, cfg, rng=np.random.default_rng(15))
+    assert res.ok and res.consumed > 2 * block_rows(100)
+    assert_same_outcome(res, naive_walk(batch, cfg, 15))
 
 
 def truncated(batch, m):

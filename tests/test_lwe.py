@@ -19,6 +19,7 @@ from scipy import stats
 
 from lwemassart.gaussians import mod_1, mod_q
 from lwemassart.lwe import (
+    BatchFile,
     ContinuizationStep,
     LweBatch,
     default_chain_scales,
@@ -284,6 +285,17 @@ def test_roundtrip_file(tmp_path):
     other = LweBatch.load(p)
     assert file_bytes(other) == p.read_bytes()
     assert other.secret is None and other.noise is None
+
+
+def test_batch_file_keeps_the_read_once_flag(tmp_path):
+    # BatchFile's file reader is not named _read, BlockSource's read-once
+    # flag, so _start_read sees the flag unset, then set
+    p = tmp_path / "batch.lweb"
+    gen_continuous_lwe(3, 10, 0.01, "null", rng=np.random.default_rng(1)).save(p)
+    src = BatchFile(p)
+    src._start_read()
+    with pytest.raises(ValueError, match="read once"):
+        src._start_read()
 
 
 def test_load_rejects_garbage():
