@@ -1,4 +1,4 @@
-"""Gaussian weights and samplers over shifted lattices and the torus.
+"""Gaussian weights and samplers over Z, shifted copies of Z and the torus.
 
 Conventions used everywhere in this package:
 
@@ -9,8 +9,8 @@ Conventions used everywhere in this package:
   Every moment or KS reference in this package uses the 1/(2*pi) scaling.
 * mod_1 maps an array exactly onto [0, 1): 1.0 maps to 0.0 and negative
   entries wrap via floor.  mod_q, mod_1 and the samplers have no scalar form.
-* Discrete sampling is exact: a weight table plus inverse CDF for one
-  shared 1-D lattice, rejection from a discrete-Laplace envelope (no
+* Discrete sampling is exact: a weight table plus inverse CDF for draws
+  on Z at one scale, rejection from a discrete-Laplace envelope (no
   window, cost flat in sigma) for per-row shifts and scales.
 """
 
@@ -20,20 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ShiftedLattice1D:
-    """The point set {offset + spacing * j : j integer}."""
-
-    spacing: float = 1.0
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("lattice spacing must be finite and positive")
-        if not math.isfinite(self.offset):
-            raise ValueError("lattice offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -50,7 +36,7 @@ class TruncationPolicy:
 DEFAULT_TRUNCATION = TruncationPolicy()
 
 # Support points above which sample_discrete_gaussian_1d refuses to build
-# its weight table.  The window holds 24 sigma / spacing points and the
+# its weight table.  The window holds about 24 sigma integers and the
 # table a few float64 arrays of that length, 32 MB each at the cap.
 SUPPORT_CAP = 1 << 22
 
@@ -88,17 +74,20 @@ def smoothing_threshold(n, eps):
     return math.sqrt(math.log(2.0 * n * (1.0 + 1.0 / eps)) / math.pi)
 
 
-def sample_discrete_gaussian_1d(lat, sigma, rng, size):
-    """size independent draws from the discrete Gaussian on a shifted 1-D lattice.
+def sample_discrete_gaussian_1d(sigma, rng, size):
+    """size independent draws from the discrete Gaussian on Z.
 
-    The pmf is proportional to rho_sigma restricted to the truncated window
-    around the origin; every draw comes from the same table.
+    The pmf is proportional to rho_sigma on the integers within
+    DEFAULT_TRUNCATION.radius_multiplier * sigma of 0, a window that always
+    holds 0; every draw comes from the same inverse-CDF table.
     """
     _check_sigma(sigma)
-    pts = _support_points(lat, sigma)
-    sq = (pts / sigma) ** 2
-    w = np.exp(-math.pi * (sq - sq.min()))  # stabilized; ratios unchanged
-    cdf = np.cumsum(w)
+    half = math.floor(DEFAULT_TRUNCATION.radius_multiplier * sigma)
+    if 2 * half + 1 > SUPPORT_CAP:
+        raise ValueError(f"discrete Gaussian window exceeds the cap of {SUPPORT_CAP} "
+                         f"lattice points at sigma {sigma:.6g}")
+    pts = np.arange(-half, half + 1, dtype=float)
+    cdf = np.cumsum(np.exp(-math.pi * (pts / sigma) ** 2))
     u = rng.uniform(size=size) * cdf[-1]
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(pts) - 1)
     return pts[idx]
@@ -178,19 +167,13 @@ def sample_continuous(n, sigma, rng, size):
     return rng.normal(0.0, sigma / math.sqrt(TWO_PI), size=(size, n))
 
 
-def _support_points(lat, sigma):
-    """Lattice points of lat within the truncation window around the origin."""
-    radius = DEFAULT_TRUNCATION.radius_multiplier * sigma
-    lo = math.ceil((-radius - lat.offset) / lat.spacing)
-    hi = math.floor((radius - lat.offset) / lat.spacing)
-    if lo > hi:
-        # sigma far below the spacing: the window is empty, keep the nearest
-        # point, which carries all of the mass anyway
-        lo = hi = round(-lat.offset / lat.spacing)
-    if hi - lo + 1 > SUPPORT_CAP:
-        raise ValueError(f"discrete Gaussian window exceeds the cap of {SUPPORT_CAP} "
-                         f"lattice points at sigma {sigma:.6g}")
-    return lat.offset + lat.spacing * np.arange(lo, hi + 1, dtype=float)
+def checked_square(v, name):
+    """v ** 2 for a float v; ValueError naming v as name once the square overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        raise ValueError(f"{name} = {v:.4g} is out of range: "
+                         "its square overflows a float") from None
 
 
 def _check_sigma(sigma):

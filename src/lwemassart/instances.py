@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import frames
+from .gaussians import checked_square
 from .intervals import IntervalSet, merge_pairs, subtract_pairs
 from .lwe import CHUNK_ROWS, block_rows, row_chunks
 from .rejection import (ReductionParams, accept_steps, b_plus, branch_acceptance, k_of_y,
@@ -246,7 +247,8 @@ class MassartConfig:
         is_int = abs(ratio - ratio_int) <= 1e-9 * max(ratio, 1.0)
         lhs3 = 1.0 / (t * math.sqrt(n))
         rhs3 = math.sqrt(self.C_CLAUSE_III * math.log(n / delta)) if n / delta > 1 else 0.0
-        lhs4 = (self.c_prime * eps / (self.c_dprime * t * sigma)) ** 2
+        lhs4 = checked_square(self.c_prime * eps / (self.c_dprime * t * sigma),
+                              "c'eps/(c''t sigma)")
         rhs4 = math.log(self.m_prime / delta)
         return (
             {"clause": "(i) t/eps large even integer",

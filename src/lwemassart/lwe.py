@@ -35,14 +35,8 @@ from typing import Optional
 import numpy as np
 
 from . import frames
-from .gaussians import (
-    ShiftedLattice1D,
-    mod_1,
-    mod_q,
-    sample_continuous,
-    sample_discrete_gaussian_1d,
-    smoothing_threshold,
-)
+from .gaussians import (checked_square, mod_1, mod_q, sample_continuous,
+                        sample_discrete_gaussian_1d, smoothing_threshold)
 
 MAGIC = b"LWEB"
 FORMAT_VERSION = 1
@@ -376,7 +370,7 @@ class ClassicStream(_GeneratedStream):
         x = self._x_rng.integers(0, self.q, size=(k, self.n)).astype(float)
         if self.secret is None:
             return x, self._z_rng.integers(0, self.q, size=k).astype(float), None
-        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), self.sigma, rng=self._z_rng, size=k)
+        z = sample_discrete_gaussian_1d(self.sigma, rng=self._z_rng, size=k)
         return x, mod_q(signed_sum(x, self.secret) + z, self.q), z
 
 
@@ -419,7 +413,7 @@ def default_chain_scales(sigma, m):
     (integer units), matching the chain lemmas' "sufficiently large
     constant" at desk scale.
     """
-    sigma_target = math.sqrt(sigma**2 + math.log(m / 0.01))
+    sigma_target = math.sqrt(checked_square(sigma, "the batch sigma") + math.log(m / 0.01))
     sigma_coord = 1.7 * smoothing_threshold(1, 1e-6)
     return sigma_target, sigma_coord
 
@@ -438,8 +432,8 @@ class ChainStream(BlockSource):
     - rescale: x, y, noise and sigma are divided by q.  The secret is
       untouched, so y = mod_1(<x, s> + noise) holds verbatim.
 
-    Omitted scales come from default_chain_scales.  Each source block
-    must hold integer x.  e and x' each come from their own child of rng
+    The scales come from default_chain_scales.  Each source block must
+    hold integer x.  e and x' each come from their own child of rng
     (rng.spawn(2)), read in row order, and are drawn and added one block
     at a time, so the map holds O(BLOCK_VALUES) values of scratch; the source
     is left as it was.  The stream is read once.
@@ -447,16 +441,13 @@ class ChainStream(BlockSource):
 
     domain = "unit_torus"
 
-    def __init__(self, source, sigma_target=None, sigma_coord=None, *, rng):
+    def __init__(self, source, *, rng):
         if source.domain != "mod_q":
             raise ValueError("the chain needs a mod_q batch; this one is on the unit torus")
-        ref_t, ref_c = default_chain_scales(source.sigma, source.m)
-        st = ref_t if sigma_target is None else sigma_target
-        sc = ref_c if sigma_coord is None else sigma_coord
+        st, sc = default_chain_scales(source.sigma, source.m)
         if not st > source.sigma:
-            raise ValueError("sigma_target must exceed the batch noise scale")
-        if not sc > 0:
-            raise ValueError("sigma_coord must be positive")
+            raise ValueError(f"sigma_target must exceed the batch sigma {source.sigma:.6g}; "
+                             "at this scale sigma^2 absorbs the ln(100 m) the chain adds")
         self.n, self.m, self.tag, self.secret, self.has_noise = (
             source.n, source.m, source.tag, source.secret, source.has_noise)
         self._source, self._sigma_coord = source, sc
@@ -501,6 +492,6 @@ class ChainStream(BlockSource):
         return x, y, noise
 
 
-def run_chain(batch, sigma_target=None, sigma_coord=None, *, rng):
+def run_chain(batch, *, rng):
     """A ChainStream over batch, gathered into one LweBatch; batch is left as it was."""
-    return LweBatch.collect(ChainStream(batch, sigma_target, sigma_coord, rng=rng))
+    return LweBatch.collect(ChainStream(batch, rng=rng))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import mod_1, sample_lattice_rows
+from .gaussians import checked_square, mod_1, sample_lattice_rows
 from .intervals import IntervalSet
 
 
@@ -66,7 +66,7 @@ class ReductionParams:
         sr = self.signal_ratio
         if sr < 0.5:
             raise ValueError(
-                "signal ratio %.4f < 1/2: (t+eps)*sigma = %.4f is too large for Step 3"
+                "signal ratio %.4g < 1/2: (t+eps)*sigma = %.4g is too large for Step 3"
                 % (sr, (self.t + self.eps) * self.sigma)
             )
         step3_scales(self.psi + self.eps, self)  # the worst k; raises if infeasible
@@ -74,7 +74,7 @@ class ReductionParams:
     @property
     def noise_ratio(self):
         """4((t+eps) sigma)^2, formed directly: 1 - signal_ratio rounds to 0 once it is tiny."""
-        return 4.0 * ((self.t + self.eps) * self.sigma) ** 2
+        return 4.0 * checked_square((self.t + self.eps) * self.sigma, "(t+eps)*sigma")
 
     @property
     def signal_ratio(self):
@@ -124,7 +124,8 @@ def step3_scales(k, params):
     sr = params.signal_ratio
     sigma_scale = sr / ((params.t + np.asarray(k, dtype=float) - params.psi)
                         * math.sqrt(params.n))
-    rad = (params.noise_ratio * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
+    sigma_sq = checked_square(params.sigma, "sigma")
+    rad = (params.noise_ratio * sigma_scale**2 - sr * (sigma_sq / params.n)) / sr
     if np.any(rad < -1e-15):
         raise ValueError("negative sigma_add radicand: infeasible Step-3 scales")
     return sigma_scale, np.sqrt(np.maximum(rad, 0.0))

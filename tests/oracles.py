@@ -29,7 +29,6 @@ from scipy.special import ndtr
 
 from lwemassart.gaussians import (
     DEFAULT_TRUNCATION,
-    ShiftedLattice1D,
     _check_sigma,
     mod_1,
     mod_q,
@@ -127,7 +126,7 @@ def collapsed_density(u, sigma):
 # --------------------------------------------------------- whole-array passes
 
 
-def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
+def run_chain_reference(batch, *, rng):
     """lwe.run_chain with every draw and sum over the whole stream at once.
 
     The same draws from the same children of rng (e from the first, x'
@@ -135,9 +134,7 @@ def run_chain_reference(batch, sigma_target=None, sigma_coord=None, *, rng):
     for bit.  It holds e, x', x + x' and the rounded copy of x, each as
     large as the batch's x or its y.
     """
-    ref_t, ref_c = default_chain_scales(batch.sigma, batch.m)
-    st = ref_t if sigma_target is None else sigma_target
-    sc = ref_c if sigma_coord is None else sigma_coord
+    st, sc = default_chain_scales(batch.sigma, batch.m)
     if not np.array_equal(batch.x, np.round(batch.x)):
         raise ValueError("the chain needs integer sample support")
     q = float(batch.q)
@@ -188,7 +185,7 @@ def gen_classic_lwe_reference(n, m, q, sigma, tag, rng):
     x = x_rng.integers(0, q, size=(m, n)).astype(float)
     if tag == "alternative":
         s = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        z = sample_discrete_gaussian_1d(ShiftedLattice1D(), sigma, rng=z_rng, size=m)
+        z = sample_discrete_gaussian_1d(sigma, rng=z_rng, size=m)
         y = mod_q(sum(x[:, j] * s[j] for j in range(n)) + z, q)
         return LweBatch(x, y, "mod_q", tag, sigma, q=q, secret=s, noise=z)
     return LweBatch(x, z_rng.integers(0, q, size=m).astype(float), "mod_q", tag, sigma, q=q)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from lwemassart.gaussians import ShiftedLattice1D, mod_1, sample_discrete_gaussian_1d
+from lwemassart.gaussians import mod_1, sample_discrete_gaussian_1d
 from lwemassart.instances import (
     MassartConfig,
     build_b_minus,
@@ -118,20 +118,17 @@ def null_instance(tiny_config):
 
 def test_criterion_01_discrete_gaussian_exactness():
     t0 = time.perf_counter()
-    lat = ShiftedLattice1D(spacing=2.0, offset=0.3)
     sigma, n_draws = 2.0, 1_000_000
     rng = np.random.default_rng(101)
-    draws = sample_discrete_gaussian_1d(lat, sigma, rng=rng, size=n_draws)
+    draws = sample_discrete_gaussian_1d(sigma, rng=rng, size=n_draws)
 
-    # brute-force oracle: every lattice point within the truncation window
+    # brute-force oracle: every integer within the truncation window
     radius = 12.0 * sigma
-    js = np.arange(math.ceil((-radius - 0.3) / 2.0),
-                   math.floor((radius - 0.3) / 2.0) + 1)
-    pts = 0.3 + 2.0 * js
-    weights = np.exp(-math.pi * (pts / sigma) ** 2)
+    js = np.arange(math.ceil(-radius), math.floor(radius) + 1)
+    weights = np.exp(-math.pi * (js / sigma) ** 2)
     weights /= weights.sum()
 
-    got_j = np.rint((draws - 0.3) / 2.0).astype(int)
+    got_j = np.rint(draws).astype(int)
     counts = np.bincount(got_j - js[0], minlength=len(js))
     linf = float(np.max(np.abs(counts / n_draws - weights)))
     elapsed = time.perf_counter() - t0

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from lwemassart.cli import main
-from lwemassart.gaussians import ShiftedLattice1D, sample_discrete_gaussian_1d
+from lwemassart.gaussians import sample_discrete_gaussian_1d
 from lwemassart.instances import (MassartConfig, _label_runs, generate_instance,
                                   write_labeled_file)
 from lwemassart.lwe import (
@@ -153,9 +153,8 @@ def test_classic_draws_split_into_blocks(n, q):
     xs = np.concatenate([split.integers(0, q, size=(k, n)) for k in sizes])
     assert xs.tobytes() == x.tobytes()
     assert split.bit_generator.state == whole.bit_generator.state
-    z = sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=whole, size=sum(sizes))
-    zs = np.concatenate([sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=split, size=k)
-                         for k in sizes])
+    z = sample_discrete_gaussian_1d(2.0, rng=whole, size=sum(sizes))
+    zs = np.concatenate([sample_discrete_gaussian_1d(2.0, rng=split, size=k) for k in sizes])
     assert zs.tobytes() == z.tobytes()
     assert split.bit_generator.state == whole.bit_generator.state
 

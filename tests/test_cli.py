@@ -697,32 +697,64 @@ def test_directory_input_exits_2(tmp_path, args):
     assert "is a directory" in res.output
 
 
-@pytest.mark.parametrize("args", [
-    ["gen-instance", *BASE_ARGS, "--m-prime", "10", "--m", "-5", "--out", "{dir}/o.inst"],
-    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--m", "-5"],
-    ["preset", "apply", "theorem-d", "--n", "0", "--out", "{dir}/c.json"],
-    ["preset", "apply", "theorem-d", "--m-prime", "0", "--out", "{dir}/c.json"],
-    ["preset", "apply", "theorem-d", "--delta", "0", "--out", "{dir}/c.json"],
-    ["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "2", "--m", "10",
-     "--sigma", "1e12", "--out", "{dir}/o.lwe"],
-    ["preset", "apply", "desk-scale", "--delta", "nan", "--out", "{dir}/c.json"],
-    ["preset", "apply", "theorem-d", "--zeta", "nan", "--out", "{dir}/c.json"],
-    ["preset", "apply", "theorem-d", "--zeta", "inf", "--out", "{dir}/c.json"],
-    ["preset", "apply", "theorem-d", "--zeta", "-100", "--out", "{dir}/c.json"],
-    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--tau", "nan"],
-    ["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
-     "--min-advantage", "nan"],
+@pytest.fixture(scope="module")
+def big_sigma(tmp_path_factory):
+    """Inputs whose sigma squares past a float: an LWEB batch and an instance sidecar
+    with sigma = 1e200, and a strict config with sigma = 1e-300."""
+    root = tmp_path_factory.mktemp("big-sigma")
+    (root / "strict.json").write_text(json.dumps({"mode": "strict", "n": 4, "sigma": 1e-300}))
+    LweBatch(np.zeros((2, 4)), np.zeros(2), "mod_q", "null", 1e200, q=257).save(root / "b.lwe")
+    res = invoke(["gen-instance", *BASE_ARGS, "--m-prime", "10", "--seed", "1",
+                  "--out", str(root / "i.inst")])
+    assert res.exit_code == 0, res.output
+    write_sidecar(root / "i.inst", {**read_sidecar(root / "i.inst"), "sigma": 1e200})
+    return root
+
+
+@pytest.mark.parametrize("args, named", [
+    (["gen-instance", *BASE_ARGS, "--m-prime", "10", "--m", "-5", "--out", "{dir}/o.inst"],
+     None),
+    (["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--m", "-5"], None),
+    (["preset", "apply", "theorem-d", "--n", "0", "--out", "{dir}/c.json"], None),
+    (["preset", "apply", "theorem-d", "--m-prime", "0", "--out", "{dir}/c.json"], None),
+    (["preset", "apply", "theorem-d", "--delta", "0", "--out", "{dir}/c.json"], None),
+    (["gen-lwe", "--kind", "classic", "--tag", "alternative", "--n", "2", "--m", "10",
+      "--sigma", "1e12", "--out", "{dir}/o.lwe"], None),
+    (["preset", "apply", "desk-scale", "--delta", "nan", "--out", "{dir}/c.json"], None),
+    (["preset", "apply", "theorem-d", "--zeta", "nan", "--out", "{dir}/c.json"], None),
+    (["preset", "apply", "theorem-d", "--zeta", "inf", "--out", "{dir}/c.json"], None),
+    (["preset", "apply", "theorem-d", "--zeta", "-100", "--out", "{dir}/c.json"], None),
+    (["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1", "--tau", "nan"], None),
+    (["distinguish", *BASE_ARGS, "--m-prime", "10", "--trials", "1",
+      "--min-advantage", "nan"], None),
     # a stream of 1.6e16 rows of 4 floats is past any 48-bit address space,
     # so its allocation fails at once whatever the overcommit setting
-    ["gen-instance", *BASE_ARGS, "--m-prime", str(10**15), "--out", "{dir}/o.inst"],
+    (["gen-instance", *BASE_ARGS, "--m-prime", str(10**15), "--out", "{dir}/o.inst"], None),
+    # a float square past 1.8e308 overflows: the message names what was squared
+    (["gen-instance", "--n", "4", "--sigma", "1e200", "--m-prime", "10",
+      "--out", "{dir}/g.inst"], "(t+eps)*sigma = 2.25e+199"),
+    (["distinguish", "--n", "4", "--sigma", "1e200", "--m-prime", "10", "--trials", "1"],
+     "(t+eps)*sigma = 2.25e+199"),
+    (["gen-instance", "--config", "{big}/strict.json", "--out", "{dir}/g.inst"],
+     "c'eps/(c''t sigma) = 1.25e+297"),
+    (["reduce-lwe", "{big}/b.lwe", "--out", "{dir}/t.lwe"], "the batch sigma = 1e+200"),
+    (["verify", "{big}/i.inst"], "(t+eps)*sigma = 2.25e+199"),
+    # below the overflow the signal ratio is printed short, not as 300 digits
+    (["gen-instance", "--n", "4", "--sigma", "1e150", "--m-prime", "10",
+      "--out", "{dir}/g.inst"], "signal ratio -2.025e+299 < 1/2"),
+    (["gen-instance", "--n", "4", "--t", "1e-160", "--eps", "1.25e-161", "--c-prime", "5e-163",
+      "--sigma", "1e155", "--m-prime", "10", "--out", "{dir}/g.inst"], "sigma = 1e+155"),
 ], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
         "gen-lwe-noise-window", "preset-delta-nan", "preset-zeta-nan", "preset-zeta-inf",
         "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan",
-        "gen-instance-unallocatable"])
-def test_number_outside_its_domain_exits_2(tmp_path, args):
-    res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
+        "gen-instance-unallocatable", "gen-instance-sigma-square", "distinguish-sigma-square",
+        "strict-clause-iv-square", "reduce-lwe-sigma-square", "verify-sidecar-sigma-square",
+        "step3-sigma-square", "signal-ratio-short"])
+def test_number_outside_its_domain_exits_2(tmp_path, big_sigma, args, named):
+    res = CliRunner().invoke(main, [a.format(dir=tmp_path, big=big_sigma) for a in args])
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert named is None or named in res.output
     assert not any(tmp_path.iterdir())
 
 

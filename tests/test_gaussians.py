@@ -16,7 +16,6 @@ from scipy.special import logsumexp
 
 from lwemassart import gaussians
 from lwemassart.gaussians import (
-    ShiftedLattice1D,
     _envelope,
     mod_1,
     mod_q,
@@ -166,21 +165,20 @@ def test_pmf_ratio_integer_lattice():
 
 def test_discrete_sampler_matches_brute_force():
     rng = np.random.default_rng(7)
-    lat = ShiftedLattice1D(spacing=2.0, offset=0.3)
-    draws = sample_discrete_gaussian_1d(lat, 2.0, rng=rng, size=200_000)
-    oracle = brute_pmf(2.0, 0.3, 2.0)
-    # frozen spot values of the oracle itself
-    assert oracle[0.3] == pytest.approx(0.8867106858463846, rel=1e-12)
-    assert oracle[2.3] == pytest.approx(0.014931130189264294, rel=1e-12)
-    assert oracle[-1.7] == pytest.approx(0.0983373485995564, rel=1e-12)
+    draws = sample_discrete_gaussian_1d(2.0, rng=rng, size=200_000)
+    oracle = brute_pmf(1.0, 0.0, 2.0)
+    # frozen spot values of the oracle itself: exp(-pi j^2/4) / theta(1/4)
+    assert oracle[0.0] == pytest.approx(0.4999965126819668, rel=1e-12)
+    assert oracle[1.0] == pytest.approx(0.22796747388174315, rel=1e-12)
+    assert oracle[-2.0] == pytest.approx(0.021606808431209684, rel=1e-12)
     assert pmf_linf(empirical_pmf(draws), oracle) < 0.01
-    # support stays on the lattice
-    assert np.allclose(np.round((draws - 0.3) / 2.0), (draws - 0.3) / 2.0, atol=1e-9)
+    # support stays on Z
+    assert np.array_equal(draws, np.round(draws))
 
 
 def test_discrete_sampler_scalar_draw():
     rng = np.random.default_rng(0)
-    v = sample_discrete_gaussian_1d(ShiftedLattice1D(), 1.0, rng=rng, size=1)
+    v = sample_discrete_gaussian_1d(1.0, rng=rng, size=1)
     assert v.shape == (1,)
     assert v[0] == round(v[0])
 
@@ -190,18 +188,17 @@ def test_support_window_cap_is_exact(monkeypatch):
     # cap is lowered around that count so no large table is ever built
     rng = np.random.default_rng(0)
     monkeypatch.setattr(gaussians, "SUPPORT_CAP", 49)
-    assert sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=rng, size=8).shape == (8,)
+    assert sample_discrete_gaussian_1d(2.0, rng=rng, size=8).shape == (8,)
     monkeypatch.setattr(gaussians, "SUPPORT_CAP", 48)
     with pytest.raises(ValueError, match="cap of 48 lattice points"):
-        sample_discrete_gaussian_1d(ShiftedLattice1D(), 2.0, rng=rng, size=8)
+        sample_discrete_gaussian_1d(2.0, rng=rng, size=8)
 
 
 def test_tiny_sigma_keeps_nearest_point():
-    # window would be empty at sigma far below the spacing
+    # at sigma far below 1 the window on Z holds 0 alone, which carries all the mass
     rng = np.random.default_rng(1)
-    lat = ShiftedLattice1D(spacing=10.0, offset=4.0)
-    draws = sample_discrete_gaussian_1d(lat, 0.01, rng=rng, size=100)
-    assert np.all(draws == 4.0)
+    draws = sample_discrete_gaussian_1d(0.01, rng=rng, size=100)
+    assert np.all(draws == 0.0)
 
 
 # ---------------------------------------------------------------- nd sampler
@@ -426,17 +423,11 @@ def test_smoothing_band():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.floats(0.5, 4.0),
-    st.floats(-2.0, 2.0),
-    st.floats(0.2, 5.0),
-)
-def test_oracle_pmf_normalized_and_sampler_on_lattice(spacing, offset, sigma):
-    pmf = brute_pmf(spacing, offset, sigma)
+@given(st.floats(0.2, 5.0))
+def test_oracle_pmf_normalized_and_sampler_on_lattice(sigma):
+    pmf = brute_pmf(1.0, 0.0, sigma)
     assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(99)
-    lat = ShiftedLattice1D(spacing=spacing, offset=offset)
-    draws = sample_discrete_gaussian_1d(lat, sigma, rng=rng, size=64)
-    steps = (draws - offset) / spacing
-    assert np.allclose(steps, np.round(steps), atol=1e-6)
-    assert np.all(np.abs(draws) <= 12 * sigma + spacing + 1e-9)
+    draws = sample_discrete_gaussian_1d(sigma, rng=rng, size=64)
+    assert np.array_equal(draws, np.round(draws))
+    assert np.all(np.abs(draws) <= 12 * sigma)

@@ -119,33 +119,37 @@ def test_continuous_y_marginal_uniform():
 
 
 def test_continuize_noise_rejects_shrink():
+    # at sigma 1e9, sigma^2 absorbs ln(100 m): the target rounds to sigma itself
     rng = np.random.default_rng(27)
     b = gen_classic_lwe(4, 10, 257, 2.0, "alternative", rng=rng)
-    with pytest.raises(ValueError):
-        run_chain(b, 2.0, rng=rng)
-    with pytest.raises(ValueError):
-        run_chain(b, 1.0, rng=rng)
+    assert default_chain_scales(1e9, b.m)[0] == 1e9
+    with pytest.raises(ValueError, match=r"sigma_target must exceed the batch sigma 1e\+09"):
+        run_chain(dataclasses.replace(b, sigma=1e9), rng=rng)
+    # past 1e154 the square itself overflows a float
+    with pytest.raises(ValueError, match=r"the batch sigma = 1e\+200 is out of range"):
+        run_chain(dataclasses.replace(b, sigma=1e200), rng=rng)
 
 
 def test_continuize_noise_distribution_and_relation():
     rng = np.random.default_rng(28)
     b = gen_classic_lwe(4, 100_000, 257, 2.0, "alternative", rng=rng)
-    out = run_chain(b, 5.0, 2.2, rng=rng)
+    out = run_chain(b, rng=rng)
     assert out.tag == "alternative" and out.m == b.m
     assert circ_close(out.y, mod_1(out.x @ out.secret + out.noise), 1.0)
     z = recovered_noise(out)
-    scale = math.sqrt(5.0**2 + 4 * 2.2**2) / 257.0
+    st, sc = default_chain_scales(2.0, b.m)
+    scale = math.sqrt(st**2 + 4 * sc**2) / 257.0
     p = stats.kstest(z, "norm", args=(0.0, scale / math.sqrt(TWO_PI))).pvalue
     assert p > 0.01
-    assert out.history == (ContinuizationStep("noise-add", math.sqrt(21.0)),
-                           ContinuizationStep("sample-add", 2.2),
+    assert out.history == (ContinuizationStep("noise-add", math.sqrt(st**2 - 2.0**2)),
+                           ContinuizationStep("sample-add", sc),
                            ContinuizationStep("rescale"))
 
 
 def test_continuize_noise_null_y_stays_uniform():
     rng = np.random.default_rng(29)
     b = gen_classic_lwe(4, 50_000, 257, 2.0, "null", rng=rng)
-    out = run_chain(b, 5.0, 2.2, rng=rng)
+    out = run_chain(b, rng=rng)
     assert out.secret is None and out.noise is None
     assert stats.kstest(out.y, "uniform").pvalue > 0.01
 
@@ -153,12 +157,13 @@ def test_continuize_noise_null_y_stays_uniform():
 def test_continuize_samples_distribution_and_noise_accounting():
     rng = np.random.default_rng(30)
     b = gen_classic_lwe(4, 100_000, 257, 4.0, "alternative", rng=rng)
-    out = run_chain(b, 5.0, 2.2, rng=rng)
+    out = run_chain(b, rng=rng)
     # x becomes continuous-uniform per coordinate
     for j in range(4):
         assert stats.kstest(out.x[:, j], "uniform").pvalue > 0.01
-    # metadata accounting: sigma' = sqrt(sigma^2 + n sigma_coord^2), over q
-    expect = math.sqrt(5.0**2 + 4 * 2.2**2) / 257.0
+    # metadata accounting: sigma' = sqrt(sigma_target^2 + n sigma_coord^2), over q
+    st, sc = default_chain_scales(4.0, b.m)
+    expect = math.sqrt(st**2 + 4 * sc**2) / 257.0
     assert out.sigma == pytest.approx(expect, rel=1e-12)
     # recovered noise std within 5% of the metadata scale
     z = recovered_noise(out)
@@ -171,13 +176,10 @@ def test_continuize_samples_rejects_non_integer_support():
     rng = np.random.default_rng(31)
     b = gen_classic_lwe(4, 100, 257, 4.0, "alternative", rng=rng)
     with pytest.raises(ValueError, match="integer"):
-        run_chain(dataclasses.replace(b, x=b.x + 0.25), 5.0, 2.2, rng=rng)
-    for sigma_coord in (0.0, -2.2, math.nan):
-        with pytest.raises(ValueError, match="sigma_coord"):
-            run_chain(b, 5.0, sigma_coord, rng=rng)
-    torus = run_chain(b, 5.0, 2.2, rng=rng)
+        run_chain(dataclasses.replace(b, x=b.x + 0.25), rng=rng)
+    torus = run_chain(b, rng=rng)
     with pytest.raises(ValueError, match="unit torus"):
-        run_chain(torus, 5.0, 2.2, rng=rng)
+        run_chain(torus, rng=rng)
 
 
 def test_rescale_frozen_example_and_inverse():
@@ -189,16 +191,17 @@ def test_rescale_frozen_example_and_inverse():
         sigma=0.5,
         q=2,
     )
-    out = run_chain(b, 1.0, 2.2, rng=np.random.default_rng(0))
+    out = run_chain(b, rng=np.random.default_rng(0))
     # replay the documented draws: e (one per sample) from the first child
     # of the generator, x' (n per sample) from the second
+    st, sc = default_chain_scales(0.5, 1)
     e_rng, x_rng = np.random.default_rng(0).spawn(2)
-    e = e_rng.normal(0.0, math.sqrt(1.0**2 - 0.5**2) / math.sqrt(TWO_PI), size=1)
-    xp = x_rng.normal(0.0, 2.2 / math.sqrt(TWO_PI), size=(1, 2))
+    e = e_rng.normal(0.0, math.sqrt(st**2 - 0.5**2) / math.sqrt(TWO_PI), size=1)
+    xp = x_rng.normal(0.0, sc / math.sqrt(TWO_PI), size=(1, 2))
     assert out.domain == "unit_torus" and out.q is None
     assert np.array_equal(out.y, mod_q(b.y + e, 2) / 2)
     assert np.array_equal(out.x, mod_q(b.x + xp, 2) / 2)
-    assert out.sigma == math.sqrt(1.0**2 + 2 * 2.2**2) / 2
+    assert out.sigma == math.sqrt(st**2 + 2 * sc**2) / 2
     # invertible up to float rounding
     assert np.max(np.abs(out.x * 2 - mod_q(b.x + xp, 2))) <= 1e-12
 
@@ -206,7 +209,7 @@ def test_rescale_frozen_example_and_inverse():
 def test_rescale_preserves_relation():
     rng = np.random.default_rng(32)
     b = gen_classic_lwe(4, 10_000, 257, 4.0, "alternative", rng=rng)
-    out = run_chain(b, 5.0, 2.2, rng=rng)
+    out = run_chain(b, rng=rng)
     assert circ_close(out.y, mod_1(out.x @ out.secret + out.noise), 1.0)
     assert np.array_equal(out.secret, b.secret)
     kinds = [s.kind for s in out.history]
@@ -233,7 +236,7 @@ def test_chain_master_property_light():
     sigma0 = 2.0
     st, sc = default_chain_scales(sigma0, m)
     b = gen_classic_lwe(n, m, q, sigma0, "alternative", rng=rng)
-    chained = run_chain(b, sigma_target=st, sigma_coord=sc, rng=rng)
+    chained = run_chain(b, rng=rng)
     total = math.sqrt(st**2 + n * sc**2)
     direct = gen_continuous_lwe(n, m, total / q, "alternative", rng=rng, secret=b.secret)
     assert stats.ks_2samp(chained.y, direct.y).pvalue > 0.001
@@ -266,7 +269,7 @@ def load_bytes(data):
 def test_roundtrip_bit_exact():
     rng = np.random.default_rng(34)
     b = gen_classic_lwe(4, 1000, 257, 4.0, "alternative", rng=rng)
-    b = run_chain(b, 5.0, rng=rng)
+    b = run_chain(b, rng=rng)
     other = load_bytes(file_bytes(b))
     assert np.array_equal(other.x, b.x)
     assert np.array_equal(other.y, b.y)
@@ -345,7 +348,7 @@ def test_saved_bytes_pinned(tmp_path, make, digest):
 
 def test_load_returns_independent_writable_views(tmp_path):
     p = tmp_path / "b.lwe"
-    batch = run_chain(PINNED, 3.0, rng=np.random.default_rng(5))
+    batch = run_chain(PINNED, rng=np.random.default_rng(5))
     batch.save(p)
     loaded = LweBatch.load(p)
     arrays = {"secret": loaded.secret, "noise": loaded.noise, "x": loaded.x, "y": loaded.y}
