@@ -151,7 +151,7 @@ def theorem_d_bindings(n, zeta, m_prime, delta):
     t = n^(-0.5 - 0.2 zeta) and eps proportional to n^(-1.5), with the
     ratio rounded to an even integer, eta = 1/3, and the noise scale the
     smaller of n^-5 and the clause-(iv) bound at RunConfig's c' and c''.
-    The paper's PTF degree at these bindings is 4 t/eps.
+    The paper's PTF degree at these bindings is 4 t/eps; m is stream_budget's cap.
     """
     t = n ** (-0.5 - 0.2 * zeta)
     eps0 = n ** -1.5
@@ -159,10 +159,9 @@ def theorem_d_bindings(n, zeta, m_prime, delta):
     eps = t / ratio
     sigma = min(n ** -5.0, RunConfig.c_prime * eps
                 / (RunConfig.c_dprime * t * math.sqrt(math.log(m_prime / delta))))
-    return RunConfig(
-        kind="continuous", tag="alternative", n=n, m=2 * ratio * m_prime,
-        sigma=sigma, t=t, eps=eps, eta=1.0 / 3.0, m_prime=m_prime, delta=delta, zeta=zeta,
-    )
+    cfg = RunConfig(kind="continuous", tag="alternative", n=n, sigma=sigma, t=t, eps=eps,
+                    eta=1.0 / 3.0, m_prime=m_prime, delta=delta, zeta=zeta)
+    return dataclasses.replace(cfg, m=stream_budget(cfg))
 
 
 # name -> (description, RunConfig of (n, zeta, m_prime, delta)); desk-scale ignores zeta

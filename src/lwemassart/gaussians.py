@@ -24,7 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Keep lattice points within radius_multiplier * sigma of the origin.
+    """sample_discrete_gaussian_1d's support: the integers within radius_multiplier * sigma of 0.
 
     At 12 sigma the dropped tail is below exp(-pi * 144) of the total mass,
     which is about 2^-652 and invisible to float64.
@@ -97,13 +97,13 @@ def sample_lattice_rows(shifts, sigma, *, rng):
     """One draw per row from the discrete Gaussian on Z + shifts[i].
 
     Workhorse for the batch pipelines: shifts is a flat array and sigma is
-    a scalar or a per-row array.  Row i keeps the points within
-    DEFAULT_TRUNCATION.radius_multiplier * sigma[i] of the origin, or the
-    nearest one(s) when that window is empty.  Each round proposes a point
-    from _envelope for every pending row and accepts it with probability
-    exp(-(|x| - a)^2 / 2s^2); over sigma in [1e-3, 200] more than half the
-    proposals are accepted (pinned by the tests), so the expected work per
-    row is O(1) and memory is O(rows) at any sigma.
+    a scalar or a per-row array.  Z + shift depends on the shift only mod
+    1, so each shift is reduced here and callers pass it unreduced.  Each
+    round proposes a point from _envelope for every pending row and
+    accepts it with probability exp(-(|x| - a)^2 / 2s^2); over sigma in
+    [1e-3, 200] more than half the proposals are accepted (pinned by the
+    tests), so the expected work per row is O(1) and memory is O(rows) at
+    any sigma.
 
     A row's envelope constants are computed once; each round draws, in
     order, one geometric, the side uniforms and the accept uniforms for
@@ -125,23 +125,21 @@ def sample_lattice_rows(shifts, sigma, *, rng):
     p = -np.expm1(-lam)
     with np.errstate(over="ignore"):  # exp overflow: the logistic is 0, as it should be
         up = 1.0 / (1.0 + np.exp(-lam * (1.0 - 2.0 * f)))
-    radius = np.maximum(DEFAULT_TRUNCATION.radius_multiplier * sig, np.minimum(f, 1.0 - f))
     todo = np.arange(f.size)
     while todo.size:
         j = rng.geometric(p) - 1.0
         x = np.where(rng.uniform(size=j.size) < up, j, -1.0 - j)
         x += f
-        ax = np.abs(x)
-        w = ax - a
+        w = np.abs(x)
+        w -= a
         w /= s
         np.square(w, out=w)
         w *= -0.5
         keep = rng.uniform(size=x.size) < np.exp(w, out=w)
-        keep &= ax <= radius
         # index arrays gather faster than boolean masks
         hit, rest = np.flatnonzero(keep), np.flatnonzero(~keep)
         out[todo[hit]] = x[hit]
-        todo, f, s, a, p, up, radius = (v[rest] for v in (todo, f, s, a, p, up, radius))
+        todo, f, s, a, p, up = (v[rest] for v in (todo, f, s, a, p, up))
     return out
 
 

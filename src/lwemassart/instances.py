@@ -214,6 +214,8 @@ class MassartConfig:
             raise ValueError("m_prime must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if not (math.isfinite(self.c_dprime) and self.c_dprime > 0):
+            raise ValueError("c_dprime must be finite and positive")
         if self.mode not in ("strict", "desk-scale"):
             raise ValueError("mode must be 'strict' or 'desk-scale'")
         self.params_plus, self.params_minus  # builds and checks both branches
@@ -247,7 +249,8 @@ class MassartConfig:
         is_int = abs(ratio - ratio_int) <= 1e-9 * max(ratio, 1.0)
         lhs3 = 1.0 / (t * math.sqrt(n))
         rhs3 = math.sqrt(self.C_CLAUSE_III * math.log(n / delta)) if n / delta > 1 else 0.0
-        lhs4 = checked_square(self.c_prime * eps / (self.c_dprime * t * sigma),
+        # divides only by checked positive numbers; eps/t lies in [2^-18, 1/2]
+        lhs4 = checked_square(self.c_prime / self.c_dprime * (eps / t) / sigma,
                               "c'eps/(c''t sigma)")
         rhs4 = math.log(self.m_prime / delta)
         return (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import checked_square, mod_1, sample_lattice_rows
+from .gaussians import checked_square, sample_lattice_rows
 from .intervals import IntervalSet
 
 
@@ -69,6 +69,9 @@ class ReductionParams:
                 "signal ratio %.4g < 1/2: (t+eps)*sigma = %.4g is too large for Step 3"
                 % (sr, (self.t + self.eps) * self.sigma)
             )
+        # Step 3 squares sigma and its largest scale, SR/(t sqrt(n)) at k = psi
+        checked_square(self.sigma, "sigma")
+        checked_square(sr / (self.t * math.sqrt(self.n)), "the Step-3 scale SR/(t sqrt(n))")
         step3_scales(self.psi + self.eps, self)  # the worst k; raises if infeasible
 
     @property
@@ -124,8 +127,7 @@ def step3_scales(k, params):
     sr = params.signal_ratio
     sigma_scale = sr / ((params.t + np.asarray(k, dtype=float) - params.psi)
                         * math.sqrt(params.n))
-    sigma_sq = checked_square(params.sigma, "sigma")
-    rad = (params.noise_ratio * sigma_scale**2 - sr * (sigma_sq / params.n)) / sr
+    rad = (params.noise_ratio * sigma_scale**2 - sr * (params.sigma**2 / params.n)) / sr
     if np.any(rad < -1e-15):
         raise ValueError("negative sigma_add radicand: infeasible Step-3 scales")
     return sigma_scale, np.sqrt(np.maximum(rad, 0.0))
@@ -136,11 +138,11 @@ def transform_accepted(x, k, params, rng):
 
     Used directly by the instance builder, which hands it one label group
     of one stream block (lwe.block_rows) at a time.  Every row's x_add is
-    drawn first, then every lattice row.
+    drawn first, then every lattice row, on the unreduced coset Z^n + x + x_add.
     """
     sigma_scale, sigma_add = step3_scales(k, params)
     x_add = rng.normal(size=x.shape) * (sigma_add / math.sqrt(2.0 * math.pi))[:, None]
-    w = sample_lattice_rows(mod_1(x + x_add).ravel(), np.repeat(sigma_scale, x.shape[1]), rng=rng)
+    w = sample_lattice_rows((x + x_add).ravel(), np.repeat(sigma_scale, x.shape[1]), rng=rng)
     return w.reshape(x.shape) / sigma_scale[:, None]
 
 

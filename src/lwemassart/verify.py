@@ -99,14 +99,14 @@ class QuadratureOracle:
     """A one-dimensional law plus independent Gaussian noise, binned exactly.
 
     The law is a pdf, smooth between consecutive sorted breakpoints xs and
-    zero outside [xs[0], xs[-1]], plus (location, mass) atoms; the noise
-    has width sigma_noise.  Breakpoints within 4 ulps merge, as exact ties
-    that rounding split; nothing is integrated until bin_masses.
+    zero outside [xs[0], xs[-1]], plus (location, mass) atoms; the noise has
+    width sigma_noise >= 0 (0: no blur).  Breakpoints within 4 ulps merge, as
+    exact ties that rounding split; nothing is integrated until bin_masses.
     """
 
     def __init__(self, pdf, breakpoints, atoms, sigma_noise):
-        if not (sigma_noise > 0 and all(m >= 0 for _, m in atoms)):
-            raise ValueError("sigma_noise must be positive and atom masses nonnegative")
+        if not (sigma_noise >= 0 and all(m >= 0 for _, m in atoms)):
+            raise ValueError("sigma_noise and atom masses must be nonnegative")
         self.pdf, self.sigma_noise = pdf, float(sigma_noise)
         xs = np.unique(np.asarray(breakpoints, dtype=float))
         self.xs = xs[np.diff(xs, prepend=-np.inf) > 4.0 * np.spacing(np.abs(xs))]

@@ -5,6 +5,7 @@ per-coordinate blur 2(t+eps)sigma is 2.5e-4, small enough that labels
 track the planted region and the projected law keeps its structure.
 """
 
+import dataclasses
 import errno
 import json
 import math
@@ -700,9 +701,20 @@ def test_directory_input_exits_2(tmp_path, args):
 @pytest.fixture(scope="module")
 def big_sigma(tmp_path_factory):
     """Inputs whose sigma squares past a float: an LWEB batch and an instance sidecar
-    with sigma = 1e200, and a strict config with sigma = 1e-300."""
+    with sigma = 1e200, and a strict config with sigma = 1e-300; and configs whose
+    c'' is not positive or whose t and sigma are tiny."""
     root = tmp_path_factory.mktemp("big-sigma")
-    (root / "strict.json").write_text(json.dumps({"mode": "strict", "n": 4, "sigma": 1e-300}))
+    for name, cfg in [
+        ("strict", {"mode": "strict", "n": 4, "sigma": 1e-300}),
+        ("c-dprime-zero", {"mode": "strict", "n": 1, "c_dprime": 0.0}),
+        ("c-dprime-negative", {"c_dprime": -4.0, "n": 4, "sigma": 5.5556e-4}),
+        # c''t sigma underflows to 0
+        ("tiny-t-sigma", {"mode": "strict", "n": 4, "t": 1e-150, "eps": 2.5e-151,
+                          "sigma": 1e-175}),
+        ("tiny-t", {"mode": "strict", "n": 4, "t": 2.5e-300, "eps": 6.25e-301,
+                    "c_prime": 5e-302, "sigma": 1e-100}),
+    ]:
+        (root / f"{name}.json").write_text(json.dumps(cfg))
     LweBatch(np.zeros((2, 4)), np.zeros(2), "mod_q", "null", 1e200, q=257).save(root / "b.lwe")
     res = invoke(["gen-instance", *BASE_ARGS, "--m-prime", "10", "--seed", "1",
                   "--out", str(root / "i.inst")])
@@ -744,18 +756,40 @@ def big_sigma(tmp_path_factory):
       "--out", "{dir}/g.inst"], "signal ratio -2.025e+299 < 1/2"),
     (["gen-instance", "--n", "4", "--t", "1e-160", "--eps", "1.25e-161", "--c-prime", "5e-163",
       "--sigma", "1e155", "--m-prime", "10", "--out", "{dir}/g.inst"], "sigma = 1e+155"),
+    # c'' is checked in every mode, and clause (iv) divides only by checked numbers
+    (["gen-instance", "--config", "{big}/c-dprime-zero.json", "--out", "{dir}/g.inst"],
+     "c_dprime must be finite and positive"),
+    (["gen-instance", "--config", "{big}/c-dprime-negative.json", "--out", "{dir}/g.inst"],
+     "c_dprime must be finite and positive"),
+    (["gen-instance", "--config", "{big}/tiny-t-sigma.json", "--out", "{dir}/g.inst"],
+     "c'eps/(c''t sigma) = 2.5e+172"),
+    (["gen-instance", "--config", "{big}/tiny-t.json", "--out", "{dir}/g.inst"],
+     "the Step-3 scale SR/(t sqrt(n)) = 2e+299"),
 ], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
         "gen-lwe-noise-window", "preset-delta-nan", "preset-zeta-nan", "preset-zeta-inf",
         "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan",
         "gen-instance-unallocatable", "gen-instance-sigma-square", "distinguish-sigma-square",
         "strict-clause-iv-square", "reduce-lwe-sigma-square", "verify-sidecar-sigma-square",
-        "step3-sigma-square", "signal-ratio-short"])
+        "step3-sigma-square", "signal-ratio-short", "strict-c-dprime-zero",
+        "c-dprime-negative", "strict-clause-iv-divisor-underflow", "step3-scale-square"])
 def test_number_outside_its_domain_exits_2(tmp_path, big_sigma, args, named):
     res = CliRunner().invoke(main, [a.format(dir=tmp_path, big=big_sigma) for a in args])
     assert res.exit_code == 2, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert named is None or named in res.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tag", ["alternative", "null"])
+def test_vanishing_sigma_instance_verifies_without_exit_2(tmp_path, tag):
+    # at sigma = 1e-300 the oracle's noise width 2(t+eps)sigma squares to 0:
+    # the unblurred law, which a gate may still reject (exit 4)
+    inst = tmp_path / "tiny.inst"
+    res = invoke(["gen-instance", "--n", "4", "--sigma", "1e-300", "--m-prime", "1000",
+                  "--tag", tag, "--seed", "1", "--out", str(inst)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["verify", str(inst)])
+    assert res.exit_code in (0, 4), res.output
 
 
 @pytest.mark.parametrize("args", [
@@ -1052,6 +1086,17 @@ class TestPreset:
         assert "acceptance: p+ 0.1234, p- 0.04813\n" in res.output
         assert ("stream: budget 1,200,000 vs expected use m'((1-eta)/p+ + eta/p-) = "
                 "1,232,686 (0.97x)\n") in res.output
+
+    def test_theorem_d_budget_is_the_derived_cap(self, tmp_path):
+        # at n = 91, t/eps rounds just above the even ratio 58, so the derived
+        # cap ceil(2 (t/eps) m') is one past 2 * 58 * m'; the preset records it
+        out = tmp_path / "thm.json"
+        res = invoke(["preset", "apply", "theorem-d", "--n", "91", "--m-prime", "100000",
+                      "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        cfg = RunConfig.load(out)
+        assert cfg.m == 11_600_001 == config.stream_budget(dataclasses.replace(cfg, m=0))
+        assert "stream: budget 11,600,001 vs" in res.output
 
     def test_theorem_d_past_the_carving_cap_is_reported(self, tmp_path):
         out = tmp_path / "big.json"

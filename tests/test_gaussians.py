@@ -236,11 +236,11 @@ def test_row_sampler_per_row_sigma():
     assert pmf_linf(empirical_pmf(draws[50_000:]), brute_pmf(1.0, 0.0, 3.0)) < 0.012
 
 
-def windowed_pmf(offset, sigma):
-    """brute_pmf on Z + offset; an empty 12-sigma window keeps the nearest point(s)."""
-    # widened by 1e-6 so that rounding cannot drop the nearest point itself
-    near = min(offset, 1.0 - offset)
-    return brute_pmf(1.0, offset, sigma, radius=max(12.0, (1.0 + 1e-6) * near / sigma))
+def exact_pmf(offset, sigma):
+    """brute_pmf on Z + offset over 12 sigma and both nearest points, offset and offset - 1."""
+    # widened by 1e-6 so that rounding cannot drop the farther nearest point
+    far = max(offset, 1.0 - offset)
+    return brute_pmf(1.0, offset, sigma, radius=max(12.0, (1.0 + 1e-6) * far / sigma))
 
 
 def chi2_pvalue(draws, pmf):
@@ -250,7 +250,7 @@ def chi2_pvalue(draws, pmf):
     least 5 draws; a pmf that leaves a single bin has nothing to test.
     """
     vals, counts = np.unique(np.round(draws, 9), return_counts=True)
-    assert set(vals.tolist()) <= set(pmf), "draw off the truncated lattice window"
+    assert set(vals.tolist()) <= set(pmf), "draw off the lattice points of pmf"
     seen = dict(zip(vals.tolist(), counts.tolist()))
     expected = np.array(list(pmf.values())) * draws.size
     observed = np.array([seen.get(k, 0) for k in pmf], dtype=float)
@@ -264,26 +264,26 @@ def chi2_pvalue(draws, pmf):
     return stats.chisquare(f_obs, f_exp * draws.size / f_exp.sum()).pvalue
 
 
-LAW_SIGMAS = (0.01, 0.5, 1.8, 10.0, 50.0)
-LAW_OFFSETS = (0.0, 0.3, 0.5, 0.93)
+# (sigma, offset) cells; at (0.03, 0.4999) the farther nearest point
+# -0.5001 carries a third of the mass, though it lies past 12 sigma
+LAW_CELLS = [(sig, off) for sig in (0.01, 0.5, 1.8, 10.0, 50.0)
+             for off in (0.0, 0.3, 0.5, 0.93)] + [(0.03, 0.4999)]
 
 
 def test_row_sampler_law_chi_square():
     # 1e6 draws per (sigma, offset) cell, then one call that mixes every
     # cell row by row, 50k draws each
     rng = np.random.default_rng(20)
-    for sigma in LAW_SIGMAS:
-        for off in LAW_OFFSETS:
-            shifts = np.full(1_000_000, off)
-            draws = sample_lattice_rows(shifts, sigma, rng=rng)
-            p = chi2_pvalue(draws, windowed_pmf(off, sigma))
-            assert p > 1e-4, (sigma, off, p)
-    cells = [(sig, off) for sig in LAW_SIGMAS for off in LAW_OFFSETS]
-    rows = rng.permutation(np.repeat(np.arange(len(cells)), 50_000))
-    sig, off = np.array(cells).T
+    for sigma, off in LAW_CELLS:
+        shifts = np.full(1_000_000, off)
+        draws = sample_lattice_rows(shifts, sigma, rng=rng)
+        p = chi2_pvalue(draws, exact_pmf(off, sigma))
+        assert p > 1e-4, (sigma, off, p)
+    rows = rng.permutation(np.repeat(np.arange(len(LAW_CELLS)), 50_000))
+    sig, off = np.array(LAW_CELLS).T
     draws = sample_lattice_rows(off[rows], sig[rows], rng=rng)
-    for c, (sigma, offset) in enumerate(cells):
-        p = chi2_pvalue(draws[rows == c], windowed_pmf(offset, sigma))
+    for c, (sigma, offset) in enumerate(LAW_CELLS):
+        p = chi2_pvalue(draws[rows == c], exact_pmf(offset, sigma))
         assert p > 1e-4, ("mixed", sigma, offset, p)
 
 
@@ -296,9 +296,9 @@ def test_row_sampler_envelope_acceptance():
     for sigma in sigmas:
         for f in offsets:
             s, a, lam = (float(v) for v in _envelope(np.array(f), np.array(sigma)))
-            radius = max(12.0 * sigma, min(f, 1.0 - f))
-            k = np.arange(-math.ceil(radius) - 1, math.ceil(radius) + 2)
-            x = f + k[np.abs(f + k) <= radius]
+            # all of Z + f within 12 sigma of 0, and both nearest points
+            k = np.arange(-math.ceil(12.0 * sigma) - 2, math.ceil(12.0 * sigma) + 3)
+            x = f + k
             log_target = logsumexp(-(x**2) / (2 * s * s))
             log_bound = (a * a / (2 * s * s) + np.logaddexp(-lam * f, -lam * (1 - f))
                          - math.log(-math.expm1(-lam)))

@@ -146,8 +146,9 @@ class TestDensityOracle:
             QuadratureOracle(np.sin, (-4.0, 4.0), (), 1.0).bin_masses(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, -0.1),), 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, 1.0),), 0.0)
+        for width in (-1e-300, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                QuadratureOracle(np.zeros_like, (-4.0, 4.0), ((0.0, 1.0),), width)
 
     def test_nan_density_rejected(self):
         # a ValueError, not an assert, so the check survives python -O
@@ -159,10 +160,12 @@ class TestDensityOracle:
             o.bin_masses(np.array([-1.0, 1.0]))
 
     def test_pure_atom_binning(self):
-        o = QuadratureOracle(np.zeros_like, (-1.0, 1.0), ((0.3, 1.0),), RAW)
-        assert o.atoms == ((0.3, 1.0),)
-        edges = np.array([-1.0, 0.0, 0.5, 1.0])
-        assert np.array_equal(o.bin_masses(edges), [0.0, 1.0, 0.0])
+        # width 0 is the unblurred law itself: no edge is within reach of a row
+        for width in (RAW, 0.0):
+            o = QuadratureOracle(np.zeros_like, (-1.0, 1.0), ((0.3, 1.0),), width)
+            assert o.atoms == ((0.3, 1.0),)
+            edges = np.array([-1.0, 0.0, 0.5, 1.0])
+            assert np.array_equal(o.bin_masses(edges), [0.0, 1.0, 0.0])
 
     def test_bad_edges_rejected(self):
         o = gaussian_oracle()
