@@ -1,9 +1,8 @@
 """Command-line pipeline: generate, reduce, verify, distinguish.
 
-Every command that draws randomness takes an explicit --seed (or the
-LWEMASSART_SEED variable) and is deterministic given it: the same
-invocation writes byte-identical files.  Bulk samples travel as binary
-f64 records, configuration and reports as JSON, histograms as CSV.
+Every command that draws randomness takes --seed (0 when unset) and writes
+byte-identical files given it.  Bulk samples travel as binary f64
+records, configuration and reports as JSON, histograms as CSV.
 
 Exit codes: 0 success, 2 a bad parameter or input or an unusable path, 3 the
 sample stream ran dry before m' labeled samples were produced (a semantic
@@ -97,8 +96,7 @@ class _OutPath(click.Path):
 _CONFIG_OPT = click.option("--config", "config_path",
                            type=click.Path(exists=True, dir_okay=False),
                            default=None, help="RunConfig JSON; flags override it.")
-_SEED_OPT = click.option("--seed", type=int, default=None,
-                         envvar="LWEMASSART_SEED", help="Generator seed.")
+_SEED_OPT = click.option("--seed", type=int, default=None, help="Generator seed.")
 
 
 class _Command(click.Command):
@@ -149,14 +147,13 @@ def main():
 def cmd_gen_lwe(config_path, out, **flags):
     """Write an LWE sample batch (binary) plus a JSON metadata sidecar."""
     cfg = config.RunConfig.load(config_path, **flags)
-    seed = config.resolve_seed(cfg.seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     if cfg.kind == "classic":
         batch = ClassicStream(cfg.n, cfg.m, cfg.q, cfg.sigma, cfg.tag, rng)
     else:
         batch = ContinuousStream(cfg.n, cfg.m, cfg.sigma, cfg.tag, rng)
     write_batch(out, batch)
-    write_sidecar(out, config.batch_sidecar("gen-lwe", batch, seed, kind=cfg.kind, q=batch.q))
+    write_sidecar(out, config.batch_sidecar("gen-lwe", batch, cfg.seed, kind=cfg.kind, q=batch.q))
     click.echo(f"wrote {batch.m} samples to {out}")
 
 
@@ -166,7 +163,7 @@ def cmd_gen_lwe(config_path, out, **flags):
 @click.option("--out", type=_OutPath(), required=True)
 def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
-    seed = config.resolve_seed(seed)
+    seed = config.RunConfig.load(None, seed=seed).seed
     if os.path.exists(out) and os.path.samefile(batch_path, out):
         raise ValueError("--out is the input batch, which reduce-lwe reads as it writes")
     reduced = ChainStream(BatchFile(batch_path), rng=np.random.default_rng(seed))
@@ -216,7 +213,7 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     cfg = config.RunConfig.load(config_path, batch, **flags)
     # every check that needs only the flags runs before the inline stream is drawn
     mconfig = config.massart_config(cfg)
-    rng = np.random.default_rng(config.resolve_seed(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     # the records are written as the walk finishes each block; exit 3 or any
     # failure part way writes no instance and no sidecar
     batch, inst = write_labeled_file(
@@ -344,7 +341,7 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     if cfg.m_prime < 2:
         raise ValueError("distinguish needs m_prime >= 2: each instance is "
                          "split into a training and a held-out half")
-    rng = np.random.default_rng(config.resolve_seed(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     secret = np.where(rng.random(cfg.n) < 0.5, -1.0, 1.0)
     mconfig = config.massart_config(cfg)
 
@@ -360,7 +357,7 @@ def cmd_distinguish(config_path, min_advantage, report_path, **flags):
     rep = distinguish(make_instance, lambda: build(secret, mconfig.region),
                       tau=cfg.tau, trials=cfg.trials, rng=rng)
     payload = dataclasses.asdict(rep)
-    payload["seed"] = config.resolve_seed(cfg.seed)
+    payload["seed"] = cfg.seed
     payload["learner"] = cfg.learner
     se = math.sqrt(2.0 * 0.25 / cfg.trials)
     payload["advantage_2se"] = 2.0 * se

@@ -33,8 +33,7 @@ class RunConfig:
     tau: float = 0.25
     trials: int = 50
     learner: str = next(iter(LEARNERS))
-    zeta: float = 0.5
-    seed: Optional[int] = None
+    seed: int = 0
 
     def save(self, path):
         write_json(path, dataclasses.asdict(self))
@@ -83,11 +82,6 @@ def _check_choices(data, where):
                              f"{', '.join(admitted)}")
 
 
-def resolve_seed(seed):
-    """The generator seed of a --seed value; an unset seed is 0."""
-    return 0 if seed is None else int(seed)
-
-
 # the instance parameter set's fields, each a RunConfig field of the same name and kind
 MASSART_FIELDS = tuple(f.name for f in dataclasses.fields(MassartConfig))
 
@@ -118,7 +112,7 @@ SIDECAR_KEYS = ("tag",) + MASSART_FIELDS
 
 def instance_sidecar(cfg, batch, consumed):
     """The sidecar of an instance built under cfg from consumed samples of batch."""
-    return batch_sidecar("gen-instance", batch, resolve_seed(cfg.seed), consumed=consumed,
+    return batch_sidecar("gen-instance", batch, cfg.seed, consumed=consumed,
                          **{k: getattr(cfg, k) for k in SIDECAR_KEYS})
 
 
@@ -160,7 +154,7 @@ def theorem_d_bindings(n, zeta, m_prime, delta):
     sigma = min(n ** -5.0, RunConfig.c_prime * eps
                 / (RunConfig.c_dprime * t * math.sqrt(math.log(m_prime / delta))))
     cfg = RunConfig(kind="continuous", tag="alternative", n=n, sigma=sigma, t=t, eps=eps,
-                    eta=1.0 / 3.0, m_prime=m_prime, delta=delta, zeta=zeta)
+                    eta=1.0 / 3.0, m_prime=m_prime, delta=delta)
     return dataclasses.replace(cfg, m=stream_budget(cfg))
 
 

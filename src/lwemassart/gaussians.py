@@ -166,12 +166,14 @@ def sample_continuous(n, sigma, rng, size):
 
 
 def checked_square(v, name):
-    """v ** 2 for a float v; ValueError naming v as name once the square overflows."""
+    """v ** 2 for a float v; ValueError naming v as name unless the square is finite."""
     try:
-        return v**2
+        square = v**2
     except OverflowError:
-        raise ValueError(f"{name} = {v:.4g} is out of range: "
-                         "its square overflows a float") from None
+        square = math.inf
+    if not math.isfinite(square):
+        raise ValueError(f"{name} = {v:.4g} is out of range: its square is not finite")
+    return square
 
 
 def _check_sigma(sigma):

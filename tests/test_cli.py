@@ -702,7 +702,8 @@ def test_directory_input_exits_2(tmp_path, args):
 def big_sigma(tmp_path_factory):
     """Inputs whose sigma squares past a float: an LWEB batch and an instance sidecar
     with sigma = 1e200, and a strict config with sigma = 1e-300; and configs whose
-    c'' is not positive or whose t and sigma are tiny."""
+    c'' is not positive, whose t and sigma are tiny, or whose sigma is so small that
+    clause (iv)'s ratio is inf."""
     root = tmp_path_factory.mktemp("big-sigma")
     for name, cfg in [
         ("strict", {"mode": "strict", "n": 4, "sigma": 1e-300}),
@@ -713,6 +714,8 @@ def big_sigma(tmp_path_factory):
                           "sigma": 1e-175}),
         ("tiny-t", {"mode": "strict", "n": 4, "t": 2.5e-300, "eps": 6.25e-301,
                     "c_prime": 5e-302, "sigma": 1e-100}),
+        # (c'/c'')(eps/t)/sigma overflows to inf, whose square is inf too
+        ("tiny-sigma", {"mode": "strict", "n": 1, "t": 0.2, "eps": 0.05, "sigma": 1e-320}),
     ]:
         (root / f"{name}.json").write_text(json.dumps(cfg))
     LweBatch(np.zeros((2, 4)), np.zeros(2), "mod_q", "null", 1e200, q=257).save(root / "b.lwe")
@@ -765,13 +768,16 @@ def big_sigma(tmp_path_factory):
      "c'eps/(c''t sigma) = 2.5e+172"),
     (["gen-instance", "--config", "{big}/tiny-t.json", "--out", "{dir}/g.inst"],
      "the Step-3 scale SR/(t sqrt(n)) = 2e+299"),
+    (["gen-instance", "--config", "{big}/tiny-sigma.json", "--m-prime", "100",
+      "--out", "{dir}/g.inst"], "c'eps/(c''t sigma) = inf is out of range"),
 ], ids=["gen-instance-m", "distinguish-m", "preset-n", "preset-m-prime", "preset-delta",
         "gen-lwe-noise-window", "preset-delta-nan", "preset-zeta-nan", "preset-zeta-inf",
         "preset-zeta-negative", "distinguish-tau-nan", "distinguish-min-advantage-nan",
         "gen-instance-unallocatable", "gen-instance-sigma-square", "distinguish-sigma-square",
         "strict-clause-iv-square", "reduce-lwe-sigma-square", "verify-sidecar-sigma-square",
         "step3-sigma-square", "signal-ratio-short", "strict-c-dprime-zero",
-        "c-dprime-negative", "strict-clause-iv-divisor-underflow", "step3-scale-square"])
+        "c-dprime-negative", "strict-clause-iv-divisor-underflow", "step3-scale-square",
+        "strict-clause-iv-inf"])
 def test_number_outside_its_domain_exits_2(tmp_path, big_sigma, args, named):
     res = CliRunner().invoke(main, [a.format(dir=tmp_path, big=big_sigma) for a in args])
     assert res.exit_code == 2, res.output
@@ -1003,7 +1009,9 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         # preset apply theorem-d wrote a "d" key while --d existed
         path = tmp_path / "bad.json"
-        for text, key in (('{"n": 4, "nope": 1}', "nope"), ('{"d": 32}', "d")):
+        # and one holding "zeta" while RunConfig kept a field no command read
+        for text, key in (('{"n": 4, "nope": 1}', "nope"), ('{"d": 32}', "d"),
+                          ('{"zeta": 0.5}', "zeta")):
             path.write_text(text)
             with pytest.raises(ValueError, match=f"'{key}'"):
                 RunConfig.load(path)
@@ -1014,7 +1022,7 @@ class TestConfig:
             assert f"'{key}'" in res.output
 
     @pytest.mark.parametrize("text", ['{"n": "4"}', '{"sigma": true}', '{"seed": 1.5}',
-                                      '{"tag": 1}', "[4]", '{"n": 4',
+                                      '{"seed": null}', '{"tag": 1}', "[4]", '{"n": 4',
                                       pytest.param(DEEP.decode(), id="deeply-nested"),
                                       pytest.param('{"sigma": 1%s}' % ("0" * 400),
                                                    id="sigma-huge")])
@@ -1055,6 +1063,18 @@ class TestConfig:
         assert header["m_prime"] == 150 and len(x) == 150
         assert read_sidecar(out)["seed"] == 6
 
+    def test_seed_comes_from_flag_or_config_alone(self, tmp_path):
+        # the environment sets no setting: an unset seed is RunConfig's 0
+        args = ["gen-instance", *BENCH_PRESET, "--m-prime", "2000"]
+        a, b = tmp_path / "env.inst", tmp_path / "seed0.inst"
+        res = CliRunner().invoke(main, [*args, "--out", str(a)],
+                                 env={"LWEMASSART_SEED": "7"}, catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        res = invoke([*args, "--seed", "0", "--out", str(b)])
+        assert res.exit_code == 0, res.output
+        assert a.read_bytes() == b.read_bytes()
+        assert read_sidecar(a) == read_sidecar(b) and read_sidecar(a)["seed"] == 0
+
 
 class TestPreset:
     def test_list_names(self):
@@ -1077,6 +1097,20 @@ class TestPreset:
         assert "(i) t/eps large even integer: ok" in res.output
         # clause (iii) genuinely fails this far below the asymptotic regime
         assert "(iii)" in res.output and "VIOLATED" in res.output
+
+    def test_theorem_d_file_holds_seed_0_and_no_zeta(self, tmp_path):
+        cfg = tmp_path / "thm.json"
+        res = invoke(["preset", "apply", "theorem-d", "--n", "16", "--m-prime", "2000",
+                      "--out", str(cfg)])
+        assert res.exit_code == 0, res.output
+        data = json.loads(cfg.read_text())
+        assert data["seed"] == 0 and "zeta" not in data
+        outs = tmp_path / "a.inst", tmp_path / "b.inst"
+        for out, seed in zip(outs, ([], ["--seed", "0"])):
+            res = invoke(["gen-instance", "--config", str(cfg), *seed, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_sidecar(outs[0]) == read_sidecar(outs[1])
 
     def test_theorem_d_reports_acceptance_and_stream_use(self, tmp_path):
         # at n = 8 the preset's 2 (t/eps) m' budget is below the expected use
