@@ -112,6 +112,13 @@ class _Command(click.Command):
             raise click.UsageError(str(err), ctx) from err
 
 
+def _refuse_overwrite(src, what, **outs):
+    """ValueError when an output option names the input file src: writing it would replace src."""
+    for flag, path in outs.items():
+        if path and os.path.exists(path) and os.path.samefile(src, path):
+            raise ValueError(f"--{flag} is the input {what}, which the output would replace")
+
+
 class _Group(click.Group):
     command_class = _Command
     group_class = type  # subgroups are _Group too, so their commands get the rule
@@ -164,8 +171,7 @@ def cmd_gen_lwe(config_path, out, **flags):
 def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     seed = config.RunConfig.load(None, seed=seed).seed
-    if os.path.exists(out) and os.path.samefile(batch_path, out):
-        raise ValueError("--out is the input batch, which reduce-lwe reads as it writes")
+    _refuse_overwrite(batch_path, "batch", out=out)
     reduced = ChainStream(BatchFile(batch_path), rng=np.random.default_rng(seed))
     write_batch(out, reduced)
     history = [dataclasses.asdict(step) for step in reduced.history]
@@ -206,6 +212,7 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     batch = None
     if batch_path is not None:
+        _refuse_overwrite(batch_path, "batch", out=out)
         batch = BatchFile(batch_path)
         if batch.domain != "unit_torus":
             raise ValueError(f"--batch needs a unit-torus batch, not a {batch.domain} "
@@ -304,6 +311,7 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
 @click.option("--tol-l1", type=_FloatRange(min=0.0), default=TOL_L1)
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     """Run the distributional test battery for a labeled instance file."""
+    _refuse_overwrite(instance_path, "instance", report=report_path, hist=hist_path)
     x, labels, header = read_labeled_file(instance_path)
     tag, mconfig, secret = config.read_instance_sidecar(read_sidecar(instance_path), header)
     if not 1 <= bins <= mconfig.m_prime:

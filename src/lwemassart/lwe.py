@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import frames
-from .gaussians import (checked_square, mod_1, mod_q, sample_continuous,
+from .gaussians import (DEFAULT_TRUNCATION, checked_square, mod_1, mod_q, sample_continuous,
                         sample_discrete_gaussian_1d, smoothing_threshold)
 
 MAGIC = b"LWEB"
@@ -365,6 +365,10 @@ class ClassicStream(_GeneratedStream):
     def __init__(self, n, m, q, sigma, tag, rng):
         self.q = q
         super().__init__(n, m, sigma, tag, rng)
+        # exact in float64 to 2^53: |<x, s> + z| <= v and its mod_q multiple of q <= v + q - 1
+        v = n * (int(q) - 1) + math.floor(DEFAULT_TRUNCATION.radius_multiplier * sigma)
+        if (v if self.has_noise else 0) + int(q) - 1 > 2**53:
+            raise ValueError(f"q = {q} at n = {n} forms integers past 2**53, beyond float64")
 
     def _draw(self, k):
         x = self._x_rng.integers(0, self.q, size=(k, self.n)).astype(float)

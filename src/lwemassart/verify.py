@@ -163,27 +163,16 @@ def gaussian_oracle():
     return QuadratureOracle(np.zeros_like, (), ((0.0, 1.0),), 1.0)
 
 
-def dprime_atom_mass(t, psi, B, sigma_signal):
-    """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi).
-
-    The mean integrates (t-psi) t^2 (t+k-psi)^-3 over B.  Over a piece
-    [a, b), with A = t+a-psi and B = t+b-psi, that integral is
-    (t-psi) t^2 (b-a)(A+B)/(2 (AB)^2), free of the cancellation in A^-2 - B^-2.
-    """
-    acc = branch_acceptance(t, psi, B)
-    a, b = B.pairs.T
-    lo, hi = t + a - psi, t + b - psi
-    mean = (t - psi) * t**2 * np.sum((b - a) * (lo + hi) / (lo * hi) ** 2)
-    return float(_rho1(psi - t, sigma_signal) * mean / (2.0 * acc))
-
-
-def branch_density(t, psi, B, sigma_signal, half):
-    """(breakpoints, pdf) of one branch's continuous part, 0 outside [-half, half].
+def branch_law(t, psi, B, sigma_signal, half):
+    """(breakpoints, pdf, atom) of one branch's law, its pdf 0 outside [-half, half].
 
     The breakpoints are the image ends, clipped to [-half, half] with both
     ends included; count is built once from them, as the running sum of
-    +j^2 at each image's lower end and -j^2 at its upper end.
+    +j^2 at each image's lower end and -j^2 at its upper end.  A piece [a, b)
+    of B adds (t-psi) t^2 (b-a)(A+B)/(2 (AB)^2) / acceptance, A = t+a-psi and
+    B = t+b-psi, to the atom's mean of t+k-psi, free of A^-2 - B^-2's cancellation.
     """
+    acc = branch_acceptance(t, psi, B)
     reach = int(math.ceil((half + abs(psi) + t) / t)) + 1
     j = np.arange(-reach, reach + 1.0)
     j = j[j != 0][:, None]
@@ -192,7 +181,7 @@ def branch_density(t, psi, B, sigma_signal, half):
     jump = np.repeat(j[:, 0] ** 2, len(B.pairs))
     xs, at = np.unique(np.concatenate((lo, hi, [-half, half])), return_inverse=True)
     count = np.append(0.0, np.cumsum(np.bincount(at, np.concatenate((jump, -jump, [0, 0])))))
-    scale = (t - psi) * t**2 / branch_acceptance(t, psi, B)
+    scale = (t - psi) * t**2 / acc
 
     def pdf(u):
         u = np.asarray(u, dtype=float)
@@ -202,29 +191,28 @@ def branch_density(t, psi, B, sigma_signal, half):
         out[on] = c[on] * scale * _rho1(u[on], sigma_signal) / np.abs(u[on] + t - psi) ** 3
         return out
 
-    return xs, pdf
+    a, b = B.pairs.T
+    ta, tb = t + a - psi, t + b - psi
+    mean = (t - psi) * t**2 * np.sum((b - a) * (ta + tb) / (ta * tb) ** 2)
+    return xs, pdf, (psi - t, float(_rho1(psi - t, sigma_signal) * mean / (2.0 * acc)))
 
 
 def mixture_oracle(config):
     """Label-marginal model of the projection onto the hidden direction.
 
     The instance builder draws the -1 branch with probability eta, so the
-    unconditional projected law is the eta-weighted mixture of the two
-    branch laws, atoms included, blurred by noise of width
-    2(t+eps)sigma = sqrt(noise_ratio).  The support is cut at
-    4.5 sigma_signal past the outermost translate, where the Gaussian
-    factor of the pdf is below 1e-27.
+    projected law is the eta-weighted mixture of the two branch_laws, atoms
+    included, blurred by noise of width 2(t+eps)sigma = sqrt(noise_ratio).
+    The support is cut at 4.5 sigma_signal past the outermost translate,
+    where the Gaussian factor of the pdf is below 1e-27.
     """
     pp, pm, eta = config.params_plus, config.params_minus, config.eta
     t, ss = pp.t, math.sqrt(pp.signal_ratio)
     half = 4.5 * ss + t + max(abs(pp.psi), abs(pm.psi))
-    (xp, fp), (xm, fm) = (branch_density(t, p.psi, p.B, ss, half) for p in (pp, pm))
-    atoms = [
-        (pp.psi - t, (1.0 - eta) * dprime_atom_mass(t, pp.psi, pp.B, ss)),
-        (pm.psi - t, eta * dprime_atom_mass(t, pm.psi, pm.B, ss)),
-    ]
-    return QuadratureOracle(lambda u: (1.0 - eta) * fp(u) + eta * fm(u),
-                            np.concatenate((xp, xm)), atoms, math.sqrt(pp.noise_ratio))
+    (xp, fp, (lp, ap)), (xm, fm, (lm, am)) = (branch_law(t, p.psi, p.B, ss, half)
+                                              for p in (pp, pm))
+    return QuadratureOracle(lambda u: (1.0 - eta) * fp(u) + eta * fm(u), np.concatenate((xp, xm)),
+                            [(lp, (1.0 - eta) * ap), (lm, eta * am)], math.sqrt(pp.noise_ratio))
 
 
 # -------------------------------------------------------- projection tests

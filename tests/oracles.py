@@ -53,7 +53,6 @@ from lwemassart.verify import (
     MassartEstimate,
     QuadratureOracle,
     TestReport,
-    dprime_atom_mass,
 )
 
 # ---------------------------------------------------------------- gaussians
@@ -339,8 +338,8 @@ def exact_piece_integrals(t, psi, B):
 
     Over a piece [a, b), with A = t+a-psi and B = t+b-psi, the acceptance
     term is (t-psi) t^2 (A^-3 - B^-3)/3 (rejection.branch_acceptance) and
-    the mean term (t-psi) t^2 (A^-2 - B^-2)/2 (the integral inside
-    verify.dprime_atom_mass).  Each term is computed in Fraction from the
+    the mean term (t-psi) t^2 (A^-2 - B^-2)/2 (the integral behind
+    verify.branch_law's atom).  Each term is computed in Fraction from the
     float inputs, rounded once, and the terms are summed with math.fsum.
     """
     tf, pf = Fraction(t), Fraction(psi)
@@ -598,7 +597,7 @@ def convolve_with_gaussian(oracle, sigma_noise):
 def dprime_pdf(u, t, eps, psi, B, sigma_signal):
     """Continuous part of the projected law at the array u (the i = -1 atom is separate).
 
-    The reference for verify.branch_density: a loop over every translate i
+    The reference for verify.branch_law's pdf: a loop over every translate i
     that tests each point's offset k* = psi + (u - it - psi)/(i+1) against
     B, with the accepted-offset density f, (t-psi) t^2 (t+k-psi)^-4 on B
     over the branch acceptance, evaluated at k*.
@@ -653,16 +652,26 @@ def uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal):
 
 
 def uniform_atom_mass(t, psi, B, sigma_signal):
-    """verify.dprime_atom_mass with the offset k uniform on B."""
+    """accepted_atom_mass with the offset k uniform on B."""
     mean = sum((t + b - psi) ** 2 - (t + a - psi) ** 2 for a, b in B.pairs.tolist()) \
         / (2.0 * B.measure)
     return math.exp(-math.pi * ((psi - t) / sigma_signal) ** 2) / sigma_signal * mean
 
 
+def accepted_atom_mass(t, psi, B, sigma_signal):
+    """Point mass at psi - t: rho(psi - t) times the mean of (t+k-psi), exact per piece.
+
+    The reference for verify.branch_law's atom, from exact_piece_integrals
+    (mean / acceptance) rather than the library's closed form.
+    """
+    acc, mean = exact_piece_integrals(t, psi, B)
+    return math.exp(-math.pi * ((psi - t) / sigma_signal) ** 2) / sigma_signal * mean / acc
+
+
 def _branch_law(t, eps, psi, B, sigma_signal, k_law):
     if k_law == "accepted":
         return (lambda u: dprime_pdf(u, t, eps, psi, B, sigma_signal),
-                dprime_atom_mass(t, psi, B, sigma_signal))
+                accepted_atom_mass(t, psi, B, sigma_signal))
     if k_law == "uniform":
         return (lambda u: uniform_dprime_pdf(u, t, eps, psi, B, sigma_signal),
                 uniform_atom_mass(t, psi, B, sigma_signal))

@@ -119,6 +119,14 @@ class TestGenLwe:
         assert payload < size < payload + 1000 and "has 1000 free" in res.output
         assert list(tmp_path.iterdir()) == []
 
+    def test_q_past_the_float64_integers_exits_2_and_writes_nothing(self, tmp_path):
+        # at n = 4, q = 2^52 puts <x, s> + z past 2^53, where float64 rounds integers
+        res = CliRunner().invoke(main, ["gen-lwe", "--kind", "classic", "--n", "4",
+                                        "--q", str(2**52), "--sigma", "2.0", "--m", "10",
+                                        "--out", str(tmp_path / "q.lwe")])
+        assert res.exit_code == 2, res.output
+        assert "2**53" in res.output and list(tmp_path.iterdir()) == []
+
 
 class TestReduceLwe:
     def test_chain_lands_on_unit_torus(self, tmp_path):
@@ -139,7 +147,7 @@ class TestReduceLwe:
         assert meta["secret_digest"] == secret_digest(np.asarray(meta["secret"], float))
 
     def test_input_as_output_exits_2_and_keeps_the_input(self, tmp_path):
-        # the output is written while the input is read block by block
+        # writing the output would replace the input it reads
         src = tmp_path / "cls.lwe"
         invoke(["gen-lwe", "--kind", "classic", "--n", "4", "--m", "200", "--sigma", "2.0",
                 "--out", str(src)])
@@ -447,6 +455,17 @@ class TestGenInstance:
         assert f"{field} " in res.output and "disagrees with the batch's" in res.output
         assert not (tmp_path / "i").exists()
 
+    def test_batch_as_output_exits_2_and_keeps_the_batch(self, tmp_path):
+        src = tmp_path / "s.lwe"
+        invoke(["gen-lwe", "--kind", "continuous", "--tag", "alternative", "--n", "4",
+                "--m", "2000", "--sigma", repr(TINY_SIGMA), "--seed", "8", "--out", str(src)])
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        res = CliRunner().invoke(main, ["gen-instance", "--batch", str(src), *BASE_ARGS,
+                                        "--m-prime", "100", "--out", str(src)])
+        assert res.exit_code == 2, res.output
+        assert "--out is the input batch" in res.output
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
     def test_mod_q_batch_names_reduce_lwe(self, tmp_path):
         # the domain is checked before the batch's sigma reaches the Step-3 check
         src = tmp_path / "classic.lwe"
@@ -541,6 +560,17 @@ class TestVerify:
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--report", "--hist"])
+    def test_instance_as_output_exits_2_and_keeps_the_instance(self, work, tmp_path, flag):
+        inst = tmp_path / "a.inst"
+        for suffix in ("", ".meta.json"):
+            shutil.copyfile(f"{work / 'alt.inst'}{suffix}", f"{inst}{suffix}")
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        res = CliRunner().invoke(main, ["verify", str(inst), flag, str(inst)])
+        assert res.exit_code == 2, res.output
+        assert f"{flag} is the input instance" in res.output
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
     def test_missing_sidecar_is_usage_error(self, work, tmp_path):
         orphan = tmp_path / "orphan.inst"

@@ -39,17 +39,22 @@ COMMANDS = [
     ["reduce-lwe", "classic.lwe", "--seed", "1", "--out", "torus.lwe"],
     *(["gen-instance", *PRESET, "--m-prime", "20000", "--tag", tag, "--seed", "1",
        "--out", f"{tag}.inst"] for tag in ("alternative", "null")),
-    *(["verify", f"{tag}.inst", "--report", f"{tag}.report.json"]
-      for tag in ("alternative", "null")),
+    ["verify", "alternative.inst", "--report", "alternative.report.json",
+     "--hist", "alternative.csv"],
+    ["verify", "null.inst", "--report", "null.report.json"],
     ["distinguish", *PRESET, "--m-prime", "200", "--trials", "2", "--learner", "planted",
      "--seed", "1", "--report", "distinguish.json"],
 ]
 
-# SHA-256 of the files the commands write at n = 4
+# SHA-256 of the files the commands write at n = 4; the reports and the CSV pin
+# verify's oracle and batteries
 PINNED = {
     "continuous.lwe": "bf5469b50a1b64a06d257c91071441aea3944f0e0544b3b35431decd50861f06",
     "torus.lwe": "f10586483e08e532f5c4c85f436ce8b8e9dd3b0ebcd32c7253a7419ba1f24511",
     "alternative.inst": "f128849c75ecea30bb530c809387b26346f90fcc08e99af6821ce5f8b084ab41",
+    "alternative.report.json": "6207c07de619d0e13d8d0a4480160ec2f688ad9c904a6c3beccb41f1790728fc",
+    "null.report.json": "780eb31e3bdfb40171606b6ff8672e1cd858f0d535db0dd4eb9d44d09f5f87c1",
+    "alternative.csv": "20c19acf4680bf44d619df19515e7c95faac6dca17d1bce7f7b7af59693d3107",
 }
 
 
@@ -106,7 +111,7 @@ def test_two_kernels_write_the_same_bytes(tmp_path):
     if None in kernels:
         pytest.skip("cannot read which kernel the OpenBLAS library loaded")
     assert kernels == KERNELS
-    assert len(got[0]["files"]) == 13  # every output and sidecar
+    assert len(got[0]["files"]) == 14  # every output and sidecar
     assert got[0]["files"] == got[1]["files"]
 
 

@@ -57,6 +57,23 @@ def test_classic_alternative_relation_exact():
     assert np.array_equal(b.y, np.round(b.y))
 
 
+def test_classic_largest_q_keeps_the_exact_relation():
+    # float64 holds every integer to 2^53: at n = 4 and sigma = 2 the draw
+    # forms |<x, s> + z| up to 4(q-1) + 24, and mod_q a multiple of q up to
+    # q - 1 past that
+    q = (2**53 - 24) // 5 + 1
+    b = gen_classic_lwe(4, 2000, q, 2.0, "alternative", rng=np.random.default_rng(31))
+    s = [int(v) for v in b.secret]
+    for x, y, z in zip(b.x.tolist(), b.y.tolist(), b.noise.tolist()):
+        assert y == (sum(int(xi) * si for xi, si in zip(x, s)) + int(z)) % q
+    with pytest.raises(ValueError, match=r"past 2\*\*53"):
+        gen_classic_lwe(4, 10, q + 1, 2.0, "alternative", rng=np.random.default_rng(31))
+    # a null forms no integer past q - 1
+    gen_classic_lwe(4, 10, 2**53 + 1, 2.0, "null", rng=np.random.default_rng(31))
+    with pytest.raises(ValueError, match=r"past 2\*\*53"):
+        gen_classic_lwe(4, 10, 2**53 + 2, 2.0, "null", rng=np.random.default_rng(31))
+
+
 def test_classic_zero_noise_limit():
     rng = np.random.default_rng(22)
     b = gen_classic_lwe(4, 1000, 257, 1e-9, "alternative", rng=rng)

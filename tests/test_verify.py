@@ -33,8 +33,7 @@ from lwemassart.rejection import ReductionParams, b_plus
 from lwemassart.verify import (
     QuadratureOracle,
     atom_safe_edges,
-    branch_density,
-    dprime_atom_mass,
+    branch_law,
     folded_histogram,
     gaussian_oracle,
     hidden_direction_test,
@@ -53,13 +52,13 @@ from lwemassart.verify import (
 from oracles import (
     DensityOracle1D,
     acceptance_rate_test,
+    accepted_atom_mass,
     branch_oracle,
     convolve_same,
     convolve_with_gaussian,
     dk21_reference_sample,
     dprime_oracle,
     dprime_pdf,
-    exact_piece_integrals,
     grid_gaussian,
     massart_reference,
     reduce_batch,
@@ -74,7 +73,7 @@ SS = math.sqrt(0.9375)
 SN = 0.25
 BP = b_plus(EPS)
 RAW = 1e-9  # a sigma_noise that stands in for the unblurred law
-DESK_PDF = branch_density(T, PSI, BP, SS, 4.5 * SS + T + PSI)[1]
+_, DESK_PDF, DESK_ATOM = branch_law(T, PSI, BP, SS, 4.5 * SS + T + PSI)
 
 # frozen desk-scale oracle values (quadrature over the literal forms)
 ACCEPT_EXACT = 0.09922267946959307
@@ -192,7 +191,7 @@ class TestProjectedLaw:
             assert vec[j] == DESK_PDF(u[j : j + 1])[0]
 
     def test_atom_mass_frozen(self):
-        acc = dprime_atom_mass(T, PSI, BP, SS)
+        acc = DESK_ATOM[1]
         uni = uniform_atom_mass(T, PSI, BP, SS)
         assert acc == pytest.approx(ATOM_ACCEPTED, rel=1e-12)
         assert uni == pytest.approx(ATOM_UNIFORM, rel=1e-12)
@@ -202,9 +201,8 @@ class TestProjectedLaw:
         cfg = config.massart_config(config.preset("theorem-d", 10**4, 0.5, 100_000, 0.01))
         ss = math.sqrt(cfg.params_plus.signal_ratio)
         for p in (cfg.params_plus, cfg.params_minus):
-            acc, mean = exact_piece_integrals(p.t, p.psi, p.B)
-            want = math.exp(-math.pi * ((p.psi - p.t) / ss) ** 2) / ss * mean / acc
-            got = dprime_atom_mass(p.t, p.psi, p.B, ss)
+            want = accepted_atom_mass(p.t, p.psi, p.B, ss)
+            got = branch_law(p.t, p.psi, p.B, ss, p.t)[2][1]
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_total_mass_is_one_by_quadrature(self):
@@ -258,7 +256,7 @@ class TestProjectedLaw:
         assert len(cfg.params_minus.B.pairs) == 32
         ss = math.sqrt(pp.signal_ratio)
         half = 4.5 * ss + cfg.t + max(abs(pp.psi), abs(pm.psi))
-        xs, pdf = branch_density(cfg.t, p.psi, p.B, ss, half)
+        xs, pdf, _ = branch_law(cfg.t, p.psi, p.B, ss, half)
         nodes = np.polynomial.legendre.leggauss(24)[0]
         u = ((xs[:-1] + xs[1:])[:, None] + np.diff(xs)[:, None] * nodes).ravel() / 2.0
         u = u[~np.isin(u, xs)]
@@ -275,7 +273,7 @@ class TestProjectedLaw:
         cfg = desk_config(1, 0.05, sigma=sigma)
         ss = math.sqrt(cfg.params_plus.signal_ratio)
         for p in (cfg.params_plus, cfg.params_minus):
-            pdf = branch_density(T, p.psi, p.B, ss, 4.5 * ss + T + p.psi)[1]
+            pdf = branch_law(T, p.psi, p.B, ss, 4.5 * ss + T + p.psi)[1]
             assert pdf(np.array([p.psi - T])).tolist() == [0.0]
 
     def test_oracle_grid_covers_the_mass(self):
@@ -373,7 +371,7 @@ class TestMixtureOracle:
         assert oracle.sigma_noise == sn
         for (loc, mass), w, p in zip(oracle.atoms, (1.0 - eta, eta), (pp, pm)):
             assert loc == p.psi - T
-            assert mass == pytest.approx(w * dprime_atom_mass(T, p.psi, p.B, ss),
+            assert mass == pytest.approx(w * accepted_atom_mass(T, p.psi, p.B, ss),
                                          rel=1e-12)
 
     def test_near_empty_bins_match_branch_sum(self):
@@ -761,7 +759,7 @@ class TestLabelNoise:
         plus = ptf_region(0.5 * (edges[1:] + edges[:-1]), cfg.region) == 1
         noise_sd = sigma_noise / math.sqrt(2.0 * math.pi)
         escape = 2.0 * stats.norm.sf(c_prime * eps / noise_sd)
-        atom = dprime_atom_mass(t, 0.0, base.B, ss)
+        atom = accepted_atom_mass(t, 0.0, base.B, ss)
         return eta * float(masses[plus].sum()), (1.0 - eta) * atom * escape
 
     def test_ptf_gate_fails_at_small_t_by_model(self):
