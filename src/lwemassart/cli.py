@@ -10,6 +10,7 @@ outcome of the generator, distinct from an error), 4 verification failed.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import click
 import numpy as np
 
 from . import config
-from .frames import write_json
+from .frames import part_path, write_json
 from .gaussians import sample_continuous
 from .instances import (
     generate_instance,
@@ -27,6 +28,7 @@ from .instances import (
     read_labeled_file,
     read_sidecar,
     region_aligned_edges,
+    sidecar_path,
     write_labeled_file,
     write_sidecar,
 )
@@ -93,30 +95,41 @@ class _OutPath(click.Path):
         return value
 
 
-_CONFIG_OPT = click.option("--config", "config_path",
-                           type=click.Path(exists=True, dir_okay=False),
-                           default=None, help="RunConfig JSON; flags override it.")
+# an input file: _Command refuses any output that would replace it or its sidecar
+_IN_PATH = click.Path(exists=True, dir_okay=False)
+_CONFIG_OPT = click.option("--config", "config_path", type=_IN_PATH, default=None,
+                           help="RunConfig JSON; flags override it.")
 _SEED_OPT = click.option("--seed", type=int, default=None, help="Generator seed.")
 
 
 class _Command(click.Command):
     """A ValueError (bad parameter or input), OSError (unusable path) or
-    MemoryError (arrays too large to allocate) exits 2."""
+    MemoryError (arrays too large to allocate) exits 2.
+
+    No command writes over a file it reads: it reads each _IN_PATH value and
+    that file's sidecar, and writes each _OutPath value, that output's sidecar
+    and the part file of each.  A written path that is a read file exits 2
+    before the command opens any file.
+    """
 
     def invoke(self, ctx):
+        reads, writes = [], []
+        for param in self.params:
+            path = ctx.params.get(param.name)
+            files = [] if path is None else [path, sidecar_path(path)]
+            if param.type is _IN_PATH:
+                reads += [(param.name.removesuffix("_path"), f) for f in files]
+            elif isinstance(param.type, _OutPath):
+                writes += [(param.opts[0], w) for f in files for w in (f, part_path(f))]
         try:
+            for (flag, out), (what, src) in itertools.product(writes, reads):
+                if os.path.exists(out) and os.path.exists(src) and os.path.samefile(src, out):
+                    raise ValueError(f"{flag} is the input {what}, which the output would replace")
             return super().invoke(ctx)
         except BrokenPipeError:  # a closed stdout keeps click's own handling
             raise
         except (ValueError, OSError, MemoryError) as err:
             raise click.UsageError(str(err), ctx) from err
-
-
-def _refuse_overwrite(src, what, **outs):
-    """ValueError when an output option names the input file src: writing it would replace src."""
-    for flag, path in outs.items():
-        if path and os.path.exists(path) and os.path.samefile(src, path):
-            raise ValueError(f"--{flag} is the input {what}, which the output would replace")
 
 
 class _Group(click.Group):
@@ -165,13 +178,12 @@ def cmd_gen_lwe(config_path, out, **flags):
 
 
 @main.command("reduce-lwe")
-@click.argument("batch_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("batch_path", type=_IN_PATH)
 @_SEED_OPT
 @click.option("--out", type=_OutPath(), required=True)
 def cmd_reduce_lwe(batch_path, seed, out):
     """Continuize a classic modular batch onto the unit torus."""
     seed = config.RunConfig.load(None, seed=seed).seed
-    _refuse_overwrite(batch_path, "batch", out=out)
     reduced = ChainStream(BatchFile(batch_path), rng=np.random.default_rng(seed))
     write_batch(out, reduced)
     history = [dataclasses.asdict(step) for step in reduced.history]
@@ -202,8 +214,7 @@ def _instance(cfg, mconfig, rng, tag, batch=None, secret=None, sink=None):
 
 @main.command("gen-instance")
 @_CONFIG_OPT
-@click.option("--batch", "batch_path", type=click.Path(exists=True, dir_okay=False),
-              default=None,
+@click.option("--batch", "batch_path", type=_IN_PATH, default=None,
               help="Unit-torus batch file; omitted: generate inline from config.")
 @_config_options("tag", "n", "m", "sigma", "t", "eps", "c_prime", "eta", "m_prime")
 @_SEED_OPT
@@ -212,7 +223,6 @@ def cmd_gen_instance(config_path, batch_path, out, **flags):
     """Produce m' labeled samples, or exit 3 when the stream runs dry."""
     batch = None
     if batch_path is not None:
-        _refuse_overwrite(batch_path, "batch", out=out)
         batch = BatchFile(batch_path)
         if batch.domain != "unit_torus":
             raise ValueError(f"--batch needs a unit-torus batch, not a {batch.domain} "
@@ -302,7 +312,7 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
 
 
 @main.command("verify")
-@click.argument("instance_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("instance_path", type=_IN_PATH)
 @click.option("--report", "report_path", type=_OutPath(), default=None,
               help="Write the JSON report array here (default: stdout only).")
 @click.option("--hist", "hist_path", type=_OutPath(), default=None,
@@ -311,7 +321,6 @@ def _null_reports(coords, labels, mconfig, bins, tol_l1):
 @click.option("--tol-l1", type=_FloatRange(min=0.0), default=TOL_L1)
 def cmd_verify(instance_path, report_path, hist_path, bins, tol_l1):
     """Run the distributional test battery for a labeled instance file."""
-    _refuse_overwrite(instance_path, "instance", report=report_path, hist=hist_path)
     x, labels, header = read_labeled_file(instance_path)
     tag, mconfig, secret = config.read_instance_sidecar(read_sidecar(instance_path), header)
     if not 1 <= bins <= mconfig.m_prime:

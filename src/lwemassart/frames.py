@@ -67,15 +67,19 @@ def decode_json(text):
         raise ValueError("JSON nested too deeply") from None
 
 
+def part_path(path):
+    return f"{path}.part"
+
+
 @contextlib.contextmanager
 def part_file(path, mode="w", newline=None):
-    """A file opened at path.part that replaces path when the body finishes.
+    """A file opened at part_path(path) that replaces path when the body finishes.
 
-    A failure in the body (a bad input, a full disk) removes path.part and
+    A failure in the body (a bad input, a full disk) removes the part file and
     leaves path as it was: a failed write neither leaves a part-written
     file nor replaces an earlier one.
     """
-    part = f"{path}.part"
+    part = part_path(path)
     fh = open(part, mode, newline=newline)
     try:
         with fh:

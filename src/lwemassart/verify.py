@@ -329,7 +329,9 @@ def orthogonal_gaussianity_test(samples, s):
 
     Every coordinate of an orthonormal basis of the complement is tested
     against the width-1 Gaussian, marginally and conditioned on quartiles
-    of the projection onto s, with a Bonferroni-corrected level.
+    of the projection onto s, with a Bonferroni-corrected level.  The
+    projection is rounded to 9 decimals before it is cut, so rows within
+    rounding error of one value (an unblurred atom) share one quartile.
     """
     x = np.asarray(samples, dtype=float)
     n = x.shape[1]
@@ -348,7 +350,7 @@ def orthogonal_gaussianity_test(samples, s):
     c = ordered_dot(x, w) * (2.0 / math.fsum(w * w))
     coords = np.multiply.outer(c, -w[1:])
     coords += x[:, 1:]
-    proj = ordered_dot(x, u)
+    proj = np.round(ordered_dot(x, u), 9)
     quartiles = np.quantile(proj, [0.25, 0.5, 0.75])
     groups = np.digitize(proj, quartiles)
     std = 1.0 / math.sqrt(TWO_PI)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lwemassart import cli, config, instances
+from lwemassart import cli, config, frames, instances
 from lwemassart.cli import main
 from lwemassart.config import RunConfig, theorem_d_bindings
 from lwemassart.instances import (
@@ -728,6 +728,64 @@ def test_directory_input_exits_2(tmp_path, args):
     assert "is a directory" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["reduce-lwe", "{dir}/a.lwe.part", "--out", "{dir}/a.lwe"],
+    ["gen-lwe", "--config", "{dir}/c.json", "--out", "{dir}/c.json"],
+    ["verify", "{dir}/b.inst", "--report", "{dir}/b.inst.meta.json"],
+    ["gen-lwe", "--config", "{dir}/d.meta.json", "--out", "{dir}/d"],
+    ["verify", "{dir}/e.inst.part", "--report", "{dir}/e.inst"],
+    ["distinguish", "--config", "{dir}/c.json", "--report", "{dir}/c.json"],
+], ids=["batch-as-part-file", "gen-lwe-config", "instance-sidecar", "config-as-sidecar",
+        "instance-as-part-file", "distinguish-config"])
+def test_output_over_an_input_exits_2_and_keeps_every_file(work, tmp_path, args):
+    # an output, its sidecar or the part file either is written at names an
+    # input or an input's sidecar: the command would replace what it reads
+    invoke(["gen-lwe", "--kind", "classic", "--n", "4", "--m", "200", "--sigma", "2.0",
+            "--out", str(tmp_path / "a.lwe.part")])
+    cfg = {"n": 4, "m": 20000, "sigma": 5.5556e-4, "m_prime": 200, "trials": 2,
+           "learner": "constant"}
+    for name in ("c.json", "d.meta.json"):
+        (tmp_path / name).write_text(json.dumps(cfg))
+    for inst in ("b.inst", "e.inst.part"):
+        for suffix in ("", ".meta.json"):
+            shutil.copyfile(f"{work / 'alt.inst'}{suffix}", f"{tmp_path / inst}{suffix}")
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "is the input" in res.output
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_part_files_left_by_an_earlier_run_of_the_output_are_replaced(tmp_path):
+    # an interrupted run leaves OUT.part and its sidecar's part file; neither is an input
+    out = tmp_path / "b.lwe"
+    for path in (out, instances.sidecar_path(out)):
+        with open(frames.part_path(path), "w") as fh:
+            fh.write("stale")
+    res = invoke(["gen-lwe", "--n", "4", "--m", "10", "--sigma", "0.01", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.lwe", "b.lwe.meta.json"]
+
+
+def test_every_command_takes_the_overwrite_rule_from_its_option_types():
+    # _Command reads the rule's files off the parameter types, so a command
+    # that declares its files this way cannot leave one out
+    def commands(group):
+        for cmd in group.commands.values():
+            yield from commands(cmd) if isinstance(cmd, click.Group) else [cmd]
+
+    found = list(commands(main))
+    assert sorted(c.name for c in found) == ["apply", "distinguish", "gen-instance", "gen-lwe",
+                                             "list", "reduce-lwe", "verify"]
+    assert all(isinstance(c, cli._Command) for c in found)
+    params = [p for c in found for p in c.params]
+    assert all(p.type is cli._IN_PATH for p in params
+               if isinstance(p.type, click.Path) and p.type.exists)
+    assert all(isinstance(p.type, cli._OutPath) for p in params
+               if {"--out", "--report", "--hist"} & set(p.opts))
+    assert sum(p.type is cli._IN_PATH for p in params) == 6
+
+
 @pytest.fixture(scope="module")
 def big_sigma(tmp_path_factory):
     """Inputs whose sigma squares past a float: an LWEB batch and an instance sidecar
@@ -826,6 +884,20 @@ def test_vanishing_sigma_instance_verifies_without_exit_2(tmp_path, tag):
     assert res.exit_code == 0, res.output
     res = CliRunner().invoke(main, ["verify", str(inst)])
     assert res.exit_code in (0, 4), res.output
+
+
+@pytest.mark.parametrize("seed", [1, 3, 9, 11, 19, 20])
+def test_unblurred_atom_is_not_split_by_rounding(tmp_path, seed):
+    # at sigma = 1e-300 the +1 branch's atom at psi - t holds about 18% of the
+    # rows, which differ in projection by rounding error alone; a quartile cut
+    # through it sorted them by bits the complement coordinates set, and
+    # orthogonal-gaussianity failed these seeds (min p 6.7e-6 to 4.5e-4)
+    inst = tmp_path / "tiny.inst"
+    res = invoke(["gen-instance", "--n", "4", "--sigma", "1e-300", "--m-prime", "100000",
+                  "--seed", str(seed), "--out", str(inst)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, ["verify", str(inst)])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("args", [
