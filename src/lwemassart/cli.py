@@ -118,7 +118,8 @@ class _Command(click.Command):
             path = ctx.params.get(param.name)
             files = [] if path is None else [path, sidecar_path(path)]
             if param.type is _IN_PATH:
-                reads += [(param.name.removesuffix("_path"), f) for f in files]
+                what = param.name.removesuffix("_path")
+                reads += zip((what, what + "'s sidecar"), files)
             elif isinstance(param.type, _OutPath):
                 writes += [(param.opts[0], w) for f in files for w in (f, part_path(f))]
         try:

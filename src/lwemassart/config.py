@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .frames import check_fields, decode_json, write_json
-from .instances import MassartConfig, secret_digest
+from .instances import MassartConfig
 from .learners import LEARNERS
 
 
@@ -102,8 +102,7 @@ def batch_sidecar(command, batch, seed, **extra):
     """The sidecar of a file that command wrote from batch, plus the extra entries."""
     return {"command": command, "tag": batch.tag, "n": batch.n, "m": batch.m,
             "sigma": batch.sigma, "seed": seed, **extra,
-            "secret": None if batch.secret is None else [int(v) for v in batch.secret],
-            "secret_digest": None if batch.secret is None else secret_digest(batch.secret)}
+            "secret": None if batch.secret is None else [int(v) for v in batch.secret]}
 
 
 # the RunConfig fields gen-instance writes to its sidecar and verify reads back

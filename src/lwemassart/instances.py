@@ -22,7 +22,6 @@ draw-by-draw scan.  Step 3 maps each block's taken rows, per label group,
 as the walk leaves it, and the rows go to a sink in draw order.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -414,10 +413,6 @@ def _record_dtype(width):
     return np.dtype([("x", "<f8", (width,)), ("label", "i1")])
 
 
-def secret_digest(secret):
-    return hashlib.sha256(np.asarray(secret, dtype="<f8").tobytes()).hexdigest()
-
-
 def write_labeled_file(path, n, m_prime, fill):
     """Write a labeled-sample file block by block; returns fill(sink).
 
@@ -460,16 +455,12 @@ def write_labeled_file(path, n, m_prime, fill):
 def read_labeled_file(path):
     """(x, labels, header) of a labeled-sample file; ValueError if damaged.
 
-    The header must hold magic, version and the counts n and m_prime; a
-    "lifted" key other than false marks a file of the removed lifted
-    format.  The records must fill the rest of the file exactly, with
-    finite x and +1/-1 labels.
+    The header must hold magic, version and the counts n and m_prime.  The
+    records must fill the rest of the file exactly, with finite x and +1/-1
+    labels.
     """
     header, start, size = frames.read_header(path, LABELED_MAGIC, LABELED_VERSION,
                                              {"n": "count", "m_prime": "count"})
-    if header.get("lifted", False) is not False:
-        raise ValueError("MLAB file holds lifted features: gen-instance --lifted "
-                         "was removed, so regenerate the instance without it")
     dtype = _record_dtype(header["n"])
     if size != header["m_prime"] * dtype.itemsize:
         raise ValueError(

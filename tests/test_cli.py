@@ -7,6 +7,7 @@ track the planted region and the projected law keeps its structure.
 
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from lwemassart.config import RunConfig, theorem_d_bindings
 from lwemassart.instances import (
     read_labeled_file,
     read_sidecar,
-    secret_digest,
     write_labeled_file,
     write_sidecar,
 )
@@ -81,14 +81,13 @@ class TestGenLwe:
         invoke(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
-    def test_secret_digest_recorded(self, tmp_path):
+    def test_secret_recorded(self, tmp_path):
         out = tmp_path / "c.lwe"
         invoke(["gen-lwe", "--kind", "classic", "--tag", "alternative",
                 "--n", "6", "--m", "100", "--q", "97", "--sigma", "1.5",
                 "--seed", "3", "--out", str(out)])
         batch = LweBatch.load(out)
         meta = read_sidecar(out)
-        assert meta["secret_digest"] == secret_digest(batch.secret)
         assert np.array_equal(meta["secret"], batch.secret)
 
     def test_zero_m_is_usage_error(self, tmp_path):
@@ -144,7 +143,6 @@ class TestReduceLwe:
         assert np.array_equal(reduced.secret, source.secret)
         meta = read_sidecar(dst)
         assert len(meta["history"]) == 3
-        assert meta["secret_digest"] == secret_digest(np.asarray(meta["secret"], float))
 
     def test_input_as_output_exits_2_and_keeps_the_input(self, tmp_path):
         # writing the output would replace the input it reads
@@ -320,7 +318,6 @@ class TestGenInstance:
         assert set(np.unique(labels)) <= {-1, 1}
         meta = read_sidecar(out)
         assert meta["consumed"] >= 400
-        assert meta["secret_digest"] == secret_digest(np.asarray(meta["secret"], float))
 
     def test_exhausted_stream_exits_3(self, tmp_path):
         res = CliRunner().invoke(
@@ -703,10 +700,17 @@ class TestDamagedInstance:
         self.edit_header(inst, lambda h: h.update(magic=value))
         assert "magic" in verify_exits_2(inst)
 
-    def test_lifted_header_names_the_removal(self, inst):
-        # a file written by the removed gen-instance --lifted
+    def test_lifted_era_file_exits_2(self, work, tmp_path):
+        # a file of the removed gen-instance --lifted: its records hold the
+        # C(n+d, d) monomials of degree <= d, and its sidecar the base n
+        x, labels, _ = read_labeled_file(work / "alt.inst")
+        pairs = itertools.combinations_with_replacement(range(4), 2)
+        lifted = np.column_stack([np.ones(len(x)), x, *(x[:, i] * x[:, j] for i, j in pairs)])
+        inst = tmp_path / "lifted.inst"
+        write_labeled_file(inst, math.comb(4 + 2, 2), len(x), lambda sink: sink(lifted, labels))
         self.edit_header(inst, lambda h: h.update(d=2, lifted=True))
-        assert "--lifted was removed" in verify_exits_2(inst)
+        shutil.copyfile(str(work / "alt.inst") + ".meta.json", str(inst) + ".meta.json")
+        assert "sidecar and file header disagree on n" in verify_exits_2(inst)
 
     @pytest.mark.parametrize("key,value", [("n", 5), ("m_prime", 39999)])
     def test_sidecar_disagrees_with_header(self, inst, key, value):
@@ -728,16 +732,23 @@ def test_directory_input_exits_2(tmp_path, args):
     assert "is a directory" in res.output
 
 
-@pytest.mark.parametrize("args", [
-    ["reduce-lwe", "{dir}/a.lwe.part", "--out", "{dir}/a.lwe"],
-    ["gen-lwe", "--config", "{dir}/c.json", "--out", "{dir}/c.json"],
-    ["verify", "{dir}/b.inst", "--report", "{dir}/b.inst.meta.json"],
-    ["gen-lwe", "--config", "{dir}/d.meta.json", "--out", "{dir}/d"],
-    ["verify", "{dir}/e.inst.part", "--report", "{dir}/e.inst"],
-    ["distinguish", "--config", "{dir}/c.json", "--report", "{dir}/c.json"],
+@pytest.mark.parametrize("args,says", [
+    (["reduce-lwe", "{dir}/a.lwe.part", "--out", "{dir}/a.lwe"], "--out is the input batch"),
+    (["gen-lwe", "--config", "{dir}/c.json", "--out", "{dir}/c.json"],
+     "--out is the input config"),
+    (["verify", "{dir}/b.inst", "--report", "{dir}/b.inst.meta.json"],
+     "--report is the input instance's sidecar"),
+    (["gen-lwe", "--config", "{dir}/d.meta.json", "--out", "{dir}/d"],
+     "--out is the input config"),
+    (["verify", "{dir}/e.inst.part", "--report", "{dir}/e.inst"],
+     "--report is the input instance"),
+    (["distinguish", "--config", "{dir}/c.json", "--report", "{dir}/c.json"],
+     "--report is the input config"),
+    (["reduce-lwe", "{dir}/a.lwe.part", "--out", "{dir}/a.lwe.part.meta.json"],
+     "--out is the input batch's sidecar"),
 ], ids=["batch-as-part-file", "gen-lwe-config", "instance-sidecar", "config-as-sidecar",
-        "instance-as-part-file", "distinguish-config"])
-def test_output_over_an_input_exits_2_and_keeps_every_file(work, tmp_path, args):
+        "instance-as-part-file", "distinguish-config", "batch-sidecar"])
+def test_output_over_an_input_exits_2_and_keeps_every_file(work, tmp_path, args, says):
     # an output, its sidecar or the part file either is written at names an
     # input or an input's sidecar: the command would replace what it reads
     invoke(["gen-lwe", "--kind", "classic", "--n", "4", "--m", "200", "--sigma", "2.0",
@@ -752,7 +763,7 @@ def test_output_over_an_input_exits_2_and_keeps_every_file(work, tmp_path, args)
     files = {p: p.read_bytes() for p in tmp_path.iterdir()}
     res = CliRunner().invoke(main, [a.format(dir=tmp_path) for a in args])
     assert res.exit_code == 2, res.output
-    assert "is the input" in res.output
+    assert f"{says}, which the output would replace" in res.output
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 

@@ -27,7 +27,6 @@ from lwemassart.instances import (
     read_sidecar,
     region_aligned_edges,
     region_plus_intervals,
-    secret_digest,
     write_labeled_file,
     write_sidecar,
 )
@@ -540,8 +539,7 @@ def test_labeled_file_round_trip(tmp_path):
     x = rng.normal(size=(123, 5))
     labels = np.where(rng.random(123) < 0.3, -1, 1)
     path = tmp_path / "inst.mlab"
-    meta = {"t": T, "eps": EPS, "seed": 42, "tag": "alternative",
-            "secret_digest": secret_digest(np.ones(5))}
+    meta = {"t": T, "eps": EPS, "seed": 42, "tag": "alternative"}
     write_whole(path, x, labels)
     write_sidecar(path, meta)
     x2, labels2, header = read_labeled_file(path)
@@ -600,8 +598,7 @@ def test_labeled_file_rejects_every_truncation_and_bad_label(tmp_path):
             read_labeled_file(bad)
 
 
-@pytest.mark.parametrize("key,value", [("version", 2), ("n", 0), ("n", 2.0),
-                                       ("m_prime", "3"), ("lifted", 0), ("lifted", True)])
+@pytest.mark.parametrize("key,value", [("version", 2), ("n", 0), ("n", 2.0), ("m_prime", "3")])
 def test_labeled_file_rejects_ill_typed_header(tmp_path, key, value):
     path = tmp_path / "h.mlab"
     write_whole(path, np.zeros((3, 2)), np.ones(3))

@@ -927,3 +927,27 @@ def test_orthogonal_test_reads_an_orthonormal_complement(monkeypatch, n, first):
     # [u, B] is orthogonal iff x B B'x' + (x.u)(x.u)' = x x' for an x of full column rank
     proj = x @ (s / np.linalg.norm(s))
     assert np.allclose(coords @ coords.T + np.outer(proj, proj), x @ x.T, rtol=0, atol=1e-9)
+
+
+def test_orthogonal_test_keeps_an_atom_at_a_quartile_cut_in_one_group():
+    # x = proj u + g, g Gaussian in u's complement, and proj exactly -0.2 on
+    # 30% of the rows, so the lower quartile cut falls inside the atom; the
+    # atom's projections differ by ordered_dot's rounding alone
+    rng = np.random.default_rng(5)
+    m, s = 100_000, np.array([1.0, -1.0, 1.0, 1.0])
+    u = s / 2
+    kind = rng.choice(3, size=m, p=[0.3, 0.15, 0.55])
+    proj = np.select([kind == 0, kind == 1], [-0.2, rng.uniform(-0.8, -0.2, m)],
+                     rng.uniform(-0.2, 0.8, m))
+    z = rng.normal(scale=1 / math.sqrt(2 * math.pi), size=(m, 4))
+    x = np.outer(proj, u) + z - np.outer(z @ u, u)
+    raw, atom = ordered_dot(x, u), kind == 0
+    assert len(np.unique(raw[atom])) > 1 and np.all(np.abs(raw[atom] + 0.2) < 1e-15)
+
+    def atom_groups(p):
+        return np.unique(np.digitize(p[atom], np.quantile(p, [0.25, 0.5, 0.75])))
+
+    assert len(atom_groups(raw)) == 2  # cut as drawn, rounding error splits the atom
+    assert len(atom_groups(np.round(raw, 9))) == 1
+    rep = orthogonal_gaussianity_test(x, s)
+    assert rep.passed, rep
